@@ -38,7 +38,7 @@ from .errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from .identity import Registry, Role
+from .identity import Registry
 from .ledger import Transaction, TxKind
 from .payloads import (
     AccessGrantBody,
@@ -274,13 +274,16 @@ class ContractSystem:
 
     def verifier_pool(self, producer: Digest) -> list[Digest]:
         """Trusted verifiers eligible for assignment, in stable id order."""
-        pool = []
-        for sid, cred in self.registry.credentials.items():
-            if cred.revoked or Role.Verifier not in cred.roles or sid == producer:
-                continue
-            if sid in self.reputation.scores and self.reputation.is_trusted(sid):
-                pool.append(sid)
-        return sorted(pool)
+        credentials = self.registry.credentials
+        scores = self.reputation.scores
+        return [
+            sid
+            for sid in self.registry.verifier_ids
+            if sid != producer
+            and not credentials[sid].revoked
+            and sid in scores
+            and self.reputation.is_trusted(sid)
+        ]
 
     def submit_report(
         self, producer: Digest, record: CtiRecord, deposit: int, rng: random.Random

@@ -8,6 +8,7 @@ scenario replays byte-identically.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -66,6 +67,9 @@ class Registry:
 
     def __init__(self, initial_score: int = 50):
         self.credentials: dict[Digest, Credential] = {}
+        # Ids holding the Verifier role, in id order. Roles never change and
+        # credentials are only revoked, never removed, so this only grows.
+        self.verifier_ids: list[Digest] = []
         self.initial_score = initial_score
 
     def get(self, stakeholder: Digest) -> Credential:
@@ -110,6 +114,8 @@ class Registry:
             secret=secret,
         )
         self.credentials[sid] = cred
+        if Role.Verifier in cred.roles:
+            bisect.insort(self.verifier_ids, sid)
         body = RegisterBody(
             stakeholder=sid,
             roles=tuple(sorted(r.value for r in cred.roles)),

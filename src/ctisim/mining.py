@@ -1,10 +1,15 @@
 """Campaign derivation from low-level indicators committed to the ledger.
 
-Verified technical records become graph nodes; records sharing enough
-indicator values inside a sliding round window are linked, and connected
-components with sufficient support are reported as campaigns. Any node can
-re-run the derivation from the immutable chain, which is what
-verify_derivation does.
+Verified technical records become graph nodes. Two records are linked when
+they share at least `min_overlap` indicator values and their rounds differ
+by less than `window_rounds`; connected components with enough support are
+reported as campaigns. Any node can re-run the derivation from the
+immutable chain, which is what verify_derivation does.
+
+Links are found through an inverted index from each indicator value to the
+records carrying it, ordered by round, so mining never compares every pair
+of records. With `min_overlap == 1` only consecutive occurrences of a value
+are linked, which is near-linear in the number of indicators.
 """
 
 from __future__ import annotations
@@ -72,7 +77,18 @@ def _campaign_id(members: list[Digest], params: MiningParams) -> Digest:
 
 
 def _components(records: list[CtiRecord], params: MiningParams) -> list[list[CtiRecord]]:
-    """Union-find over records linked by indicator overlap within the window."""
+    """Union-find over records linked by indicator overlap within the window.
+
+    Each indicator value indexes the records that carry it, in round order.
+    With `min_overlap == 1`, consecutive occurrences of a value are united
+    when their rounds differ by less than the window. That gives the same
+    components as testing every pair: if one value occurs at rounds
+    a <= b <= c and c - a < w, both adjacent gaps are also < w, and every
+    consecutive link is itself a pairwise link. With a larger overlap, each
+    value's list is walked only as far as the window reaches, counting the
+    values every candidate pair shares; pairs reaching `min_overlap` are
+    united.
+    """
     parent = list(range(len(records)))
 
     def find(i: int) -> int:
@@ -86,12 +102,30 @@ def _components(records: list[CtiRecord], params: MiningParams) -> list[list[Cti
         if ri != rj:
             parent[rj] = ri
 
-    values = [set(ioc.value for ioc in r.indicators) for r in records]
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            if abs(records[i].created_round - records[j].created_round) >= params.window_rounds:
-                continue
-            if len(values[i] & values[j]) >= params.min_overlap:
+    rounds = [r.created_round for r in records]
+    index: dict[str, list[int]] = {}
+    for i in sorted(range(len(records)), key=rounds.__getitem__):
+        for value in {ioc.value for ioc in records[i].indicators}:
+            index.setdefault(value, []).append(i)
+
+    window = params.window_rounds
+    if params.min_overlap == 1:
+        for occurrences in index.values():
+            for i, j in zip(occurrences, occurrences[1:]):
+                if rounds[j] - rounds[i] < window:
+                    union(i, j)
+    else:
+        shared: dict[tuple[int, int], int] = {}
+        for occurrences in index.values():
+            for p, i in enumerate(occurrences):
+                for q in range(p + 1, len(occurrences)):
+                    j = occurrences[q]
+                    if rounds[j] - rounds[i] >= window:
+                        break
+                    pair = (i, j) if i < j else (j, i)
+                    shared[pair] = shared.get(pair, 0) + 1
+        for (i, j), count in shared.items():
+            if count >= params.min_overlap:
                 union(i, j)
 
     groups: dict[int, list[CtiRecord]] = {}

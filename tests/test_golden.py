@@ -1,0 +1,56 @@
+"""Golden output digests of the bundled scenarios.
+
+Each scenario runs at its config seed and must write byte-identical
+chain.json, summary.json and metrics.csv. A change that is meant to move
+these bytes updates the table and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from ctisim.cli import main
+from tests.conftest import SCENARIO_DIR
+
+GOLDEN = {
+    "blocis-baseline": {
+        "chain.json": "0f7f585ee01769795995b62c72736c27f81f6d7df242a783e599a40518731015",
+        "summary.json": "590055af98241949e1f0a9fb0d264f4a15bb6e1ee9cd259f8ebb2bda41d2998b",
+        "metrics.csv": "1619f1113aceb60ceb77b16b0fb17a857ad2bab959429bb8b4752385dfb6bc3b",
+    },
+    "doi-flood": {
+        "chain.json": "20213c7426771aba3146518eff17f9e25babc12c8660bf5b547b12b64fdc6f0b",
+        "summary.json": "b3bf4356fd291c01ae808e5e81cccba4798b629867a15c9d7c9d8a6e0a300a6c",
+        "metrics.csv": "00b12be8731ab756da066466de9f07f411d0ede90e86f97ee0fe3588ce76ef09",
+    },
+    "free-riding": {
+        "chain.json": "05806bff26005ddb533739977577eec1369a065ed57e21e9196afce542a83483",
+        "summary.json": "e9a330b95dc027310cfbbce557591e54a4687ce34d50e7477e7847fa904ad1a6",
+        "metrics.csv": "9d1a197f4d609e602b28ec9fb7ffc1fb7a8104b1ed1f705c02f9b9975eb86089",
+    },
+    "marketplace": {
+        "chain.json": "4bcf9f76f29c575f1cfce35b1d1ba4f00e31f1eea269a187b974553ec88a174f",
+        "summary.json": "222306e10bcf7d0954e5cb1420152a8447ce19846c404b46edd59d13795c76ab",
+        "metrics.csv": "994053a892e2bee4fb0869130533fc414e2880315a7e4b7c9995072945c9de70",
+    },
+    "tlp-demo": {
+        "chain.json": "50b4dd63a48cc01b39a7d8e0c3844b0d18c16defe2606492aaa7109d781ebcf1",
+        "summary.json": "b12dfe935fc2741b269b6ac31b00602e15268bf628b85715f9b18127dd0d8091",
+        "metrics.csv": "a5675d2d912e88308b82e5149964df2df97ad95eeff21662e9cae2c7983b642c",
+    },
+}
+
+
+def test_every_bundled_scenario_has_a_golden_entry():
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_scenario_outputs_match_golden_digests(scenario, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTISIM_SEED", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(SCENARIO_DIR / f"{scenario}.yaml"), "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[scenario]
+    }
+    assert digests == GOLDEN[scenario]

@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.contracts import Vote
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
 from ctisim.identity import Role
+from ctisim.ledger import sha256
 from ctisim.mining import (
     Campaign,
     MiningParams,
+    _components,
     mine_campaigns,
     verified_technical_records,
     verify_derivation,
@@ -26,6 +30,28 @@ def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
 
     Returns (chain, {record_id: label}).
     """
+    rng = random.Random(seed)
+
+    def specs():
+        for n, label in enumerate(labels_per_record):
+            round_no = 1 + rng.randrange(rounds_spread)
+            iocs = [Ioc(IocKind.Domain, f"unique-{n}.example", round_no, campaign_hint=label)]
+            if label is not None:
+                iocs.insert(0, Ioc(IocKind.Domain, f"shared-{label}.example", round_no, campaign_hint=label))
+            yield round_no, tuple(iocs)
+
+    chain, record_ids = verified_chain(specs(), rng)
+    truth = {rid: label for rid, label in zip(record_ids, labels_per_record) if label is not None}
+    return chain, truth
+
+
+def verified_chain(specs, rng):
+    """Submit one Technical record per (round, indicators) spec through the
+    contracts, have three verifiers vote it HighQuality and finalize it, one
+    block per record. `specs` is consumed lazily, interleaved with `rng`.
+
+    Returns (chain, [record_id, ...]) in spec order.
+    """
     from ctisim.contracts import (
         ContractSystem,
         MarketContract,
@@ -36,7 +62,6 @@ def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
     from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
     from ctisim.ledger import Chain, append_block
 
-    rng = random.Random(seed)
     registry = Registry()
     auth, auth_tx = registry.bootstrap(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
@@ -81,17 +106,13 @@ def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
     append_block(chain, reg_txs, auth.stakeholder, registry.authenticate_committed,
                  registry.is_authority, timestamp=0)
 
-    truth: dict[bytes, str] = {}
-    for n, label in enumerate(labels_per_record):
-        round_no = 1 + rng.randrange(rounds_spread)
+    record_ids = []
+    for n, (round_no, iocs) in enumerate(specs):
         producer = producers[n % len(producers)]
-        iocs = [Ioc(IocKind.Domain, f"unique-{n}.example", round_no, campaign_hint=label)]
-        if label is not None:
-            iocs.insert(0, Ioc(IocKind.Domain, f"shared-{label}.example", round_no, campaign_hint=label))
         record = make_record(
             producer=producer,
             category=CtiCategory.Technical,
-            indicators=tuple(iocs),
+            indicators=iocs,
             narrative_digest=ZERO_DIGEST,
             tlp=TlpLabel(TlpChannel.White),
             policy=None,
@@ -106,9 +127,8 @@ def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
         txs += fin_txs
         append_block(chain, txs, auth.stakeholder, registry.authenticate_committed,
                      registry.is_authority, timestamp=round_no)
-        if label is not None:
-            truth[record.record_id] = label
-    return chain, truth
+        record_ids.append(record.record_id)
+    return chain, record_ids
 
 
 def test_three_records_sharing_one_ioc_form_a_campaign():
@@ -277,3 +297,89 @@ def test_scenario_campaigns_are_auditable():
     config = make_config(crew, rounds=15, seed=9)
     result = run_scenario(config)
     assert all(verify_derivation(c, result.chain) for c in result.campaigns)
+
+
+# --- the indicator index against the all-pairs definition --------------------
+
+# Few rounds and few values: ties, dense windows and values shared by many
+# records. Each spec is (created_round, indicator values); values may repeat
+# inside one record.
+SHARED_VALUES = [f"s{k}.example" for k in range(5)]
+record_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.sampled_from(SHARED_VALUES), max_size=4),
+    ),
+    max_size=24,
+)
+mining_params = st.builds(
+    MiningParams,
+    window_rounds=st.integers(min_value=1, max_value=8),
+    min_support=st.integers(min_value=2, max_value=3),
+    min_overlap=st.integers(min_value=1, max_value=3),
+)
+
+
+def spec_iocs(n, round_no, values):
+    """Indicators for spec n: its values plus one only it carries, which keeps
+    record ids distinct and never links two records."""
+    return tuple(
+        Ioc(IocKind.Domain, v, round_no) for v in [*values, f"unique-{n}.example"]
+    )
+
+
+def all_pairs_partition(records, params):
+    """The definition: link every pair of records closer than the window
+    that shares at least min_overlap values; return the components."""
+    values = [{ioc.value for ioc in r.indicators} for r in records]
+    component = {r.record_id: frozenset([r.record_id]) for r in records}
+    for i, a in enumerate(records):
+        for j in range(i + 1, len(records)):
+            b = records[j]
+            if abs(a.created_round - b.created_round) >= params.window_rounds:
+                continue
+            if len(values[i] & values[j]) >= params.min_overlap:
+                merged = component[a.record_id] | component[b.record_id]
+                for rid in merged:
+                    component[rid] = merged
+    return set(component.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=record_specs, params=mining_params)
+def test_index_components_match_all_pairs(specs, params):
+    records = [
+        make_record(
+            producer=sha256(b"producer"),
+            category=CtiCategory.Technical,
+            indicators=spec_iocs(n, round_no, values),
+            narrative_digest=ZERO_DIGEST,
+            tlp=TlpLabel(TlpChannel.White),
+            policy=None,
+            sale_price=None,
+            created_round=round_no,
+            ground_truth=None,
+        )
+        for n, (round_no, values) in enumerate(specs)
+    ]
+    groups = _components(records, params)
+    mined = {frozenset(r.record_id for r in group) for group in groups}
+    assert mined == all_pairs_partition(records, params)
+    assert sum(len(group) for group in groups) == len(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=record_specs, params=mining_params)
+def test_verify_derivation_accepts_every_mined_campaign(specs, params):
+    chain, _ = verified_chain(
+        ((round_no, spec_iocs(n, round_no, values)) for n, (round_no, values) in enumerate(specs)),
+        random.Random(0),
+    )
+    campaigns = mine_campaigns(chain, params.window_rounds, params.min_support, params.min_overlap)
+    expected = {
+        group
+        for group in all_pairs_partition(verified_technical_records(chain), params)
+        if len(group) >= params.min_support
+    }
+    assert {c.member_records for c in campaigns} == expected
+    assert all(verify_derivation(c, chain) for c in campaigns)
