@@ -169,7 +169,9 @@ def authorize(
 # --- simulated envelope encryption ------------------------------------------
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """Bytewise XOR, truncated to the shorter input."""
+    n = min(len(a), len(b))
+    return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
 def _witness(tlp: TlpLabel, policy: Optional[AttributePolicy]) -> str:
@@ -185,10 +187,6 @@ class EncryptedEnvelope:
     wrapped_keys: tuple[tuple[str, bytes], ...]
     tlp: TlpLabel
     policy: Optional[AttributePolicy]
-
-    @property
-    def ciphertext_digest(self) -> Digest:
-        return sha256(self.ciphertext)
 
 
 def seal(record: "CtiRecord") -> EncryptedEnvelope:

@@ -1,8 +1,10 @@
 """Command line interface: run scenarios, verify chain dumps, sweep parameters.
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
-3 tampered chain. The CTISIM_SEED environment variable overrides the config
-seed; the --seed flag overrides both.
+3 tampered chain. For `run`, the CTISIM_SEED environment variable overrides
+the config seed and the --seed flag overrides both. `sweep` takes neither:
+each leg runs at the config seed, or at the swept value when the swept key
+is `seed`.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::

@@ -140,7 +140,7 @@ class ReportContract:
     record: CtiRecord
     content_ref: Digest
     status: ContractStatus
-    assigned_verifiers: tuple[Digest, Digest, Digest]
+    assigned_verifiers: tuple[Digest, ...]
     votes: dict[Digest, Vote]
     deposit: int
     deposit_state: DepositState

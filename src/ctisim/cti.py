@@ -16,7 +16,6 @@ from typing import Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
 from .encoding import ZERO_DIGEST, Digest, Reader, Writer
-from .errors import EncodingError
 from .ledger import sha256
 
 
@@ -237,10 +236,3 @@ def decode_record(data: bytes) -> CtiRecord:
     )
     computed = record_id_for(record_bytes(rec))
     return replace(rec, record_id=computed)
-
-
-def decode_record_strict(data: bytes, expected_id: Digest) -> CtiRecord:
-    rec = decode_record(data)
-    if rec.record_id != expected_id:
-        raise EncodingError("record bytes do not match their id")
-    return rec

@@ -158,10 +158,6 @@ class Registry:
         cred = self.credentials.get(stakeholder)
         return cred is not None and not cred.revoked and Role.Authority in cred.roles
 
-    def has_role(self, stakeholder: Digest, role: Role) -> bool:
-        cred = self.credentials.get(stakeholder)
-        return cred is not None and role in cred.roles
-
     def active_ids(self) -> list[Digest]:
         """Registered, unrevoked stakeholders in stable (id) order."""
         return sorted(sid for sid, c in self.credentials.items() if not c.revoked)

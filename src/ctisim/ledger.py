@@ -7,12 +7,18 @@ per-block Merkle roots over transaction ids, and the previous-header hash
 carried by every block. verify_chain replays the whole chain, rebuilding
 the credential map from Register payloads so that a bare dump can be
 re-verified with no out-of-band state.
+
+The chain.json dump format is fixed: it is byte for byte what
+``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
+(integer fields, hex-encoded byte fields, the transaction kind by name).
+chain_to_json emits those bytes directly and chain_from_json reads them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -27,13 +33,22 @@ from .errors import (
 from .payloads import RegisterBody, ReputationUpdateBody
 
 
+_pack_len = struct.Struct(">I").pack
+
+
 def sha256(data: bytes) -> Digest:
     return hashlib.sha256(data).digest()
 
 
 def keyed_digest(secret: bytes, payload: bytes) -> bytes:
-    """Simulated signature: digest keyed by the credential secret."""
-    return sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue())
+    """Simulated signature: digest keyed by the credential secret.
+
+    The digest is over the canonical encoding of (secret, payload), the
+    bytes ``Writer().put_bytes(secret).put_bytes(payload)`` would build.
+    """
+    return hashlib.sha256(
+        b"".join((_pack_len(len(secret)), secret, _pack_len(len(payload)), payload))
+    ).digest()
 
 
 class TxKind(Enum):
@@ -47,6 +62,10 @@ class TxKind(Enum):
     AccessGrant = "AccessGrant"
 
 
+# canonical length-prefixed encoding of each kind's name, as put_str writes it
+_KIND_TAG = {kind: Writer().put_str(kind.value).getvalue() for kind in TxKind}
+
+
 @dataclass(frozen=True)
 class Transaction:
     tx_id: Digest
@@ -57,8 +76,18 @@ class Transaction:
 
     @staticmethod
     def compute_id(author: Digest, kind: TxKind, payload: bytes) -> Digest:
-        w = Writer().put_bytes(author).put_str(kind.value).put_bytes(payload)
-        return sha256(w.getvalue())
+        """Digest of the canonical encoding of (author, kind name, payload)."""
+        return hashlib.sha256(
+            b"".join(
+                (
+                    _pack_len(len(author)),
+                    author,
+                    _KIND_TAG[kind],
+                    _pack_len(len(payload)),
+                    payload,
+                )
+            )
+        ).digest()
 
     @classmethod
     def create(cls, author: Digest, kind: TxKind, payload: bytes, secret: bytes) -> "Transaction":
@@ -309,34 +338,46 @@ def query(
 
 # --- chain.json dump -------------------------------------------------------
 
-def chain_to_obj(chain: Chain) -> list[dict]:
-    blocks = []
-    for b in chain.blocks:
-        blocks.append(
-            {
-                "height": b.height,
-                "prev_hash": b.prev_hash.hex(),
-                "merkle_root": b.merkle_root.hex(),
-                "timestamp": b.timestamp,
-                "nonce": b.nonce,
-                "sealer": b.sealer.hex(),
-                "transactions": [
-                    {
-                        "tx_id": t.tx_id.hex(),
-                        "author": t.author.hex(),
-                        "kind": t.kind.value,
-                        "payload": t.payload.hex(),
-                        "signature": t.signature.hex(),
-                    }
-                    for t in b.transactions
-                ],
-            }
-        )
-    return blocks
+def _tx_to_json(t: Transaction) -> str:
+    return (
+        "      {\n"
+        f'        "tx_id": "{t.tx_id.hex()}",\n'
+        f'        "author": "{t.author.hex()}",\n'
+        f'        "kind": "{t.kind.value}",\n'
+        f'        "payload": "{t.payload.hex()}",\n'
+        f'        "signature": "{t.signature.hex()}"\n'
+        "      }"
+    )
+
+
+def _block_to_json(b: Block) -> str:
+    if b.transactions:
+        txs = "[\n" + ",\n".join(map(_tx_to_json, b.transactions)) + "\n    ]"
+    else:
+        txs = "[]"
+    return (
+        "  {\n"
+        f'    "height": {b.height},\n'
+        f'    "prev_hash": "{b.prev_hash.hex()}",\n'
+        f'    "merkle_root": "{b.merkle_root.hex()}",\n'
+        f'    "timestamp": {b.timestamp},\n'
+        f'    "nonce": {b.nonce},\n'
+        f'    "sealer": "{b.sealer.hex()}",\n'
+        f'    "transactions": {txs}\n'
+        "  }"
+    )
 
 
 def chain_to_json(chain: Chain) -> str:
-    return json.dumps(chain_to_obj(chain), indent=2) + "\n"
+    """The chain.json dump: the bytes json.dumps(indent=2) wrote, plus "\\n".
+
+    Blocks and transactions are emitted field by field in the fixed order
+    chain_from_json reads. Every value is an integer, a hex string or a
+    TxKind name, so nothing needs JSON escaping.
+    """
+    if not chain.blocks:
+        return "[]\n"
+    return "[\n" + ",\n".join(map(_block_to_json, chain.blocks)) + "\n]\n"
 
 
 def chain_from_json(text: str, difficulty: int = 0) -> Chain:

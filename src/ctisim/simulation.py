@@ -248,7 +248,6 @@ class Engine:
             policy=VerificationPolicy(
                 alpha=cfg.verification.alpha,
                 tau=cfg.verification.tau,
-                quorum=3,
             ),
             reputation=self.reputation,
             subscription=subscription,
@@ -577,8 +576,9 @@ class Engine:
         poisoning_rate = verified_fabricated / total_verified if total_verified else 0.0
         # moral-hazard observable: currency verifiers pocketed from forfeits
         if self.cfg.economics.forfeiture is ForfeiturePolicy.Split:
+            quorum = self.contracts.policy.quorum
             verifier_forfeit_income = sum(
-                (c.deposit // 3) * 3
+                (c.deposit // quorum) * quorum
                 for c in contracts
                 if c.status is ContractStatus.Rejected
             )

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctisim.access_control import (
     AttributePolicy,
+    _xor,
     TlpChannel,
     TlpLabel,
     all_of,
@@ -221,3 +224,8 @@ def test_open_monotone_in_attributes():
         if opened:
             # any superset must open too
             open_envelope(envelope, cred("r", attrs | {rng.choice(tags)}), set())
+
+
+@given(a=st.binary(max_size=70), b=st.binary(max_size=70))
+def test_xor_matches_bytewise_reference(a, b):
+    assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))

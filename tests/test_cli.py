@@ -120,6 +120,18 @@ def test_sweep_writes_leg_dirs_and_csv(tmp_path):
     assert lines[0].startswith("param,value,")
 
 
+def test_sweep_ignores_seed_env(tmp_path, monkeypatch):
+    args = ["sweep", "--config", DOI, "--param", "verification.alpha", "--values", "0.6,0.8"]
+    plain, with_env = tmp_path / "plain", tmp_path / "env"
+    assert run_cli(*args, "--out", str(plain)) == 0
+    monkeypatch.setenv("CTISIM_SEED", "123")
+    assert run_cli(*args, "--out", str(with_env)) == 0
+    assert (plain / "sweep.csv").read_bytes() == (with_env / "sweep.csv").read_bytes()
+    for leg in sorted(p.name for p in plain.iterdir() if p.is_dir()):
+        for name in ("metrics.csv", "summary.json", "chain.json"):
+            assert (plain / leg / name).read_bytes() == (with_env / leg / name).read_bytes()
+
+
 def test_sweep_unknown_key_exits_one(tmp_path):
     rc = run_cli(
         "sweep", "--config", DOI,

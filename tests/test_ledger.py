@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctisim.encoding import ZERO_DIGEST, Writer
 from ctisim.errors import EmptyTransactionList, InvalidSignature, UnauthorizedSealer
@@ -19,6 +22,7 @@ from ctisim.ledger import (
     make_genesis,
     merkle_root,
     query,
+    sha256,
     verify_chain,
 )
 
@@ -337,9 +341,92 @@ def test_query_matches_linear_scan_oracle():
 def test_chain_json_round_trip():
     chain, *_ = build_chain(2)
     text = chain_to_json(chain)
+    assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
     loaded = chain_from_json(text)
     assert chain_to_json(loaded) == text
     assert verify_chain(loaded).valid
+
+
+def ref_obj(chain):
+    """The block objects json.dumps(indent=2) serialized into chain.json."""
+    return [
+        {
+            "height": b.height,
+            "prev_hash": b.prev_hash.hex(),
+            "merkle_root": b.merkle_root.hex(),
+            "timestamp": b.timestamp,
+            "nonce": b.nonce,
+            "sealer": b.sealer.hex(),
+            "transactions": [
+                {
+                    "tx_id": t.tx_id.hex(),
+                    "author": t.author.hex(),
+                    "kind": t.kind.value,
+                    "payload": t.payload.hex(),
+                    "signature": t.signature.hex(),
+                }
+                for t in b.transactions
+            ],
+        }
+        for b in chain.blocks
+    ]
+
+
+digests = st.binary(min_size=32, max_size=32)
+uints = st.integers(min_value=0, max_value=2**64)
+transactions = st.builds(
+    Transaction,
+    tx_id=digests,
+    author=st.binary(max_size=40),
+    kind=st.sampled_from(TxKind),
+    payload=st.binary(max_size=80),
+    signature=st.binary(max_size=40),
+)
+blocks = st.builds(
+    Block,
+    height=uints,
+    prev_hash=digests,
+    merkle_root=digests,
+    timestamp=uints,
+    nonce=uints,
+    sealer=digests,
+    # empty tuples are heartbeat blocks
+    transactions=st.lists(transactions, max_size=4).map(tuple),
+)
+chains = st.builds(Chain, blocks=st.lists(blocks, max_size=5))
+
+
+def test_chain_json_heartbeat_block_matches_json_dumps():
+    chain, reg, auth, _ = build_chain(1)
+    append_block(
+        chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=2, allow_empty=True
+    )
+    text = chain_to_json(chain)
+    assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
+    assert chain_from_json(text) == chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=chains)
+@example(chain=Chain(blocks=[]))
+@example(chain=Chain.new())
+def test_chain_json_matches_json_dumps_property(chain):
+    text = chain_to_json(chain)
+    assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
+    assert chain_from_json(text) == chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    author=st.binary(max_size=40),
+    kind=st.sampled_from(TxKind),
+    payload=st.binary(max_size=300),
+    secret=st.binary(max_size=40),
+)
+def test_one_shot_digests_match_writer_encoding(author, kind, payload, secret):
+    expected_id = sha256(Writer().put_bytes(author).put_str(kind.value).put_bytes(payload).getvalue())
+    assert Transaction.compute_id(author, kind, payload) == expected_id
+    assert keyed_digest(secret, payload) == sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue())
 
 
 def test_verify_rejects_empty_chain():
