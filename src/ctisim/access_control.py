@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Optional
 
 from .encoding import Digest
 from .errors import AccessDenied, PolicyParseError
@@ -69,19 +69,14 @@ def any_of(*children: AttributePolicy) -> AttributePolicy:
     return AttributePolicy(op="or", children=tuple(children))
 
 
-def evaluate_policy(policy: AttributePolicy, attributes: Iterable[str]) -> bool:
-    attrs = set(attributes)
-
-    def walk(node: AttributePolicy) -> bool:
-        if node.op == "attr":
-            return node.tag in attrs
-        if node.op == "and":
-            return all(walk(c) for c in node.children)
-        if node.op == "or":
-            return any(walk(c) for c in node.children)
-        raise PolicyParseError(f"unknown policy operator {node.op!r}")
-
-    return walk(policy)
+def evaluate_policy(policy: AttributePolicy, attributes: AbstractSet[str]) -> bool:
+    if policy.op == "attr":
+        return policy.tag in attributes
+    if policy.op == "and":
+        return all(evaluate_policy(c, attributes) for c in policy.children)
+    if policy.op == "or":
+        return any(evaluate_policy(c, attributes) for c in policy.children)
+    raise PolicyParseError(f"unknown policy operator {policy.op!r}")
 
 
 def policy_leaves(policy: AttributePolicy) -> list[str]:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 3 tampered chain. For `run`, the CTISIM_SEED environment variable overrides
 the config seed and the --seed flag overrides both. `sweep` takes neither:
 each leg runs at the config seed, or at the swept value when the swept key
-is `seed`.
+is `seed`. Sweep legs run one after another in the order given; the
+--parallel flag is still accepted but changes nothing.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::
@@ -51,7 +52,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import yaml
@@ -134,7 +134,7 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     try:
         with open(args.chain, "r", encoding="utf-8") as fh:
             text = fh.read()
-        chain = chain_from_json(text, difficulty=args.difficulty)
+        chain = chain_from_json(text)
     except (OSError, EncodingError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
@@ -174,16 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 1
 
     try:
-        if args.parallel:
-            with ThreadPoolExecutor(max_workers=min(len(values), 8)) as pool:
-                rows = list(
-                    pool.map(
-                        lambda v: _run_sweep_leg(raw, args.param, v, args.out, args.format),
-                        values,
-                    )
-                )
-        else:
-            rows = [_run_sweep_leg(raw, args.param, v, args.out, args.format) for v in values]
+        rows = [_run_sweep_leg(raw, args.param, v, args.out, args.format) for v in values]
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,14 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     vc_p = sub.add_parser("verify-chain", help="verify a chain.json dump")
     vc_p.add_argument("--chain", required=True, help="chain.json path")
-    vc_p.add_argument("--difficulty", type=int, default=0, help="toy difficulty the chain was sealed at")
     vc_p.set_defaults(func=cmd_verify_chain)
 
     sw_p = sub.add_parser("sweep", help="run a scenario over several values of one parameter")
     sw_p.add_argument("--config", required=True, help="scenario YAML file")
     sw_p.add_argument("--param", required=True, help="dotted config key, e.g. verification.alpha")
     sw_p.add_argument("--values", required=True, help="comma-separated values")
-    sw_p.add_argument("--parallel", action="store_true", help="run legs concurrently")
+    sw_p.add_argument("--parallel", action="store_true", help="no effect: legs always run in order")
     sw_p.add_argument("--out", default="sweep-out", help="output directory")
     sw_p.add_argument("--format", choices=("csv", "json"), default="csv", help="metrics format")
     sw_p.set_defaults(func=cmd_sweep)

@@ -96,6 +96,24 @@ def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
             raise ConfigInvalid(f"{where}{key}", "unknown field")
 
 
+def _mapping(value: Any, name: str) -> dict:
+    """A mapping-valued field; absent (null) reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigInvalid(name, f"expected a mapping, got {value!r}")
+    return value
+
+
+def _list(value: Any, name: str) -> list:
+    """A list-valued field; absent (null) reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigInvalid(name, f"expected a list, got {value!r}")
+    return value
+
+
 def _as_int(value: Any, name: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigInvalid(name, f"expected an integer, got {value!r}")
@@ -106,12 +124,17 @@ def _as_int(value: Any, name: str, lo: Optional[int] = None, hi: Optional[int] =
     return value
 
 
-def _as_prob(value: Any, name: str) -> float:
+def _as_float(value: Any, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigInvalid(name, f"expected a number, got {value!r}")
-    if not 0.0 <= float(value) <= 1.0:
-        raise ConfigInvalid(name, "must lie in [0, 1]")
     return float(value)
+
+
+def _as_prob(value: Any, name: str) -> float:
+    value = _as_float(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigInvalid(name, "must lie in [0, 1]")
+    return value
 
 
 def _parse_strategy(raw: dict, where: str) -> AgentStrategy:
@@ -163,8 +186,10 @@ def _parse_access(raw: dict, where: str) -> AccessSpec:
         channel = TlpChannel(channel_name)
     except ValueError:
         raise ConfigInvalid(f"{where}tlp", f"unknown channel {raw.get('tlp')!r}") from None
-    designated = tuple(raw.get("designated", ()) or ())
-    policy_text = raw.get("policy", "") or ""
+    designated = tuple(str(d) for d in _list(raw.get("designated"), f"{where}designated"))
+    policy_text = raw.get("policy") or ""
+    if not isinstance(policy_text, str):
+        raise ConfigInvalid(f"{where}policy", f"expected a string, got {policy_text!r}")
     policy = None
     if policy_text:
         try:
@@ -174,28 +199,31 @@ def _parse_access(raw: dict, where: str) -> AccessSpec:
     return AccessSpec(channel=channel, designated_names=designated, policy=policy)
 
 
-def _parse_agent(raw: dict, index: int) -> AgentSpec:
+def _parse_agent(raw: Any, index: int) -> AgentSpec:
     where = f"agents[{index}]."
+    raw = _mapping(raw, f"agents[{index}]")
     _check_keys(raw, {"name", "roles", "attributes", "strategy", "endowment", "access"}, where)
     name = str(_require(raw, "name", where))
     roles = set()
-    for role_name in _require(raw, "roles", where):
+    for role_name in _list(_require(raw, "roles", where), f"{where}roles"):
         try:
             roles.add(Role(role_name))
         except ValueError:
             raise ConfigInvalid(f"{where}roles", f"unknown role {role_name!r}") from None
     if not roles:
         raise ConfigInvalid(f"{where}roles", "at least one role required")
-    if raw.get("strategy"):
-        strategy = _parse_strategy(raw["strategy"], f"{where}strategy.")
+    strategy_raw = _mapping(raw.get("strategy"), f"{where}strategy")
+    if strategy_raw:
+        strategy = _parse_strategy(strategy_raw, f"{where}strategy.")
     else:
         # passive agent (e.g. the authority): never submits or consumes
         strategy = AgentStrategy(kind=StrategyKind.LazyConsumer, consume_rate=0.0)
-    access = _parse_access(raw["access"], f"{where}access.") if raw.get("access") else None
+    access_raw = _mapping(raw.get("access"), f"{where}access")
+    access = _parse_access(access_raw, f"{where}access.") if access_raw else None
     return AgentSpec(
         name=name,
         roles=frozenset(roles),
-        attributes=frozenset(str(a) for a in raw.get("attributes", ()) or ()),
+        attributes=frozenset(str(a) for a in _list(raw.get("attributes"), f"{where}attributes")),
         strategy=strategy,
         endowment=_as_int(raw.get("endowment", 100), f"{where}endowment", lo=0),
         access=access,
@@ -234,7 +262,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
     if not any(Role.Authority in a.roles for a in agents):
         raise ConfigInvalid("agents", "an Authority agent is required")
 
-    eco_raw = raw.get("economics", {}) or {}
+    eco_raw = _mapping(raw.get("economics"), "economics")
     _check_keys(
         eco_raw,
         {
@@ -268,7 +296,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
     if economics.sale_mode == "fixed" and economics.fixed_price is None:
         raise ConfigInvalid("economics.fixed_price", "required when sale_mode is 'fixed'")
 
-    ver_raw = raw.get("verification", {}) or {}
+    ver_raw = _mapping(raw.get("verification"), "verification")
     _check_keys(
         ver_raw,
         {
@@ -285,7 +313,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
     )
     verification = VerificationConfig(
         alpha=_as_prob(ver_raw.get("alpha", 0.8), "verification.alpha"),
-        tau=float(ver_raw.get("tau", 0.5)),
+        tau=_as_float(ver_raw.get("tau", 0.5), "verification.tau"),
         trust_threshold=_as_int(ver_raw.get("trust_threshold", 30), "verification.trust_threshold", lo=1, hi=100),
         delta_valid=_as_int(ver_raw.get("delta_valid", 2), "verification.delta_valid"),
         delta_invalid=_as_int(ver_raw.get("delta_invalid", -10), "verification.delta_invalid"),
@@ -296,7 +324,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
     if not 0.0 < verification.tau < 1.0:
         raise ConfigInvalid("verification.tau", "must lie strictly between 0 and 1")
 
-    mining_raw = raw.get("mining", {}) or {}
+    mining_raw = _mapping(raw.get("mining"), "mining")
     _check_keys(mining_raw, {"window_rounds", "min_support", "min_overlap"}, "mining.")
     mining = MiningConfig(
         window_rounds=_as_int(mining_raw.get("window_rounds", 10), "mining.window_rounds", lo=1),
@@ -304,7 +332,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
         min_overlap=_as_int(mining_raw.get("min_overlap", 1), "mining.min_overlap", lo=1),
     )
 
-    util_raw = raw.get("utility", {}) or {}
+    util_raw = _mapping(raw.get("utility"), "utility")
     _check_keys(util_raw, {"sharing_risk_cost", "consumption_benefit", "window"}, "utility.")
     utility = UtilityModel(
         sharing_risk_cost=_as_int(util_raw.get("sharing_risk_cost", 0), "utility.sharing_risk_cost", lo=0),
@@ -312,7 +340,7 @@ def parse_config(raw: Any) -> ScenarioConfig:
         window=_as_int(util_raw.get("window", 5), "utility.window", lo=1),
     )
 
-    access = _parse_access(raw.get("access", {}) or {}, "access.")
+    access = _parse_access(_mapping(raw.get("access"), "access"), "access.")
 
     heartbeat = raw.get("heartbeat", True)
     if not isinstance(heartbeat, bool):

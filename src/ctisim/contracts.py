@@ -138,7 +138,6 @@ class ReputationLedger:
 class ReportContract:
     contract_id: Digest
     record: CtiRecord
-    content_ref: Digest
     status: ContractStatus
     assigned_verifiers: tuple[Digest, ...]
     votes: dict[Digest, Vote]
@@ -222,24 +221,12 @@ class MarketContract:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    contract_id: Digest
     status: ContractStatus
-    pi_score: float
     deposit_state: DepositState
-    majority_high_quality: bool
     verifier_payouts: dict[Digest, int]
-    reputation_changes: dict[Digest, int]
     discounts: dict[Digest, int]
     revoked: tuple[Digest, ...]
     burned: int
-
-
-@dataclass(frozen=True)
-class AccessGrant:
-    contract_id: Digest
-    consumer: Digest
-    price: int
-    content_digest: Digest
 
 
 class ContractSystem:
@@ -311,7 +298,6 @@ class ContractSystem:
         contract = ReportContract(
             contract_id=record.record_id,
             record=record,
-            content_ref=record.narrative_digest,
             status=ContractStatus.PendingVerification,
             assigned_verifiers=verifiers,
             votes={},
@@ -414,16 +400,15 @@ class ContractSystem:
                 discounts[producer] = per_hq
 
         # (d) reputation
-        rep_changes: dict[Digest, int] = {}
         producer_delta = self.reputation.delta_valid if pi.valid else self.reputation.delta_invalid
-        rep_changes[producer] = self.reputation.apply(producer, producer_delta)
+        self.reputation.apply(producer, producer_delta)
         for v in contract.assigned_verifiers:
             delta = (
                 self.reputation.delta_majority_vote
                 if contract.votes[v] is majority_vote
                 else self.reputation.delta_minority_vote
             )
-            rep_changes[v] = self.reputation.apply(v, delta)
+            self.reputation.apply(v, delta)
 
         # (e) verification fee payout
         if contract.verification_fee:
@@ -452,7 +437,7 @@ class ContractSystem:
         revoked: list[Digest] = []
         for sid in [producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
-                self.registry.revoke(sid, automatic=True)
+                self.registry.revoke(sid)
                 revoked.append(sid)
                 rb = ReputationUpdateBody(
                     stakeholder=sid,
@@ -465,13 +450,9 @@ class ContractSystem:
                 )
 
         outcome = VerificationOutcome(
-            contract_id=contract_id,
             status=contract.status,
-            pi_score=pi.score,
             deposit_state=contract.deposit_state,
-            majority_high_quality=majority_hq,
             verifier_payouts=payouts,
-            reputation_changes=rep_changes,
             discounts=discounts,
             revoked=tuple(revoked),
             burned=burned,
@@ -482,7 +463,8 @@ class ContractSystem:
 
     def purchase(
         self, consumer: Digest, contract_id: Digest, group_members: set[Digest]
-    ) -> tuple[AccessGrant, list[Transaction]]:
+    ) -> tuple[int, list[Transaction]]:
+        """Buy access to a verified listed record; returns the price paid."""
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise NotForSale(contract_id.hex())
@@ -501,12 +483,6 @@ class ContractSystem:
             raise AccessDenied(consumer.hex()[:12])
 
         self.market.transfer(consumer, record.producer, price)
-        grant = AccessGrant(
-            contract_id=contract_id,
-            consumer=consumer,
-            price=price,
-            content_digest=contract.content_ref,
-        )
         auth_cred = self.registry.get(self.authority)
         txs = [
             Transaction.create(
@@ -519,7 +495,7 @@ class ContractSystem:
                 auth_cred.secret,
             ),
         ]
-        return grant, txs
+        return price, txs
 
     # -- subscriptions ---------------------------------------------------
 
@@ -542,6 +518,3 @@ class ContractSystem:
         body = RenewBody(charge=charge, paid_through=sub.paid_through[user])
         tx = Transaction.create(user, TxKind.RenewSubscription, body.encode(), cred.secret)
         return charge, [tx]
-
-    def reputation_of(self, user: Digest) -> int:
-        return self.reputation.score_of(user)

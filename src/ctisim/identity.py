@@ -56,12 +56,6 @@ def evidence_for(name: str) -> Digest:
     return sha256(b"evidence:" + name.encode("utf-8"))
 
 
-def verify_signature(credential: Credential, payload: bytes, signature: bytes) -> bool:
-    if credential.revoked:
-        return False
-    return signature == keyed_digest(credential.secret, payload)
-
-
 class Registry:
     """Credential store; the single writer is the simulation round loop."""
 
@@ -128,23 +122,10 @@ class Registry:
         tx = Transaction.create(signer.stakeholder, TxKind.Register, body.encode(), signer.secret)
         return cred, tx
 
-    def revoke(self, stakeholder: Digest, authority: Optional[Digest] = None, automatic: bool = False) -> None:
-        """Revoke a credential. Manual revocation needs an authority; the
-        automatic path is triggered by reputation falling below threshold.
-        Idempotent."""
-        if not automatic:
-            auth = self.credentials.get(authority) if authority else None
-            if auth is None or Role.Authority not in auth.roles:
-                raise NotAnAuthority("manual revocation requires an authority")
-        cred = self.get(stakeholder)
-        cred.revoked = True
-
-    def verify_signature(self, author: Digest, payload: bytes, signature: bytes) -> bool:
-        """Live check used when creating transactions: revoked fails."""
-        cred = self.credentials.get(author)
-        if cred is None:
-            return False
-        return verify_signature(cred, payload, signature)
+    def revoke(self, stakeholder: Digest) -> None:
+        """Revoke a credential whose reputation fell below the trust
+        threshold. Idempotent."""
+        self.get(stakeholder).revoked = True
 
     def authenticate_committed(self, author: Digest, payload: bytes, signature: bytes) -> bool:
         """Position-independent check used when sealing already-authored

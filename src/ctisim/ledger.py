@@ -1,12 +1,13 @@
 """Append-only hash-linked block store.
 
 One block is sealed per simulation round by the platform authority; block
-timestamps are round numbers, never wall clock. Tamper evidence comes from
-three commitments: transaction ids (hash of author, kind and payload),
-per-block Merkle roots over transaction ids, and the previous-header hash
-carried by every block. verify_chain replays the whole chain, rebuilding
-the credential map from Register payloads so that a bare dump can be
-re-verified with no out-of-band state.
+timestamps are round numbers, never wall clock, and the header nonce is
+always 0 (sealing is by authority, not by proof of work). Tamper evidence
+comes from three commitments: transaction ids (hash of author, kind and
+payload), per-block Merkle roots over transaction ids, and the
+previous-header hash carried by every block. verify_chain replays the whole
+chain, rebuilding the credential map from Register payloads so that a bare
+dump can be re-verified with no out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
@@ -114,11 +115,10 @@ class Block:
 @dataclass
 class Chain:
     blocks: list[Block] = field(default_factory=list)
-    difficulty: int = 0
 
     @classmethod
-    def new(cls, difficulty: int = 0) -> "Chain":
-        return cls(blocks=[make_genesis()], difficulty=difficulty)
+    def new(cls) -> "Chain":
+        return cls(blocks=[make_genesis()])
 
     @property
     def head(self) -> Block:
@@ -161,19 +161,6 @@ def hash_header(block: Block) -> Digest:
     return sha256(w.getvalue())
 
 
-def leading_zero_bits(digest: Digest) -> int:
-    bits = 0
-    for byte in digest:
-        if byte == 0:
-            bits += 8
-            continue
-        for shift in range(7, -1, -1):
-            if byte >> shift:
-                return bits + (7 - shift)
-        return bits
-    return bits
-
-
 Authenticator = Callable[[Digest, bytes, bytes], bool]
 
 
@@ -185,7 +172,6 @@ def append_block(
     is_authority: Callable[[Digest], bool],
     timestamp: int,
     allow_empty: bool = False,
-    round_sealer: Optional[Digest] = None,
 ) -> Block:
     """Seal a new block onto the chain.
 
@@ -202,18 +188,18 @@ def append_block(
             raise InvalidSignature(tx.tx_id)
         if not authenticator(tx.author, tx.payload, tx.signature):
             raise InvalidSignature(tx.tx_id)
-    if not is_authority(sealer) and sealer != round_sealer:
+    if not is_authority(sealer):
         raise UnauthorizedSealer(f"sealer {sealer.hex()[:12]} lacks authority")
 
-    height = len(chain.blocks)
-    prev_hash = hash_header(chain.head)
-    root = merkle_root(txs)
-    nonce = 0
-    block = Block(height, prev_hash, root, timestamp, nonce, sealer, tuple(txs))
-    if chain.difficulty > 0:
-        while leading_zero_bits(hash_header(block)) < chain.difficulty:
-            nonce += 1
-            block = Block(height, prev_hash, root, timestamp, nonce, sealer, tuple(txs))
+    block = Block(
+        height=len(chain.blocks),
+        prev_hash=hash_header(chain.head),
+        merkle_root=merkle_root(txs),
+        timestamp=timestamp,
+        nonce=0,
+        sealer=sealer,
+        transactions=tuple(txs),
+    )
     chain.blocks.append(block)
     return block
 
@@ -263,11 +249,8 @@ def verify_chain(chain: Chain) -> VerificationReport:
                 return bad("timestamp decreased")
         if block.merkle_root != merkle_root(block.transactions):
             return bad("merkle root mismatch")
-        if chain.difficulty > 0:
-            if leading_zero_bits(hash_header(block)) < chain.difficulty:
-                return bad("difficulty not met")
-        elif block.nonce != 0:
-            return bad("nonzero nonce at difficulty 0")
+        if block.nonce != 0:
+            return bad("nonzero nonce")
 
         for tx in block.transactions:
             if tx.tx_id != Transaction.compute_id(tx.author, tx.kind, tx.payload):
@@ -380,7 +363,7 @@ def chain_to_json(chain: Chain) -> str:
     return "[\n" + ",\n".join(map(_block_to_json, chain.blocks)) + "\n]\n"
 
 
-def chain_from_json(text: str, difficulty: int = 0) -> Chain:
+def chain_from_json(text: str) -> Chain:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -413,4 +396,4 @@ def chain_from_json(text: str, difficulty: int = 0) -> Chain:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed chain dump: {exc}") from exc
-    return Chain(blocks=blocks, difficulty=difficulty)
+    return Chain(blocks=blocks)

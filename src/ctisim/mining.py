@@ -188,8 +188,3 @@ def verify_derivation(campaign: Campaign, chain: Chain) -> bool:
         return False
     rebuilt = _build_campaign(groups[0], campaign.params)
     return rebuilt == campaign
-
-
-def campaign_record_inputs(campaign: Campaign) -> tuple[str, ...]:
-    """Shared indicator values in stable order, for building a derived record."""
-    return tuple(sorted(campaign.shared_indicators))

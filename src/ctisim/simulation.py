@@ -92,14 +92,13 @@ class AgentRoundLog:
     income: int = 0  # realized: renewal discounts, sale revenue, verifier payouts
 
 
-def compute_utility(history: list[AgentRoundLog], model: UtilityModel) -> list[int]:
+def compute_utility(log: AgentRoundLog, model: UtilityModel) -> int:
     """utility_t = benefit*consumes - risk_cost*genuine_shares + realized income."""
-    return [
-        model.consumption_benefit * h.consumes
-        - model.sharing_risk_cost * h.genuine_shares
-        + h.income
-        for h in history
-    ]
+    return (
+        model.consumption_benefit * log.consumes
+        - model.sharing_risk_cost * log.genuine_shares
+        + log.income
+    )
 
 
 @dataclass
@@ -109,17 +108,15 @@ class AgentState:
     credential: Credential
     strategy: AgentStrategy
     endowment: int
-    rounds: list[AgentRoundLog] = field(default_factory=list)
+    # this round's log, and the sum of compute_utility over finished rounds
+    current: AgentRoundLog = field(default_factory=lambda: AgentRoundLog(round_no=0))
+    total_utility: int = 0
     events: list[tuple[int, str]] = field(default_factory=list)
     share_rounds: list[int] = field(default_factory=list)
     est_income_events: list[tuple[int, int]] = field(default_factory=list)
     record_counter: int = 0
     inactive: bool = False
     revoked_round: Optional[int] = None
-
-    @property
-    def current(self) -> AgentRoundLog:
-        return self.rounds[-1]
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ class ScenarioResult:
 
 
 class Engine:
-    """One scenario run; construct a fresh engine per run for parallel sweeps."""
+    """One scenario run; construct a fresh engine per run."""
 
     def __init__(self, config: "ScenarioConfig", seed: Optional[int] = None):
         self.cfg = config
@@ -362,7 +359,7 @@ class Engine:
 
     def run(self) -> ScenarioResult:
         cfg = self.cfg
-        chain = Chain.new(difficulty=0)
+        chain = Chain.new()
         metrics = MetricsSeries()
         if cfg.rounds == 0:
             return ScenarioResult(chain, metrics, {}, [], self._empty_summary(), [])
@@ -399,7 +396,7 @@ class Engine:
     def _run_round(self, chain: Chain, metrics: MetricsSeries, round_no: int) -> None:
         cfg = self.cfg
         for agent in self.agents:
-            agent.rounds.append(AgentRoundLog(round_no=round_no))
+            agent.current = AgentRoundLog(round_no=round_no)
         round_txs: list[Transaction] = []
         submitted: list[ReportContract] = []
 
@@ -480,15 +477,15 @@ class Engine:
                 cid = contract.contract_id
                 if cid in self.contracts.market.listings:
                     try:
-                        grant, txs = self.contracts.purchase(agent.sid, cid, group)
+                        price, txs = self.contracts.purchase(agent.sid, cid, group)
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         continue
                     round_txs.extend(txs)
                     agent.current.consumes += 1
                     seller = self.by_id[contract.record.producer]
-                    seller.current.income += grant.price
-                    seller.est_income_events.append((round_no, grant.price))
+                    seller.current.income += price
+                    seller.est_income_events.append((round_no, price))
                 else:
                     try:
                         open_envelope(self.envelopes[cid], agent.credential, group)
@@ -519,7 +516,8 @@ class Engine:
         # metrics and the round's block
         for agent in self.agents:
             log = agent.current
-            utility = compute_utility([log], cfg.utility)[0]
+            utility = compute_utility(log, cfg.utility)
+            agent.total_utility += utility
             metrics.rows.append(
                 MetricsRow(
                     round_no=round_no,
@@ -593,7 +591,7 @@ class Engine:
                 "revoked": agent.credential.revoked,
                 "revoked_round": agent.revoked_round,
                 "rejected_actions": len(agent.events),
-                "total_utility": sum(compute_utility(agent.rounds, self.cfg.utility)),
+                "total_utility": agent.total_utility,
             }
 
         return {

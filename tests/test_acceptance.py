@@ -60,7 +60,7 @@ def _flip_int(value: int, rng: random.Random) -> int:
 def _mutate_once(chain: Chain, rng: random.Random):
     """Flip one byte of one committed field; returns (mutant, expected heights).
 
-    The single exclusion is the final block's timestamp at difficulty 0:
+    The single exclusion is the final block's timestamp:
     nothing references the final header, so changing it is indistinguishable
     from validly re-sealing an empty suffix.
     """
@@ -112,7 +112,7 @@ def _mutate_once(chain: Chain, rng: random.Random):
             # an increased non-final timestamp surfaces at the broken link
             expected = {i, i + 1}
 
-    mutant = Chain(blocks=list(chain.blocks), difficulty=chain.difficulty)
+    mutant = Chain(blocks=list(chain.blocks))
     mutant.blocks[i] = mutated
     return mutant, expected
 

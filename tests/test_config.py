@@ -174,3 +174,70 @@ def test_bundled_scenarios_all_parse(scenario_dir):
     for path in sorted(scenario_dir.glob("*.yaml")):
         config = load_config(str(path))
         assert config.rounds > 0
+
+
+# --- field types: a wrong type is a ConfigInvalid naming the field -------------
+
+def invalid_field(raw):
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(raw)
+    return exc.value
+
+
+@pytest.mark.parametrize("tau", ["abc", [1], "0.7"])
+def test_tau_must_be_a_number(tau):
+    raw = yaml.safe_load(MINIMAL)
+    raw["verification"] = {"tau": tau}
+    assert invalid_field(raw).field == "verification.tau"
+
+
+def test_attributes_must_be_a_list():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["attributes"] = "gov"
+    assert invalid_field(raw).field == "agents[4].attributes"
+
+
+def test_roles_must_be_a_list():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["roles"] = "Producer"
+    err = invalid_field(raw)
+    assert err.field == "agents[4].roles"
+    assert "expected a list" in str(err)
+
+
+def test_designated_must_be_a_list():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["access"] = {"tlp": "red", "designated": "v1"}
+    assert invalid_field(raw).field == "agents[4].access.designated"
+
+
+def test_designated_entries_are_names():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["access"] = {"tlp": "red", "designated": [["v1"]]}
+    assert invalid_field(raw).field == "access.designated"
+
+
+def test_policy_must_be_a_string():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["access"] = {"tlp": "green", "policy": 5}
+    assert invalid_field(raw).field == "agents[4].access.policy"
+
+
+@pytest.mark.parametrize("section", ["economics", "verification", "access", "mining", "utility"])
+def test_section_must_be_a_mapping(section):
+    raw = yaml.safe_load(MINIMAL)
+    raw[section] = 5
+    assert invalid_field(raw).field == section
+
+
+def test_agent_entry_must_be_a_mapping():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"].append(7)
+    assert invalid_field(raw).field == "agents[5]"
+
+
+@pytest.mark.parametrize("key", ["strategy", "access"])
+def test_agent_strategy_and_access_must_be_mappings(key):
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4][key] = "HonestProducer"
+    assert invalid_field(raw).field == f"agents[4].{key}"

@@ -374,10 +374,10 @@ def test_rejection_below_threshold_triggers_revocation_event():
 def test_purchase_transfers_exactly_the_sale_price():
     p = Platform()
     contract, outcome, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
-    grant, txs = p.system.purchase(p.consumer, contract.contract_id, group_members=set())
+    price, txs = p.system.purchase(p.consumer, contract.contract_id, group_members=set())
     assert p.market.balance_of(p.consumer) == 95
     assert p.market.balance_of(p.producer) == 105
-    assert grant.price == 5
+    assert price == 5
     assert {tx.kind for tx in txs} == {TxKind.Purchase, TxKind.AccessGrant}
 
 
@@ -468,7 +468,7 @@ def test_renewal_insufficient_balance():
 
 def test_fresh_user_has_initial_score():
     p = Platform()
-    assert p.system.reputation_of(p.producer) == 50
+    assert p.reputation.score_of(p.producer) == 50
 
 
 def test_thirty_rejections_clamp_at_one():
@@ -493,7 +493,7 @@ def test_scores_stay_in_bounds_under_random_updates():
 def test_unknown_user_raises():
     p = Platform()
     with pytest.raises(UnknownStakeholder):
-        p.system.reputation_of(b"\x09" * 32)
+        p.reputation.score_of(b"\x09" * 32)
 
 
 # --- conservation ----------------------------------------------------------------------

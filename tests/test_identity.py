@@ -1,14 +1,8 @@
 import pytest
 
 from ctisim.errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
-from ctisim.identity import (
-    ProofOfIdentity,
-    Registry,
-    Role,
-    evidence_for,
-    verify_signature,
-)
-from ctisim.ledger import TxKind
+from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
+from ctisim.ledger import TxKind, keyed_digest
 
 
 def proof(name, roles, attributes=()):
@@ -62,43 +56,22 @@ def test_registration_requires_roles_and_evidence(registry):
 def test_sign_then_verify(registry):
     reg, auth = registry
     cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
-    from ctisim.ledger import keyed_digest
 
     payload = b"hello"
     sig = keyed_digest(cred.secret, payload)
-    assert verify_signature(cred, payload, sig)
-    assert not verify_signature(cred, payload + b"!", sig)
+    assert reg.authenticate_committed(cred.stakeholder, payload, sig)
+    assert not reg.authenticate_committed(cred.stakeholder, payload + b"!", sig)
     flipped = bytes([payload[0] ^ 1]) + payload[1:]
-    assert not verify_signature(cred, flipped, sig)
-
-
-def test_verify_after_revoke_fails(registry):
-    reg, auth = registry
-    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
-    from ctisim.ledger import keyed_digest
-
-    sig = keyed_digest(cred.secret, b"payload")
-    assert reg.verify_signature(cred.stakeholder, b"payload", sig)
-    reg.revoke(cred.stakeholder, auth.stakeholder)
-    assert not reg.verify_signature(cred.stakeholder, b"payload", sig)
-    assert not verify_signature(cred, b"payload", sig)
+    assert not reg.authenticate_committed(cred.stakeholder, flipped, sig)
+    assert not reg.authenticate_committed(auth.stakeholder, payload, sig)
+    assert not reg.authenticate_committed(b"\x00" * 32, payload, sig)
 
 
 def test_revoke_is_idempotent(registry):
     reg, auth = registry
     cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
-    reg.revoke(cred.stakeholder, auth.stakeholder)
-    reg.revoke(cred.stakeholder, auth.stakeholder)
-    assert cred.revoked
-
-
-def test_manual_revoke_requires_authority(registry):
-    reg, auth = registry
-    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
-    with pytest.raises(NotAnAuthority):
-        reg.revoke(cred.stakeholder, cred.stakeholder)
-    # the automatic path has no authority check
-    reg.revoke(cred.stakeholder, automatic=True)
+    reg.revoke(cred.stakeholder)
+    reg.revoke(cred.stakeholder)
     assert cred.revoked
 
 

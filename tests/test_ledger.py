@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from ctisim.ledger import (
     chain_to_json,
     hash_header,
     keyed_digest,
-    leading_zero_bits,
     make_genesis,
     merkle_root,
     query,
@@ -187,21 +187,6 @@ def test_append_rejects_non_authority_sealer():
         append_block(chain, [tx_by(user)], user.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
 
 
-def test_append_allows_configured_round_sealer():
-    reg, auth, user, _ = fresh_registry()
-    chain = Chain.new()
-    block = append_block(
-        chain,
-        [tx_by(user)],
-        user.stakeholder,
-        reg.authenticate_committed,
-        reg.is_authority,
-        timestamp=0,
-        round_sealer=user.stakeholder,
-    )
-    assert block.sealer == user.stakeholder
-
-
 def test_empty_block_needs_heartbeat_flag():
     reg, auth, _, _ = fresh_registry()
     chain = Chain.new()
@@ -211,16 +196,6 @@ def test_empty_block_needs_heartbeat_flag():
         chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0, allow_empty=True
     )
     assert block.transactions == ()
-
-
-def test_difficulty_nonce_search():
-    reg, auth, user, reg_txs = fresh_registry()
-    chain = Chain.new(difficulty=4)
-    b1 = append_block(chain, reg_txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
-    assert leading_zero_bits(hash_header(b1)) >= 4
-    # brute-force check independent of leading_zero_bits
-    digest = hash_header(b1)
-    assert digest[0] >> 4 == 0
 
 
 def test_deterministic_blocks_at_difficulty_zero():
@@ -249,6 +224,17 @@ def test_verify_flags_mutated_payload():
     report = verify_chain(chain)
     assert not report.valid
     assert report.first_bad_height == 1
+
+
+def test_verify_flags_nonzero_nonce_on_head():
+    # No later block links to the head, so only the nonce rule can catch it.
+    chain, *_ = build_chain(2)
+    assert all(b.nonce == 0 for b in chain.blocks)
+    chain.blocks[-1] = replace(chain.blocks[-1], nonce=1)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == len(chain.blocks) - 1
+    assert report.reason == "nonzero nonce"
 
 
 def test_verify_flags_spliced_block_with_stale_suffix_link():

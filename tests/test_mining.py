@@ -253,11 +253,10 @@ def test_campaign_derived_record_classifies_as_information():
     from ctisim.cti import CtiCategory, IntelLevel, Ioc, IocKind, classify_level, make_record
     from ctisim.encoding import ZERO_DIGEST
     from ctisim.ledger import sha256
-    from ctisim.mining import campaign_record_inputs
 
     chain, _ = fixture_chain(["a", "a", "a"], rounds_spread=1)
     (campaign,) = mine_campaigns(chain, 10, 3, 1)
-    values = campaign_record_inputs(campaign)
+    values = sorted(campaign.shared_indicators)
     derived = make_record(
         producer=sha256(b"analyst"),
         category=CtiCategory.Technical,

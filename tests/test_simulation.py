@@ -43,20 +43,20 @@ def test_accuracy_converges_to_p_acc():
 
 def test_utility_consumption_only():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=3)
-    history = [AgentRoundLog(round_no=1, consumes=2)]
-    assert compute_utility(history, model) == [6]
+    log = AgentRoundLog(round_no=1, consumes=2)
+    assert compute_utility(log, model) == 6
 
 
 def test_utility_share_cost_without_incentives():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=3)
-    history = [AgentRoundLog(round_no=1, genuine_shares=1, consumes=1)]
-    assert compute_utility(history, model) == [-2]
+    log = AgentRoundLog(round_no=1, genuine_shares=1, consumes=1)
+    assert compute_utility(log, model) == -2
 
 
 def test_utility_income_added():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=0)
-    history = [AgentRoundLog(round_no=1, genuine_shares=1, income=6)]
-    assert compute_utility(history, model) == [1]
+    log = AgentRoundLog(round_no=1, genuine_shares=1, income=6)
+    assert compute_utility(log, model) == 1
 
 
 # --- engine basics ---------------------------------------------------------------
