@@ -88,14 +88,24 @@ def policy_leaves(policy: AttributePolicy) -> list[str]:
     return out
 
 
+# Deepest operator nesting parse_policy accepts. A fixed bound, well under
+# the interpreter's recursion limit, makes acceptance independent of how
+# deep the caller's stack already is.
+MAX_POLICY_DEPTH = 32
+
+
 def parse_policy(text: str) -> AttributePolicy:
-    """Parse an s-expression policy; a bare atom is a single attribute leaf."""
+    """Parse an s-expression policy; a bare atom is a single attribute leaf.
+
+    Raises PolicyParseError for malformed text, including operators nested
+    more than MAX_POLICY_DEPTH deep.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise PolicyParseError("empty policy")
     pos = 0
 
-    def parse_expr() -> AttributePolicy:
+    def parse_expr(depth: int) -> AttributePolicy:
         nonlocal pos
         if pos >= len(tokens):
             raise PolicyParseError("unexpected end of policy")
@@ -111,9 +121,11 @@ def parse_policy(text: str) -> AttributePolicy:
         pos += 1
         if op not in ("and", "or"):
             raise PolicyParseError(f"operator must be 'and' or 'or', got {op!r}")
+        if depth == MAX_POLICY_DEPTH:
+            raise PolicyParseError(f"policy nested deeper than {MAX_POLICY_DEPTH}")
         children: list[AttributePolicy] = []
         while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_expr())
+            children.append(parse_expr(depth + 1))
         if pos >= len(tokens):
             raise PolicyParseError("unterminated '('")
         pos += 1  # consume ')'
@@ -121,7 +133,7 @@ def parse_policy(text: str) -> AttributePolicy:
             raise PolicyParseError(f"'{op}' needs at least one operand")
         return AttributePolicy(op=op, children=tuple(children))
 
-    result = parse_expr()
+    result = parse_expr(0)
     if pos != len(tokens):
         raise PolicyParseError("trailing tokens after policy")
     return result

@@ -43,7 +43,7 @@ Attribute policies are monotone s-expressions over attribute tags::
 
 e.g. ``(and ICS-ISAC (or critical-infra gov))``. A bare tag is a single
 leaf; negation does not exist, so granting an attribute can only widen
-access.
+access. Operators nest at most 32 deep.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Data model for shared intelligence records and their indicators.
 
-A record's id is the digest of its canonical bytes. Two fields never
+A record's id is the digest of its canonical bytes (`record_bytes`); a
+decoded record's id is that of the canonical bytes of what was decoded,
+whatever spelling the input used. Decoding raises EncodingError, and
+nothing else, for input that does not decode to a record. Two fields never
 serialize: ground_truth (the simulation's hidden oracle for measuring
 verifier behavior) and each indicator's campaign_hint (a hidden generator
 label used only to score the miner). Nothing agent-visible or on-chain may
@@ -10,12 +13,13 @@ carry either.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
-from .encoding import ZERO_DIGEST, Digest, Reader, Writer
+from .encoding import COUNT, ZERO_DIGEST, Digest, Reader, bytes_field, str_field, uint_field
+from .errors import EncodingError, PolicyParseError
 from .ledger import sha256
 
 
@@ -126,10 +130,18 @@ def classify_level(
     correlated; two or more of them in one record lift it to Information.
     A non-zero narrative digest on a non-technical record is Intelligence.
     """
-    has_narrative = record.narrative_digest != ZERO_DIGEST
-    if record.category is not CtiCategory.Technical and has_narrative:
+    return _level_of(record.category, record.indicators, record.narrative_digest, linked_values)
+
+
+def _level_of(
+    category: CtiCategory,
+    indicators: tuple[Ioc, ...],
+    narrative_digest: Digest,
+    linked_values: frozenset[str] = frozenset(),
+) -> IntelLevel:
+    if category is not CtiCategory.Technical and narrative_digest != ZERO_DIGEST:
         return IntelLevel.Intelligence
-    linked = sum(1 for ioc in record.indicators if ioc.value in linked_values)
+    linked = sum(1 for ioc in indicators if ioc.value in linked_values)
     if linked >= 2:
         return IntelLevel.Information
     return IntelLevel.Data
@@ -137,31 +149,64 @@ def classify_level(
 
 # --- canonical serialization -------------------------------------------------
 
+_pack_count = COUNT.pack
+
+# each enum member's name, encoded as a string field
+_TAG = {m: str_field(m.value) for e in (CtiCategory, IntelLevel, IocKind, TlpChannel) for m in e}
+_CATEGORY = {c.value: c for c in CtiCategory}
+_LEVEL = {lv.value: lv for lv in IntelLevel}
+_IOC_KIND = {k.value: k for k in IocKind}
+_CHANNEL = {c.value: c for c in TlpChannel}
+
+
+def _canonical_bytes(
+    producer: Digest,
+    category: CtiCategory,
+    level: IntelLevel,
+    indicators: tuple[Ioc, ...],
+    narrative_digest: Digest,
+    tlp: TlpLabel,
+    policy: Optional[AttributePolicy],
+    sale_price: Optional[int],
+    created_round: int,
+) -> bytes:
+    parts = [
+        bytes_field(producer),
+        _TAG[category],
+        _TAG[level],
+        _pack_count(len(indicators)),
+    ]
+    for ioc in indicators:
+        parts += (_TAG[ioc.kind], str_field(ioc.value), uint_field(ioc.observed_round))
+    parts += (bytes_field(narrative_digest), _TAG[tlp.channel])
+    designated = sorted(tlp.designated) if tlp.designated else ()
+    parts.append(_pack_count(len(designated)))
+    parts += map(bytes_field, designated)
+    if policy is None:
+        parts.append(b"\x00")
+    else:
+        parts += (b"\x01", str_field(policy_to_string(policy)))
+    if sale_price is None:
+        parts.append(b"\x00")
+    else:
+        parts += (b"\x01", uint_field(sale_price))
+    parts.append(uint_field(created_round))
+    return b"".join(parts)
+
+
 def record_bytes(record: CtiRecord) -> bytes:
     """Canonical bytes: every field except record_id and the hidden ones."""
-    w = Writer()
-    w.put_bytes(record.producer)
-    w.put_str(record.category.value)
-    w.put_str(record.level.value)
-    w.put_count(len(record.indicators))
-    for ioc in record.indicators:
-        w.put_str(ioc.kind.value)
-        w.put_str(ioc.value)
-        w.put_uint(ioc.observed_round)
-    w.put_bytes(record.narrative_digest)
-    w.put_str(record.tlp.channel.value)
-    designated = sorted(record.tlp.designated) if record.tlp.designated else []
-    w.put_count(len(designated))
-    for d in designated:
-        w.put_bytes(d)
-    w.put_bool(record.policy is not None)
-    if record.policy is not None:
-        w.put_str(policy_to_string(record.policy))
-    w.put_bool(record.sale_price is not None)
-    if record.sale_price is not None:
-        w.put_uint(record.sale_price)
-    w.put_uint(record.created_round)
-    return w.getvalue()
+    return _canonical_bytes(
+        record.producer,
+        record.category,
+        record.level,
+        record.indicators,
+        record.narrative_digest,
+        record.tlp,
+        record.policy,
+        record.sale_price,
+        record.created_round,
+    )
 
 
 def record_id_for(data: bytes) -> Digest:
@@ -181,11 +226,16 @@ def make_record(
     level: Optional[IntelLevel] = None,
 ) -> CtiRecord:
     """Build a record, deriving its level and content-addressed id."""
-    rec = CtiRecord(
-        record_id=ZERO_DIGEST,
+    if level is None:
+        level = _level_of(category, indicators, narrative_digest)
+    data = _canonical_bytes(
+        producer, category, level, indicators, narrative_digest, tlp, policy, sale_price, created_round
+    )
+    return CtiRecord(
+        record_id=record_id_for(data),
         producer=producer,
         category=category,
-        level=level or IntelLevel.Data,
+        level=level,
         indicators=indicators,
         narrative_digest=narrative_digest,
         tlp=tlp,
@@ -194,45 +244,70 @@ def make_record(
         created_round=created_round,
         ground_truth=ground_truth,
     )
-    if level is None:
-        rec = replace(rec, level=classify_level(rec))
-    return replace(rec, record_id=record_id_for(record_bytes(rec)))
+
+
+def _member(table: dict, name: str, field: str):
+    member = table.get(name)
+    if member is None:
+        raise EncodingError(f"unknown {field} {name!r}")
+    return member
 
 
 def decode_record(data: bytes) -> CtiRecord:
-    """Inverse of record_bytes; hidden fields come back unknown (None)."""
+    """Inverse of record_bytes; hidden fields come back unknown (None).
+
+    Raises EncodingError for any malformed input, including an unknown
+    category, level, indicator kind or TLP channel name and an unparseable
+    policy. The id is the digest of the canonical bytes of what was
+    decoded: `data` itself when it is canonical, otherwise its re-encoding
+    (designated entries sorted and deduplicated, dropped under Green and
+    White, the policy in its normal spacing).
+    """
     r = Reader(data)
     producer = r.take_bytes()
-    category = CtiCategory(r.take_str())
-    level = IntelLevel(r.take_str())
-    indicators = []
-    for _ in range(r.take_count()):
-        kind = IocKind(r.take_str())
-        value = r.take_str()
-        observed = r.take_uint()
-        indicators.append(Ioc(kind, value, observed))
+    category = _member(_CATEGORY, r.take_str(), "category")
+    level = _member(_LEVEL, r.take_str(), "level")
+    indicators = tuple(
+        Ioc(_member(_IOC_KIND, r.take_str(), "indicator kind"), r.take_str(), r.take_uint())
+        for _ in range(r.take_count())
+    )
     narrative = r.take_bytes()
-    channel = TlpChannel(r.take_str())
-    n_designated = r.take_count()
-    designated = frozenset(r.take_bytes() for _ in range(n_designated)) or None
-    if channel in (TlpChannel.Green, TlpChannel.White):
-        designated = None
-    policy = parse_policy(r.take_str()) if r.take_bool() else None
+    channel = _member(_CHANNEL, r.take_str(), "TLP channel")
+    entries = [r.take_bytes() for _ in range(r.take_count())]
+    designated = None
+    canonical = True
+    if entries:
+        if channel in (TlpChannel.Green, TlpChannel.White):
+            canonical = False
+        else:
+            designated = frozenset(entries)
+            canonical = len(designated) == len(entries) and entries == sorted(entries)
+    policy = None
+    if r.take_bool():
+        text = r.take_str()
+        try:
+            policy = parse_policy(text)
+            canonical = canonical and policy_to_string(policy) == text
+        except PolicyParseError as exc:
+            raise EncodingError(f"bad policy in record: {exc}") from None
     sale_price = r.take_uint() if r.take_bool() else None
     created_round = r.take_uint()
     r.expect_end()
-    rec = CtiRecord(
-        record_id=ZERO_DIGEST,
+    tlp = TlpLabel(channel, designated)
+    if not canonical:
+        data = _canonical_bytes(
+            producer, category, level, indicators, narrative, tlp, policy, sale_price, created_round
+        )
+    return CtiRecord(
+        record_id=record_id_for(data),
         producer=producer,
         category=category,
         level=level,
-        indicators=tuple(indicators),
+        indicators=indicators,
         narrative_digest=narrative,
-        tlp=TlpLabel(channel, designated),
+        tlp=tlp,
         policy=policy,
         sale_price=sale_price,
         created_round=created_round,
         ground_truth=None,
     )
-    computed = record_id_for(record_bytes(rec))
-    return replace(rec, record_id=computed)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .encoding import ZERO_DIGEST, Digest, Writer
+from .encoding import ZERO_DIGEST, Digest, Writer, bytes_field, str_field
 from .errors import (
     EmptyTransactionList,
     EncodingError,
@@ -33,8 +32,6 @@ from .errors import (
 )
 from .payloads import RegisterBody, ReputationUpdateBody
 
-
-_pack_len = struct.Struct(">I").pack
 
 
 def sha256(data: bytes) -> Digest:
@@ -47,9 +44,7 @@ def keyed_digest(secret: bytes, payload: bytes) -> bytes:
     The digest is over the canonical encoding of (secret, payload), the
     bytes ``Writer().put_bytes(secret).put_bytes(payload)`` would build.
     """
-    return hashlib.sha256(
-        b"".join((_pack_len(len(secret)), secret, _pack_len(len(payload)), payload))
-    ).digest()
+    return hashlib.sha256(bytes_field(secret) + bytes_field(payload)).digest()
 
 
 class TxKind(Enum):
@@ -63,8 +58,8 @@ class TxKind(Enum):
     AccessGrant = "AccessGrant"
 
 
-# canonical length-prefixed encoding of each kind's name, as put_str writes it
-_KIND_TAG = {kind: Writer().put_str(kind.value).getvalue() for kind in TxKind}
+# each kind's name, encoded as a string field
+_KIND_TAG = {kind: str_field(kind.value) for kind in TxKind}
 
 
 @dataclass(frozen=True)
@@ -79,15 +74,7 @@ class Transaction:
     def compute_id(author: Digest, kind: TxKind, payload: bytes) -> Digest:
         """Digest of the canonical encoding of (author, kind name, payload)."""
         return hashlib.sha256(
-            b"".join(
-                (
-                    _pack_len(len(author)),
-                    author,
-                    _KIND_TAG[kind],
-                    _pack_len(len(payload)),
-                    payload,
-                )
-            )
+            b"".join((bytes_field(author), _KIND_TAG[kind], bytes_field(payload)))
         ).digest()
 
     @classmethod

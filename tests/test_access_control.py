@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctisim.access_control import (
+    MAX_POLICY_DEPTH,
     AttributePolicy,
     _xor,
     TlpChannel,
@@ -73,6 +74,13 @@ def test_parse_bare_atom():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(PolicyParseError):
         parse_policy(bad)
+
+
+def test_parse_nesting_bound():
+    deepest = "(and " * MAX_POLICY_DEPTH + "gov" + ")" * MAX_POLICY_DEPTH
+    assert policy_to_string(parse_policy(deepest)) == deepest
+    with pytest.raises(PolicyParseError, match="nested deeper"):
+        parse_policy("(or " + deepest + ")")
 
 
 def random_policy(rng: random.Random, leaves: list[str], depth: int = 3) -> AttributePolicy:

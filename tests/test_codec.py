@@ -1,0 +1,407 @@
+"""Property tests for the canonical codecs: payload bodies and CTI records.
+
+The record codec is checked against reference copies of the encoder and
+decoder it replaced (a `Writer`-based `record_bytes`, a decoder over a
+slice-taking reader that re-encodes what it parsed to get the id), on
+canonical, non-canonical and mutated bytes.
+"""
+
+import struct
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctisim.access_control import (
+    AttributePolicy,
+    TlpChannel,
+    TlpLabel,
+    parse_policy,
+    policy_to_string,
+)
+from ctisim.cti import (
+    CtiCategory,
+    CtiRecord,
+    GroundTruth,
+    IntelLevel,
+    Ioc,
+    IocKind,
+    classify_level,
+    decode_record,
+    make_record,
+    record_bytes,
+    record_id_for,
+)
+from ctisim.encoding import ZERO_DIGEST, Writer
+from ctisim.errors import EncodingError, PolicyParseError
+from ctisim.payloads import (
+    AccessGrantBody,
+    FinalizeBody,
+    PurchaseBody,
+    RegisterBody,
+    RenewBody,
+    ReputationUpdateBody,
+    SubmitCtiBody,
+    VoteBody,
+)
+
+# --- reference codec ----------------------------------------------------------
+
+
+def ref_record_bytes(record):
+    w = Writer()
+    w.put_bytes(record.producer)
+    w.put_str(record.category.value)
+    w.put_str(record.level.value)
+    w.put_count(len(record.indicators))
+    for ioc in record.indicators:
+        w.put_str(ioc.kind.value)
+        w.put_str(ioc.value)
+        w.put_uint(ioc.observed_round)
+    w.put_bytes(record.narrative_digest)
+    w.put_str(record.tlp.channel.value)
+    designated = sorted(record.tlp.designated) if record.tlp.designated else []
+    w.put_count(len(designated))
+    for d in designated:
+        w.put_bytes(d)
+    w.put_bool(record.policy is not None)
+    if record.policy is not None:
+        w.put_str(policy_to_string(record.policy))
+    w.put_bool(record.sale_price is not None)
+    if record.sale_price is not None:
+        w.put_uint(record.sale_price)
+    w.put_uint(record.created_round)
+    return w.getvalue()
+
+
+def ref_make_record(producer, category, indicators, narrative_digest, tlp, policy,
+                    sale_price, created_round, ground_truth, level=None):
+    rec = CtiRecord(ZERO_DIGEST, producer, category, level or IntelLevel.Data, indicators,
+                    narrative_digest, tlp, policy, sale_price, created_round, ground_truth)
+    if level is None:
+        rec = replace(rec, level=classify_level(rec))
+    return replace(rec, record_id=record_id_for(ref_record_bytes(rec)))
+
+
+class RefReader:
+    def __init__(self, data):
+        self._data = data
+        self._pos = 0
+
+    def _take(self, n):
+        if self._pos + n > len(self._data):
+            raise EncodingError("truncated canonical data")
+        chunk = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return chunk
+
+    def take_uint(self):
+        return struct.unpack(">Q", self._take(8))[0]
+
+    def take_count(self):
+        return struct.unpack(">I", self._take(4))[0]
+
+    def take_bytes(self):
+        return self._take(self.take_count())
+
+    def take_str(self):
+        try:
+            return self.take_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError("invalid utf-8 in canonical data") from exc
+
+    def take_bool(self):
+        byte = self._take(1)
+        if byte not in (b"\x00", b"\x01"):
+            raise EncodingError("invalid boolean byte")
+        return byte == b"\x01"
+
+    def expect_end(self):
+        if self._pos != len(self._data):
+            raise EncodingError("trailing bytes after canonical data")
+
+
+def ref_decode_record(data):
+    """Parse, build, re-encode for the id; bad names and policies are EncodingError."""
+    r = RefReader(data)
+    try:
+        producer = r.take_bytes()
+        category = CtiCategory(r.take_str())
+        level = IntelLevel(r.take_str())
+        indicators = []
+        for _ in range(r.take_count()):
+            kind = IocKind(r.take_str())
+            indicators.append(Ioc(kind, r.take_str(), r.take_uint()))
+        narrative = r.take_bytes()
+        channel = TlpChannel(r.take_str())
+        n_designated = r.take_count()
+        designated = frozenset(r.take_bytes() for _ in range(n_designated)) or None
+        if channel in (TlpChannel.Green, TlpChannel.White):
+            designated = None
+        policy = parse_policy(r.take_str()) if r.take_bool() else None
+    except (ValueError, PolicyParseError) as exc:
+        raise EncodingError(str(exc)) from exc
+    sale_price = r.take_uint() if r.take_bool() else None
+    created_round = r.take_uint()
+    r.expect_end()
+    rec = CtiRecord(ZERO_DIGEST, producer, category, level, tuple(indicators), narrative,
+                    TlpLabel(channel, designated), policy, sale_price, created_round, None)
+    return replace(rec, record_id=record_id_for(ref_record_bytes(rec)))
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (EncodingError, struct.error) as exc:
+        return type(exc)
+
+
+# --- strategies ---------------------------------------------------------------
+
+uints = st.integers(min_value=0, max_value=2**64 - 1)
+small_uints = st.integers(min_value=0, max_value=1000)
+blobs = st.binary(max_size=40)
+digests = st.binary(min_size=32, max_size=32)
+texts = st.text(max_size=16)
+
+tags = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-ISAC0123", min_size=1, max_size=8)
+policies = st.recursive(
+    st.builds(AttributePolicy, op=st.just("attr"), tag=tags),
+    lambda children: st.builds(
+        AttributePolicy,
+        op=st.sampled_from(["and", "or"]),
+        children=st.lists(children, min_size=1, max_size=3).map(tuple),
+    ),
+    max_leaves=6,
+)
+iocs = st.builds(Ioc, kind=st.sampled_from(IocKind), value=texts, observed_round=uints)
+
+
+@st.composite
+def tlp_labels(draw):
+    """Labels that survive a round trip: a non-empty designated set or none."""
+    channel = draw(st.sampled_from(TlpChannel))
+    designated = None
+    if channel in (TlpChannel.Red, TlpChannel.Orange):
+        designated = draw(st.none() | st.frozensets(digests, min_size=1, max_size=3))
+    return TlpLabel(channel, designated)
+
+
+record_fields = dict(
+    producer=blobs,
+    category=st.sampled_from(CtiCategory),
+    indicators=st.lists(iocs, max_size=4).map(tuple),
+    narrative_digest=blobs,
+    tlp=tlp_labels(),
+    policy=st.none() | policies,
+    sale_price=st.none() | uints,
+    created_round=uints,
+    ground_truth=st.none(),
+)
+records = st.builds(make_record, level=st.none() | st.sampled_from(IntelLevel), **record_fields)
+
+# Any field values at all, including labels and uints the canonical form
+# rejects or normalizes.
+loose_records = st.builds(
+    CtiRecord,
+    record_id=st.just(ZERO_DIGEST),
+    producer=blobs,
+    category=st.sampled_from(CtiCategory),
+    level=st.sampled_from(IntelLevel),
+    indicators=st.lists(
+        st.builds(Ioc, kind=st.sampled_from(IocKind), value=texts,
+                  observed_round=st.integers(min_value=-2, max_value=2**64 + 1)),
+        max_size=3,
+    ).map(tuple),
+    narrative_digest=blobs,
+    tlp=st.builds(TlpLabel, channel=st.sampled_from(TlpChannel),
+                  designated=st.none() | st.frozensets(blobs, max_size=3)),
+    policy=st.none() | policies,
+    sale_price=st.none() | st.integers(min_value=-2, max_value=2**64 + 1),
+    created_round=st.integers(min_value=-2, max_value=2**64 + 1),
+)
+
+payload_bodies = st.one_of(
+    st.builds(RegisterBody, stakeholder=digests, roles=st.lists(texts, max_size=3).map(tuple),
+              attributes=st.lists(texts, max_size=3).map(tuple), evidence_digest=digests,
+              secret=blobs, initial_score=uints),
+    st.builds(SubmitCtiBody, contract_id=digests, record_bytes=blobs, deposit=uints,
+              verification_fee=uints, verifiers=st.lists(digests, max_size=4).map(tuple)),
+    st.builds(VoteBody, contract_id=digests, vote=texts),
+    st.builds(FinalizeBody, contract_id=digests, status=texts, score_micro=uints, deposit_state=texts),
+    st.builds(PurchaseBody, contract_id=digests, price=uints),
+    st.builds(RenewBody, charge=uints, paid_through=uints),
+    st.builds(ReputationUpdateBody, stakeholder=digests, score=uints, revoked=st.booleans(), reason=texts),
+    st.builds(AccessGrantBody, contract_id=digests, consumer=digests),
+)
+
+# --- payload bodies -----------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=payload_bodies)
+def test_payload_body_round_trips(body):
+    assert type(body).decode(body.encode()) == body
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=payload_bodies)
+def test_payload_body_cut_or_extended_is_encoding_error(body):
+    data = body.encode()
+    for cut in range(len(data)):
+        with pytest.raises(EncodingError):
+            type(body).decode(data[:cut])
+    with pytest.raises(EncodingError):
+        type(body).decode(data + b"\x00")
+
+
+# --- CTI records --------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=records)
+def test_record_round_trips(record):
+    data = record_bytes(record)
+    decoded = decode_record(data)
+    assert decoded == record
+    assert decoded.record_id == record_id_for(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=loose_records)
+def test_record_bytes_match_reference_encoder(record):
+    assert outcome(record_bytes, record) == outcome(ref_record_bytes, record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=st.fixed_dictionaries(record_fields),
+       level=st.none() | st.sampled_from(IntelLevel),
+       truth=st.none() | st.sampled_from(GroundTruth))
+def test_make_record_matches_reference(fields, level, truth):
+    fields.update(level=level, ground_truth=truth)
+    assert make_record(**fields) == ref_make_record(**fields)
+
+
+# Raw record bytes built from names and lists as they might sit on a chain:
+# unknown names, unsorted or duplicate designated entries, a designated set
+# under Green or White, policies with odd spacing or none that parses.
+
+def names(enum):
+    """Mostly valid names, so that most drawn records decode."""
+    return st.sampled_from([m.value for m in enum] * 4 + ["", "Bogus", enum.__name__])
+
+
+separators = st.sampled_from([" ", "  ", "\t", " \n "])
+paren_gaps = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def spaced_policy_texts(draw):
+    def render(policy):
+        if policy.op == "attr":
+            return policy.tag
+        parts = [policy.op] + [render(c) for c in policy.children]
+        body = "".join(p + draw(separators) for p in parts[:-1]) + parts[-1]
+        return "(" + draw(paren_gaps) + body + draw(paren_gaps) + ")"
+
+    return draw(paren_gaps) + render(draw(policies)) + draw(paren_gaps)
+
+
+policy_texts = st.one_of(
+    policies.map(policy_to_string),
+    spaced_policy_texts(),
+    st.sampled_from(["", "(", ")", "()", "(and)", "(xor a)", "a b", "(and a))"]),
+)
+
+
+@st.composite
+def raw_record_bytes(draw):
+    w = Writer().put_bytes(draw(blobs))
+    w.put_str(draw(names(CtiCategory))).put_str(draw(names(IntelLevel)))
+    indicators = draw(st.lists(st.tuples(names(IocKind), texts, small_uints), max_size=3))
+    w.put_count(len(indicators))
+    for kind, value, observed in indicators:
+        w.put_str(kind).put_str(value).put_uint(observed)
+    w.put_bytes(draw(blobs)).put_str(draw(names(TlpChannel)))
+    pool = draw(st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=3))
+    entries = draw(st.lists(st.sampled_from(pool), max_size=4))
+    w.put_count(len(entries))
+    for entry in entries:
+        w.put_bytes(entry)
+    policy = draw(st.none() | policy_texts)
+    w.put_bool(policy is not None)
+    if policy is not None:
+        w.put_str(policy)
+    price = draw(st.none() | small_uints)
+    w.put_bool(price is not None)
+    if price is not None:
+        w.put_uint(price)
+    return w.put_uint(draw(small_uints)).getvalue()
+
+
+@st.composite
+def mutated_record_bytes(draw):
+    data = bytearray(record_bytes(draw(records)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        edit = draw(st.sampled_from(["cut", "set", "insert", "delete"]))
+        if edit == "cut":
+            del data[at:]
+        elif edit == "insert":
+            data[at:at] = bytes([draw(st.integers(0, 255))])
+        elif at < len(data):
+            if edit == "set":
+                data[at] = draw(st.integers(0, 255))
+            else:
+                del data[at]
+    return bytes(data)
+
+
+def check_against_reference(data):
+    got = outcome(decode_record, data)
+    assert got == outcome(ref_decode_record, data)
+    if isinstance(got, CtiRecord):
+        assert got.record_id == record_id_for(record_bytes(got))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=raw_record_bytes())
+def test_decode_matches_reference_on_non_canonical_bytes(data):
+    check_against_reference(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_record_bytes())
+def test_decode_matches_reference_on_mutated_bytes(data):
+    check_against_reference(data)
+
+
+@pytest.mark.parametrize(
+    "channel,entries,policy",
+    [
+        (TlpChannel.Orange, [b"\x02", b"\x01"], None),
+        (TlpChannel.Red, [b"\x01", b"\x01"], None),
+        (TlpChannel.Green, [b"\x01"], None),
+        (TlpChannel.White, [], "(and  a\t(or b c) )"),
+    ],
+    ids=["unsorted-designated", "duplicate-designated", "green-designated", "spaced-policy"],
+)
+def test_non_canonical_record_gets_the_canonical_id(channel, entries, policy):
+    """The id is never the digest of non-canonical input bytes."""
+    w = Writer().put_bytes(b"p").put_str("Technical").put_str("Data").put_count(0)
+    w.put_bytes(ZERO_DIGEST).put_str(channel.value)
+    w.put_count(len(entries))
+    for entry in entries:
+        w.put_bytes(entry)
+    w.put_bool(policy is not None)
+    if policy is not None:
+        w.put_str(policy)
+    data = w.put_bool(False).put_uint(1).getvalue()
+
+    rec = decode_record(data)
+    canonical = record_bytes(rec)
+    assert canonical != data
+    assert rec.record_id == record_id_for(canonical) != record_id_for(data)
+    assert decode_record(canonical) == rec

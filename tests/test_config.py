@@ -2,7 +2,7 @@ import pytest
 import yaml
 
 from ctisim.access_control import TlpChannel
-from ctisim.config import apply_override, load_config, parse_config
+from ctisim.config import apply_override, load_config, load_raw, parse_config
 from ctisim.contracts import ForfeiturePolicy
 from ctisim.errors import ConfigInvalid
 from ctisim.identity import Role
@@ -174,6 +174,23 @@ def test_bundled_scenarios_all_parse(scenario_dir):
     for path in sorted(scenario_dir.glob("*.yaml")):
         config = load_config(str(path))
         assert config.rounds > 0
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_bundled_scenarios_load_alike_under_both_loaders(scenario_dir):
+    for path in sorted(scenario_dir.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        expected = repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == expected, path.name
+        assert repr(load_raw(str(path))) == expected, path.name
+
+
+@pytest.mark.parametrize("text", ["name: [x\n", "", "# only a comment\n"])
+def test_unloadable_yaml_is_config_invalid(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigInvalid):
+        load_raw(str(path))
 
 
 # --- field types: a wrong type is a ConfigInvalid naming the field -------------

@@ -4,23 +4,37 @@ from ctisim.encoding import Reader, Writer
 from ctisim.errors import EncodingError
 
 
-def test_round_trip_all_field_kinds():
-    data = (
-        Writer()
-        .put_uint(7)
-        .put_bytes(b"\x01\x02")
-        .put_str("hello")
-        .put_bool(True)
-        .put_count(3)
-        .getvalue()
-    )
+ALL_KINDS = (
+    Writer()
+    .put_uint(7)
+    .put_bytes(b"\x01\x02")
+    .put_str("hello")
+    .put_bool(True)
+    .put_count(3)
+    .getvalue()
+)
+
+
+def read_all_kinds(data):
     r = Reader(data)
-    assert r.take_uint() == 7
-    assert r.take_bytes() == b"\x01\x02"
-    assert r.take_str() == "hello"
-    assert r.take_bool() is True
-    assert r.take_count() == 3
+    fields = (r.take_uint(), r.take_bytes(), r.take_str(), r.take_bool(), r.take_count())
     r.expect_end()
+    return fields
+
+
+def test_round_trip_all_field_kinds():
+    uint, raw, text, flag, count = read_all_kinds(ALL_KINDS)
+    assert uint == 7
+    assert raw == b"\x01\x02"
+    assert text == "hello"
+    assert flag is True
+    assert count == 3
+
+
+def test_cut_at_any_offset_raises():
+    for cut in range(len(ALL_KINDS)):
+        with pytest.raises(EncodingError, match="truncated"):
+            read_all_kinds(ALL_KINDS[:cut])
 
 
 def test_uint_is_big_endian_fixed_width():
@@ -53,3 +67,8 @@ def test_trailing_bytes_rejected():
 def test_bad_bool_byte_rejected():
     with pytest.raises(EncodingError):
         Reader(b"\x02").take_bool()
+
+
+def test_invalid_utf8_rejected():
+    with pytest.raises(EncodingError, match="utf-8"):
+        Reader(Writer().put_bytes(b"\xff\xfe").getvalue()).take_str()

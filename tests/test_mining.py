@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.contracts import Vote
-from ctisim.encoding import ZERO_DIGEST
+from ctisim.encoding import ZERO_DIGEST, Writer
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
 from ctisim.identity import Role
-from ctisim.ledger import sha256
+from ctisim.ledger import sha256, verify_chain
 from ctisim.mining import (
     Campaign,
     MiningParams,
@@ -296,6 +296,58 @@ def test_scenario_campaigns_are_auditable():
     config = make_config(crew, rounds=15, seed=9)
     result = run_scenario(config)
     assert all(verify_derivation(c, result.chain) for c in result.campaigns)
+
+
+# --- malformed submissions on a valid chain ----------------------------------
+
+def _rename(old: str, new: str):
+    """Swap one encoded name for another of the same length."""
+    return lambda data: data.replace(old.encode(), new.encode(), 1)
+
+
+def _policy(text: str):
+    """Set the policy flag (10th byte from the end) and append the policy text."""
+    return lambda data: data[:-10] + b"\x01" + Writer().put_str(text).getvalue() + data[-9:]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _rename("Technical", "Technicax"),
+        _rename("Data", "Date"),
+        _rename("Domain", "Domaix"),
+        _rename("White", "Whitf"),
+        _policy("(xor gov)"),
+        _policy("(and " * 5000 + "gov" + ")" * 5000),
+    ],
+    ids=["category", "level", "ioc-kind", "tlp-channel", "policy", "deep-policy"],
+)
+def test_mining_skips_malformed_submission(monkeypatch, corrupt):
+    """A signed, finalized submission whose record bytes do not decode is
+    skipped by mining and auditing; verify_chain does not read record bytes."""
+    import ctisim.contracts
+
+    real = ctisim.contracts.record_bytes
+    corrupted = []
+
+    def corrupt_first(record):
+        data = real(record)
+        if corrupted:
+            return data
+        corrupted.append(record.record_id)
+        bad = corrupt(data)
+        assert bad != data
+        return bad
+
+    monkeypatch.setattr(ctisim.contracts, "record_bytes", corrupt_first)
+    chain, record_ids = verified_chain(
+        ((1, spec_iocs(n, 1, ["shared.example"])) for n in range(4)), random.Random(0)
+    )
+    assert verify_chain(chain).valid
+    assert corrupted == record_ids[:1]
+    campaigns = mine_campaigns(chain, window_rounds=10, min_support=3, min_overlap=1)
+    assert [c.member_records for c in campaigns] == [frozenset(record_ids[1:])]
+    assert verify_derivation(campaigns[0], chain)
 
 
 # --- the indicator index against the all-pairs definition --------------------

@@ -60,9 +60,10 @@ def replay(chain, config, endowments):
                 sub = submits[body.contract_id]
                 producer = submit_author[body.contract_id]
                 cast = votes[body.contract_id]
+                quorum = len(sub.verifiers)
                 ordered = [cast[v] for v in sub.verifiers]
                 hq = sum(1 for v in ordered if v == "HighQuality")
-                majority = "HighQuality" if hq * 2 > 3 else "LowQuality"
+                majority = "HighQuality" if hq * 2 > quorum else "LowQuality"
                 if body.status == "Verified":
                     balances[producer] += sub.deposit
                     scores[producer] = clamp(scores[producer] + ver.delta_valid)
@@ -72,7 +73,7 @@ def replay(chain, config, endowments):
                     per_round[(r, producer)]["rejected"] += 1
                     per_round[(r, producer)]["forfeited"] += sub.deposit
                     if config.economics.forfeiture is ForfeiturePolicy.Split:
-                        share = sub.deposit // 3
+                        share = sub.deposit // quorum
                         for v in sub.verifiers:
                             balances[v] += share
                 for v in sub.verifiers:
@@ -81,7 +82,7 @@ def replay(chain, config, endowments):
                     )
                     scores[v] = clamp(scores[v] + delta)
                 if sub.verification_fee:
-                    share = sub.verification_fee // 3
+                    share = sub.verification_fee // quorum
                     for v in sub.verifiers:
                         balances[v] += share
             elif tx.kind is TxKind.Purchase:
