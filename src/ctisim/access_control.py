@@ -158,9 +158,7 @@ def authorize(
     if requester.revoked:
         return False
     rid = requester.stakeholder
-    if tlp.channel is TlpChannel.Red:
-        tlp_ok = tlp.designated is not None and rid in tlp.designated
-    elif tlp.channel is TlpChannel.Orange:
+    if tlp.channel in (TlpChannel.Red, TlpChannel.Orange):
         tlp_ok = tlp.designated is not None and rid in tlp.designated
     elif tlp.channel is TlpChannel.Green:
         tlp_ok = rid in group_members

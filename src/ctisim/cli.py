@@ -28,7 +28,7 @@ examples)::
     verification:         # alpha, tau, trust_threshold, delta_valid,
                           # delta_invalid, delta_majority_vote,
                           # delta_minority_vote, initial_score
-    access:               # scenario-wide default tlp/designated/policy
+    access:               # tlp, designated, policy (the scenario-wide default)
     mining:               # window_rounds, min_support, min_overlap
     utility:              # sharing_risk_cost, consumption_benefit, window
 

@@ -6,9 +6,12 @@ with producer reputation, deposit refund or forfeiture, subscription
 discounts, verification-fee payouts, marketplace purchases, and the 1-100
 reputation ledger with its participation threshold.
 
-All state is a pure fold over the chain's transactions, so read-side
-recomputation can run in parallel; the single writer is the engine's
-round loop.
+The parameters are the scenario file's `verification:` and `economics:`
+sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
+Each operation emits ledger transactions, but the parameters and the
+starting endowments are not on the chain, so contract state cannot be
+recomputed from the chain alone. The engine's round loop is the single
+writer.
 """
 
 from __future__ import annotations
@@ -74,14 +77,40 @@ class ForfeiturePolicy(Enum):
     HoldInContract = "HoldInContract"
 
 
-@dataclass
+# verifiers assigned to, and votes needed by, every submission
+QUORUM = 3
+
+
+@dataclass(frozen=True)
 class VerificationPolicy:
-    """Parameters of the validity score: weight on the vote fraction,
-    acceptance threshold, and quorum size."""
+    """The `verification:` section: the validity score's weight on the vote
+    fraction and its acceptance threshold, and the reputation ledger's
+    participation threshold, score deltas and starting score."""
 
     alpha: float = 0.8
     tau: float = 0.5
-    quorum: int = 3
+    trust_threshold: int = 30
+    delta_valid: int = 2
+    delta_invalid: int = -10
+    delta_majority_vote: int = 1
+    delta_minority_vote: int = -3
+    initial_score: int = 50
+
+
+@dataclass(frozen=True)
+class EconomicsConfig:
+    """The `economics:` section: subscription fee, period and per-vote
+    discount, submission deposit and verification fee, how records are
+    priced, and where forfeited deposits go."""
+
+    base_fee: int = 0
+    period_rounds: int = 10
+    discount_per_hq: int = 0
+    deposit: int = 10
+    verification_fee: int = 0
+    sale_mode: str = "none"  # none | fixed | producer-set
+    fixed_price: Optional[int] = None
+    forfeiture: ForfeiturePolicy = ForfeiturePolicy.Split
 
 
 @dataclass(frozen=True)
@@ -92,27 +121,23 @@ class PiResult:
 
 def evaluate_pi(policy: VerificationPolicy, votes: list[Vote], producer_score: int) -> PiResult:
     """score = alpha * (high-quality fraction) + (1 - alpha) * (reputation / 100)."""
-    if len(votes) != policy.quorum:
-        raise QuorumNotMet(f"need {policy.quorum} votes, have {len(votes)}")
+    if len(votes) != QUORUM:
+        raise QuorumNotMet(f"need {QUORUM} votes, have {len(votes)}")
     hq = sum(1 for v in votes if v is Vote.HighQuality)
-    score = policy.alpha * (hq / policy.quorum) + (1.0 - policy.alpha) * (producer_score / 100.0)
+    score = policy.alpha * (hq / QUORUM) + (1.0 - policy.alpha) * (producer_score / 100.0)
     return PiResult(valid=score >= policy.tau, score=score)
 
 
 @dataclass
 class ReputationLedger:
-    """Per-stakeholder score in [1, 100] with a participation threshold."""
+    """Per-stakeholder score in [1, 100]; the policy gives the starting
+    score and the participation threshold."""
 
-    trust_threshold: int = 30
-    delta_valid: int = 2
-    delta_invalid: int = -10
-    delta_majority_vote: int = 1
-    delta_minority_vote: int = -3
-    initial_score: int = 50
+    policy: VerificationPolicy
     scores: dict[Digest, int] = field(default_factory=dict)
 
     def add(self, stakeholder: Digest) -> int:
-        self.scores[stakeholder] = self._clamp(self.initial_score)
+        self.scores[stakeholder] = self._clamp(self.policy.initial_score)
         return self.scores[stakeholder]
 
     def score_of(self, stakeholder: Digest) -> int:
@@ -127,7 +152,7 @@ class ReputationLedger:
         return new
 
     def is_trusted(self, stakeholder: Digest) -> bool:
-        return self.score_of(stakeholder) >= self.trust_threshold
+        return self.score_of(stakeholder) >= self.policy.trust_threshold
 
     @staticmethod
     def _clamp(score: int) -> int:
@@ -151,16 +176,11 @@ class ReportContract:
 
 @dataclass
 class SubscriptionContract:
-    base_fee: int = 0
-    period_rounds: int = 10
-    discount_per_hq: int = 0
+    """Each stakeholder's accrued renewal discount and the round its paid
+    period ends."""
+
     accrued_discount: dict[Digest, int] = field(default_factory=dict)
     paid_through: dict[Digest, int] = field(default_factory=dict)
-
-    def enroll(self, stakeholder: Digest, round_no: int) -> None:
-        # Registration covers the first period; renewals are charged after.
-        self.accrued_discount[stakeholder] = 0
-        self.paid_through[stakeholder] = round_no + self.period_rounds
 
     def accrue(self, stakeholder: Digest, amount: int) -> None:
         self.accrued_discount[stakeholder] = self.accrued_discount.get(stakeholder, 0) + amount
@@ -222,11 +242,9 @@ class MarketContract:
 @dataclass(frozen=True)
 class VerificationOutcome:
     status: ContractStatus
-    deposit_state: DepositState
     verifier_payouts: dict[Digest, int]
     discounts: dict[Digest, int]
     revoked: tuple[Digest, ...]
-    burned: int
 
 
 class ContractSystem:
@@ -240,22 +258,26 @@ class ContractSystem:
         self,
         registry: Registry,
         policy: VerificationPolicy,
-        reputation: ReputationLedger,
-        subscription: SubscriptionContract,
-        market: MarketContract,
+        economics: EconomicsConfig,
         authority: Digest,
-        forfeiture: ForfeiturePolicy = ForfeiturePolicy.Split,
-        verification_fee: int = 0,
     ):
         self.registry = registry
         self.policy = policy
-        self.reputation = reputation
-        self.subscription = subscription
-        self.market = market
+        self.economics = economics
         self.authority = authority
-        self.forfeiture = forfeiture
-        self.verification_fee = verification_fee
+        self.reputation = ReputationLedger(policy)
+        self.subscription = SubscriptionContract()
+        self.market = MarketContract()
         self.contracts: dict[Digest, ReportContract] = {}
+
+    def enroll(self, stakeholder: Digest, endowment: int) -> None:
+        """Open a registered stakeholder's accounts at round 0: starting
+        reputation, minted endowment, and a first subscription period that
+        registration pays for."""
+        self.reputation.add(stakeholder)
+        self.market.mint(stakeholder, endowment)
+        self.subscription.accrued_discount[stakeholder] = 0
+        self.subscription.paid_through[stakeholder] = self.economics.period_rounds
 
     # -- submission -----------------------------------------------------
 
@@ -273,26 +295,27 @@ class ContractSystem:
         ]
 
     def submit_report(
-        self, producer: Digest, record: CtiRecord, deposit: int, rng: random.Random
+        self, producer: Digest, record: CtiRecord, rng: random.Random
     ) -> tuple[ReportContract, list[Transaction]]:
         cred = self.registry.get(producer)
         if not self.reputation.is_trusted(producer):
             raise BelowTrustThreshold(
-                f"score {self.reputation.score_of(producer)} < {self.reputation.trust_threshold}"
+                f"score {self.reputation.score_of(producer)} < {self.policy.trust_threshold}"
             )
         violations = validate_format(record)
         if violations:
             raise FormatInvalid(violations)
         if record.record_id in self.contracts:
             raise DuplicateRecord(record.record_id.hex())
-        fee = self.verification_fee if record.sale_price is not None else 0
+        deposit = self.economics.deposit
+        fee = self.economics.verification_fee if record.sale_price is not None else 0
         need = deposit + fee
         if self.market.balance_of(producer) < need:
             raise InsufficientBalance(f"need {need}, have {self.market.balance_of(producer)}")
         pool = self.verifier_pool(producer)
-        if len(pool) < self.policy.quorum:
-            raise VerifierPoolTooSmall(f"{len(pool)} eligible, need {self.policy.quorum}")
-        verifiers = tuple(rng.sample(pool, self.policy.quorum))
+        if len(pool) < QUORUM:
+            raise VerifierPoolTooSmall(f"{len(pool)} eligible, need {QUORUM}")
+        verifiers = tuple(rng.sample(pool, QUORUM))
 
         self.market.to_escrow(producer, need)
         contract = ReportContract(
@@ -330,7 +353,7 @@ class ContractSystem:
         if verifier in contract.votes:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
-            raise BelowTrustThreshold(f"verifier score below {self.reputation.trust_threshold}")
+            raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
         cred = self.registry.get(verifier)
         contract.votes[verifier] = vote
         body = VoteBody(contract_id=contract_id, vote=vote.value)
@@ -349,17 +372,16 @@ class ContractSystem:
         ordered_votes = [
             contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes
         ]
-        if len(ordered_votes) != self.policy.quorum:
-            raise QuorumNotMet(f"{len(ordered_votes)} of {self.policy.quorum} votes cast")
+        if len(ordered_votes) != QUORUM:
+            raise QuorumNotMet(f"{len(ordered_votes)} of {QUORUM} votes cast")
 
         producer = contract.record.producer
         pi = evaluate_pi(self.policy, ordered_votes, self.reputation.score_of(producer))
         hq_count = sum(1 for v in ordered_votes if v is Vote.HighQuality)
-        majority_hq = hq_count * 2 > self.policy.quorum
+        majority_hq = hq_count * 2 > QUORUM
         majority_vote = Vote.HighQuality if majority_hq else Vote.LowQuality
 
         payouts: dict[Digest, int] = {}
-        burned = 0
 
         # (a) status
         contract.status = ContractStatus.Verified if pi.valid else ContractStatus.Rejected
@@ -372,25 +394,24 @@ class ContractSystem:
             contract.deposit_state = DepositState.Refunded
         else:
             contract.deposit_state = DepositState.Forfeited
-            if self.forfeiture is ForfeiturePolicy.Burn:
+            forfeiture = self.economics.forfeiture
+            if forfeiture is ForfeiturePolicy.Burn:
                 self.market.escrow_burn(contract.deposit)
-                burned += contract.deposit
-            elif self.forfeiture is ForfeiturePolicy.HoldInContract:
+            elif forfeiture is ForfeiturePolicy.HoldInContract:
                 self.market.escrow_hold(contract.deposit)
             else:
-                share = contract.deposit // self.policy.quorum
+                share = contract.deposit // QUORUM
                 for v in contract.assigned_verifiers:
                     self.market.escrow_to(v, share)
                     payouts[v] = payouts.get(v, 0) + share
-                remainder = contract.deposit - share * self.policy.quorum
+                remainder = contract.deposit - share * QUORUM
                 if remainder:
                     self.market.escrow_burn(remainder)
-                    burned += remainder
 
         # (c) subscription discounts: verifiers always, producer only on
         # a high-quality majority
         discounts: dict[Digest, int] = {}
-        per_hq = self.subscription.discount_per_hq
+        per_hq = self.economics.discount_per_hq
         if per_hq > 0:
             for v in contract.assigned_verifiers:
                 self.subscription.accrue(v, per_hq)
@@ -400,26 +421,25 @@ class ContractSystem:
                 discounts[producer] = per_hq
 
         # (d) reputation
-        producer_delta = self.reputation.delta_valid if pi.valid else self.reputation.delta_invalid
-        self.reputation.apply(producer, producer_delta)
+        policy = self.policy
+        self.reputation.apply(producer, policy.delta_valid if pi.valid else policy.delta_invalid)
         for v in contract.assigned_verifiers:
             delta = (
-                self.reputation.delta_majority_vote
+                policy.delta_majority_vote
                 if contract.votes[v] is majority_vote
-                else self.reputation.delta_minority_vote
+                else policy.delta_minority_vote
             )
             self.reputation.apply(v, delta)
 
         # (e) verification fee payout
         if contract.verification_fee:
-            share = contract.verification_fee // self.policy.quorum
+            share = contract.verification_fee // QUORUM
             for v in contract.assigned_verifiers:
                 self.market.escrow_to(v, share)
                 payouts[v] = payouts.get(v, 0) + share
-            remainder = contract.verification_fee - share * self.policy.quorum
+            remainder = contract.verification_fee - share * QUORUM
             if remainder:
                 self.market.escrow_burn(remainder)
-                burned += remainder
 
         # (f) on-chain result + any threshold revocations
         txs: list[Transaction] = []
@@ -451,11 +471,9 @@ class ContractSystem:
 
         outcome = VerificationOutcome(
             status=contract.status,
-            deposit_state=contract.deposit_state,
             verifier_payouts=payouts,
             discounts=discounts,
             revoked=tuple(revoked),
-            burned=burned,
         )
         return outcome, txs
 
@@ -507,13 +525,13 @@ class ContractSystem:
         if round_no < sub.paid_through[user]:
             raise NotYetExpired(f"paid through round {sub.paid_through[user]}")
         accrued = sub.accrued_discount.get(user, 0)
-        charge = max(0, sub.base_fee - accrued)
+        charge = max(0, self.economics.base_fee - accrued)
         if self.market.balance_of(user) < charge:
             raise InsufficientBalance(f"renewal needs {charge}")
         if charge:
             self.market.transfer(user, self.authority, charge)
         sub.accrued_discount[user] = 0
-        sub.paid_through[user] = sub.paid_through[user] + sub.period_rounds
+        sub.paid_through[user] = sub.paid_through[user] + self.economics.period_rounds
         cred = self.registry.get(user)
         body = RenewBody(charge=charge, paid_through=sub.paid_through[user])
         tx = Transaction.create(user, TxKind.RenewSubscription, body.encode(), cred.secret)

@@ -59,7 +59,7 @@ def evidence_for(name: str) -> Digest:
 class Registry:
     """Credential store; the single writer is the simulation round loop."""
 
-    def __init__(self, initial_score: int = 50):
+    def __init__(self, initial_score: int):
         self.credentials: dict[Digest, Credential] = {}
         # Ids holding the Verifier role, in id order. Roles never change and
         # credentials are only revoked, never removed, so this only grows.

@@ -25,9 +25,11 @@ from .payloads import FinalizeBody, SubmitCtiBody
 
 @dataclass(frozen=True)
 class MiningParams:
-    window_rounds: int
-    min_support: int
-    min_overlap: int
+    """The `mining:` section, and the parameters a campaign was mined with."""
+
+    window_rounds: int = 10
+    min_support: int = 3
+    min_overlap: int = 1
 
 
 @dataclass(frozen=True)

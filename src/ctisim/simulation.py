@@ -16,17 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .access_control import EncryptedEnvelope, TlpLabel, open_envelope, seal
-from .contracts import (
-    ContractSystem,
-    ContractStatus,
-    ForfeiturePolicy,
-    MarketContract,
-    ReportContract,
-    ReputationLedger,
-    SubscriptionContract,
-    VerificationPolicy,
-    Vote,
-)
+from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
 from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
 from .errors import CtiSimError, NotYetExpired
@@ -203,22 +193,7 @@ class Engine:
 
     def _register_all(self) -> list[Transaction]:
         cfg = self.cfg
-        self.registry = Registry(initial_score=cfg.verification.initial_score)
-        self.reputation = ReputationLedger(
-            trust_threshold=cfg.verification.trust_threshold,
-            delta_valid=cfg.verification.delta_valid,
-            delta_invalid=cfg.verification.delta_invalid,
-            delta_majority_vote=cfg.verification.delta_majority_vote,
-            delta_minority_vote=cfg.verification.delta_minority_vote,
-            initial_score=cfg.verification.initial_score,
-        )
-        subscription = SubscriptionContract(
-            base_fee=cfg.economics.base_fee,
-            period_rounds=cfg.economics.period_rounds,
-            discount_per_hq=cfg.economics.discount_per_hq,
-        )
-        market = MarketContract()
-
+        self.registry = Registry(cfg.verification.initial_score)
         authority_spec = next(s for s in cfg.agents if Role.Authority in s.roles)
         txs: list[Transaction] = []
         ordered = [authority_spec] + [s for s in cfg.agents if s is not authority_spec]
@@ -232,27 +207,14 @@ class Engine:
             if spec is authority_spec:
                 cred, tx = self.registry.bootstrap(proof, round_no=0)
                 self.authority = cred.stakeholder
+                self.contracts = ContractSystem(
+                    self.registry, cfg.verification, cfg.economics, self.authority
+                )
             else:
                 cred, tx = self.registry.register(proof, self.authority, round_no=0)
             txs.append(tx)
             sid_by_name[spec.name] = cred.stakeholder
-            self.reputation.add(cred.stakeholder)
-            market.mint(cred.stakeholder, spec.endowment)
-            subscription.enroll(cred.stakeholder, 0)
-
-        self.contracts = ContractSystem(
-            registry=self.registry,
-            policy=VerificationPolicy(
-                alpha=cfg.verification.alpha,
-                tau=cfg.verification.tau,
-            ),
-            reputation=self.reputation,
-            subscription=subscription,
-            market=market,
-            authority=self.authority,
-            forfeiture=cfg.economics.forfeiture,
-            verification_fee=cfg.economics.verification_fee,
-        )
+            self.contracts.enroll(cred.stakeholder, spec.endowment)
 
         # agent action order follows the config, not registration order
         for spec in cfg.agents:
@@ -275,11 +237,9 @@ class Engine:
         spec = self._specs[spec_name]
         access = spec.access if spec.access is not None else self.cfg.access
         designated = None
-        if access.designated_names:
-            designated = frozenset(
-                a.sid for a in self.agents if a.name in access.designated_names
-            )
-        return TlpLabel(access.channel, designated), access.policy
+        if access.designated:
+            designated = frozenset(a.sid for a in self.agents if a.name in access.designated)
+        return TlpLabel(access.tlp, designated), access.policy
 
     # -- per-round behavior -------------------------------------------------
 
@@ -410,9 +370,7 @@ class Engine:
                     continue
                 record = self._make_record(agent, fabricated, round_no)
                 try:
-                    contract, txs = self.contracts.submit_report(
-                        agent.sid, record, cfg.economics.deposit, self.rng
-                    )
+                    contract, txs = self.contracts.submit_report(agent.sid, record, self.rng)
                 except CtiSimError as exc:
                     agent.events.append((round_no, type(exc).__name__))
                     continue
@@ -522,7 +480,7 @@ class Engine:
                 MetricsRow(
                     round_no=round_no,
                     agent=agent.name,
-                    reputation=self.reputation.score_of(agent.sid),
+                    reputation=self.contracts.reputation.score_of(agent.sid),
                     balance=self.contracts.market.balance_of(agent.sid),
                     shares=log.shares,
                     verified=log.verified,
@@ -574,9 +532,8 @@ class Engine:
         poisoning_rate = verified_fabricated / total_verified if total_verified else 0.0
         # moral-hazard observable: currency verifiers pocketed from forfeits
         if self.cfg.economics.forfeiture is ForfeiturePolicy.Split:
-            quorum = self.contracts.policy.quorum
             verifier_forfeit_income = sum(
-                (c.deposit // quorum) * quorum
+                (c.deposit // QUORUM) * QUORUM
                 for c in contracts
                 if c.status is ContractStatus.Rejected
             )
@@ -586,7 +543,7 @@ class Engine:
         agents_summary = {}
         for agent in self.agents:
             agents_summary[agent.name] = {
-                "reputation": self.reputation.score_of(agent.sid),
+                "reputation": self.contracts.reputation.score_of(agent.sid),
                 "balance": market.balance_of(agent.sid),
                 "revoked": agent.credential.revoked,
                 "revoked_round": agent.revoked_round,

@@ -3,15 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from ctisim.config import (
-    AccessSpec,
-    AgentSpec,
-    EconomicsConfig,
-    MiningConfig,
-    ScenarioConfig,
-    VerificationConfig,
-)
+from ctisim.config import AccessSpec, AgentSpec, ScenarioConfig
+from ctisim.contracts import EconomicsConfig, VerificationPolicy
 from ctisim.identity import Role
+from ctisim.mining import MiningParams
 from ctisim.simulation import AgentStrategy, StrategyKind, UtilityModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -57,9 +52,9 @@ def make_config(agents, rounds=10, seed=1, economics=None, verification=None,
         seed=seed,
         agents=agents,
         economics=economics or EconomicsConfig(),
-        verification=verification or VerificationConfig(),
+        verification=verification or VerificationPolicy(),
         access=access or AccessSpec(),
-        mining=mining or MiningConfig(),
+        mining=mining or MiningParams(),
         utility=utility or UtilityModel(),
     )
 

@@ -14,8 +14,8 @@ import pytest
 
 from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy, policy_leaves
 from ctisim.cli import main as cli_main
-from ctisim.config import EconomicsConfig, apply_override, load_config, load_raw, parse_config
-from ctisim.contracts import ContractStatus, DepositState, ForfeiturePolicy
+from ctisim.config import apply_override, load_config, load_raw, parse_config
+from ctisim.contracts import ContractStatus, DepositState, EconomicsConfig, ForfeiturePolicy
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
 from ctisim.ledger import (

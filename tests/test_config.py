@@ -1,12 +1,25 @@
+import re
+from dataclasses import MISSING, fields
+
 import pytest
 import yaml
 
+from ctisim import cli, config as config_module
 from ctisim.access_control import TlpChannel
-from ctisim.config import apply_override, load_config, load_raw, parse_config
-from ctisim.contracts import ForfeiturePolicy
+from ctisim.config import (
+    AccessSpec,
+    AgentSpec,
+    ScenarioConfig,
+    apply_override,
+    load_config,
+    load_raw,
+    parse_config,
+)
+from ctisim.contracts import EconomicsConfig, ForfeiturePolicy, VerificationPolicy
 from ctisim.errors import ConfigInvalid
 from ctisim.identity import Role
-from ctisim.simulation import StrategyKind
+from ctisim.mining import MiningParams
+from ctisim.simulation import AgentStrategy, StrategyKind, UtilityModel
 
 MINIMAL = """
 name: tiny
@@ -125,15 +138,21 @@ def test_access_parsing():
     raw = yaml.safe_load(MINIMAL)
     raw["access"] = {"tlp": "green", "policy": "(and a b)"}
     config = parse_config(raw)
-    assert config.access.channel is TlpChannel.Green
+    assert config.access.tlp is TlpChannel.Green
     assert config.access.policy is not None
 
 
 def test_designated_names_must_exist():
     raw = yaml.safe_load(MINIMAL)
     raw["agents"][-1]["access"] = {"tlp": "red", "designated": ["nobody"]}
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid) as exc:
         parse_config(raw)
+    assert exc.value.field == "agents[4].access.designated"
+    del raw["agents"][-1]["access"]
+    raw["access"] = {"tlp": "red", "designated": ["nobody"]}
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(raw)
+    assert exc.value.field == "access.designated"
 
 
 def test_bad_policy_string_rejected():
@@ -231,13 +250,24 @@ def test_designated_must_be_a_list():
 def test_designated_entries_are_names():
     raw = yaml.safe_load(MINIMAL)
     raw["agents"][4]["access"] = {"tlp": "red", "designated": [["v1"]]}
-    assert invalid_field(raw).field == "access.designated"
+    assert invalid_field(raw).field == "agents[4].access.designated"
 
 
-def test_policy_must_be_a_string():
+@pytest.mark.parametrize("policy", [5, 0, False, [], {}], ids=["5", "0", "false", "list", "mapping"])
+def test_policy_must_be_a_string(policy):
     raw = yaml.safe_load(MINIMAL)
-    raw["agents"][4]["access"] = {"tlp": "green", "policy": 5}
+    raw["agents"][4]["access"] = {"tlp": "green", "policy": policy}
     assert invalid_field(raw).field == "agents[4].access.policy"
+    del raw["agents"][4]["access"]
+    raw["access"] = {"tlp": "green", "policy": policy}
+    assert invalid_field(raw).field == "access.policy"
+
+
+@pytest.mark.parametrize("policy", [None, ""])
+def test_null_or_empty_policy_means_no_policy(policy):
+    raw = yaml.safe_load(MINIMAL)
+    raw["access"] = {"tlp": "green", "policy": policy}
+    assert parse_config(raw).access.policy is None
 
 
 @pytest.mark.parametrize("section", ["economics", "verification", "access", "mining", "utility"])
@@ -258,3 +288,164 @@ def test_agent_strategy_and_access_must_be_mappings(key):
     raw = yaml.safe_load(MINIMAL)
     raw["agents"][4][key] = "HonestProducer"
     assert invalid_field(raw).field == f"agents[4].{key}"
+
+
+# --- every section field: default when absent, checked when present ------------
+
+def names(cls):
+    return [f.name for f in fields(cls)]
+
+
+SECTIONS = {
+    "economics": EconomicsConfig,
+    "verification": VerificationPolicy,
+    "mining": MiningParams,
+    "utility": UtilityModel,
+    "strategy": AgentStrategy,
+}
+
+# per field: a valid value other than the default, what it parses to, and an
+# invalid value
+SAMPLES = {
+    "economics": {
+        "base_fee": (5, 5, -1),
+        "period_rounds": (3, 3, 0),
+        "discount_per_hq": (1, 1, -1),
+        "deposit": (4, 4, -1),
+        "verification_fee": (6, 6, -1),
+        "sale_mode": ("producer-set", "producer-set", "auction"),
+        "fixed_price": (7, 7, -1),
+        "forfeiture": ("burn", ForfeiturePolicy.Burn, "keep"),
+    },
+    "verification": {
+        "alpha": (0.6, 0.6, 1.5),
+        "tau": (0.4, 0.4, 0.0),
+        "trust_threshold": (20, 20, 101),
+        "delta_valid": (3, 3, 0.5),
+        "delta_invalid": (-5, -5, 0.5),
+        "delta_majority_vote": (2, 2, 0.5),
+        "delta_minority_vote": (-1, -1, 0.5),
+        "initial_score": (60, 60, 0),
+    },
+    "mining": {"window_rounds": (4, 4, 0), "min_support": (5, 5, 1), "min_overlap": (2, 2, 0)},
+    "utility": {"sharing_risk_cost": (2, 2, -1), "consumption_benefit": (3, 3, -1), "window": (7, 7, 0)},
+    "strategy": {
+        "kind": ("FalseSharer", StrategyKind.FalseSharer, "Mystery"),
+        "share_rate": (0.25, 0.25, -0.1),
+        "fabrication_rate": (0.5, 0.5, 2),
+        "flood_multiplier": (4, 4, 0),
+        "p_acc": (0.9, 0.9, 1.01),
+        "consume_rate": (0.3, 0.3, "often"),
+        "utility_responsive": (True, True, 1),
+        "sale_price": (8, 8, -1),
+    },
+}
+
+FIELDS = [(section, f) for section, cls in SECTIONS.items() for f in fields(cls)]
+FIELD_IDS = [f"{section}.{f.name}" for section, f in FIELDS]
+
+
+def raw_with_section(section, values):
+    """MINIMAL with `values` as the given section: for "strategy", the
+    producer's strategy, kind HonestProducer unless given."""
+    raw = yaml.safe_load(MINIMAL)
+    if section == "strategy":
+        raw["agents"][4]["strategy"] = {"kind": "HonestProducer", **values}
+    else:
+        raw[section] = values
+    return raw
+
+
+def parse_section(section, values):
+    config = parse_config(raw_with_section(section, values))
+    return config.agents[4].strategy if section == "strategy" else getattr(config, section)
+
+
+def test_samples_cover_every_section_field():
+    assert {s: list(v) for s, v in SAMPLES.items()} == {s: names(cls) for s, cls in SECTIONS.items()}
+
+
+@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
+def test_absent_key_reads_as_the_dataclass_default(section, f):
+    if f.default is MISSING:
+        raw = yaml.safe_load(MINIMAL)
+        raw["agents"][4]["strategy"] = {"share_rate": 0.5}
+        assert invalid_field(raw).field == f"agents[4].strategy.{f.name}"
+        return
+    parsed = parse_section(section, {})
+    assert getattr(parsed, f.name) == f.default
+
+
+@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
+def test_present_key_is_accepted(section, f):
+    value, expected, _ = SAMPLES[section][f.name]
+    assert getattr(parse_section(section, {f.name: value}), f.name) == expected
+
+
+@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
+def test_invalid_value_is_rejected_naming_the_field(section, f):
+    bad = SAMPLES[section][f.name][2]
+    where = "agents[4].strategy" if section == "strategy" else section
+    assert invalid_field(raw_with_section(section, {f.name: bad})).field == f"{where}.{f.name}"
+
+
+@pytest.mark.parametrize("section, key", [("economics", "fixed_price"), ("strategy", "sale_price")])
+def test_null_price_reads_as_unset(section, key):
+    assert getattr(parse_section(section, {key: None}), key) is None
+
+
+def test_every_check_belongs_to_a_field():
+    parsed = (ScenarioConfig, AgentSpec, AccessSpec, *SECTIONS.values())
+    assert set(config_module._CHECKS) == {name for cls in parsed for name in names(cls)}
+
+
+def test_default_accuracy_by_kind_yields_to_explicit_p_acc():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][1]["strategy"] = {"kind": "NoisyVerifier", "p_acc": 0.3}
+    assert parse_config(raw).agents[1].strategy.p_acc == 0.3
+
+
+# --- the cli docstring's key lists match the dataclasses ------------------------
+
+def documented(text):
+    """Names in a comma list, with parenthesised notes and "and" dropped."""
+    text = re.sub(r"\([^)]*\)", "", " ".join(text.split()))
+    return [name.strip() for name in text.replace(" and ", ", ").split(",") if name.strip()]
+
+
+def cli_section_comments():
+    """The comment after each top-level key of the cli docstring's example,
+    continuation lines joined."""
+    out, current = {}, None
+    for line in cli.__doc__.splitlines():
+        head = re.match(r" {4}(\w+):\s+#\s?(.*)", line)
+        more = re.match(r"\s+#\s?(.*)", line)
+        if head:
+            current = head.group(1)
+            out[current] = head.group(2)
+        elif more and current:
+            out[current] += " " + more.group(1)
+        else:
+            current = None
+    return out
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [("economics", EconomicsConfig), ("verification", VerificationPolicy), ("access", AccessSpec),
+     ("mining", MiningParams), ("utility", UtilityModel)],
+)
+def test_cli_doc_lists_each_sections_keys(section, cls):
+    assert documented(cli_section_comments()[section]) == names(cls)
+
+
+def test_cli_doc_lists_strategy_kinds_and_parameters():
+    kinds = re.search(r"Strategy kinds: (.*?);", cli.__doc__, re.S).group(1)
+    assert documented(kinds) == [k.value for k in StrategyKind]
+    params = re.search(r"parameters are (.*?)\.\n", cli.__doc__, re.S).group(1)
+    assert documented(params) == [n for n in names(AgentStrategy) if n != "kind"]
+
+
+def test_config_doc_lists_top_level_keys():
+    keys = re.search(r"Top-level keys: (.*?)\.", config_module.__doc__, re.S).group(1)
+    assert sorted(documented(keys)) == sorted(names(ScenarioConfig))

@@ -7,11 +7,10 @@ from ctisim.contracts import (
     ContractStatus,
     ContractSystem,
     DepositState,
+    EconomicsConfig,
     ForfeiturePolicy,
-    MarketContract,
     PiResult,
     ReputationLedger,
-    SubscriptionContract,
     VerificationPolicy,
     Vote,
     evaluate_pi,
@@ -88,48 +87,34 @@ class Platform:
     def __init__(self, n_verifiers=3, deposit=10, verification_fee=0,
                  forfeiture=ForfeiturePolicy.Split, base_fee=0, period=10,
                  discount_per_hq=2, endowment=100):
-        self.registry = Registry()
-        self.reputation = ReputationLedger()
-        self.subscription = SubscriptionContract(
-            base_fee=base_fee, period_rounds=period, discount_per_hq=discount_per_hq
-        )
-        self.market = MarketContract()
-        self.deposit = deposit
+        self.registry = Registry(initial_score=50)
         self.rng = random.Random(1)
 
         auth, _ = self.registry.bootstrap(
             ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
         )
         self.authority = auth.stakeholder
-        self._enroll(self.authority, endowment)
-
-        self.system = ContractSystem(
-            registry=self.registry,
-            policy=VerificationPolicy(),
-            reputation=self.reputation,
-            subscription=self.subscription,
-            market=self.market,
-            authority=self.authority,
-            forfeiture=forfeiture,
-            verification_fee=verification_fee,
+        economics = EconomicsConfig(
+            base_fee=base_fee, period_rounds=period, discount_per_hq=discount_per_hq,
+            deposit=deposit, verification_fee=verification_fee, forfeiture=forfeiture,
         )
+        self.system = ContractSystem(self.registry, VerificationPolicy(), economics, self.authority)
+        self.reputation = self.system.reputation
+        self.subscription = self.system.subscription
+        self.market = self.system.market
+        self.system.enroll(self.authority, endowment)
         self.producer = self.add("producer", {Role.Producer}, endowment)
         self.consumer = self.add("consumer", {Role.Consumer}, endowment)
         self.verifiers = [
             self.add(f"verifier-{i}", {Role.Verifier}, endowment) for i in range(n_verifiers)
         ]
 
-    def _enroll(self, sid, endowment):
-        self.reputation.add(sid)
-        self.market.mint(sid, endowment)
-        self.subscription.enroll(sid, 0)
-
     def add(self, name, roles, endowment=100, attributes=()):
         cred, _ = self.registry.register(
             ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name)),
             self.authority,
         )
-        self._enroll(cred.stakeholder, endowment)
+        self.system.enroll(cred.stakeholder, endowment)
         return cred.stakeholder
 
     def record(self, n=0, sale_price=None, producer=None, round_no=1):
@@ -145,10 +130,8 @@ class Platform:
             ground_truth=GroundTruth.Genuine,
         )
 
-    def submit(self, n=0, sale_price=None, deposit=None):
-        contract, txs = self.system.submit_report(
-            self.producer, self.record(n, sale_price), self.deposit if deposit is None else deposit, self.rng
-        )
+    def submit(self, n=0, sale_price=None):
+        contract, txs = self.system.submit_report(self.producer, self.record(n, sale_price), self.rng)
         return contract
 
     def vote_all(self, contract, votes):
@@ -197,9 +180,9 @@ def test_submit_with_small_pool_rejected():
 
 
 def test_submit_insufficient_balance():
-    p = Platform()
+    p = Platform(deposit=101)
     with pytest.raises(InsufficientBalance):
-        p.submit(deposit=101)
+        p.submit()
 
 
 def test_submit_invalid_format_rejected():
@@ -216,7 +199,7 @@ def test_submit_invalid_format_rejected():
         ground_truth=GroundTruth.Genuine,
     )
     with pytest.raises(FormatInvalid):
-        p.system.submit_report(p.producer, bad, 10, p.rng)
+        p.system.submit_report(p.producer, bad, p.rng)
 
 
 def test_submit_duplicate_record_rejected():
@@ -280,7 +263,7 @@ def test_majority_hq_verifies_refunds_and_discounts_everyone():
     p = Platform()
     contract, outcome, txs = p.run_contract([HQ, HQ, LQ])
     assert outcome.status is ContractStatus.Verified
-    assert outcome.deposit_state is DepositState.Refunded
+    assert contract.deposit_state is DepositState.Refunded
     assert p.market.balance_of(p.producer) == 100  # deposit back
     assert p.reputation.score_of(p.producer) == 52
     v1, v2, v3 = contract.assigned_verifiers
@@ -298,7 +281,7 @@ def test_majority_lq_rejects_splits_deposit_and_discounts_verifiers_only():
     p = Platform(deposit=9)
     contract, outcome, _ = p.run_contract([LQ, LQ, HQ])
     assert outcome.status is ContractStatus.Rejected
-    assert outcome.deposit_state is DepositState.Forfeited
+    assert contract.deposit_state is DepositState.Forfeited
     assert p.market.balance_of(p.producer) == 91  # deposit gone
     for v in contract.assigned_verifiers:
         assert p.market.balance_of(v) == 103  # 9 split three ways
@@ -310,7 +293,6 @@ def test_majority_lq_rejects_splits_deposit_and_discounts_verifiers_only():
 def test_split_remainder_is_burned():
     p = Platform(deposit=10)
     contract, outcome, _ = p.run_contract([LQ, LQ, LQ])
-    assert outcome.burned == 1
     assert p.market.burned == 1
     for v in contract.assigned_verifiers:
         assert p.market.balance_of(v) == 103
@@ -423,7 +405,7 @@ def test_purchase_respects_access_policy():
         created_round=1,
         ground_truth=GroundTruth.Genuine,
     )
-    contract, _ = p.system.submit_report(p.producer, record, 10, p.rng)
+    contract, _ = p.system.submit_report(p.producer, record, p.rng)
     p.vote_all(contract, [HQ, HQ, HQ])
     p.finalize(contract)
     with pytest.raises(AccessDenied):
@@ -457,6 +439,16 @@ def test_renewal_before_expiry_rejected():
         p.system.renew_subscription(p.producer, round_no=5)
 
 
+def test_enrollment_pays_for_the_first_period():
+    p = Platform(base_fee=20, period=4)
+    assert p.subscription.paid_through[p.producer] == 4
+    with pytest.raises(NotYetExpired):
+        p.system.renew_subscription(p.producer, round_no=3)
+    charge, _ = p.system.renew_subscription(p.producer, round_no=4)
+    assert charge == 20
+    assert p.subscription.paid_through[p.producer] == 8
+
+
 def test_renewal_insufficient_balance():
     p = Platform(base_fee=20)
     p.market.balances[p.producer] = 5
@@ -472,16 +464,16 @@ def test_fresh_user_has_initial_score():
 
 
 def test_thirty_rejections_clamp_at_one():
-    rep = ReputationLedger()
+    rep = ReputationLedger(VerificationPolicy())
     sid = b"\x01" * 32
     rep.add(sid)
     for _ in range(30):
-        rep.apply(sid, rep.delta_invalid)
+        rep.apply(sid, rep.policy.delta_invalid)
     assert rep.score_of(sid) == 1
 
 
 def test_scores_stay_in_bounds_under_random_updates():
-    rep = ReputationLedger()
+    rep = ReputationLedger(VerificationPolicy())
     sid = b"\x02" * 32
     rep.add(sid)
     rng = random.Random(3)

@@ -82,8 +82,8 @@ def test_unknown_stakeholder(registry):
 
 
 def test_ids_are_deterministic():
-    a = Registry()
-    b = Registry()
+    a = Registry(initial_score=50)
+    b = Registry(initial_score=50)
     ca, _ = a.bootstrap(proof("authority", {Role.Authority}))
     cb, _ = b.bootstrap(proof("authority", {Role.Authority}))
     assert ca.stakeholder == cb.stakeholder

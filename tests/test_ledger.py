@@ -83,7 +83,7 @@ def reference_sha256(message: bytes) -> bytes:
 # --- fixtures -----------------------------------------------------------------
 
 def fresh_registry():
-    reg = Registry()
+    reg = Registry(initial_score=50)
     auth, auth_tx = reg.bootstrap(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
     )

@@ -52,25 +52,16 @@ def verified_chain(specs, rng):
 
     Returns (chain, [record_id, ...]) in spec order.
     """
-    from ctisim.contracts import (
-        ContractSystem,
-        MarketContract,
-        ReputationLedger,
-        SubscriptionContract,
-        VerificationPolicy,
-    )
+    from ctisim.contracts import ContractSystem, EconomicsConfig, VerificationPolicy
     from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
     from ctisim.ledger import Chain, append_block
 
-    registry = Registry()
+    registry = Registry(initial_score=50)
     auth, auth_tx = registry.bootstrap(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
     )
-    reputation = ReputationLedger()
-    market = MarketContract()
-    subscription = SubscriptionContract()
-    reputation.add(auth.stakeholder)
-    market.mint(auth.stakeholder, 100)
+    system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3), auth.stakeholder)
+    system.enroll(auth.stakeholder, 100)
 
     reg_txs = [auth_tx]
     producers = []
@@ -80,8 +71,7 @@ def verified_chain(specs, rng):
             auth.stakeholder,
         )
         producers.append(cred.stakeholder)
-        reputation.add(cred.stakeholder)
-        market.mint(cred.stakeholder, 10_000)
+        system.enroll(cred.stakeholder, 10_000)
         reg_txs.append(tx)
     verifiers = []
     for i in range(3):
@@ -90,18 +80,9 @@ def verified_chain(specs, rng):
             auth.stakeholder,
         )
         verifiers.append(cred.stakeholder)
-        reputation.add(cred.stakeholder)
-        market.mint(cred.stakeholder, 100)
+        system.enroll(cred.stakeholder, 100)
         reg_txs.append(tx)
 
-    system = ContractSystem(
-        registry=registry,
-        policy=VerificationPolicy(),
-        reputation=reputation,
-        subscription=subscription,
-        market=market,
-        authority=auth.stakeholder,
-    )
     chain = Chain.new()
     append_block(chain, reg_txs, auth.stakeholder, registry.authenticate_committed,
                  registry.is_authority, timestamp=0)
@@ -120,7 +101,7 @@ def verified_chain(specs, rng):
             created_round=round_no,
             ground_truth=GroundTruth.Genuine,
         )
-        contract, txs = system.submit_report(producer, record, 3, rng)
+        contract, txs = system.submit_report(producer, record, rng)
         for v in contract.assigned_verifiers:
             txs += system.cast_vote(v, contract.contract_id, HQ)
         outcome, fin_txs = system.finalize_verification(contract.contract_id, round_no)

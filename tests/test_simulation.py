@@ -1,7 +1,6 @@
 import random
 
-from ctisim.config import EconomicsConfig
-from ctisim.contracts import ContractStatus, Vote
+from ctisim.contracts import ContractStatus, EconomicsConfig, Vote
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
 from ctisim.ledger import TxKind, chain_to_json, query, verify_chain
@@ -220,7 +219,7 @@ def test_consumption_respects_tlp():
 
     crew = basic_crew() + [
         agent("prod", [Role.Producer], StrategyKind.HonestProducer, share_rate=1.0,
-              access=AccessSpec(channel=TlpChannel.Red, designated_names=("alice",))),
+              access=AccessSpec(tlp=TlpChannel.Red, designated=("alice",))),
         agent("alice", [Role.Consumer], StrategyKind.LazyConsumer, consume_rate=1.0),
         agent("bob", [Role.Consumer], StrategyKind.LazyConsumer, consume_rate=1.0),
     ]
