@@ -400,13 +400,7 @@ class ContractSystem:
             elif forfeiture is ForfeiturePolicy.HoldInContract:
                 self.market.escrow_hold(contract.deposit)
             else:
-                share = contract.deposit // QUORUM
-                for v in contract.assigned_verifiers:
-                    self.market.escrow_to(v, share)
-                    payouts[v] = payouts.get(v, 0) + share
-                remainder = contract.deposit - share * QUORUM
-                if remainder:
-                    self.market.escrow_burn(remainder)
+                self._split_escrow(contract.deposit, contract.assigned_verifiers, payouts)
 
         # (c) subscription discounts: verifiers always, producer only on
         # a high-quality majority
@@ -433,13 +427,7 @@ class ContractSystem:
 
         # (e) verification fee payout
         if contract.verification_fee:
-            share = contract.verification_fee // QUORUM
-            for v in contract.assigned_verifiers:
-                self.market.escrow_to(v, share)
-                payouts[v] = payouts.get(v, 0) + share
-            remainder = contract.verification_fee - share * QUORUM
-            if remainder:
-                self.market.escrow_burn(remainder)
+            self._split_escrow(contract.verification_fee, contract.assigned_verifiers, payouts)
 
         # (f) on-chain result + any threshold revocations
         txs: list[Transaction] = []
@@ -476,6 +464,17 @@ class ContractSystem:
             revoked=tuple(revoked),
         )
         return outcome, txs
+
+    def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
+        """Pay each verifier an equal QUORUM-th of escrowed `amount`, adding
+        it to `payouts`, and burn the remainder."""
+        share = amount // QUORUM
+        for v in verifiers:
+            self.market.escrow_to(v, share)
+            payouts[v] = payouts.get(v, 0) + share
+        remainder = amount - share * QUORUM
+        if remainder:
+            self.market.escrow_burn(remainder)
 
     # -- marketplace -----------------------------------------------------
 

@@ -4,8 +4,10 @@ Every hashed or signed structure is serialized as length-prefixed
 big-endian fields in declared order: unsigned integers are 8 bytes,
 variable-length byte strings carry a 4-byte length prefix, collections a
 4-byte count prefix. This keeps digests bit-exact and replayable.
-`uint_field`, `bytes_field` and `str_field` encode one field each;
-`Writer` and the one-shot encoders in `cti` and `ledger` build on them.
+The `*_field` functions encode one field each; the one-shot encoders in
+`cti` and `ledger` join them. `FIELD_CODECS` maps each field annotation to
+its encoder and `Reader` method, and a `Layout` subclass takes its wire
+layout from its annotated fields through that table.
 
 Reading raises EncodingError, and nothing else, for malformed input:
 truncation, trailing bytes, a boolean byte other than 0 or 1, and invalid
@@ -15,6 +17,7 @@ UTF-8.
 from __future__ import annotations
 
 import struct
+from typing import Callable, Sequence, TypeVar, get_type_hints
 
 from .errors import EncodingError
 
@@ -47,43 +50,26 @@ def str_field(value: str) -> bytes:
     return bytes_field(value.encode("utf-8"))
 
 
-class Writer:
-    """Accumulates canonical bytes field by field."""
+def bool_field(value: bool) -> bytes:
+    """A boolean field: one byte, 1 or 0."""
+    return b"\x01" if value else b"\x00"
 
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
 
-    def put_uint(self, value: int) -> "Writer":
-        self._parts.append(uint_field(value))
-        return self
+def str_seq_field(values: Sequence[str]) -> bytes:
+    """A string collection: its 4-byte count, then each string field."""
+    return _pack_count(len(values)) + b"".join(map(str_field, values))
 
-    def put_bytes(self, value: bytes) -> "Writer":
-        self._parts.append(bytes_field(bytes(value)))
-        return self
 
-    def put_str(self, value: str) -> "Writer":
-        self._parts.append(str_field(value))
-        return self
-
-    def put_bool(self, value: bool) -> "Writer":
-        self._parts.append(b"\x01" if value else b"\x00")
-        return self
-
-    def put_count(self, n: int) -> "Writer":
-        if n < 0:
-            raise EncodingError("negative collection count")
-        self._parts.append(_pack_count(n))
-        return self
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+def bytes_seq_field(values: Sequence[bytes]) -> bytes:
+    """A byte-string collection: its 4-byte count, then each byte-string field."""
+    return _pack_count(len(values)) + b"".join(map(bytes_field, values))
 
 
 _TRUNCATED = "truncated canonical data"
 
 
 class Reader:
-    """Mirror of Writer; raises EncodingError on truncation or trailing bytes.
+    """Reads fields back in order; raises EncodingError on malformed input.
 
     Fields are unpacked in place at the current offset; a fixed-width field
     is bounds-checked by `unpack_from` itself, a length-prefixed one once
@@ -142,6 +128,56 @@ class Reader:
         self._pos = pos + 1
         return byte == 1
 
+    def take_str_seq(self) -> tuple[str, ...]:
+        return tuple([self.take_str() for _ in range(self.take_count())])
+
+    def take_bytes_seq(self) -> tuple[bytes, ...]:
+        return tuple([self.take_bytes() for _ in range(self.take_count())])
+
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise EncodingError("trailing bytes after canonical data")
+
+
+# The wire format of every field a Layout declares: its annotation's
+# encoder and the Reader method that reads it back.
+FIELD_CODECS: dict[object, tuple[Callable, Callable]] = {
+    bytes: (bytes_field, Reader.take_bytes),
+    str: (str_field, Reader.take_str),
+    int: (uint_field, Reader.take_uint),
+    bool: (bool_field, Reader.take_bool),
+    tuple[str, ...]: (str_seq_field, Reader.take_str_seq),
+    tuple[bytes, ...]: (bytes_seq_field, Reader.take_bytes_seq),
+}
+
+
+_L = TypeVar("_L", bound="Layout")
+
+
+class Layout:
+    """Base of a dataclass whose fields, in declared order, are its bytes.
+
+    Defining a subclass looks each field's annotation up in FIELD_CODECS
+    once, so an annotation with no codec raises TypeError at import.
+    `encode` joins the field encodings; `decode` reads them back with no
+    bytes left over and builds the instance from them.
+    """
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        hints = get_type_hints(cls)
+        for name, hint in hints.items():
+            if hint not in FIELD_CODECS:
+                raise TypeError(f"{cls.__name__}.{name}: no wire codec for {hint!r}")
+        cls._encoders = tuple((name, FIELD_CODECS[hint][0]) for name, hint in hints.items())
+        cls._readers = tuple(FIELD_CODECS[hint][1] for hint in hints.values())
+
+    def encode(self) -> bytes:
+        return b"".join([encode(getattr(self, name)) for name, encode in self._encoders])
+
+    @classmethod
+    def decode(cls: type[_L], data: bytes) -> _L:
+        r = Reader(data)
+        values = [read(r) for read in cls._readers]
+        r.expect_end()
+        return cls(*values)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .encoding import ZERO_DIGEST, Digest, Writer, bytes_field, str_field
+from .encoding import ZERO_DIGEST, Digest, bytes_field, str_field, uint_field
 from .errors import (
     EmptyTransactionList,
     EncodingError,
@@ -41,8 +41,8 @@ def sha256(data: bytes) -> Digest:
 def keyed_digest(secret: bytes, payload: bytes) -> bytes:
     """Simulated signature: digest keyed by the credential secret.
 
-    The digest is over the canonical encoding of (secret, payload), the
-    bytes ``Writer().put_bytes(secret).put_bytes(payload)`` would build.
+    The digest is over the canonical encoding of (secret, payload): two
+    byte-string fields.
     """
     return hashlib.sha256(bytes_field(secret) + bytes_field(payload)).digest()
 
@@ -138,14 +138,17 @@ def merkle_root(transactions: Iterable[Transaction]) -> Digest:
 
 
 def hash_header(block: Block) -> Digest:
-    w = Writer()
-    w.put_uint(block.height)
-    w.put_bytes(block.prev_hash)
-    w.put_bytes(block.merkle_root)
-    w.put_uint(block.timestamp)
-    w.put_uint(block.nonce)
-    w.put_bytes(block.sealer)
-    return sha256(w.getvalue())
+    """Digest of the canonical encoding of every header field, in order."""
+    return sha256(
+        b"".join((
+            uint_field(block.height),
+            bytes_field(block.prev_hash),
+            bytes_field(block.merkle_root),
+            uint_field(block.timestamp),
+            uint_field(block.nonce),
+            bytes_field(block.sealer),
+        ))
+    )
 
 
 Authenticator = Callable[[Digest, bytes, bytes], bool]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cti import CtiCategory, CtiRecord, decode_record
-from .encoding import Digest, Writer
+from .encoding import Digest, bytes_seq_field, uint_field
 from .errors import EncodingError
 from .ledger import Chain, TxKind, sha256
 from .payloads import FinalizeBody, SubmitCtiBody
@@ -68,14 +68,15 @@ def verified_technical_records(chain: Chain) -> list[CtiRecord]:
 
 
 def _campaign_id(members: list[Digest], params: MiningParams) -> Digest:
-    w = Writer()
-    w.put_count(len(members))
-    for m in sorted(members):
-        w.put_bytes(m)
-    w.put_uint(params.window_rounds)
-    w.put_uint(params.min_support)
-    w.put_uint(params.min_overlap)
-    return sha256(b"campaign:" + w.getvalue())
+    return sha256(
+        b"".join((
+            b"campaign:",
+            bytes_seq_field(sorted(members)),
+            uint_field(params.window_rounds),
+            uint_field(params.min_support),
+            uint_field(params.min_overlap),
+        ))
+    )
 
 
 def _components(records: list[CtiRecord], params: MiningParams) -> list[list[CtiRecord]]:

@@ -1,14 +1,20 @@
-"""Kind-specific transaction payload bodies and their byte codecs."""
+"""Kind-specific transaction payload bodies, declared as field layouts.
+
+Each body's fields, in declared order, are its wire layout: every field is
+encoded by the codec `encoding.FIELD_CODECS` gives its annotation, and
+`encode`/`decode` come from `encoding.Layout`. Field order is wire order,
+so reordering, adding or retyping a field changes the chain bytes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import Digest, Reader, Writer
+from .encoding import Digest, Layout
 
 
 @dataclass(frozen=True)
-class RegisterBody:
+class RegisterBody(Layout):
     """Registration record. Carries the simulated signing secret so a chain
     dump stays self-verifying (signatures are keyed digests, not real keys)."""
 
@@ -19,169 +25,51 @@ class RegisterBody:
     secret: bytes
     initial_score: int
 
-    def encode(self) -> bytes:
-        w = Writer().put_bytes(self.stakeholder)
-        w.put_count(len(self.roles))
-        for role in self.roles:
-            w.put_str(role)
-        w.put_count(len(self.attributes))
-        for attr in self.attributes:
-            w.put_str(attr)
-        w.put_bytes(self.evidence_digest)
-        w.put_bytes(self.secret)
-        w.put_uint(self.initial_score)
-        return w.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "RegisterBody":
-        r = Reader(data)
-        stakeholder = r.take_bytes()
-        roles = tuple(r.take_str() for _ in range(r.take_count()))
-        attributes = tuple(r.take_str() for _ in range(r.take_count()))
-        evidence = r.take_bytes()
-        secret = r.take_bytes()
-        score = r.take_uint()
-        r.expect_end()
-        return cls(stakeholder, roles, attributes, evidence, secret, score)
-
 
 @dataclass(frozen=True)
-class SubmitCtiBody:
+class SubmitCtiBody(Layout):
     contract_id: Digest
     record_bytes: bytes
     deposit: int
     verification_fee: int
     verifiers: tuple[Digest, ...]
 
-    def encode(self) -> bytes:
-        w = Writer().put_bytes(self.contract_id).put_bytes(self.record_bytes)
-        w.put_uint(self.deposit).put_uint(self.verification_fee)
-        w.put_count(len(self.verifiers))
-        for v in self.verifiers:
-            w.put_bytes(v)
-        return w.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "SubmitCtiBody":
-        r = Reader(data)
-        contract_id = r.take_bytes()
-        record_bytes = r.take_bytes()
-        deposit = r.take_uint()
-        fee = r.take_uint()
-        verifiers = tuple(r.take_bytes() for _ in range(r.take_count()))
-        r.expect_end()
-        return cls(contract_id, record_bytes, deposit, fee, verifiers)
-
 
 @dataclass(frozen=True)
-class VoteBody:
+class VoteBody(Layout):
     contract_id: Digest
     vote: str
 
-    def encode(self) -> bytes:
-        return Writer().put_bytes(self.contract_id).put_str(self.vote).getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "VoteBody":
-        r = Reader(data)
-        contract_id = r.take_bytes()
-        vote = r.take_str()
-        r.expect_end()
-        return cls(contract_id, vote)
-
 
 @dataclass(frozen=True)
-class FinalizeBody:
+class FinalizeBody(Layout):
     contract_id: Digest
     status: str
     score_micro: int
     deposit_state: str
 
-    def encode(self) -> bytes:
-        w = Writer().put_bytes(self.contract_id).put_str(self.status)
-        w.put_uint(self.score_micro).put_str(self.deposit_state)
-        return w.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "FinalizeBody":
-        r = Reader(data)
-        contract_id = r.take_bytes()
-        status = r.take_str()
-        score_micro = r.take_uint()
-        deposit_state = r.take_str()
-        r.expect_end()
-        return cls(contract_id, status, score_micro, deposit_state)
-
 
 @dataclass(frozen=True)
-class PurchaseBody:
+class PurchaseBody(Layout):
     contract_id: Digest
     price: int
 
-    def encode(self) -> bytes:
-        return Writer().put_bytes(self.contract_id).put_uint(self.price).getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PurchaseBody":
-        r = Reader(data)
-        contract_id = r.take_bytes()
-        price = r.take_uint()
-        r.expect_end()
-        return cls(contract_id, price)
-
 
 @dataclass(frozen=True)
-class RenewBody:
+class RenewBody(Layout):
     charge: int
     paid_through: int
 
-    def encode(self) -> bytes:
-        return Writer().put_uint(self.charge).put_uint(self.paid_through).getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "RenewBody":
-        r = Reader(data)
-        charge = r.take_uint()
-        paid_through = r.take_uint()
-        r.expect_end()
-        return cls(charge, paid_through)
-
 
 @dataclass(frozen=True)
-class ReputationUpdateBody:
+class ReputationUpdateBody(Layout):
     stakeholder: Digest
     score: int
     revoked: bool
     reason: str
 
-    def encode(self) -> bytes:
-        w = Writer().put_bytes(self.stakeholder).put_uint(self.score)
-        w.put_bool(self.revoked).put_str(self.reason)
-        return w.getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ReputationUpdateBody":
-        r = Reader(data)
-        stakeholder = r.take_bytes()
-        score = r.take_uint()
-        revoked = r.take_bool()
-        reason = r.take_str()
-        r.expect_end()
-        return cls(stakeholder, score, revoked, reason)
-
 
 @dataclass(frozen=True)
-class AccessGrantBody:
+class AccessGrantBody(Layout):
     contract_id: Digest
     consumer: Digest
-
-    def encode(self) -> bytes:
-        return Writer().put_bytes(self.contract_id).put_bytes(self.consumer).getvalue()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "AccessGrantBody":
-        r = Reader(data)
-        contract_id = r.take_bytes()
-        consumer = r.take_bytes()
-        r.expect_end()
-        return cls(contract_id, consumer)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .access_control import EncryptedEnvelope, TlpLabel, open_envelope, seal
 from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
@@ -109,9 +109,11 @@ class AgentState:
     revoked_round: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    round_no: int
+class MetricsRow(NamedTuple):
+    """One agent's metrics for one round; the fields, in order, are the
+    columns of metrics.csv and the keys of each metrics.json row."""
+
+    round: int
     agent: str
     reputation: int
     balance: int
@@ -123,49 +125,17 @@ class MetricsRow:
     utility: int
 
 
-CSV_COLUMNS = (
-    "round",
-    "agent",
-    "reputation",
-    "balance",
-    "shares",
-    "verified",
-    "rejected",
-    "consumes",
-    "forfeited",
-    "utility",
-)
-
-
 @dataclass
 class MetricsSeries:
     rows: list[MetricsRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.round_no},{r.agent},{r.reputation},{r.balance},{r.shares},"
-                f"{r.verified},{r.rejected},{r.consumes},{r.forfeited},{r.utility}"
-            )
+        lines = [",".join(MetricsRow._fields)]
+        lines += [",".join(map(str, r)) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_obj(self) -> list[dict]:
-        return [
-            {
-                "round": r.round_no,
-                "agent": r.agent,
-                "reputation": r.reputation,
-                "balance": r.balance,
-                "shares": r.shares,
-                "verified": r.verified,
-                "rejected": r.rejected,
-                "consumes": r.consumes,
-                "forfeited": r.forfeited,
-                "utility": r.utility,
-            }
-            for r in self.rows
-        ]
+        return [dict(zip(MetricsRow._fields, r)) for r in self.rows]
 
 
 @dataclass
@@ -478,7 +448,7 @@ class Engine:
             agent.total_utility += utility
             metrics.rows.append(
                 MetricsRow(
-                    round_no=round_no,
+                    round=round_no,
                     agent=agent.name,
                     reputation=self.contracts.reputation.score_of(agent.sid),
                     balance=self.contracts.market.balance_of(agent.sid),

@@ -1,0 +1,43 @@
+"""Reference copy of the field-by-field canonical writer.
+
+The package encodes with one-shot field helpers (`ctisim.encoding`); tests
+build the bytes those helpers must match with this independent writer.
+"""
+
+import struct
+
+from ctisim.errors import EncodingError
+
+
+class Writer:
+    """Accumulates canonical bytes field by field."""
+
+    def __init__(self):
+        self._parts = []
+
+    def put_uint(self, value):
+        if value < 0:
+            raise EncodingError(f"unsigned field got negative value {value}")
+        self._parts.append(struct.pack(">Q", value))
+        return self
+
+    def put_bytes(self, value):
+        value = bytes(value)
+        self._parts.append(struct.pack(">I", len(value)) + value)
+        return self
+
+    def put_str(self, value):
+        return self.put_bytes(value.encode("utf-8"))
+
+    def put_bool(self, value):
+        self._parts.append(b"\x01" if value else b"\x00")
+        return self
+
+    def put_count(self, n):
+        if n < 0:
+            raise EncodingError("negative collection count")
+        self._parts.append(struct.pack(">I", n))
+        return self
+
+    def getvalue(self):
+        return b"".join(self._parts)

@@ -313,7 +313,7 @@ def test_criterion_07_doi_flood():
     # honest submissions in the flood rounds still reached Verified
     flood_rounds = set(flooder.share_rounds)
     honest_rows = [
-        r for r in result.metrics.rows if r.agent == "honest" and r.round_no in flood_rounds
+        r for r in result.metrics.rows if r.agent == "honest" and r.round in flood_rounds
     ]
     assert honest_rows and all(r.verified == r.shares for r in honest_rows)
     report(7, f"flooder revoked after {len(flooder.share_rounds)} submissions "

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import subprocess
@@ -61,6 +62,19 @@ def test_json_metrics_format(tmp_path):
         "round", "agent", "reputation", "balance", "shares",
         "verified", "rejected", "consumes", "forfeited", "utility",
     }
+
+
+def test_json_metrics_rows_equal_csv_rows(tmp_path):
+    csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+    run_cli("run", "--config", DOI, "--out", str(csv_out))
+    run_cli("run", "--config", DOI, "--out", str(json_out), "--format", "json")
+    with open(csv_out / "metrics.csv", newline="") as fh:
+        header, *csv_rows = list(csv.reader(fh))
+    json_rows = json.loads((json_out / "metrics.json").read_text())
+    assert csv_rows and len(json_rows) == len(csv_rows)
+    for obj, row in zip(json_rows, csv_rows):
+        assert list(obj) == header
+        assert [str(v) for v in obj.values()] == row
 
 
 def test_missing_rounds_field_exits_one(tmp_path, capsys):

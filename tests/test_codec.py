@@ -1,18 +1,22 @@
 """Property tests for the canonical codecs: payload bodies and CTI records.
 
-The record codec is checked against reference copies of the encoder and
-decoder it replaced (a `Writer`-based `record_bytes`, a decoder over a
-slice-taking reader that re-encodes what it parsed to get the id), on
-canonical, non-canonical and mutated bytes.
+Payload bodies are checked against reference encoders written field by
+field with the reference `Writer`. Every body class in `ctisim.payloads`
+must have a strategy and a reference encoder here, so a new body cannot
+ship untested. The record codec is checked against reference copies of the
+encoder and decoder it replaced (a `Writer`-based `record_bytes`, a decoder
+over a slice-taking reader that re-encodes what it parsed to get the id),
+on canonical, non-canonical and mutated bytes.
 """
 
 import struct
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctisim import payloads
 from ctisim.access_control import (
     AttributePolicy,
     TlpChannel,
@@ -33,7 +37,7 @@ from ctisim.cti import (
     record_bytes,
     record_id_for,
 )
-from ctisim.encoding import ZERO_DIGEST, Writer
+from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import EncodingError, PolicyParseError
 from ctisim.payloads import (
     AccessGrantBody,
@@ -45,6 +49,7 @@ from ctisim.payloads import (
     SubmitCtiBody,
     VoteBody,
 )
+from tests.reference_writer import Writer
 
 # --- reference codec ----------------------------------------------------------
 
@@ -223,27 +228,102 @@ loose_records = st.builds(
     created_round=st.integers(min_value=-2, max_value=2**64 + 1),
 )
 
-payload_bodies = st.one_of(
-    st.builds(RegisterBody, stakeholder=digests, roles=st.lists(texts, max_size=3).map(tuple),
-              attributes=st.lists(texts, max_size=3).map(tuple), evidence_digest=digests,
-              secret=blobs, initial_score=uints),
-    st.builds(SubmitCtiBody, contract_id=digests, record_bytes=blobs, deposit=uints,
-              verification_fee=uints, verifiers=st.lists(digests, max_size=4).map(tuple)),
-    st.builds(VoteBody, contract_id=digests, vote=texts),
-    st.builds(FinalizeBody, contract_id=digests, status=texts, score_micro=uints, deposit_state=texts),
-    st.builds(PurchaseBody, contract_id=digests, price=uints),
-    st.builds(RenewBody, charge=uints, paid_through=uints),
-    st.builds(ReputationUpdateBody, stakeholder=digests, score=uints, revoked=st.booleans(), reason=texts),
-    st.builds(AccessGrantBody, contract_id=digests, consumer=digests),
+# --- payload bodies -----------------------------------------------------------
+
+BODY_CLASSES = tuple(
+    obj
+    for obj in vars(payloads).values()
+    if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == payloads.__name__
 )
 
-# --- payload bodies -----------------------------------------------------------
+BODY_STRATEGIES = {
+    RegisterBody: st.builds(
+        RegisterBody, stakeholder=digests, roles=st.lists(texts, max_size=3).map(tuple),
+        attributes=st.lists(texts, max_size=3).map(tuple), evidence_digest=digests,
+        secret=blobs, initial_score=uints),
+    SubmitCtiBody: st.builds(
+        SubmitCtiBody, contract_id=digests, record_bytes=blobs, deposit=uints,
+        verification_fee=uints, verifiers=st.lists(digests, max_size=4).map(tuple)),
+    VoteBody: st.builds(VoteBody, contract_id=digests, vote=texts),
+    FinalizeBody: st.builds(
+        FinalizeBody, contract_id=digests, status=texts, score_micro=uints, deposit_state=texts),
+    PurchaseBody: st.builds(PurchaseBody, contract_id=digests, price=uints),
+    RenewBody: st.builds(RenewBody, charge=uints, paid_through=uints),
+    ReputationUpdateBody: st.builds(
+        ReputationUpdateBody, stakeholder=digests, score=uints, revoked=st.booleans(), reason=texts),
+    AccessGrantBody: st.builds(AccessGrantBody, contract_id=digests, consumer=digests),
+}
+
+
+def ref_register(b):
+    w = Writer().put_bytes(b.stakeholder)
+    w.put_count(len(b.roles))
+    for role in b.roles:
+        w.put_str(role)
+    w.put_count(len(b.attributes))
+    for attr in b.attributes:
+        w.put_str(attr)
+    return w.put_bytes(b.evidence_digest).put_bytes(b.secret).put_uint(b.initial_score).getvalue()
+
+
+def ref_submit(b):
+    w = Writer().put_bytes(b.contract_id).put_bytes(b.record_bytes)
+    w.put_uint(b.deposit).put_uint(b.verification_fee)
+    w.put_count(len(b.verifiers))
+    for v in b.verifiers:
+        w.put_bytes(v)
+    return w.getvalue()
+
+
+REFERENCE_ENCODERS = {
+    RegisterBody: ref_register,
+    SubmitCtiBody: ref_submit,
+    VoteBody: lambda b: Writer().put_bytes(b.contract_id).put_str(b.vote).getvalue(),
+    FinalizeBody: lambda b: (
+        Writer().put_bytes(b.contract_id).put_str(b.status)
+        .put_uint(b.score_micro).put_str(b.deposit_state).getvalue()
+    ),
+    PurchaseBody: lambda b: Writer().put_bytes(b.contract_id).put_uint(b.price).getvalue(),
+    RenewBody: lambda b: Writer().put_uint(b.charge).put_uint(b.paid_through).getvalue(),
+    ReputationUpdateBody: lambda b: (
+        Writer().put_bytes(b.stakeholder).put_uint(b.score)
+        .put_bool(b.revoked).put_str(b.reason).getvalue()
+    ),
+    AccessGrantBody: lambda b: Writer().put_bytes(b.contract_id).put_bytes(b.consumer).getvalue(),
+}
+
+
+def body_strategy(cls):
+    assert cls in BODY_STRATEGIES, f"{cls.__name__} has no Hypothesis strategy"
+    return BODY_STRATEGIES[cls]
+
+
+payload_bodies = st.sampled_from(BODY_CLASSES).flatmap(body_strategy)
+
+
+def test_every_payload_body_has_a_strategy_and_reference_encoder():
+    assert len(BODY_CLASSES) >= 8
+    assert set(BODY_STRATEGIES) == set(BODY_CLASSES)
+    assert set(REFERENCE_ENCODERS) == set(BODY_CLASSES)
+
+
+def test_no_payload_body_defines_its_own_codec():
+    for cls in BODY_CLASSES:
+        assert "encode" not in vars(cls) and "decode" not in vars(cls), cls.__name__
 
 
 @settings(max_examples=300, deadline=None)
 @given(body=payload_bodies)
 def test_payload_body_round_trips(body):
     assert type(body).decode(body.encode()) == body
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=payload_bodies)
+def test_payload_body_matches_reference_encoder(body):
+    data = REFERENCE_ENCODERS[type(body)](body)
+    assert body.encode() == data
+    assert type(body).decode(data) == body
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,6 +335,19 @@ def test_payload_body_cut_or_extended_is_encoding_error(body):
             type(body).decode(data[:cut])
     with pytest.raises(EncodingError):
         type(body).decode(data + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        Writer().put_bytes(ZERO_DIGEST).put_uint(5).getvalue() + b"\x02" + Writer().put_str("r").getvalue(),
+        Writer().put_bytes(ZERO_DIGEST).put_uint(5).put_bool(True).put_bytes(b"\xff").getvalue(),
+    ],
+    ids=["bad-bool", "bad-utf8"],
+)
+def test_payload_body_bad_bool_or_utf8_is_encoding_error(data):
+    with pytest.raises(EncodingError):
+        ReputationUpdateBody.decode(data)
 
 
 # --- CTI records --------------------------------------------------------------

@@ -1,18 +1,12 @@
+from dataclasses import dataclass
+
 import pytest
 
-from ctisim.encoding import Reader, Writer
+from ctisim.encoding import COUNT, Layout, Reader, bytes_field, str_field, uint_field
 from ctisim.errors import EncodingError
 
 
-ALL_KINDS = (
-    Writer()
-    .put_uint(7)
-    .put_bytes(b"\x01\x02")
-    .put_str("hello")
-    .put_bool(True)
-    .put_count(3)
-    .getvalue()
-)
+ALL_KINDS = uint_field(7) + bytes_field(b"\x01\x02") + str_field("hello") + b"\x01" + COUNT.pack(3)
 
 
 def read_all_kinds(data):
@@ -38,26 +32,26 @@ def test_cut_at_any_offset_raises():
 
 
 def test_uint_is_big_endian_fixed_width():
-    assert Writer().put_uint(1).getvalue() == b"\x00" * 7 + b"\x01"
+    assert uint_field(1) == b"\x00" * 7 + b"\x01"
 
 
 def test_bytes_are_length_prefixed():
-    assert Writer().put_bytes(b"ab").getvalue() == b"\x00\x00\x00\x02ab"
+    assert bytes_field(b"ab") == b"\x00\x00\x00\x02ab"
 
 
 def test_negative_uint_rejected():
     with pytest.raises(EncodingError):
-        Writer().put_uint(-1)
+        uint_field(-1)
 
 
 def test_truncated_data_raises():
-    data = Writer().put_bytes(b"abcdef").getvalue()
+    data = bytes_field(b"abcdef")
     with pytest.raises(EncodingError):
         Reader(data[:-2]).take_bytes()
 
 
 def test_trailing_bytes_rejected():
-    data = Writer().put_uint(1).getvalue() + b"\x00"
+    data = uint_field(1) + b"\x00"
     r = Reader(data)
     r.take_uint()
     with pytest.raises(EncodingError):
@@ -71,4 +65,14 @@ def test_bad_bool_byte_rejected():
 
 def test_invalid_utf8_rejected():
     with pytest.raises(EncodingError, match="utf-8"):
-        Reader(Writer().put_bytes(b"\xff\xfe").getvalue()).take_str()
+        Reader(bytes_field(b"\xff\xfe")).take_str()
+
+
+def test_layout_field_without_a_codec_fails_at_class_definition():
+    with pytest.raises(TypeError, match="Quote.price"):
+
+        @dataclass(frozen=True)
+        class Quote(Layout):
+            contract_id: bytes
+            price: float
+

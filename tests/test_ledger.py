@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctisim.encoding import ZERO_DIGEST, Writer
+from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import EmptyTransactionList, InvalidSignature, UnauthorizedSealer
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
 from ctisim.ledger import (
@@ -25,6 +25,7 @@ from ctisim.ledger import (
     sha256,
     verify_chain,
 )
+from tests.reference_writer import Writer
 
 # Pinned once from the pure-python implementation below.
 GENESIS_HEADER_DIGEST = "e0e7fd8de8d4857262cde4e94a5d0ab25921dec05e7d3a9422cc26524d5804a2"
@@ -122,17 +123,33 @@ def build_chain(n_extra_blocks=2):
 
 # --- hash_header ----------------------------------------------------------------
 
+def ref_hash_header(block):
+    w = Writer()
+    w.put_uint(block.height)
+    w.put_bytes(block.prev_hash)
+    w.put_bytes(block.merkle_root)
+    w.put_uint(block.timestamp)
+    w.put_uint(block.nonce)
+    w.put_bytes(block.sealer)
+    return reference_sha256(w.getvalue())
+
+
 def test_genesis_header_matches_reference_implementation():
     g = make_genesis()
-    w = Writer()
-    w.put_uint(g.height)
-    w.put_bytes(g.prev_hash)
-    w.put_bytes(g.merkle_root)
-    w.put_uint(g.timestamp)
-    w.put_uint(g.nonce)
-    w.put_bytes(g.sealer)
-    assert reference_sha256(w.getvalue()).hex() == GENESIS_HEADER_DIGEST
+    assert ref_hash_header(g).hex() == GENESIS_HEADER_DIGEST
     assert hash_header(g).hex() == GENESIS_HEADER_DIGEST
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    uints=st.tuples(*[st.integers(min_value=0, max_value=2**64 - 1)] * 3),
+    digests=st.tuples(*[st.binary(max_size=40)] * 3),
+)
+def test_hash_header_matches_reference_on_random_headers(uints, digests):
+    height, timestamp, nonce = uints
+    prev_hash, root, sealer = digests
+    block = Block(height, prev_hash, root, timestamp, nonce, sealer, ())
+    assert hash_header(block) == ref_hash_header(block)
 
 
 def test_hash_header_deterministic():

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.contracts import Vote
-from ctisim.encoding import ZERO_DIGEST, Writer
+from ctisim.encoding import ZERO_DIGEST
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
 from ctisim.identity import Role
 from ctisim.ledger import sha256, verify_chain
 from ctisim.mining import (
     Campaign,
     MiningParams,
+    _campaign_id,
     _components,
     mine_campaigns,
     verified_technical_records,
@@ -20,6 +21,7 @@ from ctisim.mining import (
 )
 from ctisim.simulation import StrategyKind, run_scenario
 from tests.conftest import agent, basic_crew, make_config
+from tests.reference_writer import Writer
 
 HQ = Vote.HighQuality
 
@@ -191,6 +193,26 @@ def test_mining_is_deterministic():
     b = mine_campaigns(chain, 10, 3, 1)
     assert a == b
     assert [c.campaign_id for c in a] == sorted(c.campaign_id for c in a)
+
+
+def ref_campaign_id(members, params):
+    w = Writer()
+    w.put_count(len(members))
+    for m in sorted(members):
+        w.put_bytes(m)
+    w.put_uint(params.window_rounds)
+    w.put_uint(params.min_support)
+    w.put_uint(params.min_overlap)
+    return sha256(b"campaign:" + w.getvalue())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.lists(st.binary(min_size=32, max_size=32), max_size=6),
+    params=st.builds(MiningParams, *[st.integers(min_value=0, max_value=2**64 - 1)] * 3),
+)
+def test_campaign_id_matches_reference_encoding(members, params):
+    assert _campaign_id(members, params) == ref_campaign_id(members, params)
 
 
 def test_verify_derivation_accepts_fresh_campaigns():

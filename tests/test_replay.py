@@ -113,7 +113,7 @@ def test_chain_fold_reproduces_engine_state():
     # every consume is an on-chain purchase)
     for row in result.metrics.rows:
         sid = next(a.sid for a in result.agents if a.name == row.agent)
-        counters = per_round.get((row.round_no, sid), {})
+        counters = per_round.get((row.round, sid), {})
         assert counters.get("shares", 0) == row.shares
         assert counters.get("verified", 0) == row.verified
         assert counters.get("rejected", 0) == row.rejected

@@ -150,7 +150,7 @@ def test_doi_flooder_exhausts_or_is_revoked_quickly():
     agg = result.summary["aggregates"]
     assert agg["poisoning_rate"] == 0.0
     # the honest record submitted in round 1 still verified
-    honest_rows = [r for r in result.metrics.rows if r.agent == "honest" and r.round_no == 1]
+    honest_rows = [r for r in result.metrics.rows if r.agent == "honest" and r.round == 1]
     assert honest_rows[0].verified == 1
 
 
@@ -274,7 +274,7 @@ def test_discount_realized_at_renewal_shows_in_utility():
     config = make_config(crew, rounds=10, seed=4, economics=economics, utility=utility)
     result = run_scenario(config)
     renewal_row = next(
-        r for r in result.metrics.rows if r.agent == "p" and r.round_no == 10
+        r for r in result.metrics.rows if r.agent == "p" and r.round == 10
     )
     # 10 verified shares accrue 20 discount, fully consumed by the renewal
     assert renewal_row.utility == 20
@@ -297,8 +297,8 @@ def test_paired_runs_differ_by_exactly_the_realized_discount():
 
     on = run_scenario(cfg(2))
     off = run_scenario(cfg(0))
-    utility_on = {r.round_no: r.utility for r in on.metrics.rows if r.agent == "p"}
-    utility_off = {r.round_no: r.utility for r in off.metrics.rows if r.agent == "p"}
+    utility_on = {r.round: r.utility for r in on.metrics.rows if r.agent == "p"}
+    utility_off = {r.round: r.utility for r in off.metrics.rows if r.agent == "p"}
     for round_no in range(1, 10):
         assert utility_on[round_no] == utility_off[round_no]
     assert utility_on[10] - utility_off[10] == 20  # 10 verified shares x discount 2
@@ -309,5 +309,5 @@ def test_reputation_entry_created_at_registration():
     config = make_config(crew, rounds=1, seed=1)
     result = run_scenario(config)
     assert all(
-        row.reputation == 50 for row in result.metrics.rows if row.round_no == 1
+        row.reputation == 50 for row in result.metrics.rows if row.round == 1
     )
