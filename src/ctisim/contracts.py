@@ -297,7 +297,6 @@ class ContractSystem:
     def submit_report(
         self, producer: Digest, record: CtiRecord, rng: random.Random
     ) -> tuple[ReportContract, list[Transaction]]:
-        cred = self.registry.get(producer)
         if not self.reputation.is_trusted(producer):
             raise BelowTrustThreshold(
                 f"score {self.reputation.score_of(producer)} < {self.policy.trust_threshold}"
@@ -339,8 +338,7 @@ class ContractSystem:
             verification_fee=fee,
             verifiers=verifiers,
         )
-        tx = Transaction.create(producer, TxKind.SubmitCti, body.encode(), cred.secret)
-        return contract, [tx]
+        return contract, [self.registry.sign(producer, TxKind.SubmitCti, body.encode())]
 
     # -- voting ----------------------------------------------------------
 
@@ -354,10 +352,9 @@ class ContractSystem:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
             raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
-        cred = self.registry.get(verifier)
         contract.votes[verifier] = vote
         body = VoteBody(contract_id=contract_id, vote=vote.value)
-        return [Transaction.create(verifier, TxKind.Vote, body.encode(), cred.secret)]
+        return [self.registry.sign(verifier, TxKind.Vote, body.encode())]
 
     # -- finalization ----------------------------------------------------
 
@@ -430,17 +427,13 @@ class ContractSystem:
             self._split_escrow(contract.verification_fee, contract.assigned_verifiers, payouts)
 
         # (f) on-chain result + any threshold revocations
-        txs: list[Transaction] = []
-        auth_cred = self.registry.get(self.authority)
         body = FinalizeBody(
             contract_id=contract_id,
             status=contract.status.value,
             score_micro=int(round(pi.score * 1_000_000)),
             deposit_state=contract.deposit_state.value,
         )
-        txs.append(
-            Transaction.create(self.authority, TxKind.FinalizeVerification, body.encode(), auth_cred.secret)
-        )
+        txs = [self.registry.sign(self.authority, TxKind.FinalizeVerification, body.encode())]
 
         revoked: list[Digest] = []
         for sid in [producer, *contract.assigned_verifiers]:
@@ -453,9 +446,7 @@ class ContractSystem:
                     revoked=True,
                     reason="reputation below trust threshold",
                 )
-                txs.append(
-                    Transaction.create(self.authority, TxKind.ReputationUpdate, rb.encode(), auth_cred.secret)
-                )
+                txs.append(self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode()))
 
         outcome = VerificationOutcome(
             status=contract.status,
@@ -500,16 +491,10 @@ class ContractSystem:
             raise AccessDenied(consumer.hex()[:12])
 
         self.market.transfer(consumer, record.producer, price)
-        auth_cred = self.registry.get(self.authority)
         txs = [
-            Transaction.create(
-                consumer, TxKind.Purchase, PurchaseBody(contract_id, price).encode(), cred.secret
-            ),
-            Transaction.create(
-                self.authority,
-                TxKind.AccessGrant,
-                AccessGrantBody(contract_id, consumer).encode(),
-                auth_cred.secret,
+            self.registry.sign(consumer, TxKind.Purchase, PurchaseBody(contract_id, price).encode()),
+            self.registry.sign(
+                self.authority, TxKind.AccessGrant, AccessGrantBody(contract_id, consumer).encode()
             ),
         ]
         return price, txs
@@ -531,7 +516,5 @@ class ContractSystem:
             self.market.transfer(user, self.authority, charge)
         sub.accrued_discount[user] = 0
         sub.paid_through[user] = sub.paid_through[user] + self.economics.period_rounds
-        cred = self.registry.get(user)
         body = RenewBody(charge=charge, paid_through=sub.paid_through[user])
-        tx = Transaction.create(user, TxKind.RenewSubscription, body.encode(), cred.secret)
-        return charge, [tx]
+        return charge, [self.registry.sign(user, TxKind.RenewSubscription, body.encode())]

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
-from .encoding import COUNT, ZERO_DIGEST, Digest, Reader, bytes_field, str_field, uint_field
+from .encoding import COUNT, ZERO_DIGEST, Digest, Reader, bytes_field, bytes_seq_field, str_field, uint_field
 from .errors import EncodingError, PolicyParseError
 from .ledger import sha256
 
@@ -179,9 +179,7 @@ def _canonical_bytes(
     for ioc in indicators:
         parts += (_TAG[ioc.kind], str_field(ioc.value), uint_field(ioc.observed_round))
     parts += (bytes_field(narrative_digest), _TAG[tlp.channel])
-    designated = sorted(tlp.designated) if tlp.designated else ()
-    parts.append(_pack_count(len(designated)))
-    parts += map(bytes_field, designated)
+    parts.append(bytes_seq_field(sorted(tlp.designated) if tlp.designated else ()))
     if policy is None:
         parts.append(b"\x00")
     else:
@@ -273,7 +271,7 @@ def decode_record(data: bytes) -> CtiRecord:
     )
     narrative = r.take_bytes()
     channel = _member(_CHANNEL, r.take_str(), "TLP channel")
-    entries = [r.take_bytes() for _ in range(r.take_count())]
+    entries = r.take_bytes_seq()
     designated = None
     canonical = True
     if entries:
@@ -281,7 +279,7 @@ def decode_record(data: bytes) -> CtiRecord:
             canonical = False
         else:
             designated = frozenset(entries)
-            canonical = len(designated) == len(entries) and entries == sorted(entries)
+            canonical = len(designated) == len(entries) and entries == tuple(sorted(entries))
     policy = None
     if r.take_bool():
         text = r.take_str()

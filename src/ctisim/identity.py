@@ -1,9 +1,15 @@
-"""Authority-mediated registration of pseudonymous stakeholders.
+"""Authority-mediated registration of pseudonymous stakeholders, and signing.
 
 Identity proofs are abstracted to an evidence digest; a registration is
 accepted whenever the digest is non-empty. Stakeholder ids and signing
 secrets are derived deterministically from the evidence digest so that a
 scenario replays byte-identically.
+
+The Registry is the one place that signs: `Registry.sign` signs a
+transaction with its author's credential secret and remembers the object
+until it is sealed. When sealing, `authenticate_committed` trusts exactly
+those objects and re-derives the id and signature of every other
+transaction (hand-built, copied or signed elsewhere).
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ class Registry:
         # credentials are only revoked, never removed, so this only grows.
         self.verifier_ids: list[Digest] = []
         self.initial_score = initial_score
+        # Transactions this registry signed and no block has sealed yet.
+        self._unsealed: dict[Digest, Transaction] = {}
 
     def get(self, stakeholder: Digest) -> Credential:
         try:
@@ -86,10 +94,10 @@ class Registry:
         auth_cred = self.credentials.get(authority)
         if auth_cred is None or auth_cred.revoked or Role.Authority not in auth_cred.roles:
             raise NotAnAuthority(f"{authority.hex()[:12]} is not an acting authority")
-        return self._issue(proof, author=auth_cred, round_no=round_no)
+        return self._issue(proof, author=authority, round_no=round_no)
 
     def _issue(
-        self, proof: ProofOfIdentity, author: Optional[Credential], round_no: int
+        self, proof: ProofOfIdentity, author: Optional[Digest], round_no: int
     ) -> tuple[Credential, Transaction]:
         if not proof.claimed_roles:
             raise NotAnAuthority("credential must claim at least one role")
@@ -118,22 +126,36 @@ class Registry:
             secret=secret,
             initial_score=self.initial_score,
         )
-        signer = author if author is not None else cred
-        tx = Transaction.create(signer.stakeholder, TxKind.Register, body.encode(), signer.secret)
-        return cred, tx
+        # the bootstrap authority (author None) signs its own registration
+        return cred, self.sign(sid if author is None else author, TxKind.Register, body.encode())
 
     def revoke(self, stakeholder: Digest) -> None:
         """Revoke a credential whose reputation fell below the trust
         threshold. Idempotent."""
         self.get(stakeholder).revoked = True
 
-    def authenticate_committed(self, author: Digest, payload: bytes, signature: bytes) -> bool:
-        """Position-independent check used when sealing already-authored
-        transactions; revocation ordering is handled by chain replay."""
-        cred = self.credentials.get(author)
-        if cred is None:
-            return False
-        return signature == keyed_digest(cred.secret, payload)
+    def sign(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
+        """A transaction signed with the author's credential secret."""
+        tx = Transaction.create(author, kind, payload, self.get(author).secret)
+        self._unsealed[tx.tx_id] = tx
+        return tx
+
+    def authenticate_committed(self, tx: Transaction) -> bool:
+        """Whether tx's id and signature are its author's, for sealing.
+
+        The very object `sign` returned, not yet sealed, is trusted as
+        signed; any other transaction has its id and keyed signature
+        re-derived. Position-independent: revocation ordering is handled by
+        chain replay.
+        """
+        if self._unsealed.pop(tx.tx_id, None) is tx:
+            return True
+        cred = self.credentials.get(tx.author)
+        return (
+            cred is not None
+            and tx.tx_id == Transaction.compute_id(tx.author, tx.kind, tx.payload)
+            and tx.signature == keyed_digest(cred.secret, tx.payload)
+        )
 
     def is_authority(self, stakeholder: Digest) -> bool:
         cred = self.credentials.get(stakeholder)

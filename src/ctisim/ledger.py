@@ -5,9 +5,16 @@ timestamps are round numbers, never wall clock, and the header nonce is
 always 0 (sealing is by authority, not by proof of work). Tamper evidence
 comes from three commitments: transaction ids (hash of author, kind and
 payload), per-block Merkle roots over transaction ids, and the
-previous-header hash carried by every block. verify_chain replays the whole
-chain, rebuilding the credential map from Register payloads so that a bare
-dump can be re-verified with no out-of-band state.
+previous-header hash carried by every block.
+
+Transactions are signed in one place, `identity.Registry.sign`. Sealing
+(`append_block`) asks an authenticator for each transaction's id and
+signature; the registry's authenticator trusts the unsealed objects it
+signed itself and re-derives both digests for every other transaction.
+verify_chain trusts nothing: it replays the whole chain, re-deriving every
+id, Merkle root and signature and rebuilding the credential map from
+Register payloads, so that a bare dump can be re-verified with no
+out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .encoding import ZERO_DIGEST, Digest, bytes_field, str_field, uint_field
+from .encoding import COUNT, ZERO_DIGEST, Digest, bytes_field, str_field, uint_field
 from .errors import (
     EmptyTransactionList,
     EncodingError,
@@ -32,10 +39,12 @@ from .errors import (
 )
 from .payloads import RegisterBody, ReputationUpdateBody
 
+_sha256 = hashlib.sha256
+_pack_count = COUNT.pack
 
 
 def sha256(data: bytes) -> Digest:
-    return hashlib.sha256(data).digest()
+    return _sha256(data).digest()
 
 
 def keyed_digest(secret: bytes, payload: bytes) -> bytes:
@@ -44,7 +53,7 @@ def keyed_digest(secret: bytes, payload: bytes) -> bytes:
     The digest is over the canonical encoding of (secret, payload): two
     byte-string fields.
     """
-    return hashlib.sha256(bytes_field(secret) + bytes_field(payload)).digest()
+    return _sha256(_pack_count(len(secret)) + secret + _pack_count(len(payload)) + payload).digest()
 
 
 class TxKind(Enum):
@@ -73,18 +82,23 @@ class Transaction:
     @staticmethod
     def compute_id(author: Digest, kind: TxKind, payload: bytes) -> Digest:
         """Digest of the canonical encoding of (author, kind name, payload)."""
-        return hashlib.sha256(
-            b"".join((bytes_field(author), _KIND_TAG[kind], bytes_field(payload)))
+        return _sha256(
+            _pack_count(len(author)) + author + _KIND_TAG[kind] + _pack_count(len(payload)) + payload
         ).digest()
 
     @classmethod
     def create(cls, author: Digest, kind: TxKind, payload: bytes, secret: bytes) -> "Transaction":
+        """A transaction with its compute_id and its keyed_digest signature.
+
+        Both digests end with the payload's byte-string field, built once.
+        """
+        payload_field = _pack_count(len(payload)) + payload
         return cls(
-            tx_id=cls.compute_id(author, kind, payload),
+            tx_id=_sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest(),
             author=author,
             kind=kind,
             payload=payload,
-            signature=keyed_digest(secret, payload),
+            signature=_sha256(_pack_count(len(secret)) + secret + payload_field).digest(),
         )
 
 
@@ -133,7 +147,7 @@ def merkle_root(transactions: Iterable[Transaction]) -> Digest:
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
-        level = [sha256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = [_sha256(left + right).digest() for left, right in zip(level[::2], level[1::2])]
     return level[0]
 
 
@@ -151,7 +165,9 @@ def hash_header(block: Block) -> Digest:
     )
 
 
-Authenticator = Callable[[Digest, bytes, bytes], bool]
+# Whether a transaction's id and signature are its author's (see
+# identity.Registry.authenticate_committed).
+Authenticator = Callable[[Transaction], bool]
 
 
 def append_block(
@@ -165,18 +181,19 @@ def append_block(
 ) -> Block:
     """Seal a new block onto the chain.
 
-    The authenticator checks each committed signature against the author's
-    credential secret. It is position-independent on purpose: a round's
-    block may contain transactions authored just before a same-round
-    revocation, and revocation ordering is enforced at transaction creation
-    time and by verify_chain replay.
+    The authenticator answers for each transaction's id and signature; any
+    transaction it refuses raises InvalidSignature. The registry's
+    authenticator takes the objects it signed itself as they are and
+    re-derives both digests for any other transaction. It is
+    position-independent on purpose: a round's block may contain
+    transactions authored just before a same-round revocation, and
+    revocation ordering is enforced at transaction creation time and by
+    verify_chain replay.
     """
     if not txs and not allow_empty:
         raise EmptyTransactionList("only heartbeat blocks may be empty")
     for tx in txs:
-        if tx.tx_id != Transaction.compute_id(tx.author, tx.kind, tx.payload):
-            raise InvalidSignature(tx.tx_id)
-        if not authenticator(tx.author, tx.payload, tx.signature):
+        if not authenticator(tx):
             raise InvalidSignature(tx.tx_id)
     if not is_authority(sealer):
         raise UnauthorizedSealer(f"sealer {sealer.hex()[:12]} lacks authority")
@@ -206,8 +223,12 @@ def verify_chain(chain: Chain) -> VerificationReport:
 
     Rebuilds credentials from Register payloads in chain order, so every
     signature (including the bootstrap self-registration) is recheckable
-    from the dump alone. Revocations recorded on-chain invalidate any later
-    transaction by the revoked author.
+    from the dump alone. Registrations follow identity.Registry's rules: a
+    self-registration only as the first credential and with the Authority
+    role, any other only by an author holding the Authority role.
+    Revocations recorded on-chain invalidate any later transaction by the
+    revoked author, and any block it seals from the one that records its
+    revocation on.
     """
     if not chain.blocks:
         return VerificationReport(False, 0, "missing genesis block")
@@ -253,9 +274,15 @@ def verify_chain(chain: Chain) -> VerificationReport:
                 if tx.author in revoked:
                     return bad("transaction by revoked author")
                 if tx.author in secrets:
+                    if "Authority" not in roles[tx.author]:
+                        return bad("Register by an author without the Authority role")
                     expected = keyed_digest(secrets[tx.author], tx.payload)
                 elif tx.author == body.stakeholder:
                     # Bootstrap: the first authority self-registers.
+                    if secrets:
+                        return bad("self-registration on a non-empty registry")
+                    if "Authority" not in body.roles:
+                        return bad("self-registration without the Authority role")
                     expected = keyed_digest(body.secret, tx.payload)
                 else:
                     return bad("Register by unregistered author")
@@ -282,6 +309,8 @@ def verify_chain(chain: Chain) -> VerificationReport:
 
         if i > 0 and "Authority" not in roles.get(block.sealer, set()):
             return bad("sealer lacks Authority role")
+        if block.sealer in revoked:
+            return bad("sealer revoked")
         prev_timestamp = block.timestamp
 
     return VerificationReport(True)

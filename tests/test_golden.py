@@ -1,8 +1,9 @@
 """Golden output digests of the bundled scenarios.
 
 Each scenario runs at its config seed and must write byte-identical
-chain.json, summary.json and metrics.csv. A change that is meant to move
-these bytes updates the table and says so in CHANGES.md.
+chain.json, summary.json and metrics.csv, and its chain.json must verify
+VALID. A change that is meant to move these bytes updates the table and
+says so in CHANGES.md.
 """
 
 import hashlib
@@ -10,6 +11,7 @@ import hashlib
 import pytest
 
 from ctisim.cli import main
+from ctisim.ledger import chain_from_json, verify_chain
 from tests.conftest import SCENARIO_DIR
 
 GOLDEN = {
@@ -54,3 +56,4 @@ def test_bundled_scenario_outputs_match_golden_digests(scenario, tmp_path, monke
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
+    assert verify_chain(chain_from_json((out / "chain.json").read_text(encoding="utf-8"))).valid

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from ctisim import identity
 from ctisim.errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
-from ctisim.ledger import TxKind, keyed_digest
+from ctisim.ledger import Transaction, TxKind, keyed_digest
 
 
 def proof(name, roles, attributes=()):
@@ -53,18 +56,45 @@ def test_registration_requires_roles_and_evidence(registry):
         reg.register(ProofOfIdentity(frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
 
 
+def signed_as(author, payload, signature):
+    """A hand-built transaction whose id is right, so only its signature can fail."""
+    return Transaction(
+        Transaction.compute_id(author, TxKind.Vote, payload), author, TxKind.Vote, payload, signature
+    )
+
+
 def test_sign_then_verify(registry):
     reg, auth = registry
     cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
 
     payload = b"hello"
     sig = keyed_digest(cred.secret, payload)
-    assert reg.authenticate_committed(cred.stakeholder, payload, sig)
-    assert not reg.authenticate_committed(cred.stakeholder, payload + b"!", sig)
+    assert reg.authenticate_committed(signed_as(cred.stakeholder, payload, sig))
+    assert not reg.authenticate_committed(signed_as(cred.stakeholder, payload + b"!", sig))
     flipped = bytes([payload[0] ^ 1]) + payload[1:]
-    assert not reg.authenticate_committed(cred.stakeholder, flipped, sig)
-    assert not reg.authenticate_committed(auth.stakeholder, payload, sig)
-    assert not reg.authenticate_committed(b"\x00" * 32, payload, sig)
+    assert not reg.authenticate_committed(signed_as(cred.stakeholder, flipped, sig))
+    assert not reg.authenticate_committed(signed_as(auth.stakeholder, payload, sig))
+    assert not reg.authenticate_committed(signed_as(b"\x00" * 32, payload, sig))
+
+
+def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(registry, monkeypatch):
+    reg, auth = registry
+    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
+    assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello", cred.secret)
+    fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
+    rederived = []
+    monkeypatch.setattr(identity, "keyed_digest", lambda *a: rederived.append(a) or keyed_digest(*a))
+
+    assert reg.authenticate_committed(fresh) and rederived == []
+    # once sealed, the same object is re-derived like any other
+    assert reg.authenticate_committed(fresh) and len(rederived) == 1
+    assert not reg.authenticate_committed(replace(tx, signature=b"\x00" * 32))
+    # that forgery shared tx's id, so the original is now re-derived too
+    assert reg.authenticate_committed(tx) and len(rederived) == 3
+    assert reg.authenticate_committed(replace(tx))
+    with pytest.raises(UnknownStakeholder):
+        reg.sign(b"\x00" * 32, TxKind.Vote, b"hello")
 
 
 def test_revoke_is_idempotent(registry):

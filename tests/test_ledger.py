@@ -197,6 +197,35 @@ def test_append_rejects_corrupted_signature():
         append_block(chain, [bad], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
 
 
+def test_append_rejects_wrong_tx_id_with_right_signature():
+    reg, auth, user, _ = fresh_registry()
+    tx = tx_by(user)
+    bad = Transaction(sha256(b"another id"), tx.author, tx.kind, tx.payload, tx.signature)
+    with pytest.raises(InvalidSignature):
+        append_block(Chain.new(), [bad], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+
+
+def test_append_rejects_signature_with_another_stakeholders_secret():
+    reg, auth, user, _ = fresh_registry()
+    payload = tx_by(user).payload
+    bad = Transaction.create(user.stakeholder, TxKind.ReputationUpdate, payload, auth.secret)
+    with pytest.raises(InvalidSignature):
+        append_block(Chain.new(), [bad], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+
+
+@pytest.mark.parametrize(
+    "change", [{"payload": b"forged"}, {"signature": b"\x00" * 32}], ids=["payload", "signature"]
+)
+def test_append_rejects_altered_copy_of_registry_signed_tx(change):
+    reg, auth, user, _ = fresh_registry()
+    signed = reg.sign(user.stakeholder, TxKind.ReputationUpdate, tx_by(user).payload)
+    with pytest.raises(InvalidSignature):
+        append_block(
+            Chain.new(), [replace(signed, **change)], auth.stakeholder,
+            reg.authenticate_committed, reg.is_authority, timestamp=0,
+        )
+
+
 def test_append_rejects_non_authority_sealer():
     reg, auth, user, _ = fresh_registry()
     chain = Chain.new()
@@ -289,6 +318,81 @@ def test_verify_flags_revoked_author_after_revocation_tx():
     report = verify_chain(chain)
     assert not report.valid
     assert report.first_bad_height == 3
+
+
+def link(chain, txs, sealer, timestamp):
+    """Append a block with none of append_block's checks, as a forger could."""
+    append_block(chain, txs, sealer, lambda tx: True, lambda sid: True, timestamp, allow_empty=True)
+
+
+def registration(name, roles, signer=None):
+    """A Register transaction for a new stakeholder, with its id and secret.
+
+    `signer` is the signing credential; None makes a self-registration.
+    """
+    from ctisim.identity import derive_secret, stakeholder_id
+    from ctisim.payloads import RegisterBody
+
+    evidence = evidence_for(name)
+    sid, secret = stakeholder_id(evidence), derive_secret(evidence)
+    body = RegisterBody(sid, tuple(sorted(roles)), (), evidence, secret, 50).encode()
+    if signer is None:
+        tx = Transaction.create(sid, TxKind.Register, body, secret)
+    else:
+        tx = Transaction.create(signer.stakeholder, TxKind.Register, body, signer.secret)
+    return tx, sid, secret
+
+
+def test_verify_flags_self_registered_authority_on_non_empty_registry():
+    chain, reg, auth, user = build_chain(0)
+    stranger_tx, stranger, stranger_secret = registration("stranger", ["Authority"])
+    link(chain, [stranger_tx], auth.stakeholder, timestamp=1)
+    payload = tx_by(user).payload
+    link(chain, [Transaction.create(stranger, TxKind.ReputationUpdate, payload, stranger_secret)], stranger, 2)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == 2
+    assert report.reason == "self-registration on a non-empty registry"
+
+
+def test_verify_flags_bootstrap_without_authority_role():
+    chain = Chain.new()
+    tx, first, _ = registration("first", ["Producer"])
+    link(chain, [tx], first, timestamp=0)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == 1
+    assert report.reason == "self-registration without the Authority role"
+
+
+def test_verify_flags_register_by_a_producer():
+    chain, reg, auth, user = build_chain(0)
+    tx, _, _ = registration("rogue", ["Authority"], signer=user)
+    link(chain, [tx], auth.stakeholder, timestamp=1)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == 2
+    assert report.reason == "Register by an author without the Authority role"
+
+
+def test_verify_flags_block_sealed_by_revoked_authority():
+    from ctisim.payloads import ReputationUpdateBody
+
+    chain, reg, auth, user = build_chain(0)
+    second, second_tx = reg.register(
+        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("second")), auth.stakeholder
+    )
+    append_block(chain, [second_tx], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
+    revoke = ReputationUpdateBody(second.stakeholder, 20, True, "threshold").encode()
+    append_block(
+        chain, [reg.sign(auth.stakeholder, TxKind.ReputationUpdate, revoke)], auth.stakeholder,
+        reg.authenticate_committed, reg.is_authority, timestamp=2,
+    )
+    link(chain, [tx_by(auth)], second.stakeholder, timestamp=3)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == 4
+    assert report.reason == "sealer revoked"
 
 
 def test_verify_flags_unregistered_author():
@@ -428,8 +532,12 @@ def test_chain_json_matches_json_dumps_property(chain):
 )
 def test_one_shot_digests_match_writer_encoding(author, kind, payload, secret):
     expected_id = sha256(Writer().put_bytes(author).put_str(kind.value).put_bytes(payload).getvalue())
+    expected_signature = sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue())
     assert Transaction.compute_id(author, kind, payload) == expected_id
-    assert keyed_digest(secret, payload) == sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue())
+    assert keyed_digest(secret, payload) == expected_signature
+    assert Transaction.create(author, kind, payload, secret) == Transaction(
+        expected_id, author, kind, payload, expected_signature
+    )
 
 
 def test_verify_rejects_empty_chain():
