@@ -3,11 +3,13 @@
 A record's id is the digest of its canonical bytes (`record_bytes`); a
 decoded record's id is that of the canonical bytes of what was decoded,
 whatever spelling the input used. Decoding raises EncodingError, and
-nothing else, for input that does not decode to a record. Two fields never
-serialize: ground_truth (the simulation's hidden oracle for measuring
-verifier behavior) and each indicator's campaign_hint (a hidden generator
-label used only to score the miner). Nothing agent-visible or on-chain may
-carry either.
+nothing else, for input that does not decode to a record. It parses each
+distinct policy text once (the last `POLICY_MEMO_SIZE` are kept), and
+re-encodes only non-canonical input. Two fields never serialize:
+ground_truth (the simulation's hidden oracle for measuring verifier
+behavior) and each indicator's campaign_hint (a hidden generator label used
+only to score the miner). Nothing agent-visible or on-chain may carry
+either.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
@@ -158,6 +161,8 @@ _LEVEL = {lv.value: lv for lv in IntelLevel}
 _IOC_KIND = {k.value: k for k in IocKind}
 _CHANNEL = {c.value: c for c in TlpChannel}
 
+POLICY_MEMO_SIZE = 256  # policy texts decode_record keeps parsed, least recent out first
+
 
 def _canonical_bytes(
     producer: Digest,
@@ -251,6 +256,18 @@ def _member(table: dict, name: str, field: str):
     return member
 
 
+@lru_cache(maxsize=POLICY_MEMO_SIZE)
+def _decoded_policy(text: str) -> tuple[AttributePolicy, bool]:
+    """A record's policy text parsed, and whether the text is its canonical
+    spelling. Memoised by text: records repeat a few policies, and a parsed
+    policy is immutable. A failed parse raises and so is not cached."""
+    try:
+        policy = parse_policy(text)
+    except PolicyParseError as exc:
+        raise EncodingError(f"bad policy in record: {exc}") from None
+    return policy, policy_to_string(policy) == text
+
+
 def decode_record(data: bytes) -> CtiRecord:
     """Inverse of record_bytes; hidden fields come back unknown (None).
 
@@ -282,12 +299,8 @@ def decode_record(data: bytes) -> CtiRecord:
             canonical = len(designated) == len(entries) and entries == tuple(sorted(entries))
     policy = None
     if r.take_bool():
-        text = r.take_str()
-        try:
-            policy = parse_policy(text)
-            canonical = canonical and policy_to_string(policy) == text
-        except PolicyParseError as exc:
-            raise EncodingError(f"bad policy in record: {exc}") from None
+        policy, spelled_canonically = _decoded_policy(r.take_str())
+        canonical = canonical and spelled_canonically
     sale_price = r.take_uint() if r.take_bool() else None
     created_round = r.take_uint()
     r.expect_end()
@@ -297,15 +310,6 @@ def decode_record(data: bytes) -> CtiRecord:
             producer, category, level, indicators, narrative, tlp, policy, sale_price, created_round
         )
     return CtiRecord(
-        record_id=record_id_for(data),
-        producer=producer,
-        category=category,
-        level=level,
-        indicators=indicators,
-        narrative_digest=narrative,
-        tlp=tlp,
-        policy=policy,
-        sale_price=sale_price,
-        created_round=created_round,
-        ground_truth=None,
+        record_id_for(data), producer, category, level, indicators, narrative, tlp, policy, sale_price,
+        created_round,
     )

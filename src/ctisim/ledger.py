@@ -12,14 +12,15 @@ Transactions are signed in one place, `identity.Registry.sign`. Sealing
 signature; the registry's authenticator trusts the unsealed objects it
 signed itself and re-derives both digests for every other transaction.
 verify_chain trusts nothing: it replays the whole chain, re-deriving every
-id, Merkle root and signature and rebuilding the credential map from
-Register payloads, so that a bare dump can be re-verified with no
-out-of-band state.
+id, Merkle root and signature and rebuilding the credentials and the set of
+authorities from Register payloads, so that a bare dump can be re-verified
+with no out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
 (integer fields, hex-encoded byte fields, the transaction kind by name).
-chain_to_json emits those bytes directly and chain_from_json reads them.
+chain_to_json emits those bytes directly; chain_from_json reads them with
+json.loads and a kind-name table.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ class TxKind(Enum):
 
 # each kind's name, encoded as a string field
 _KIND_TAG = {kind: str_field(kind.value) for kind in TxKind}
+# each kind by its name, as chain.json spells it
+_KIND_BY_NAME = {kind.value: kind for kind in TxKind}
+# Kinds bound once (`TxKind.X` goes through the Enum metaclass). The
+# authority's kinds are a tuple: membership is an identity scan, not calls
+# to the Enum's Python-level __hash__.
+_REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
+_AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
 
 
 @dataclass(frozen=True)
@@ -93,13 +101,9 @@ class Transaction:
         Both digests end with the payload's byte-string field, built once.
         """
         payload_field = _pack_count(len(payload)) + payload
-        return cls(
-            tx_id=_sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest(),
-            author=author,
-            kind=kind,
-            payload=payload,
-            signature=_sha256(_pack_count(len(secret)) + secret + payload_field).digest(),
-        )
+        tx_id = _sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest()
+        signature = _sha256(_pack_count(len(secret)) + secret + payload_field).digest()
+        return cls(tx_id, author, kind, payload, signature)
 
 
 @dataclass(frozen=True)
@@ -226,15 +230,18 @@ def verify_chain(chain: Chain) -> VerificationReport:
     from the dump alone. Registrations follow identity.Registry's rules: a
     self-registration only as the first credential and with the Authority
     role, any other only by an author holding the Authority role.
-    Revocations recorded on-chain invalidate any later transaction by the
-    revoked author, and any block it seals from the one that records its
-    revocation on.
+    FinalizeVerification, ReputationUpdate and AccessGrant are the
+    authority's kinds: one by an author without the Authority role is
+    invalid, so only an authority can record a revocation. Revocations
+    recorded on-chain invalidate any later transaction by the revoked
+    author, and any block it seals from the one that records its revocation
+    on.
     """
     if not chain.blocks:
         return VerificationReport(False, 0, "missing genesis block")
 
     secrets: dict[Digest, bytes] = {}
-    roles: dict[Digest, set[str]] = {}
+    authorities: set[Digest] = set()
     revoked: set[Digest] = set()
     prev_timestamp = 0
 
@@ -264,50 +271,59 @@ def verify_chain(chain: Chain) -> VerificationReport:
             return bad("nonzero nonce")
 
         for tx in block.transactions:
-            if tx.tx_id != Transaction.compute_id(tx.author, tx.kind, tx.payload):
+            author, kind, payload = tx.author, tx.kind, tx.payload
+            # The payload's byte-string field ends both the id and the
+            # signature preimage (see Transaction.create).
+            payload_field = _pack_count(len(payload)) + payload
+            tx_id = _sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest()
+            if tx.tx_id != tx_id:
                 return bad("transaction id mismatch")
-            if tx.kind is TxKind.Register:
+            if kind is _REGISTER:
                 try:
-                    body = RegisterBody.decode(tx.payload)
+                    body = RegisterBody.decode(payload)
                 except EncodingError:
                     return bad("malformed Register payload")
-                if tx.author in revoked:
+                if author in revoked:
                     return bad("transaction by revoked author")
-                if tx.author in secrets:
-                    if "Authority" not in roles[tx.author]:
+                if author in secrets:
+                    if author not in authorities:
                         return bad("Register by an author without the Authority role")
-                    expected = keyed_digest(secrets[tx.author], tx.payload)
-                elif tx.author == body.stakeholder:
+                    secret = secrets[author]
+                elif author == body.stakeholder:
                     # Bootstrap: the first authority self-registers.
                     if secrets:
                         return bad("self-registration on a non-empty registry")
                     if "Authority" not in body.roles:
                         return bad("self-registration without the Authority role")
-                    expected = keyed_digest(body.secret, tx.payload)
+                    secret = body.secret
                 else:
                     return bad("Register by unregistered author")
-                if tx.signature != expected:
+                if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
                     return bad("bad Register signature")
                 if body.stakeholder in secrets:
                     return bad("duplicate registration")
                 secrets[body.stakeholder] = body.secret
-                roles[body.stakeholder] = set(body.roles)
+                if "Authority" in body.roles:
+                    authorities.add(body.stakeholder)
             else:
-                if tx.author not in secrets:
+                secret = secrets.get(author)
+                if secret is None:
                     return bad("transaction by unregistered author")
-                if tx.author in revoked:
+                if author in revoked:
                     return bad("transaction by revoked author")
-                if tx.signature != keyed_digest(secrets[tx.author], tx.payload):
+                if kind in _AUTHORITY_KINDS and author not in authorities:
+                    return bad(f"{kind.value} by an author without the Authority role")
+                if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
                     return bad("bad signature")
-                if tx.kind is TxKind.ReputationUpdate:
+                if kind is _REPUTATION_UPDATE:
                     try:
-                        body = ReputationUpdateBody.decode(tx.payload)
+                        body = ReputationUpdateBody.decode(payload)
                     except EncodingError:
                         return bad("malformed ReputationUpdate payload")
                     if body.revoked:
                         revoked.add(body.stakeholder)
 
-        if i > 0 and "Authority" not in roles.get(block.sealer, set()):
+        if i > 0 and block.sealer not in authorities:
             return bad("sealer lacks Authority role")
         if block.sealer in revoked:
             return bad("sealer revoked")
@@ -382,37 +398,44 @@ def chain_to_json(chain: Chain) -> str:
     return "[\n" + ",\n".join(map(_block_to_json, chain.blocks)) + "\n]\n"
 
 
+def _int(value) -> int:
+    """A dump's integer field: JSON integers only, not floats or strings."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def chain_from_json(text: str) -> Chain:
+    """Read a chain.json dump back; raises EncodingError, and nothing else,
+    for a malformed one (a value of the wrong JSON type, a missing key, an
+    unknown kind, a non-integer where an integer belongs, bad hex)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise EncodingError(f"unparseable chain dump: {exc}") from exc
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         raise EncodingError("chain dump must be a JSON array of blocks")
+    kinds = _KIND_BY_NAME
+    unhex = bytes.fromhex
     blocks: list[Block] = []
     try:
         for rb in raw:
-            txs = tuple(
+            rtxs = rb["transactions"]
+            if type(rtxs) is not list:
+                raise TypeError("transactions must be a list")
+            txs = tuple([
                 Transaction(
-                    tx_id=bytes.fromhex(rt["tx_id"]),
-                    author=bytes.fromhex(rt["author"]),
-                    kind=TxKind(rt["kind"]),
-                    payload=bytes.fromhex(rt["payload"]),
-                    signature=bytes.fromhex(rt["signature"]),
+                    unhex(rt["tx_id"]), unhex(rt["author"]), kinds[rt["kind"]], unhex(rt["payload"]),
+                    unhex(rt["signature"]),
                 )
-                for rt in rb["transactions"]
-            )
+                for rt in rtxs
+            ])
             blocks.append(
                 Block(
-                    height=int(rb["height"]),
-                    prev_hash=bytes.fromhex(rb["prev_hash"]),
-                    merkle_root=bytes.fromhex(rb["merkle_root"]),
-                    timestamp=int(rb["timestamp"]),
-                    nonce=int(rb["nonce"]),
-                    sealer=bytes.fromhex(rb["sealer"]),
-                    transactions=txs,
+                    _int(rb["height"]), unhex(rb["prev_hash"]), unhex(rb["merkle_root"]),
+                    _int(rb["timestamp"]), _int(rb["nonce"]), unhex(rb["sealer"]), txs,
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
-        raise EncodingError(f"malformed chain dump: {exc}") from exc
-    return Chain(blocks=blocks)
+        raise EncodingError(f"malformed chain dump: {exc!r}") from exc
+    return Chain(blocks)

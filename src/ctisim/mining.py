@@ -46,13 +46,15 @@ def verified_technical_records(chain: Chain) -> list[CtiRecord]:
     """Decode submissions from the chain, keeping Verified Technical ones."""
     records: dict[Digest, CtiRecord] = {}
     verified: set[Digest] = set()
+    submit, finalize = TxKind.SubmitCti, TxKind.FinalizeVerification
     for block in chain.blocks:
         for tx in block.transactions:
+            kind = tx.kind
             try:
-                if tx.kind is TxKind.SubmitCti:
+                if kind is submit:
                     body = SubmitCtiBody.decode(tx.payload)
                     records[body.contract_id] = decode_record(body.record_bytes)
-                elif tx.kind is TxKind.FinalizeVerification:
+                elif kind is finalize:
                     fin = FinalizeBody.decode(tx.payload)
                     if fin.status == "Verified":
                         verified.add(fin.contract_id)

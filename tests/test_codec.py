@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctisim import payloads
+from ctisim import cti, payloads
 from ctisim.access_control import (
     AttributePolicy,
     TlpChannel,
@@ -25,6 +25,7 @@ from ctisim.access_control import (
     policy_to_string,
 )
 from ctisim.cti import (
+    POLICY_MEMO_SIZE,
     CtiCategory,
     CtiRecord,
     GroundTruth,
@@ -498,3 +499,37 @@ def test_non_canonical_record_gets_the_canonical_id(channel, entries, policy):
     assert canonical != data
     assert rec.record_id == record_id_for(canonical) != record_id_for(data)
     assert decode_record(canonical) == rec
+
+
+# --- the policy memo ------------------------------------------------------------
+
+def record_with_policy(text):
+    """A White Technical record's bytes with `text` as its policy spelling."""
+    w = Writer().put_bytes(b"p").put_str("Technical").put_str("Data").put_count(0)
+    w.put_bytes(ZERO_DIGEST).put_str("White").put_count(0)
+    return w.put_bool(True).put_str(text).put_bool(False).put_uint(1).getvalue()
+
+
+def test_repeated_non_canonical_policy_gets_the_canonical_id_every_time():
+    cti._decoded_policy.cache_clear()
+    canonical = record_with_policy("(and a (or b c))")
+    spaced = record_with_policy("(and  a\t(or b c) )")
+    first, second = decode_record(spaced), decode_record(spaced)
+    assert first.record_id == second.record_id == record_id_for(canonical)
+    # the canonical spelling, decoded after the spaced one, is still canonical
+    assert decode_record(canonical) == first
+    assert decode_record(spaced) == first
+
+
+def test_malformed_policy_raises_on_every_repeat():
+    data = record_with_policy("(xor a b)")
+    for _ in range(3):
+        with pytest.raises(EncodingError, match="bad policy"):
+            decode_record(data)
+
+
+def test_policy_memo_stays_within_its_bound():
+    cti._decoded_policy.cache_clear()
+    for i in range(POLICY_MEMO_SIZE + 10):
+        assert decode_record(record_with_policy(f"(or tag-{i} shared)")).policy is not None
+    assert cti._decoded_policy.cache_info().currsize == POLICY_MEMO_SIZE

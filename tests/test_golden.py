@@ -2,16 +2,21 @@
 
 Each scenario runs at its config seed and must write byte-identical
 chain.json, summary.json and metrics.csv, and its chain.json must verify
-VALID. A change that is meant to move these bytes updates the table and
-says so in CHANGES.md.
+VALID. Read back, each chain.json must re-emit the same bytes and re-mine,
+with the scenario's `mining:` parameters, the campaigns summary.json
+reports, each of which must pass verify_derivation. A change that is meant
+to move these bytes updates the table and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from ctisim.cli import main
-from ctisim.ledger import chain_from_json, verify_chain
+from ctisim.config import load_config
+from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
+from ctisim.mining import mine_campaigns, verify_derivation
 from tests.conftest import SCENARIO_DIR
 
 GOLDEN = {
@@ -47,13 +52,51 @@ def test_every_bundled_scenario_has_a_golden_entry():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")) == sorted(GOLDEN)
 
 
+@pytest.fixture(scope="module")
+def bundled_outputs(tmp_path_factory):
+    """The output directory of a bundled scenario, run once at its config seed."""
+    dirs = {}
+
+    def outputs(scenario):
+        if scenario not in dirs:
+            out = tmp_path_factory.mktemp(scenario) / "out"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.delenv("CTISIM_SEED", raising=False)
+                assert main(["run", "--config", str(SCENARIO_DIR / f"{scenario}.yaml"), "--out", str(out)]) == 0
+            dirs[scenario] = out
+        return dirs[scenario]
+
+    return outputs
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_bundled_scenario_outputs_match_golden_digests(scenario, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CTISIM_SEED", raising=False)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(SCENARIO_DIR / f"{scenario}.yaml"), "--out", str(out)]) == 0
+def test_bundled_scenario_outputs_match_golden_digests(scenario, bundled_outputs):
+    out = bundled_outputs(scenario)
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[scenario]
     }
     assert digests == GOLDEN[scenario]
     assert verify_chain(chain_from_json((out / "chain.json").read_text(encoding="utf-8"))).valid
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_chain_reloads_to_its_bytes_and_campaigns(scenario, bundled_outputs):
+    out = bundled_outputs(scenario)
+    data = (out / "chain.json").read_bytes()
+    chain = chain_from_json(data.decode("utf-8"))
+    assert chain_to_json(chain).encode("utf-8") == data
+
+    params = load_config(str(SCENARIO_DIR / f"{scenario}.yaml")).mining
+    campaigns = mine_campaigns(chain, params.window_rounds, params.min_support, params.min_overlap)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert [
+        {
+            "campaign_id": c.campaign_id.hex(),
+            "member_records": sorted(m.hex() for m in c.member_records),
+            "shared_indicators": sorted(c.shared_indicators),
+            "window": list(c.window),
+            "support": c.support,
+        }
+        for c in campaigns
+    ] == summary["campaigns"]
+    assert all(verify_derivation(c, chain) for c in campaigns)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctisim.encoding import ZERO_DIGEST
-from ctisim.errors import EmptyTransactionList, InvalidSignature, UnauthorizedSealer
+from ctisim.errors import EmptyTransactionList, EncodingError, InvalidSignature, UnauthorizedSealer
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
 from ctisim.ledger import (
     Block,
@@ -25,6 +25,7 @@ from ctisim.ledger import (
     sha256,
     verify_chain,
 )
+from ctisim.payloads import AccessGrantBody, FinalizeBody, ReputationUpdateBody, VoteBody
 from tests.reference_writer import Writer
 
 # Pinned once from the pure-python implementation below.
@@ -97,11 +98,11 @@ def fresh_registry():
     return reg, auth, user, [auth_tx, user_tx]
 
 
-def tx_by(cred, kind=TxKind.ReputationUpdate, payload=None):
-    from ctisim.payloads import ReputationUpdateBody
-
+def tx_by(cred, kind=TxKind.Vote, payload=None):
+    """A transaction by `cred`; by default a Vote, a kind any registered
+    stakeholder may author."""
     if payload is None:
-        payload = ReputationUpdateBody(cred.stakeholder, 50, False, "note").encode()
+        payload = VoteBody(sha256(b"contract:" + cred.stakeholder), "HighQuality").encode()
     return Transaction.create(cred.stakeholder, kind, payload, cred.secret)
 
 
@@ -306,8 +307,6 @@ def test_verify_flags_spliced_block_with_stale_suffix_link():
 
 
 def test_verify_flags_revoked_author_after_revocation_tx():
-    from ctisim.payloads import ReputationUpdateBody
-
     chain, reg, auth, user = build_chain(0)
     revoke_body = ReputationUpdateBody(user.stakeholder, 20, True, "threshold").encode()
     revoke_tx = Transaction.create(auth.stakeholder, TxKind.ReputationUpdate, revoke_body, auth.secret)
@@ -376,8 +375,6 @@ def test_verify_flags_register_by_a_producer():
 
 
 def test_verify_flags_block_sealed_by_revoked_authority():
-    from ctisim.payloads import ReputationUpdateBody
-
     chain, reg, auth, user = build_chain(0)
     second, second_tx = reg.register(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("second")), auth.stakeholder
@@ -395,6 +392,25 @@ def test_verify_flags_block_sealed_by_revoked_authority():
     assert report.reason == "sealer revoked"
 
 
+AUTHORITY_KIND_BODIES = {
+    TxKind.FinalizeVerification: lambda sid: FinalizeBody(sha256(b"contract"), "Verified", 900_000, "Refunded"),
+    # a Producer revoking the authority: sealing accepts it, verification must not
+    TxKind.ReputationUpdate: lambda sid: ReputationUpdateBody(sid, 0, True, "coup"),
+    TxKind.AccessGrant: lambda sid: AccessGrantBody(sha256(b"contract"), sid),
+}
+
+
+@pytest.mark.parametrize("kind", AUTHORITY_KIND_BODIES, ids=lambda k: k.value)
+def test_verify_flags_authority_kind_by_a_producer(kind):
+    chain, reg, auth, user = build_chain(0)
+    tx = tx_by(user, kind, AUTHORITY_KIND_BODIES[kind](auth.stakeholder).encode())
+    append_block(chain, [tx], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
+    report = verify_chain(chain)
+    assert not report.valid
+    assert report.first_bad_height == 2
+    assert report.reason == f"{kind.value} by an author without the Authority role"
+
+
 def test_verify_flags_unregistered_author():
     reg, auth, user, reg_txs = fresh_registry()
     chain = Chain.new()
@@ -408,7 +424,7 @@ def test_verify_flags_unregistered_author():
 
 def test_query_filters_by_kind_author_and_round():
     chain, reg, auth, user = build_chain(3)
-    votes = query(chain, kind=TxKind.ReputationUpdate, author=user.stakeholder)
+    votes = query(chain, kind=TxKind.Vote, author=user.stakeholder)
     assert len(votes) == 3
     assert all(tx.author == user.stakeholder for tx in votes)
     windowed = query(chain, round_range=(1, 2))
@@ -420,7 +436,7 @@ def test_query_empty_chain():
 
 
 def test_query_matches_linear_scan_oracle():
-    chain, reg, auth, user = build_chain(50)  # 100 reputation txs + 2 registers
+    chain, reg, auth, user = build_chain(50)  # 100 votes + 2 registers
     rng = random.Random(99)
     for _ in range(20):
         kind = rng.choice([None, TxKind.ReputationUpdate, TxKind.Register, TxKind.Vote])
@@ -452,6 +468,66 @@ def test_chain_json_round_trip():
     loaded = chain_from_json(text)
     assert chain_to_json(loaded) == text
     assert verify_chain(loaded).valid
+
+
+def _set(path, value):
+    """A change to a dump's parsed object: set the value at `path`."""
+    def change(root):
+        obj = root
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return root
+    return change
+
+
+def _drop(path):
+    """A change to a dump's parsed object: delete the key at `path`."""
+    def change(root):
+        obj = root
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+        return root
+    return change
+
+
+MALFORMED_DUMPS = {
+    "unknown-kind": _set((1, "transactions", 0, "kind"), "Mint"),
+    "kind-not-a-string": _set((1, "transactions", 0, "kind"), ["Vote"]),
+    "missing-block-key": _drop((1, "sealer")),
+    "missing-transactions": _drop((1, "transactions")),
+    "missing-tx-key": _drop((1, "transactions", 0, "signature")),
+    "odd-length-hex": _set((1, "transactions", 0, "payload"), "abc"),
+    "non-hex-bytes": _set((1, "prev_hash"), "zz" * 32),
+    "bytes-not-a-string": _set((1, "transactions", 0, "author"), 7),
+    "string-height": _set((1, "height"), "1"),
+    "float-height": _set((1, "height"), 1.5),
+    "boolean-height": _set((1, "height"), True),
+    "null-timestamp": _set((1, "timestamp"), None),
+    "float-nonce": _set((1, "nonce"), 0.0),
+    "top-level-object": lambda obj: {"blocks": obj},
+    "top-level-string": lambda obj: "chain",
+    "block-is-a-list": _set((1,), []),
+    "block-is-a-string": _set((1,), "block"),
+    "transactions-object": _set((1, "transactions"), {}),
+    "transactions-string": _set((1, "transactions"), ""),
+    "transactions-null": _set((1, "transactions"), None),
+    "transaction-is-a-list": _set((1, "transactions", 0), []),
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_DUMPS.values(), ids=MALFORMED_DUMPS.keys())
+def test_chain_from_json_raises_encoding_error_on_malformed_dump(change):
+    chain, *_ = build_chain(1)
+    text = json.dumps(change(json.loads(chain_to_json(chain))), indent=2) + "\n"
+    with pytest.raises(EncodingError):
+        chain_from_json(text)
+
+
+def test_chain_from_json_raises_encoding_error_on_invalid_json():
+    with pytest.raises(EncodingError):
+        chain_from_json("[{")
 
 
 def ref_obj(chain):
