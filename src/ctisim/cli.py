@@ -135,7 +135,7 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
         with open(args.chain, "r", encoding="utf-8") as fh:
             text = fh.read()
         chain = chain_from_json(text)
-    except (OSError, EncodingError) as exc:
+    except (OSError, UnicodeDecodeError, EncodingError) as exc:
         print(f"error: cannot load chain: {exc}", file=sys.stderr)
         return 2
     report = verify_chain(chain)

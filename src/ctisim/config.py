@@ -360,6 +360,8 @@ def load_raw(path: str) -> dict:
             raw = yaml.load(fh, Loader=_SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigInvalid("config", f"YAML parse error: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid("config", f"not UTF-8 text: {exc}") from None
     if raw is None:
         raise ConfigInvalid("config", "file is empty")
     return raw

@@ -19,8 +19,10 @@ with no out-of-band state.
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
 (integer fields, hex-encoded byte fields, the transaction kind by name).
-chain_to_json emits those bytes directly; chain_from_json reads them with
-json.loads and a kind-name table.
+chain_to_json emits those bytes directly. chain_from_json builds each
+transaction and block as json.loads parses its object, with no parsed copy
+of the dump in between, so a read needs little more memory than the chain
+it returns.
 """
 
 from __future__ import annotations
@@ -398,44 +400,69 @@ def chain_to_json(chain: Chain) -> str:
     return "[\n" + ",\n".join(map(_block_to_json, chain.blocks)) + "\n]\n"
 
 
+# Header integers are unsigned 64-bit fields (see encoding.uint_field).
+_UINT_LIMIT = 1 << 64
+
+
 def _int(value) -> int:
-    """A dump's integer field: JSON integers only, not floats or strings."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
+    """A dump's integer field: a JSON integer in [0, 2**64), not a float,
+    a boolean or a string."""
+    if type(value) is not int or not 0 <= value < _UINT_LIMIT:
+        raise ValueError(f"expected an unsigned 64-bit integer, got {value!r}")
     return value
+
+
+class _HexIds(dict):
+    """Stakeholder ids by their hex text, each decoded on first use."""
+
+    def __missing__(self, hex_id: str) -> Digest:
+        digest = self[hex_id] = bytes.fromhex(hex_id)
+        return digest
 
 
 def chain_from_json(text: str) -> Chain:
     """Read a chain.json dump back; raises EncodingError, and nothing else,
     for a malformed one (a value of the wrong JSON type, a missing key, an
-    unknown kind, a non-integer where an integer belongs, bad hex)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EncodingError(f"unparseable chain dump: {exc}") from exc
-    if type(raw) is not list:
-        raise EncodingError("chain dump must be a JSON array of blocks")
+    unknown kind, an integer field that is not a JSON integer in [0, 2**64),
+    bad hex, an object where it does not belong).
+
+    Each JSON object becomes a Transaction, or a Block if it has a
+    ``transactions`` key, as soon as json.loads has parsed it, so no parsed
+    copy of the dump is ever held. Each distinct author or sealer is decoded
+    once and shared by every object that names it.
+    """
     kinds = _KIND_BY_NAME
     unhex = bytes.fromhex
-    blocks: list[Block] = []
-    try:
-        for rb in raw:
-            rtxs = rb["transactions"]
-            if type(rtxs) is not list:
-                raise TypeError("transactions must be a list")
-            txs = tuple([
-                Transaction(
-                    unhex(rt["tx_id"]), unhex(rt["author"]), kinds[rt["kind"]], unhex(rt["payload"]),
-                    unhex(rt["signature"]),
-                )
-                for rt in rtxs
-            ])
-            blocks.append(
-                Block(
-                    _int(rb["height"]), unhex(rb["prev_hash"]), unhex(rb["merkle_root"]),
-                    _int(rb["timestamp"]), _int(rb["nonce"]), unhex(rb["sealer"]), txs,
-                )
+    ids = _HexIds()
+
+    def build(obj: dict):
+        if "transactions" not in obj:
+            return Transaction(
+                unhex(obj["tx_id"]), ids[obj["author"]], kinds[obj["kind"]], unhex(obj["payload"]),
+                unhex(obj["signature"]),
             )
+        txs = obj["transactions"]
+        if type(txs) is not list:
+            raise TypeError("transactions must be a list")
+        for tx in txs:
+            if type(tx) is not Transaction:
+                raise TypeError(f"expected a transaction, got {type(tx).__name__}")
+        return Block(
+            _int(obj["height"]), unhex(obj["prev_hash"]), unhex(obj["merkle_root"]),
+            _int(obj["timestamp"]), _int(obj["nonce"]), ids[obj["sealer"]], tuple(txs),
+        )
+
+    try:
+        blocks = json.loads(text, object_hook=build)
+        if type(blocks) is not list:
+            raise TypeError("chain dump must be a JSON array of blocks")
+        for block in blocks:
+            if type(block) is not Block:
+                raise TypeError(f"expected a block, got {type(block).__name__}")
+    except json.JSONDecodeError as exc:
+        raise EncodingError(f"unparseable chain dump: {exc}") from exc
+    except RecursionError:
+        raise EncodingError("unparseable chain dump: nested too deeply") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed chain dump: {exc!r}") from exc
     return Chain(blocks)

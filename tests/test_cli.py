@@ -10,6 +10,7 @@ from tests.conftest import SCENARIO_DIR
 
 BASELINE = str(SCENARIO_DIR / "blocis-baseline.yaml")
 DOI = str(SCENARIO_DIR / "doi-flood.yaml")
+TLP = str(SCENARIO_DIR / "tlp-demo.yaml")
 
 
 def run_cli(*argv):
@@ -117,6 +118,34 @@ def test_verify_chain_truncated_file_exits_two(tmp_path):
     truncated = tmp_path / "trunc.json"
     truncated.write_text(text[: len(text) // 2])
     assert run_cli("verify-chain", "--chain", str(truncated)) == 2
+
+
+def test_verify_chain_out_of_range_header_integer_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_cli("run", "--config", TLP, "--out", str(out))
+    dump = json.loads((out / "chain.json").read_text())
+    dump[1]["timestamp"] = 2**64
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dump, indent=2) + "\n")
+    assert run_cli("verify-chain", "--chain", str(bad)) == 2
+    assert "cannot load chain" in capsys.readouterr().err
+
+
+def test_verify_chain_non_utf8_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "chain.json"
+    bad.write_bytes(b"\xff\xfe[]\n")
+    assert run_cli("verify-chain", "--chain", str(bad)) == 2
+    assert "cannot load chain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["run"], ["sweep", "--param", "seed", "--values", "1"]], ids=["run", "sweep"]
+)
+def test_non_utf8_config_exits_one(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfename: x\n")
+    assert run_cli(*argv, "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_sweep_writes_leg_dirs_and_csv(tmp_path):

@@ -1,11 +1,14 @@
+import gc
 import json
 import random
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctisim.config import load_config
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import EmptyTransactionList, EncodingError, InvalidSignature, UnauthorizedSealer
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
@@ -26,6 +29,8 @@ from ctisim.ledger import (
     verify_chain,
 )
 from ctisim.payloads import AccessGrantBody, FinalizeBody, ReputationUpdateBody, VoteBody
+from ctisim.simulation import run_scenario
+from tests.conftest import SCENARIO_DIR
 from tests.reference_writer import Writer
 
 # Pinned once from the pure-python implementation below.
@@ -514,6 +519,15 @@ MALFORMED_DUMPS = {
     "transactions-string": _set((1, "transactions"), ""),
     "transactions-null": _set((1, "transactions"), None),
     "transaction-is-a-list": _set((1, "transactions", 0), []),
+    **{
+        f"{field}-{name}": _set((1, field), value)
+        for field in ("height", "timestamp", "nonce")
+        for name, value in (("2**64", 2**64), ("negative", -1))
+    },
+    "transaction-at-top-level": lambda obj: obj + [obj[1]["transactions"][0]],
+    "block-in-transactions": lambda obj: _set((1, "transactions", 0), obj[0])(obj),
+    "object-as-payload": _set((1, "transactions", 0, "payload"), {"hex": "00"}),
+    "transaction-with-transactions-key": _set((1, "transactions", 0, "transactions"), []),
 }
 
 
@@ -528,6 +542,55 @@ def test_chain_from_json_raises_encoding_error_on_malformed_dump(change):
 def test_chain_from_json_raises_encoding_error_on_invalid_json():
     with pytest.raises(EncodingError):
         chain_from_json("[{")
+
+
+def test_chain_from_json_raises_encoding_error_on_json_nested_too_deeply():
+    with pytest.raises(EncodingError):
+        chain_from_json("[" * 100_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=st.integers(min_value=0), edit=st.sampled_from(["", *'[]{},:" 0a\n']))
+def test_chain_from_json_reads_only_what_json_loads_reads(at, edit):
+    """Replacing one character of a dump either gives EncodingError or a
+    chain whose dump objects are exactly what json.loads parses."""
+    text = chain_to_json(build_chain(1)[0])
+    at %= len(text)
+    text = text[:at] + edit + text[at + 1:]
+    try:
+        chain = chain_from_json(text)
+    except EncodingError:
+        return
+    assert json.loads(text) == ref_obj(chain)
+
+
+def test_chain_from_json_peaks_near_the_chain_it_returns():
+    """Reading a dump allocates little beyond the chain it returns: no
+    parsed copy of the dump is built first (such a copy alone is larger than
+    the chain)."""
+    config = load_config(str(SCENARIO_DIR / "marketplace.yaml"))
+    text = chain_to_json(run_scenario(config, config.seed).chain)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        chain = chain_from_json(text)
+        retained, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert chain_to_json(chain) == text
+    assert peak <= 1.25 * retained, (peak, retained)
+
+
+def test_read_chain_is_frozen_and_shares_stakeholder_ids():
+    chain, *_ = build_chain(2)
+    loaded = chain_from_json(chain_to_json(chain))
+    ids = [b.sealer for b in loaded.blocks] + [t.author for b in loaded.blocks for t in b.transactions]
+    assert len({id(i) for i in ids}) == len(set(ids))
+    block = loaded.blocks[1]
+    for obj, name in ((block.transactions[0], "payload"), (block, "height")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
 
 
 def ref_obj(chain):
@@ -556,7 +619,7 @@ def ref_obj(chain):
 
 
 digests = st.binary(min_size=32, max_size=32)
-uints = st.integers(min_value=0, max_value=2**64)
+uints = st.integers(min_value=0, max_value=2**64 - 1)
 transactions = st.builds(
     Transaction,
     tx_id=digests,
