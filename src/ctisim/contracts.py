@@ -11,7 +11,11 @@ sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
 Each operation emits ledger transactions, but the parameters and the
 starting endowments are not on the chain, so contract state cannot be
 recomputed from the chain alone. The engine's round loop is the single
-writer.
+writer. Credentials are the exception: every operation signs its
+transactions through `identity.Registry.sign`, which applies each one to
+the registry's credentials, so a threshold revocation happens by signing
+its ReputationUpdate and `ledger.verify_chain` can replay it from the
+chain.
 """
 
 from __future__ import annotations
@@ -438,15 +442,15 @@ class ContractSystem:
         revoked: list[Digest] = []
         for sid in [producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
-                self.registry.revoke(sid)
-                revoked.append(sid)
                 rb = ReputationUpdateBody(
                     stakeholder=sid,
                     score=self.reputation.score_of(sid),
                     revoked=True,
                     reason="reputation below trust threshold",
                 )
+                # signing applies it: the registry revokes the credential
                 txs.append(self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode()))
+                revoked.append(sid)
 
         outcome = VerificationOutcome(
             status=contract.status,

@@ -1,15 +1,18 @@
 """Authority-mediated registration of pseudonymous stakeholders, and signing.
 
-Identity proofs are abstracted to an evidence digest; a registration is
-accepted whenever the digest is non-empty. Stakeholder ids and signing
-secrets are derived deterministically from the evidence digest so that a
-scenario replays byte-identically.
+Identity proofs are abstracted to an evidence digest; a registration needs
+a non-empty one. Stakeholder ids and signing secrets are derived
+deterministically from the evidence digest so that a scenario replays
+byte-identically.
 
-The Registry is the one place that signs: `Registry.sign` signs a
-transaction with its author's credential secret and remembers the object
-until it is sealed. When sealing, `authenticate_committed` trusts exactly
-those objects and re-derives the id and signature of every other
-transaction (hand-built, copied or signed elsewhere).
+The Registry holds the credentials, and `Registry.apply` is their one
+rulebook. The Registry is the one place that signs: `Registry.sign`
+applies every transaction it signs, and `ledger.verify_chain` replays a
+dump through `apply` on a fresh Registry, so the writer and the auditor
+keep the same rules. `sign` remembers each object until it is sealed;
+when sealing, `authenticate_committed` trusts exactly those objects and
+re-derives the id and signature of every other transaction (hand-built,
+copied or signed elsewhere).
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .encoding import Digest
-from .errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
+from .errors import DuplicateRegistration, EncodingError, NotAnAuthority, UnknownStakeholder
 from .ledger import Transaction, TxKind, keyed_digest, sha256
-from .payloads import RegisterBody
+from .payloads import RegisterBody, ReputationUpdateBody
 
 
 class Role(Enum):
@@ -30,6 +32,12 @@ class Role(Enum):
     Consumer = "Consumer"
     Verifier = "Verifier"
     Authority = "Authority"
+
+
+# Kinds bound once (`TxKind.X` goes through the Enum metaclass); the
+# authority's kinds are a tuple, scanned by identity, not Enum hashes.
+_REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
+_AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,6 @@ class Credential:
     stakeholder: Digest
     roles: frozenset[Role]
     attributes: frozenset[str]
-    issued_round: int
     revoked: bool
     secret: bytes
 
@@ -63,13 +70,16 @@ def evidence_for(name: str) -> Digest:
 
 
 class Registry:
-    """Credential store; the single writer is the simulation round loop."""
+    """Credential state and its rules; the single writer is the simulation
+    round loop, and verify_chain replays a chain into a fresh one."""
 
     def __init__(self, initial_score: int):
         self.credentials: dict[Digest, Credential] = {}
         # Ids holding the Verifier role, in id order. Roles never change and
         # credentials are only revoked, never removed, so this only grows.
         self.verifier_ids: list[Digest] = []
+        # Ids holding the Authority role, revoked or not.
+        self.authorities: set[Digest] = set()
         self.initial_score = initial_score
         # Transactions this registry signed and no block has sealed yet.
         self._unsealed: dict[Digest, Transaction] = {}
@@ -80,63 +90,87 @@ class Registry:
         except KeyError:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
-    def bootstrap(self, proof: ProofOfIdentity, round_no: int = 0) -> tuple[Credential, Transaction]:
-        """Self-registration of the first authority; only valid on an empty registry."""
-        if self.credentials:
-            raise NotAnAuthority("bootstrap only allowed on an empty registry")
-        if Role.Authority not in proof.claimed_roles:
-            raise NotAnAuthority("bootstrap credential must claim the Authority role")
-        return self._issue(proof, author=None, round_no=round_no)
+    def bootstrap(self, proof: ProofOfIdentity) -> tuple[Credential, Transaction]:
+        """Self-registration of the first authority: it signs its own Register."""
+        return self.register(proof, stakeholder_id(proof.evidence_digest))
 
-    def register(
-        self, proof: ProofOfIdentity, authority: Digest, round_no: int = 0
-    ) -> tuple[Credential, Transaction]:
-        auth_cred = self.credentials.get(authority)
-        if auth_cred is None or auth_cred.revoked or Role.Authority not in auth_cred.roles:
-            raise NotAnAuthority(f"{authority.hex()[:12]} is not an acting authority")
-        return self._issue(proof, author=authority, round_no=round_no)
-
-    def _issue(
-        self, proof: ProofOfIdentity, author: Optional[Digest], round_no: int
-    ) -> tuple[Credential, Transaction]:
-        if not proof.claimed_roles:
-            raise NotAnAuthority("credential must claim at least one role")
-        if not proof.evidence_digest:
-            raise NotAnAuthority("identity evidence required")
+    def register(self, proof: ProofOfIdentity, authority: Digest) -> tuple[Credential, Transaction]:
+        """The credential `proof` asks for, and its Register signed by `authority`."""
         sid = stakeholder_id(proof.evidence_digest)
-        if sid in self.credentials:
-            raise DuplicateRegistration(sid.hex())
-        secret = derive_secret(proof.evidence_digest)
-        cred = Credential(
-            stakeholder=sid,
-            roles=frozenset(proof.claimed_roles),
-            attributes=frozenset(proof.attributes),
-            issued_round=round_no,
-            revoked=False,
-            secret=secret,
-        )
-        self.credentials[sid] = cred
-        if Role.Verifier in cred.roles:
-            bisect.insort(self.verifier_ids, sid)
         body = RegisterBody(
             stakeholder=sid,
-            roles=tuple(sorted(r.value for r in cred.roles)),
-            attributes=tuple(sorted(cred.attributes)),
+            roles=tuple(sorted(r.value for r in proof.claimed_roles)),
+            attributes=tuple(sorted(proof.attributes)),
             evidence_digest=proof.evidence_digest,
-            secret=secret,
+            secret=derive_secret(proof.evidence_digest),
             initial_score=self.initial_score,
         )
-        # the bootstrap authority (author None) signs its own registration
-        return cred, self.sign(sid if author is None else author, TxKind.Register, body.encode())
+        tx = self.sign(authority, TxKind.Register, body.encode())
+        return self.credentials[sid], tx
 
-    def revoke(self, stakeholder: Digest) -> None:
-        """Revoke a credential whose reputation fell below the trust
-        threshold. Idempotent."""
-        self.get(stakeholder).revoked = True
+    def apply(self, author: Digest, kind: TxKind, payload: bytes) -> bytes:
+        """Apply a transaction's effect on the credentials, in chain order,
+        and return the secret its signature must be keyed by.
+
+        The one rulebook for credentials: an illegal transaction changes
+        nothing and raises a CtiSimError whose message is verify_chain's
+        reason. The first credential is the Authority's self-registration,
+        and only an acting authority registers the others.
+        """
+        cred = self.credentials.get(author)
+        if cred is not None and cred.revoked:
+            raise NotAnAuthority("transaction by revoked author")
+        if kind is _REGISTER:
+            try:
+                body = RegisterBody.decode(payload)
+            except EncodingError:
+                raise EncodingError("malformed Register payload") from None
+            if cred is not None:
+                if author not in self.authorities:
+                    raise NotAnAuthority("Register by an author without the Authority role")
+            elif author != body.stakeholder:
+                raise NotAnAuthority("Register by unregistered author")
+            elif self.credentials:
+                raise NotAnAuthority("self-registration on a non-empty registry")
+            elif "Authority" not in body.roles:
+                raise NotAnAuthority("self-registration without the Authority role")
+            if not body.roles:
+                raise NotAnAuthority("Register without a role")
+            if not body.evidence_digest:
+                raise NotAnAuthority("Register without identity evidence")
+            try:
+                roles = frozenset(map(Role, body.roles))
+            except ValueError:
+                raise NotAnAuthority("Register with an unknown role") from None
+            sid = body.stakeholder
+            if sid in self.credentials:
+                raise DuplicateRegistration("duplicate registration")
+            self.credentials[sid] = Credential(sid, roles, frozenset(body.attributes), False, body.secret)
+            if "Authority" in body.roles:
+                self.authorities.add(sid)
+            if "Verifier" in body.roles:
+                bisect.insort(self.verifier_ids, sid)
+            return body.secret if cred is None else cred.secret
+        if cred is None:
+            raise UnknownStakeholder("transaction by unregistered author")
+        if kind in _AUTHORITY_KINDS and author not in self.authorities:
+            raise NotAnAuthority(f"{kind.value} by an author without the Authority role")
+        if kind is _REPUTATION_UPDATE:
+            try:
+                body = ReputationUpdateBody.decode(payload)
+            except EncodingError:
+                raise EncodingError("malformed ReputationUpdate payload") from None
+            subject = self.credentials.get(body.stakeholder)
+            if subject is None:
+                raise UnknownStakeholder("ReputationUpdate for an unregistered stakeholder")
+            if body.revoked:
+                subject.revoked = True
+        return cred.secret
 
     def sign(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
-        """A transaction signed with the author's credential secret."""
-        tx = Transaction.create(author, kind, payload, self.get(author).secret)
+        """A transaction signed with the author's credential secret, once
+        `apply` has accepted it and applied its effect."""
+        tx = Transaction.create(author, kind, payload, self.apply(author, kind, payload))
         self._unsealed[tx.tx_id] = tx
         return tx
 
@@ -145,8 +179,8 @@ class Registry:
 
         The very object `sign` returned, not yet sealed, is trusted as
         signed; any other transaction has its id and keyed signature
-        re-derived. Position-independent: revocation ordering is handled by
-        chain replay.
+        re-derived. Position-independent: `sign` refuses a revoked author
+        when the transaction is made, and verify_chain replays the order.
         """
         if self._unsealed.pop(tx.tx_id, None) is tx:
             return True
@@ -158,8 +192,7 @@ class Registry:
         )
 
     def is_authority(self, stakeholder: Digest) -> bool:
-        cred = self.credentials.get(stakeholder)
-        return cred is not None and not cred.revoked and Role.Authority in cred.roles
+        return stakeholder in self.authorities and not self.credentials[stakeholder].revoked
 
     def active_ids(self) -> list[Digest]:
         """Registered, unrevoked stakeholders in stable (id) order."""

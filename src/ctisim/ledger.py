@@ -12,9 +12,10 @@ Transactions are signed in one place, `identity.Registry.sign`. Sealing
 signature; the registry's authenticator trusts the unsealed objects it
 signed itself and re-derives both digests for every other transaction.
 verify_chain trusts nothing: it replays the whole chain, re-deriving every
-id, Merkle root and signature and rebuilding the credentials and the set of
-authorities from Register payloads, so that a bare dump can be re-verified
-with no out-of-band state.
+id, Merkle root and signature, and rebuilds the credentials by applying
+each transaction to a fresh registry through `identity.Registry.apply`,
+the rulebook the registry applies to every transaction it signs, so that a
+bare dump can be re-verified with no out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
@@ -35,12 +36,12 @@ from typing import Callable, Iterable, Optional
 
 from .encoding import COUNT, ZERO_DIGEST, Digest, bytes_field, str_field, uint_field
 from .errors import (
+    CtiSimError,
     EmptyTransactionList,
     EncodingError,
     InvalidSignature,
     UnauthorizedSealer,
 )
-from .payloads import RegisterBody, ReputationUpdateBody
 
 _sha256 = hashlib.sha256
 _pack_count = COUNT.pack
@@ -74,11 +75,8 @@ class TxKind(Enum):
 _KIND_TAG = {kind: str_field(kind.value) for kind in TxKind}
 # each kind by its name, as chain.json spells it
 _KIND_BY_NAME = {kind.value: kind for kind in TxKind}
-# Kinds bound once (`TxKind.X` goes through the Enum metaclass). The
-# authority's kinds are a tuple: membership is an identity scan, not calls
-# to the Enum's Python-level __hash__.
-_REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
-_AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
+# bound once: `TxKind.X` goes through the Enum metaclass
+_REGISTER = TxKind.Register
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,10 @@ def append_block(
     authenticator takes the objects it signed itself as they are and
     re-derives both digests for any other transaction. It is
     position-independent on purpose: a round's block may contain
-    transactions authored just before a same-round revocation, and
-    revocation ordering is enforced at transaction creation time and by
-    verify_chain replay.
+    transactions authored just before a same-round revocation. Revocation
+    ordering is enforced by `identity.Registry.apply`, which refuses a
+    revoked author both when `Registry.sign` makes a transaction and when
+    verify_chain replays the chain.
     """
     if not txs and not allow_empty:
         raise EmptyTransactionList("only heartbeat blocks may be empty")
@@ -227,24 +226,22 @@ class VerificationReport:
 def verify_chain(chain: Chain) -> VerificationReport:
     """Replay the chain and report the earliest invariant violation.
 
-    Rebuilds credentials from Register payloads in chain order, so every
+    Checks every header, Merkle root, transaction id and signature, and
+    replays each transaction in chain order through `Registry.apply` on a
+    fresh `identity.Registry`, the credential rules the platform signs by;
+    an illegal transaction is reported by the reason apply refuses it
+    with. Register payloads carry each credential's secret, so every
     signature (including the bootstrap self-registration) is recheckable
-    from the dump alone. Registrations follow identity.Registry's rules: a
-    self-registration only as the first credential and with the Authority
-    role, any other only by an author holding the Authority role.
-    FinalizeVerification, ReputationUpdate and AccessGrant are the
-    authority's kinds: one by an author without the Authority role is
-    invalid, so only an authority can record a revocation. Revocations
-    recorded on-chain invalidate any later transaction by the revoked
-    author, and any block it seals from the one that records its revocation
-    on.
+    from the dump alone. Every block after genesis must be sealed by an
+    authority not revoked in an earlier block or in its own.
     """
+    from .identity import Registry
+
     if not chain.blocks:
         return VerificationReport(False, 0, "missing genesis block")
 
-    secrets: dict[Digest, bytes] = {}
-    authorities: set[Digest] = set()
-    revoked: set[Digest] = set()
+    registry = Registry(initial_score=0)
+    apply, credentials, authorities = registry.apply, registry.credentials, registry.authorities
     prev_timestamp = 0
 
     for i, block in enumerate(chain.blocks):
@@ -280,55 +277,18 @@ def verify_chain(chain: Chain) -> VerificationReport:
             tx_id = _sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest()
             if tx.tx_id != tx_id:
                 return bad("transaction id mismatch")
-            if kind is _REGISTER:
-                try:
-                    body = RegisterBody.decode(payload)
-                except EncodingError:
-                    return bad("malformed Register payload")
-                if author in revoked:
-                    return bad("transaction by revoked author")
-                if author in secrets:
-                    if author not in authorities:
-                        return bad("Register by an author without the Authority role")
-                    secret = secrets[author]
-                elif author == body.stakeholder:
-                    # Bootstrap: the first authority self-registers.
-                    if secrets:
-                        return bad("self-registration on a non-empty registry")
-                    if "Authority" not in body.roles:
-                        return bad("self-registration without the Authority role")
-                    secret = body.secret
-                else:
-                    return bad("Register by unregistered author")
-                if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
-                    return bad("bad Register signature")
-                if body.stakeholder in secrets:
-                    return bad("duplicate registration")
-                secrets[body.stakeholder] = body.secret
-                if "Authority" in body.roles:
-                    authorities.add(body.stakeholder)
-            else:
-                secret = secrets.get(author)
-                if secret is None:
-                    return bad("transaction by unregistered author")
-                if author in revoked:
-                    return bad("transaction by revoked author")
-                if kind in _AUTHORITY_KINDS and author not in authorities:
-                    return bad(f"{kind.value} by an author without the Authority role")
-                if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
-                    return bad("bad signature")
-                if kind is _REPUTATION_UPDATE:
-                    try:
-                        body = ReputationUpdateBody.decode(payload)
-                    except EncodingError:
-                        return bad("malformed ReputationUpdate payload")
-                    if body.revoked:
-                        revoked.add(body.stakeholder)
+            try:
+                secret = apply(author, kind, payload)
+            except CtiSimError as exc:
+                return bad(str(exc))
+            if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
+                return bad("bad Register signature" if kind is _REGISTER else "bad signature")
 
-        if i > 0 and block.sealer not in authorities:
-            return bad("sealer lacks Authority role")
-        if block.sealer in revoked:
-            return bad("sealer revoked")
+        if i > 0:
+            if block.sealer not in authorities:
+                return bad("sealer lacks Authority role")
+            if credentials[block.sealer].revoked:
+                return bad("sealer revoked")
         prev_timestamp = block.timestamp
 
     return VerificationReport(True)

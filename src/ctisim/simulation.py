@@ -175,13 +175,13 @@ class Engine:
                 evidence_digest=evidence_for(spec.name),
             )
             if spec is authority_spec:
-                cred, tx = self.registry.bootstrap(proof, round_no=0)
+                cred, tx = self.registry.bootstrap(proof)
                 self.authority = cred.stakeholder
                 self.contracts = ContractSystem(
                     self.registry, cfg.verification, cfg.economics, self.authority
                 )
             else:
-                cred, tx = self.registry.register(proof, self.authority, round_no=0)
+                cred, tx = self.registry.register(proof, self.authority)
             txs.append(tx)
             sid_by_name[spec.name] = cred.stakeholder
             self.contracts.enroll(cred.stakeholder, spec.endowment)

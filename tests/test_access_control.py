@@ -33,7 +33,6 @@ def cred(name, attributes=(), revoked=False):
         stakeholder=sha256(name.encode()),
         roles=frozenset({Role.Consumer}),
         attributes=frozenset(attributes),
-        issued_round=0,
         revoked=revoked,
         secret=b"s",
     )

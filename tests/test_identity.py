@@ -5,7 +5,8 @@ import pytest
 from ctisim import identity
 from ctisim.errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
-from ctisim.ledger import Transaction, TxKind, keyed_digest
+from ctisim.ledger import Chain, Transaction, TxKind, append_block, keyed_digest, sha256, verify_chain
+from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
 
 
 def proof(name, roles, attributes=()):
@@ -100,9 +101,11 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
 def test_revoke_is_idempotent(registry):
     reg, auth = registry
     cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
-    reg.revoke(cred.stakeholder)
-    reg.revoke(cred.stakeholder)
+    revoke = ReputationUpdateBody(cred.stakeholder, 20, True, "threshold").encode()
+    reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
+    reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     assert cred.revoked
+    assert reg.active_ids() == [auth.stakeholder]
 
 
 def test_unknown_stakeholder(registry):
@@ -126,7 +129,131 @@ def test_attributes_preserved(registry):
         proof("org", {Role.Consumer}, {"ICS-ISAC", "gov"}), auth.stakeholder
     )
     assert cred.attributes == frozenset({"ICS-ISAC", "gov"})
-    from ctisim.payloads import RegisterBody
-
     body = RegisterBody.decode(tx.payload)
     assert body.attributes == ("ICS-ISAC", "gov")
+
+
+# --- one rule table, two doors -------------------------------------------------
+#
+# Each history is a list of (author name, kind, body) steps whose last step is
+# illegal. The writer door signs every step through Registry.sign; the reader
+# door links the same transactions, each in its own block, and verifies.
+
+def sid(name):
+    return identity.stakeholder_id(evidence_for(name))
+
+
+def registration(name, roles, evidence=None):
+    evidence = evidence_for(name) if evidence is None else evidence
+    return RegisterBody(
+        identity.stakeholder_id(evidence), tuple(roles), (), evidence, identity.derive_secret(evidence), 50
+    )
+
+
+def revocation(name):
+    return ReputationUpdateBody(sid(name), 20, True, "threshold")
+
+
+BOOT = ("authority", TxKind.Register, registration("authority", ["Authority"]))
+USER = ("authority", TxKind.Register, registration("user", ["Consumer", "Producer"]))
+VOTE = VoteBody(sha256(b"contract"), "HighQuality")
+
+ILLEGAL_HISTORIES = {
+    "self-registration-on-non-empty-registry": (
+        [BOOT, ("stranger", TxKind.Register, registration("stranger", ["Authority"]))],
+        NotAnAuthority, "self-registration on a non-empty registry",
+    ),
+    "self-registration-without-authority-role": (
+        [("first", TxKind.Register, registration("first", ["Producer"]))],
+        NotAnAuthority, "self-registration without the Authority role",
+    ),
+    "register-by-a-producer": (
+        [BOOT, USER, ("user", TxKind.Register, registration("rogue", ["Authority"]))],
+        NotAnAuthority, "Register by an author without the Authority role",
+    ),
+    "register-by-a-revoked-authority": (
+        [
+            BOOT,
+            ("authority", TxKind.Register, registration("second", ["Authority"])),
+            ("authority", TxKind.ReputationUpdate, revocation("second")),
+            ("second", TxKind.Register, registration("rogue", ["Producer"])),
+        ],
+        NotAnAuthority, "transaction by revoked author",
+    ),
+    "register-by-an-unregistered-author": (
+        [BOOT, ("stranger", TxKind.Register, registration("rogue", ["Producer"]))],
+        NotAnAuthority, "Register by unregistered author",
+    ),
+    "duplicate-registration": (
+        [BOOT, USER, USER], DuplicateRegistration, "duplicate registration",
+    ),
+    "no-roles": (
+        [BOOT, ("authority", TxKind.Register, registration("user", []))],
+        NotAnAuthority, "Register without a role",
+    ),
+    "empty-evidence": (
+        [BOOT, ("authority", TxKind.Register, registration("user", ["Producer"], evidence=b""))],
+        NotAnAuthority, "Register without identity evidence",
+    ),
+    "unknown-role-name": (
+        [BOOT, ("authority", TxKind.Register, registration("user", ["Admin"]))],
+        NotAnAuthority, "Register with an unknown role",
+    ),
+    **{
+        f"{kind.value}-by-a-producer": (
+            [BOOT, USER, ("user", kind, body)],
+            NotAnAuthority, f"{kind.value} by an author without the Authority role",
+        )
+        for kind, body in (
+            (TxKind.FinalizeVerification, FinalizeBody(sha256(b"contract"), "Verified", 900_000, "Refunded")),
+            # a Producer revoking the authority
+            (TxKind.ReputationUpdate, revocation("authority")),
+            (TxKind.AccessGrant, AccessGrantBody(sha256(b"contract"), sid("user"))),
+        )
+    },
+    "vote-by-a-revoked-author": (
+        [BOOT, USER, ("authority", TxKind.ReputationUpdate, revocation("user")), ("user", TxKind.Vote, VOTE)],
+        NotAnAuthority, "transaction by revoked author",
+    ),
+    "vote-by-an-unregistered-author": (
+        [BOOT, ("stranger", TxKind.Vote, VOTE)],
+        UnknownStakeholder, "transaction by unregistered author",
+    ),
+    "revocation-of-an-unregistered-stakeholder": (
+        [BOOT, ("authority", TxKind.ReputationUpdate, revocation("stranger"))],
+        UnknownStakeholder, "ReputationUpdate for an unregistered stakeholder",
+    ),
+}
+
+
+def credential_state(reg):
+    return (
+        {s: (c.roles, c.attributes, c.revoked, c.secret) for s, c in reg.credentials.items()},
+        set(reg.authorities),
+        list(reg.verifier_ids),
+    )
+
+
+@pytest.mark.parametrize("history, error, reason", ILLEGAL_HISTORIES.values(), ids=ILLEGAL_HISTORIES.keys())
+def test_registry_refuses_illegal_history(history, error, reason):
+    reg = Registry(initial_score=50)
+    *legal, (author, kind, body) = history
+    for step_author, step_kind, step_body in legal:
+        reg.sign(sid(step_author), step_kind, step_body.encode())
+    before = credential_state(reg)
+    with pytest.raises(error, match=f"^{reason}$"):
+        reg.sign(sid(author), kind, body.encode())
+    assert credential_state(reg) == before
+
+
+@pytest.mark.parametrize("history, error, reason", ILLEGAL_HISTORIES.values(), ids=ILLEGAL_HISTORIES.keys())
+def test_verify_chain_refuses_illegal_history(history, error, reason):
+    chain = Chain.new()
+    for height, (author, kind, body) in enumerate(history, start=1):
+        tx = Transaction.create(sid(author), kind, body.encode(), identity.derive_secret(evidence_for(author)))
+        if height == len(history):
+            assert verify_chain(chain).valid
+        # linked with none of append_block's checks, as a forger could
+        append_block(chain, [tx], sid("authority"), lambda _: True, lambda _: True, height)
+    report = verify_chain(chain)
+    assert (report.valid, report.first_bad_height, report.reason) == (False, len(history), reason)

@@ -5,7 +5,7 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ctisim.config import load_config
@@ -224,7 +224,7 @@ def test_append_rejects_signature_with_another_stakeholders_secret():
 )
 def test_append_rejects_altered_copy_of_registry_signed_tx(change):
     reg, auth, user, _ = fresh_registry()
-    signed = reg.sign(user.stakeholder, TxKind.ReputationUpdate, tx_by(user).payload)
+    signed = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
     with pytest.raises(InvalidSignature):
         append_block(
             Chain.new(), [replace(signed, **change)], auth.stakeholder,
@@ -652,7 +652,12 @@ def test_chain_json_heartbeat_block_matches_json_dumps():
     assert chain_from_json(text) == chain
 
 
-@settings(max_examples=200, deadline=None)
+# No shrink phase: shrinking a failing chain takes minutes, so a failure is
+# reported at once with the blob that reproduces it.
+@settings(
+    max_examples=200, deadline=None, print_blob=True,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
 @given(chain=chains)
 @example(chain=Chain(blocks=[]))
 @example(chain=Chain.new())

@@ -1,0 +1,152 @@
+"""Scenario properties over small random configs.
+
+Each example draws a small platform (1-8 producers, 0-3 false-sharers, 3-6
+verifiers, 0-4 consumers, an optional flooder) under a random forfeiture
+policy, sale mode, fees, deposits, TLP channel, attribute policy and
+heartbeat setting, runs it, and checks what must hold for every config:
+the re-read dump verifies VALID and replays to the engine's credentials,
+currency is conserved, no balance goes negative, a second run writes the
+same bytes, and every rejected action is named by an error type or an
+engine blocker.
+"""
+
+import inspect
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctisim import errors
+from ctisim.config import parse_config
+from ctisim.identity import Registry
+from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
+from ctisim.simulation import Engine
+
+TAGS = ["ICS-ISAC", "gov"]
+POLICIES = [None, "ICS-ISAC", "(or ICS-ISAC gov)", "(and ICS-ISAC gov)"]
+# the engine's own blockers (Engine._can_act), recorded without an exception
+BLOCKERS = {"Revoked", "SubscriptionLapsed"}
+REJECTION_NAMES = BLOCKERS | {
+    name for name, cls in vars(errors).items() if inspect.isclass(cls) and issubclass(cls, errors.CtiSimError)
+}
+
+probabilities = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+
+
+@st.composite
+def scenarios(draw):
+    """A raw scenario mapping, as a YAML file would give it."""
+    attributes = st.lists(st.sampled_from(TAGS), unique=True)
+    agents = [{"name": "authority", "roles": ["Authority"]}]
+    for i in range(draw(st.integers(3, 6))):
+        kind = draw(st.sampled_from(["HonestVerifier", "NoisyVerifier"]))
+        agents.append({"name": f"verifier-{i}", "roles": ["Verifier"], "strategy": {"kind": kind}})
+    for i in range(draw(st.integers(1, 8))):
+        agents.append({
+            "name": f"producer-{i}",
+            "roles": ["Producer", "Consumer"],
+            "attributes": draw(attributes),
+            "endowment": draw(st.integers(0, 60)),
+            "strategy": {
+                "kind": "HonestProducer",
+                "share_rate": draw(probabilities),
+                "consume_rate": draw(probabilities),
+                "utility_responsive": draw(st.booleans()),
+                "sale_price": draw(st.integers(0, 4)),
+            },
+        })
+    for i in range(draw(st.integers(0, 3))):
+        agents.append({
+            "name": f"false-sharer-{i}",
+            "roles": ["Producer"],
+            "strategy": {"kind": "FalseSharer", "share_rate": draw(probabilities),
+                         "fabrication_rate": draw(probabilities)},
+        })
+    if draw(st.booleans()):
+        agents.append({
+            "name": "flooder",
+            "roles": ["Producer"],
+            "strategy": {"kind": "DoIFlooder", "flood_multiplier": draw(st.integers(1, 3))},
+        })
+    for i in range(draw(st.integers(0, 4))):
+        agents.append({
+            "name": f"consumer-{i}",
+            "roles": ["Consumer"],
+            "attributes": draw(attributes),
+            "endowment": draw(st.integers(0, 60)),
+            "strategy": {"kind": "LazyConsumer", "consume_rate": draw(probabilities)},
+        })
+
+    names = [a["name"] for a in agents]
+    tlp = draw(st.sampled_from(["white", "green", "orange", "red"]))
+    designated = []
+    if tlp == "red":
+        designated = [draw(st.sampled_from(names))]
+    elif tlp == "orange":
+        designated = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    sale_mode = draw(st.sampled_from(["none", "fixed", "producer-set"]))
+    return {
+        "name": "property",
+        "rounds": draw(st.integers(1, 6)),
+        "seed": draw(st.integers(0, 2**16)),
+        "heartbeat": draw(st.booleans()),
+        "agents": agents,
+        "economics": {
+            "base_fee": draw(st.sampled_from([0, 3, 12])),
+            "period_rounds": draw(st.integers(1, 4)),
+            "discount_per_hq": draw(st.integers(0, 2)),
+            "deposit": draw(st.sampled_from([0, 4, 10])),
+            "verification_fee": draw(st.sampled_from([0, 3, 5])),
+            "sale_mode": sale_mode,
+            "fixed_price": draw(st.integers(0, 4)) if sale_mode == "fixed" else None,
+            "forfeiture": draw(st.sampled_from(["split", "burn", "hold"])),
+        },
+        # thresholds that revoke within a few rounds
+        "verification": {
+            "trust_threshold": draw(st.integers(20, 50)),
+            "delta_invalid": draw(st.integers(-30, -5)),
+            "delta_minority_vote": draw(st.integers(-20, -1)),
+        },
+        "access": {"tlp": tlp, "designated": designated, "policy": draw(st.sampled_from(POLICIES))},
+        "mining": {"window_rounds": draw(st.integers(1, 4)), "min_support": 2},
+    }
+
+
+def run(raw):
+    """The engine after its run, and its outputs' bytes."""
+    engine = Engine(parse_config(raw))
+    result = engine.run()
+    outputs = (
+        chain_to_json(result.chain),
+        json.dumps(result.summary, indent=2) + "\n",
+        result.metrics.to_csv(),
+    )
+    return engine, result, outputs
+
+
+def replayed_registry(chain):
+    """A fresh registry with every transaction of `chain` applied in order."""
+    registry = Registry(initial_score=0)
+    for block in chain.blocks:
+        for tx in block.transactions:
+            registry.apply(tx.author, tx.kind, tx.payload)
+    return registry
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=scenarios())
+def test_every_small_scenario_keeps_the_platform_invariants(raw):
+    engine, result, outputs = run(raw)
+
+    reread = chain_from_json(outputs[0])
+    report = verify_chain(reread)
+    assert report.valid, report
+    assert engine.contracts.market.conserved()
+    assert all(row.balance >= 0 for row in result.metrics.rows)
+    assert run(raw)[2] == outputs
+    assert {name for agent in result.agents for _, name in agent.events} <= REJECTION_NAMES
+
+    replayed, registry = replayed_registry(reread), engine.registry
+    assert replayed.credentials == registry.credentials
+    assert replayed.verifier_ids == registry.verifier_ids
+    assert replayed.authorities == registry.authorities
