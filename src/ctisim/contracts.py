@@ -1,4 +1,4 @@
-"""Deterministic contract state machines executed against ledger transactions.
+"""Deterministic contract state machines driven by the transactions they emit.
 
 Covers the whole money and trust path of a submission: deposit escrow,
 three-verifier quality votes, the validity score combining vote fraction
@@ -8,14 +8,15 @@ reputation ledger with its participation threshold.
 
 The parameters are the scenario file's `verification:` and `economics:`
 sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
-Each operation emits ledger transactions, but the parameters and the
-starting endowments are not on the chain, so contract state cannot be
-recomputed from the chain alone. The engine's round loop is the single
-writer. Credentials are the exception: every operation signs its
-transactions through `identity.Registry.sign`, which applies each one to
-the registry's credentials, so a threshold revocation happens by signing
-its ReputationUpdate and `ledger.verify_chain` can replay it from the
-chain.
+`ContractSystem.apply` is the one rulebook for contract state, as
+`identity.Registry.apply` is for credentials. Each operation checks that
+its action is legal, builds the transaction body, signs it through
+`Registry.sign` (which applies it to the credentials, so a threshold
+revocation happens by signing its ReputationUpdate), then applies the same
+body through `apply`. Replaying a chain's transactions in order through
+both `apply`s on fresh objects therefore rebuilds the engine's state. The
+parameters and the starting endowments (`enroll`) are not on the chain
+yet, so such a replay takes them from the scenario.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from typing import Optional
 
 from .access_control import authorize
-from .cti import CtiRecord, record_bytes, validate_format
+from .cti import CtiRecord, decode_record, record_bytes, validate_format
 from .encoding import Digest
 from .errors import (
     AccessDenied,
@@ -84,6 +85,12 @@ class ForfeiturePolicy(Enum):
 # verifiers assigned to, and votes needed by, every submission
 QUORUM = 3
 
+# Kinds bound once (`TxKind.X` goes through the Enum metaclass), so that
+# `ContractSystem.apply` dispatches by identity, not by Enum hashes.
+_SUBMIT, _VOTE, _FINALIZE = TxKind.SubmitCti, TxKind.Vote, TxKind.FinalizeVerification
+_PURCHASE, _RENEW = TxKind.Purchase, TxKind.RenewSubscription
+_VOTE_BY_NAME = {vote.value: vote for vote in Vote}
+
 
 @dataclass(frozen=True)
 class VerificationPolicy:
@@ -140,9 +147,8 @@ class ReputationLedger:
     policy: VerificationPolicy
     scores: dict[Digest, int] = field(default_factory=dict)
 
-    def add(self, stakeholder: Digest) -> int:
+    def add(self, stakeholder: Digest) -> None:
         self.scores[stakeholder] = self._clamp(self.policy.initial_score)
-        return self.scores[stakeholder]
 
     def score_of(self, stakeholder: Digest) -> int:
         try:
@@ -150,10 +156,8 @@ class ReputationLedger:
         except KeyError:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
-    def apply(self, stakeholder: Digest, delta: int) -> int:
-        new = self._clamp(self.score_of(stakeholder) + delta)
-        self.scores[stakeholder] = new
-        return new
+    def apply(self, stakeholder: Digest, delta: int) -> None:
+        self.scores[stakeholder] = self._clamp(self.score_of(stakeholder) + delta)
 
     def is_trusted(self, stakeholder: Digest) -> bool:
         return self.score_of(stakeholder) >= self.policy.trust_threshold
@@ -185,9 +189,6 @@ class SubscriptionContract:
 
     accrued_discount: dict[Digest, int] = field(default_factory=dict)
     paid_through: dict[Digest, int] = field(default_factory=dict)
-
-    def accrue(self, stakeholder: Digest, amount: int) -> None:
-        self.accrued_discount[stakeholder] = self.accrued_discount.get(stakeholder, 0) + amount
 
 
 @dataclass
@@ -245,7 +246,6 @@ class MarketContract:
 
 @dataclass(frozen=True)
 class VerificationOutcome:
-    status: ContractStatus
     verifier_payouts: dict[Digest, int]
     discounts: dict[Digest, int]
     revoked: tuple[Digest, ...]
@@ -259,11 +259,7 @@ class ContractSystem:
     """
 
     def __init__(
-        self,
-        registry: Registry,
-        policy: VerificationPolicy,
-        economics: EconomicsConfig,
-        authority: Digest,
+        self, registry: Registry, policy: VerificationPolicy, economics: EconomicsConfig, authority: Digest
     ):
         self.registry = registry
         self.policy = policy
@@ -282,6 +278,100 @@ class ContractSystem:
         self.market.mint(stakeholder, endowment)
         self.subscription.accrued_discount[stakeholder] = 0
         self.subscription.paid_through[stakeholder] = self.economics.period_rounds
+
+    # -- the rulebook ---------------------------------------------------
+
+    def apply(
+        self, author: Digest, kind: TxKind, body, round_no: Optional[int], record: Optional[CtiRecord] = None
+    ):
+        """Apply a transaction's payload `body` to contract state, in chain
+        order: the one place SubmitCti, Vote, FinalizeVerification, Purchase
+        and RenewSubscription change it. Other kinds change nothing here.
+
+        `round_no` is the round of the transaction's block; only SubmitCti
+        and FinalizeVerification read it, so a vote or purchase passes None.
+        A SubmitCti's record is decoded from its body unless given. The
+        operations check legality before they sign; apply trusts them.
+        Returns a SubmitCti's contract, a FinalizeVerification's (verifier
+        payouts, discounts), else None.
+        """
+        market = self.market
+        if kind is _SUBMIT:
+            if record is None:
+                record = decode_record(body.record_bytes)
+            market.to_escrow(author, body.deposit + body.verification_fee)
+            contract = self.contracts[body.contract_id] = ReportContract(
+                body.contract_id, record, ContractStatus.PendingVerification, body.verifiers, {},
+                body.deposit, DepositState.Escrowed, body.verification_fee, round_no,
+            )
+            if record.sale_price is not None:
+                market.listings[body.contract_id] = record.sale_price
+            return contract
+        if kind is _VOTE:
+            self.contracts[body.contract_id].votes[author] = _VOTE_BY_NAME[body.vote]
+        elif kind is _FINALIZE:
+            contract = self.contracts[body.contract_id]
+            producer, verifiers = contract.record.producer, contract.assigned_verifiers
+            valid = body.status == ContractStatus.Verified.value
+            contract.status = ContractStatus.Verified if valid else ContractStatus.Rejected
+            contract.finalized_round = round_no
+            payouts: dict[Digest, int] = {}
+
+            # (a) deposit: refunded, or forfeited as the policy says
+            if valid:
+                market.escrow_to(producer, contract.deposit)
+                contract.deposit_state = DepositState.Refunded
+            else:
+                contract.deposit_state = DepositState.Forfeited
+                forfeiture = self.economics.forfeiture
+                if forfeiture is ForfeiturePolicy.Burn:
+                    market.escrow_burn(contract.deposit)
+                elif forfeiture is ForfeiturePolicy.HoldInContract:
+                    market.escrow_hold(contract.deposit)
+                else:
+                    self._split_escrow(contract.deposit, verifiers, payouts)
+
+            # (b) subscription discounts: verifiers always, producer only on
+            # a high-quality majority
+            votes = [contract.votes[v] for v in verifiers]
+            majority = Vote.HighQuality if votes.count(Vote.HighQuality) * 2 > QUORUM else Vote.LowQuality
+            discounts: dict[Digest, int] = {}
+            per_hq = self.economics.discount_per_hq
+            if per_hq > 0:
+                accrued = self.subscription.accrued_discount
+                for sid in (*verifiers, producer) if majority is Vote.HighQuality else verifiers:
+                    accrued[sid] = accrued.get(sid, 0) + per_hq
+                    discounts[sid] = per_hq
+
+            # (c) reputation
+            policy = self.policy
+            self.reputation.apply(producer, policy.delta_valid if valid else policy.delta_invalid)
+            for v, vote in zip(verifiers, votes):
+                delta = policy.delta_majority_vote if vote is majority else policy.delta_minority_vote
+                self.reputation.apply(v, delta)
+
+            # (d) verification fee payout
+            if contract.verification_fee:
+                self._split_escrow(contract.verification_fee, verifiers, payouts)
+            return payouts, discounts
+        elif kind is _PURCHASE:
+            market.transfer(author, self.contracts[body.contract_id].record.producer, body.price)
+        elif kind is _RENEW:
+            if body.charge:
+                market.transfer(author, self.authority, body.charge)
+            self.subscription.accrued_discount[author] = 0
+            self.subscription.paid_through[author] = body.paid_through
+        return None
+
+    def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
+        """Pay each verifier a QUORUM-th of escrowed `amount` into `payouts`; burn the rest."""
+        share = amount // QUORUM
+        for v in verifiers:
+            self.market.escrow_to(v, share)
+            payouts[v] = payouts.get(v, 0) + share
+        remainder = amount - share * QUORUM
+        if remainder:
+            self.market.escrow_burn(remainder)
 
     # -- submission -----------------------------------------------------
 
@@ -320,29 +410,9 @@ class ContractSystem:
             raise VerifierPoolTooSmall(f"{len(pool)} eligible, need {QUORUM}")
         verifiers = tuple(rng.sample(pool, QUORUM))
 
-        self.market.to_escrow(producer, need)
-        contract = ReportContract(
-            contract_id=record.record_id,
-            record=record,
-            status=ContractStatus.PendingVerification,
-            assigned_verifiers=verifiers,
-            votes={},
-            deposit=deposit,
-            deposit_state=DepositState.Escrowed,
-            verification_fee=fee,
-            created_round=record.created_round,
-        )
-        self.contracts[contract.contract_id] = contract
-        if record.sale_price is not None:
-            self.market.listings[contract.contract_id] = record.sale_price
-        body = SubmitCtiBody(
-            contract_id=contract.contract_id,
-            record_bytes=record_bytes(record),
-            deposit=deposit,
-            verification_fee=fee,
-            verifiers=verifiers,
-        )
-        return contract, [self.registry.sign(producer, TxKind.SubmitCti, body.encode())]
+        body = SubmitCtiBody(record.record_id, record_bytes(record), deposit, fee, verifiers)
+        tx = self.registry.sign(producer, _SUBMIT, body.encode())
+        return self.apply(producer, _SUBMIT, body, record.created_round, record), [tx]
 
     # -- voting ----------------------------------------------------------
 
@@ -356,9 +426,10 @@ class ContractSystem:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
             raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
-        contract.votes[verifier] = vote
         body = VoteBody(contract_id=contract_id, vote=vote.value)
-        return [self.registry.sign(verifier, TxKind.Vote, body.encode())]
+        tx = self.registry.sign(verifier, _VOTE, body.encode())
+        self.apply(verifier, _VOTE, body, None)
+        return [tx]
 
     # -- finalization ----------------------------------------------------
 
@@ -370,106 +441,29 @@ class ContractSystem:
             raise ContractClosed(contract_id.hex())
         if contract.status is not ContractStatus.PendingVerification:
             raise AlreadyFinalized(contract_id.hex())
-        ordered_votes = [
-            contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes
-        ]
+        ordered_votes = [contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes]
         if len(ordered_votes) != QUORUM:
             raise QuorumNotMet(f"{len(ordered_votes)} of {QUORUM} votes cast")
 
         producer = contract.record.producer
         pi = evaluate_pi(self.policy, ordered_votes, self.reputation.score_of(producer))
-        hq_count = sum(1 for v in ordered_votes if v is Vote.HighQuality)
-        majority_hq = hq_count * 2 > QUORUM
-        majority_vote = Vote.HighQuality if majority_hq else Vote.LowQuality
+        status = ContractStatus.Verified if pi.valid else ContractStatus.Rejected
+        deposit_state = DepositState.Refunded if pi.valid else DepositState.Forfeited
+        body = FinalizeBody(contract_id, status.value, int(round(pi.score * 1_000_000)), deposit_state.value)
+        txs = [self.registry.sign(self.authority, _FINALIZE, body.encode())]
+        payouts, discounts = self.apply(self.authority, _FINALIZE, body, round_no)
+        contract.pi_score = pi.score  # the summary's float; the chain has score_micro
 
-        payouts: dict[Digest, int] = {}
-
-        # (a) status
-        contract.status = ContractStatus.Verified if pi.valid else ContractStatus.Rejected
-        contract.finalized_round = round_no
-        contract.pi_score = pi.score
-
-        # (b) deposit
-        if pi.valid:
-            self.market.escrow_to(producer, contract.deposit)
-            contract.deposit_state = DepositState.Refunded
-        else:
-            contract.deposit_state = DepositState.Forfeited
-            forfeiture = self.economics.forfeiture
-            if forfeiture is ForfeiturePolicy.Burn:
-                self.market.escrow_burn(contract.deposit)
-            elif forfeiture is ForfeiturePolicy.HoldInContract:
-                self.market.escrow_hold(contract.deposit)
-            else:
-                self._split_escrow(contract.deposit, contract.assigned_verifiers, payouts)
-
-        # (c) subscription discounts: verifiers always, producer only on
-        # a high-quality majority
-        discounts: dict[Digest, int] = {}
-        per_hq = self.economics.discount_per_hq
-        if per_hq > 0:
-            for v in contract.assigned_verifiers:
-                self.subscription.accrue(v, per_hq)
-                discounts[v] = per_hq
-            if majority_hq:
-                self.subscription.accrue(producer, per_hq)
-                discounts[producer] = per_hq
-
-        # (d) reputation
-        policy = self.policy
-        self.reputation.apply(producer, policy.delta_valid if pi.valid else policy.delta_invalid)
-        for v in contract.assigned_verifiers:
-            delta = (
-                policy.delta_majority_vote
-                if contract.votes[v] is majority_vote
-                else policy.delta_minority_vote
-            )
-            self.reputation.apply(v, delta)
-
-        # (e) verification fee payout
-        if contract.verification_fee:
-            self._split_escrow(contract.verification_fee, contract.assigned_verifiers, payouts)
-
-        # (f) on-chain result + any threshold revocations
-        body = FinalizeBody(
-            contract_id=contract_id,
-            status=contract.status.value,
-            score_micro=int(round(pi.score * 1_000_000)),
-            deposit_state=contract.deposit_state.value,
-        )
-        txs = [self.registry.sign(self.authority, TxKind.FinalizeVerification, body.encode())]
-
+        # threshold revocations
         revoked: list[Digest] = []
         for sid in [producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
-                rb = ReputationUpdateBody(
-                    stakeholder=sid,
-                    score=self.reputation.score_of(sid),
-                    revoked=True,
-                    reason="reputation below trust threshold",
-                )
+                reason = "reputation below trust threshold"
+                rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
                 # signing applies it: the registry revokes the credential
                 txs.append(self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode()))
                 revoked.append(sid)
-
-        outcome = VerificationOutcome(
-            status=contract.status,
-            verifier_payouts=payouts,
-            discounts=discounts,
-            revoked=tuple(revoked),
-        )
-        return outcome, txs
-
-    def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
-        """Pay each verifier an equal QUORUM-th of escrowed `amount`, adding
-        it to `payouts`, and burn the remainder."""
-        share = amount // QUORUM
-        for v in verifiers:
-            self.market.escrow_to(v, share)
-            payouts[v] = payouts.get(v, 0) + share
-        remainder = amount - share * QUORUM
-        if remainder:
-            self.market.escrow_burn(remainder)
+        return VerificationOutcome(payouts, discounts, tuple(revoked)), txs
 
     # -- marketplace -----------------------------------------------------
 
@@ -494,13 +488,14 @@ class ContractSystem:
         if not authorize(cred, record.tlp, record.policy, group_members):
             raise AccessDenied(consumer.hex()[:12])
 
-        self.market.transfer(consumer, record.producer, price)
+        body = PurchaseBody(contract_id, price)
         txs = [
-            self.registry.sign(consumer, TxKind.Purchase, PurchaseBody(contract_id, price).encode()),
+            self.registry.sign(consumer, _PURCHASE, body.encode()),
             self.registry.sign(
                 self.authority, TxKind.AccessGrant, AccessGrantBody(contract_id, consumer).encode()
             ),
         ]
+        self.apply(consumer, _PURCHASE, body, None)
         return price, txs
 
     # -- subscriptions ---------------------------------------------------
@@ -512,13 +507,10 @@ class ContractSystem:
             raise UnknownStakeholder(user.hex())
         if round_no < sub.paid_through[user]:
             raise NotYetExpired(f"paid through round {sub.paid_through[user]}")
-        accrued = sub.accrued_discount.get(user, 0)
-        charge = max(0, self.economics.base_fee - accrued)
+        charge = max(0, self.economics.base_fee - sub.accrued_discount.get(user, 0))
         if self.market.balance_of(user) < charge:
             raise InsufficientBalance(f"renewal needs {charge}")
-        if charge:
-            self.market.transfer(user, self.authority, charge)
-        sub.accrued_discount[user] = 0
-        sub.paid_through[user] = sub.paid_through[user] + self.economics.period_rounds
-        body = RenewBody(charge=charge, paid_through=sub.paid_through[user])
-        return charge, [self.registry.sign(user, TxKind.RenewSubscription, body.encode())]
+        body = RenewBody(charge=charge, paid_through=sub.paid_through[user] + self.economics.period_rounds)
+        tx = self.registry.sign(user, _RENEW, body.encode())
+        self.apply(user, _RENEW, body, round_no)
+        return charge, [tx]

@@ -115,7 +115,8 @@ class Registry:
         The one rulebook for credentials: an illegal transaction changes
         nothing and raises a CtiSimError whose message is verify_chain's
         reason. The first credential is the Authority's self-registration,
-        and only an acting authority registers the others.
+        and only an acting authority registers the others; every id and
+        secret is the one derived from its evidence, so evidence backs one id.
         """
         cred = self.credentials.get(author)
         if cred is not None and cred.revoked:
@@ -138,6 +139,10 @@ class Registry:
                 raise NotAnAuthority("Register without a role")
             if not body.evidence_digest:
                 raise NotAnAuthority("Register without identity evidence")
+            if body.stakeholder != stakeholder_id(body.evidence_digest):
+                raise NotAnAuthority("Register with an id not derived from its evidence")
+            if body.secret != derive_secret(body.evidence_digest):
+                raise NotAnAuthority("Register with a secret not derived from its evidence")
             try:
                 roles = frozenset(map(Role, body.roles))
             except ValueError:

@@ -70,9 +70,11 @@ class TxKind(Enum):
     ReputationUpdate = "ReputationUpdate"
     AccessGrant = "AccessGrant"
 
+    def __init__(self, name: str):
+        # the name as a string field: an attribute, so no Enum hash per id
+        self.tag = str_field(name)
 
-# each kind's name, encoded as a string field
-_KIND_TAG = {kind: str_field(kind.value) for kind in TxKind}
+
 # each kind by its name, as chain.json spells it
 _KIND_BY_NAME = {kind.value: kind for kind in TxKind}
 # bound once: `TxKind.X` goes through the Enum metaclass
@@ -91,7 +93,7 @@ class Transaction:
     def compute_id(author: Digest, kind: TxKind, payload: bytes) -> Digest:
         """Digest of the canonical encoding of (author, kind name, payload)."""
         return _sha256(
-            _pack_count(len(author)) + author + _KIND_TAG[kind] + _pack_count(len(payload)) + payload
+            _pack_count(len(author)) + author + kind.tag + _pack_count(len(payload)) + payload
         ).digest()
 
     @classmethod
@@ -101,7 +103,7 @@ class Transaction:
         Both digests end with the payload's byte-string field, built once.
         """
         payload_field = _pack_count(len(payload)) + payload
-        tx_id = _sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest()
+        tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
         signature = _sha256(_pack_count(len(secret)) + secret + payload_field).digest()
         return cls(tx_id, author, kind, payload, signature)
 
@@ -274,7 +276,7 @@ def verify_chain(chain: Chain) -> VerificationReport:
             # The payload's byte-string field ends both the id and the
             # signature preimage (see Transaction.create).
             payload_field = _pack_count(len(payload)) + payload
-            tx_id = _sha256(_pack_count(len(author)) + author + _KIND_TAG[kind] + payload_field).digest()
+            tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
             if tx.tx_id != tx_id:
                 return bad("transaction id mismatch")
             try:

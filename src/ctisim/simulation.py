@@ -376,7 +376,7 @@ class Engine:
                 continue
             round_txs.extend(txs)
             producer = self.by_id[contract.record.producer]
-            if outcome.status is ContractStatus.Verified:
+            if contract.status is ContractStatus.Verified:
                 producer.current.verified += 1
                 newly_verified.append(contract)
             else:

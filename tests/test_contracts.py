@@ -262,7 +262,7 @@ def test_vote_on_closed_contract_rejected():
 def test_majority_hq_verifies_refunds_and_discounts_everyone():
     p = Platform()
     contract, outcome, txs = p.run_contract([HQ, HQ, LQ])
-    assert outcome.status is ContractStatus.Verified
+    assert contract.status is ContractStatus.Verified
     assert contract.deposit_state is DepositState.Refunded
     assert p.market.balance_of(p.producer) == 100  # deposit back
     assert p.reputation.score_of(p.producer) == 52
@@ -280,7 +280,7 @@ def test_majority_hq_verifies_refunds_and_discounts_everyone():
 def test_majority_lq_rejects_splits_deposit_and_discounts_verifiers_only():
     p = Platform(deposit=9)
     contract, outcome, _ = p.run_contract([LQ, LQ, HQ])
-    assert outcome.status is ContractStatus.Rejected
+    assert contract.status is ContractStatus.Rejected
     assert contract.deposit_state is DepositState.Forfeited
     assert p.market.balance_of(p.producer) == 91  # deposit gone
     for v in contract.assigned_verifiers:
@@ -496,7 +496,7 @@ def test_currency_conserved_across_mixed_outcomes():
     outcomes = [[HQ, HQ, HQ], [LQ, LQ, LQ], [HQ, LQ, LQ], [HQ, HQ, LQ]]
     for i, votes in enumerate(outcomes):
         contract, outcome, _ = p.run_contract(votes, n=i, sale_price=4)
-        if outcome.status is ContractStatus.Verified:
+        if contract.status is ContractStatus.Verified:
             p.system.purchase(p.consumer, contract.contract_id, set())
     p.system.renew_subscription(p.producer, round_no=10)
     assert p.market.escrow == 0

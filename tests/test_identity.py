@@ -157,6 +157,7 @@ def revocation(name):
 BOOT = ("authority", TxKind.Register, registration("authority", ["Authority"]))
 USER = ("authority", TxKind.Register, registration("user", ["Consumer", "Producer"]))
 VOTE = VoteBody(sha256(b"contract"), "HighQuality")
+PRODUCER = registration("user", ["Producer"])
 
 ILLEGAL_HISTORIES = {
     "self-registration-on-non-empty-registry": (
@@ -198,6 +199,19 @@ ILLEGAL_HISTORIES = {
     "unknown-role-name": (
         [BOOT, ("authority", TxKind.Register, registration("user", ["Admin"]))],
         NotAnAuthority, "Register with an unknown role",
+    ),
+    "underived-id": (
+        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, stakeholder=sha256(b"any id")))],
+        NotAnAuthority, "Register with an id not derived from its evidence",
+    ),
+    "underived-secret": (
+        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, secret=b"any secret"))],
+        NotAnAuthority, "Register with a secret not derived from its evidence",
+    ),
+    # the evidence can only back the id derived from it, and that id is taken
+    "second-id-from-the-same-evidence": (
+        [BOOT, USER, ("authority", TxKind.Register, registration("user", ["Verifier"]))],
+        DuplicateRegistration, "duplicate registration",
     ),
     **{
         f"{kind.value}-by-a-producer": (

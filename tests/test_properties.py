@@ -4,10 +4,12 @@ Each example draws a small platform (1-8 producers, 0-3 false-sharers, 3-6
 verifiers, 0-4 consumers, an optional flooder) under a random forfeiture
 policy, sale mode, fees, deposits, TLP channel, attribute policy and
 heartbeat setting, runs it, and checks what must hold for every config:
-the re-read dump verifies VALID and replays to the engine's credentials,
-currency is conserved, no balance goes negative, a second run writes the
-same bytes, and every rejected action is named by an error type or an
-engine blocker.
+the re-read dump verifies VALID, a second run writes the same bytes, and
+every rejected action is named by an error type or an engine blocker.
+Replaying the re-read dump block by block through `Registry.apply` and
+`ContractSystem.apply` conserves currency after every block, never drives
+a balance negative, and ends in the engine's credentials and contract
+state.
 """
 
 import inspect
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 
 from ctisim import errors
 from ctisim.config import parse_config
-from ctisim.identity import Registry
 from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
 from ctisim.simulation import Engine
+from tests.test_replay import replay_blocks
 
 TAGS = ["ICS-ISAC", "gov"]
 POLICIES = [None, "ICS-ISAC", "(or ICS-ISAC gov)", "(and ICS-ISAC gov)"]
@@ -124,13 +126,11 @@ def run(raw):
     return engine, result, outputs
 
 
-def replayed_registry(chain):
-    """A fresh registry with every transaction of `chain` applied in order."""
-    registry = Registry(initial_score=0)
-    for block in chain.blocks:
-        for tx in block.transactions:
-            registry.apply(tx.author, tx.kind, tx.payload)
-    return registry
+def contract_states(system):
+    """Each contract's status, deposit state, votes and finalized round."""
+    return {
+        cid: (c.status, c.deposit_state, c.votes, c.finalized_round) for cid, c in system.contracts.items()
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,7 +146,17 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert run(raw)[2] == outputs
     assert {name for agent in result.agents for _, name in agent.events} <= REJECTION_NAMES
 
-    replayed, registry = replayed_registry(reread), engine.registry
-    assert replayed.credentials == registry.credentials
-    assert replayed.verifier_ids == registry.verifier_ids
-    assert replayed.authorities == registry.authorities
+    endowments = {agent.sid: agent.endowment for agent in result.agents}
+    for _, replayed in replay_blocks(reread, engine.cfg, endowments):
+        assert replayed.market.conserved()
+        assert min(replayed.market.balances.values()) >= 0
+
+    live = engine.contracts
+    assert replayed.market == live.market  # balances, escrow, held, burned, minted, listings
+    assert replayed.reputation.scores == live.reputation.scores
+    assert replayed.subscription == live.subscription  # paid_through, accrued_discount
+    assert contract_states(replayed) == contract_states(live)
+    registry = engine.registry
+    assert replayed.registry.credentials == registry.credentials
+    assert replayed.registry.verifier_ids == registry.verifier_ids
+    assert replayed.registry.authorities == registry.authorities

@@ -1,100 +1,65 @@
 """Contract state must be a pure fold over the chain.
 
-Rebuilds balances, reputations and per-round activity counters from the
-transaction stream alone (plus the scenario parameters every participant
-knows) and checks them against what the engine reported. This is the
-read-side recomputation the concurrency model promises.
+Replays the chain's transactions in order through the rulebooks the engine
+signs by, `Registry.apply` for credentials and `ContractSystem.apply` for
+contract state, on fresh objects. The scenario parameters and the starting
+endowments are not on the chain yet, so the replay takes them from the
+scenario. The result must equal what the engine reported: balances,
+reputations, revocations and every per-round activity counter.
 """
 
 from collections import defaultdict
 
-from ctisim.contracts import ForfeiturePolicy
+from ctisim.contracts import ContractStatus, ContractSystem, DepositState
+from ctisim.identity import Registry
 from ctisim.ledger import TxKind
-from ctisim.payloads import (
-    FinalizeBody,
-    PurchaseBody,
-    RegisterBody,
-    RenewBody,
-    SubmitCtiBody,
-)
+from ctisim.payloads import FinalizeBody, PurchaseBody, RegisterBody, RenewBody, SubmitCtiBody, VoteBody
 from ctisim.simulation import run_scenario
 from tests.test_acceptance import _mixed_scenario
 
+# the payload body of each kind ContractSystem.apply reads
+BODIES = {
+    TxKind.SubmitCti: SubmitCtiBody,
+    TxKind.Vote: VoteBody,
+    TxKind.FinalizeVerification: FinalizeBody,
+    TxKind.Purchase: PurchaseBody,
+    TxKind.RenewSubscription: RenewBody,
+}
+
+
+def replay_blocks(chain, config, endowments):
+    """Apply `chain` to a fresh Registry and ContractSystem, yielding each
+    block after genesis and the system once that block is applied."""
+    registry = Registry(initial_score=0)
+    # the first transaction is the authority's self-registration
+    authority = chain.blocks[1].transactions[0].author
+    system = ContractSystem(registry, config.verification, config.economics, authority)
+    for block in chain.blocks[1:]:
+        for tx in block.transactions:
+            registry.apply(tx.author, tx.kind, tx.payload)
+            if tx.kind is TxKind.Register:
+                sid = RegisterBody.decode(tx.payload).stakeholder
+                system.enroll(sid, endowments[sid])
+            elif tx.kind in BODIES:
+                system.apply(tx.author, tx.kind, BODIES[tx.kind].decode(tx.payload), block.timestamp)
+        yield block, system
+
 
 def replay(chain, config, endowments):
-    """Fold the chain into (balances, reputations, per-round counters)."""
-    ver = config.verification
-    scores: dict[bytes, int] = {}
-    balances: dict[bytes, int] = {}
-    authority = None
-    submits: dict[bytes, SubmitCtiBody] = {}
-    submit_author: dict[bytes, bytes] = {}
-    votes: dict[bytes, dict[bytes, str]] = defaultdict(dict)
-    per_round = defaultdict(lambda: defaultdict(int))  # (round, author) -> counters
-
-    def clamp(x):
-        return max(1, min(100, x))
-
-    for block in chain.blocks:
-        r = block.timestamp
+    """The replayed ContractSystem and its activity counters by (round, author)."""
+    per_round = defaultdict(lambda: defaultdict(int))
+    for block, system in replay_blocks(chain, config, endowments):
         for tx in block.transactions:
-            if tx.kind is TxKind.Register:
-                body = RegisterBody.decode(tx.payload)
-                scores[body.stakeholder] = clamp(body.initial_score)
-                balances[body.stakeholder] = endowments[body.stakeholder]
-                if authority is None and "Authority" in body.roles:
-                    authority = body.stakeholder
-            elif tx.kind is TxKind.SubmitCti:
-                body = SubmitCtiBody.decode(tx.payload)
-                submits[body.contract_id] = body
-                submit_author[body.contract_id] = tx.author
-                balances[tx.author] -= body.deposit + body.verification_fee
-                per_round[(r, tx.author)]["shares"] += 1
-            elif tx.kind is TxKind.Vote:
-                from ctisim.payloads import VoteBody
-
-                body = VoteBody.decode(tx.payload)
-                votes[body.contract_id][tx.author] = body.vote
-            elif tx.kind is TxKind.FinalizeVerification:
-                body = FinalizeBody.decode(tx.payload)
-                sub = submits[body.contract_id]
-                producer = submit_author[body.contract_id]
-                cast = votes[body.contract_id]
-                quorum = len(sub.verifiers)
-                ordered = [cast[v] for v in sub.verifiers]
-                hq = sum(1 for v in ordered if v == "HighQuality")
-                majority = "HighQuality" if hq * 2 > quorum else "LowQuality"
-                if body.status == "Verified":
-                    balances[producer] += sub.deposit
-                    scores[producer] = clamp(scores[producer] + ver.delta_valid)
-                    per_round[(r, producer)]["verified"] += 1
-                else:
-                    scores[producer] = clamp(scores[producer] + ver.delta_invalid)
-                    per_round[(r, producer)]["rejected"] += 1
-                    per_round[(r, producer)]["forfeited"] += sub.deposit
-                    if config.economics.forfeiture is ForfeiturePolicy.Split:
-                        share = sub.deposit // quorum
-                        for v in sub.verifiers:
-                            balances[v] += share
-                for v in sub.verifiers:
-                    delta = (
-                        ver.delta_majority_vote if cast[v] == majority else ver.delta_minority_vote
-                    )
-                    scores[v] = clamp(scores[v] + delta)
-                if sub.verification_fee:
-                    share = sub.verification_fee // quorum
-                    for v in sub.verifiers:
-                        balances[v] += share
-            elif tx.kind is TxKind.Purchase:
-                body = PurchaseBody.decode(tx.payload)
-                balances[tx.author] -= body.price
-                balances[submit_author[body.contract_id]] += body.price
-                per_round[(r, tx.author)]["consumes"] += 1
-            elif tx.kind is TxKind.RenewSubscription:
-                body = RenewBody.decode(tx.payload)
-                balances[tx.author] -= body.charge
-                balances[authority] += body.charge
-    return balances, scores, per_round
+            if tx.kind is TxKind.Purchase:
+                per_round[(block.timestamp, tx.author)]["consumes"] += 1
+    for c in system.contracts.values():
+        producer = c.record.producer
+        per_round[(c.created_round, producer)]["shares"] += 1
+        finalized = per_round[(c.finalized_round, producer)]
+        finalized["verified"] += c.status is ContractStatus.Verified
+        finalized["rejected"] += c.status is ContractStatus.Rejected
+        finalized["forfeited"] += c.deposit if c.deposit_state is DepositState.Forfeited else 0
+    return system, per_round
 
 
 def test_chain_fold_reproduces_engine_state():
@@ -102,14 +67,15 @@ def test_chain_fold_reproduces_engine_state():
     config.rounds = 60
     result = run_scenario(config)
     endowments = {a.sid: a.endowment for a in result.agents}
-    balances, scores, per_round = replay(result.chain, config, endowments)
+    system, per_round = replay(result.chain, config, endowments)
 
     for agent in result.agents:
         info = result.summary["agents"][agent.name]
-        assert balances[agent.sid] == info["balance"], agent.name
-        assert scores[agent.sid] == info["reputation"], agent.name
+        assert system.market.balance_of(agent.sid) == info["balance"], agent.name
+        assert system.reputation.score_of(agent.sid) == info["reputation"], agent.name
+        assert system.registry.get(agent.sid).revoked == info["revoked"], agent.name
 
-    # per-round activity columns match the fold exactly (fixed sale mode:
+    # per-round activity columns match the replay exactly (fixed sale mode:
     # every consume is an on-chain purchase)
     for row in result.metrics.rows:
         sid = next(a.sid for a in result.agents if a.name == row.agent)
