@@ -10,10 +10,9 @@ not cryptographic strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, AbstractSet, Optional
 
-from .encoding import Digest
+from .encoding import Digest, TaggedEnum
 from .errors import AccessDenied, PolicyParseError
 from .ledger import sha256
 
@@ -22,7 +21,7 @@ if TYPE_CHECKING:
     from .identity import Credential
 
 
-class TlpChannel(Enum):
+class TlpChannel(TaggedEnum):
     Red = "Red"
     Orange = "Orange"
     Green = "Green"

@@ -16,6 +16,7 @@ examples)::
     agents:               # one entry per stakeholder
       - name: authority
         roles: [Authority]            # Producer | Consumer | Verifier | Authority
+                                      # (an Authority is not also Producer or Verifier)
       - name: prod
         roles: [Producer, Consumer]
         attributes: [ICS-ISAC, gov]   # tags evaluated by access policies

@@ -175,6 +175,9 @@ def _roles(value: Any, name: str) -> frozenset[Role]:
             raise ConfigInvalid(name, f"unknown role {role_name!r}") from None
     if not roles:
         raise ConfigInvalid(name, "at least one role required")
+    if Role.Authority in roles and (Role.Producer in roles or Role.Verifier in roles):
+        # reputation could revoke it, and the first authority seals every block
+        raise ConfigInvalid(name, "an Authority may not also be a Producer or Verifier")
     return frozenset(roles)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic contract state machines driven by the transactions they emit.
+"""Deterministic contract state machines driven by the transactions they sign.
 
 Covers the whole money and trust path of a submission: deposit escrow,
 three-verifier quality votes, the validity score combining vote fraction
@@ -13,10 +13,12 @@ sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
 its action is legal, builds the transaction body, signs it through
 `Registry.sign` (which applies it to the credentials, so a threshold
 revocation happens by signing its ReputationUpdate), then applies the same
-body through `apply`. Replaying a chain's transactions in order through
-both `apply`s on fresh objects therefore rebuilds the engine's state. The
-parameters and the starting endowments (`enroll`) are not on the chain
-yet, so such a replay takes them from the scenario.
+body through `apply`, and returns its result, not the transaction: the
+registry keeps what it signed for the round's block. Replaying a chain's
+transactions in order through both `apply`s on fresh objects therefore
+rebuilds the engine's state. The parameters and the starting endowments
+(`enroll`) are not on the chain yet, so such a replay takes them from the
+scenario.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
     VerifierPoolTooSmall,
 )
 from .identity import Registry
-from .ledger import Transaction, TxKind
+from .ledger import TxKind
 from .payloads import (
     AccessGrantBody,
     FinalizeBody,
@@ -252,11 +254,7 @@ class VerificationOutcome:
 
 
 class ContractSystem:
-    """Executes the contract operations and emits the matching transactions.
-
-    Transactions returned by each operation are the engine's to batch into
-    the current round's block.
-    """
+    """Executes the contract operations, each signing through the registry."""
 
     def __init__(
         self, registry: Registry, policy: VerificationPolicy, economics: EconomicsConfig, authority: Digest
@@ -363,6 +361,14 @@ class ContractSystem:
             self.subscription.paid_through[author] = body.paid_through
         return None
 
+    def _commit(
+        self, author: Digest, kind: TxKind, body, round_no: Optional[int], record: Optional[CtiRecord] = None
+    ):
+        """Sign `body` as `author`'s transaction of `kind`, then apply it;
+        returns what `apply` returns."""
+        self.registry.sign(author, kind, body.encode())
+        return self.apply(author, kind, body, round_no, record)
+
     def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
         """Pay each verifier a QUORUM-th of escrowed `amount` into `payouts`; burn the rest."""
         share = amount // QUORUM
@@ -388,9 +394,7 @@ class ContractSystem:
             and self.reputation.is_trusted(sid)
         ]
 
-    def submit_report(
-        self, producer: Digest, record: CtiRecord, rng: random.Random
-    ) -> tuple[ReportContract, list[Transaction]]:
+    def submit_report(self, producer: Digest, record: CtiRecord, rng: random.Random) -> ReportContract:
         if not self.reputation.is_trusted(producer):
             raise BelowTrustThreshold(
                 f"score {self.reputation.score_of(producer)} < {self.policy.trust_threshold}"
@@ -411,12 +415,11 @@ class ContractSystem:
         verifiers = tuple(rng.sample(pool, QUORUM))
 
         body = SubmitCtiBody(record.record_id, record_bytes(record), deposit, fee, verifiers)
-        tx = self.registry.sign(producer, _SUBMIT, body.encode())
-        return self.apply(producer, _SUBMIT, body, record.created_round, record), [tx]
+        return self._commit(producer, _SUBMIT, body, record.created_round, record)
 
     # -- voting ----------------------------------------------------------
 
-    def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> list[Transaction]:
+    def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> None:
         contract = self.contracts.get(contract_id)
         if contract is None or contract.status is not ContractStatus.PendingVerification:
             raise ContractClosed(contract_id.hex())
@@ -426,16 +429,11 @@ class ContractSystem:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
             raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
-        body = VoteBody(contract_id=contract_id, vote=vote.value)
-        tx = self.registry.sign(verifier, _VOTE, body.encode())
-        self.apply(verifier, _VOTE, body, None)
-        return [tx]
+        self._commit(verifier, _VOTE, VoteBody(contract_id=contract_id, vote=vote.value), None)
 
     # -- finalization ----------------------------------------------------
 
-    def finalize_verification(
-        self, contract_id: Digest, round_no: int
-    ) -> tuple[VerificationOutcome, list[Transaction]]:
+    def finalize_verification(self, contract_id: Digest, round_no: int) -> VerificationOutcome:
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise ContractClosed(contract_id.hex())
@@ -450,8 +448,7 @@ class ContractSystem:
         status = ContractStatus.Verified if pi.valid else ContractStatus.Rejected
         deposit_state = DepositState.Refunded if pi.valid else DepositState.Forfeited
         body = FinalizeBody(contract_id, status.value, int(round(pi.score * 1_000_000)), deposit_state.value)
-        txs = [self.registry.sign(self.authority, _FINALIZE, body.encode())]
-        payouts, discounts = self.apply(self.authority, _FINALIZE, body, round_no)
+        payouts, discounts = self._commit(self.authority, _FINALIZE, body, round_no)
         contract.pi_score = pi.score  # the summary's float; the chain has score_micro
 
         # threshold revocations
@@ -461,15 +458,13 @@ class ContractSystem:
                 reason = "reputation below trust threshold"
                 rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
                 # signing applies it: the registry revokes the credential
-                txs.append(self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode()))
+                self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode())
                 revoked.append(sid)
-        return VerificationOutcome(payouts, discounts, tuple(revoked)), txs
+        return VerificationOutcome(payouts, discounts, tuple(revoked))
 
     # -- marketplace -----------------------------------------------------
 
-    def purchase(
-        self, consumer: Digest, contract_id: Digest, group_members: set[Digest]
-    ) -> tuple[int, list[Transaction]]:
+    def purchase(self, consumer: Digest, contract_id: Digest, group_members: set[Digest]) -> int:
         """Buy access to a verified listed record; returns the price paid."""
         contract = self.contracts.get(contract_id)
         if contract is None:
@@ -488,19 +483,14 @@ class ContractSystem:
         if not authorize(cred, record.tlp, record.policy, group_members):
             raise AccessDenied(consumer.hex()[:12])
 
-        body = PurchaseBody(contract_id, price)
-        txs = [
-            self.registry.sign(consumer, _PURCHASE, body.encode()),
-            self.registry.sign(
-                self.authority, TxKind.AccessGrant, AccessGrantBody(contract_id, consumer).encode()
-            ),
-        ]
-        self.apply(consumer, _PURCHASE, body, None)
-        return price, txs
+        self._commit(consumer, _PURCHASE, PurchaseBody(contract_id, price), None)
+        grant = AccessGrantBody(contract_id, consumer)
+        self.registry.sign(self.authority, TxKind.AccessGrant, grant.encode())
+        return price
 
     # -- subscriptions ---------------------------------------------------
 
-    def renew_subscription(self, user: Digest, round_no: int) -> tuple[int, list[Transaction]]:
+    def renew_subscription(self, user: Digest, round_no: int) -> int:
         """Charge max(0, base_fee - accrued discount); returns the charge."""
         sub = self.subscription
         if user not in sub.paid_through:
@@ -511,6 +501,5 @@ class ContractSystem:
         if self.market.balance_of(user) < charge:
             raise InsufficientBalance(f"renewal needs {charge}")
         body = RenewBody(charge=charge, paid_through=sub.paid_through[user] + self.economics.period_rounds)
-        tx = self.registry.sign(user, _RENEW, body.encode())
-        self.apply(user, _RENEW, body, round_no)
-        return charge, [tx]
+        self._commit(user, _RENEW, body, round_no)
+        return charge

@@ -21,19 +21,21 @@ from functools import lru_cache
 from typing import Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
-from .encoding import COUNT, ZERO_DIGEST, Digest, Reader, bytes_field, bytes_seq_field, str_field, uint_field
+from .encoding import (
+    COUNT, ZERO_DIGEST, Digest, Reader, TaggedEnum, bytes_field, bytes_seq_field, str_field, uint_field,
+)
 from .errors import EncodingError, PolicyParseError
 from .ledger import sha256
 
 
-class CtiCategory(Enum):
+class CtiCategory(TaggedEnum):
     Strategic = "Strategic"
     Operational = "Operational"
     Tactical = "Tactical"
     Technical = "Technical"
 
 
-class IntelLevel(Enum):
+class IntelLevel(TaggedEnum):
     Data = "Data"
     Information = "Information"
     Intelligence = "Intelligence"
@@ -44,7 +46,7 @@ class GroundTruth(Enum):
     Fabricated = "Fabricated"
 
 
-class IocKind(Enum):
+class IocKind(TaggedEnum):
     IpAddress = "IpAddress"
     Domain = "Domain"
     FileHash = "FileHash"
@@ -154,8 +156,6 @@ def _level_of(
 
 _pack_count = COUNT.pack
 
-# each enum member's name, encoded as a string field
-_TAG = {m: str_field(m.value) for e in (CtiCategory, IntelLevel, IocKind, TlpChannel) for m in e}
 _CATEGORY = {c.value: c for c in CtiCategory}
 _LEVEL = {lv.value: lv for lv in IntelLevel}
 _IOC_KIND = {k.value: k for k in IocKind}
@@ -177,13 +177,13 @@ def _canonical_bytes(
 ) -> bytes:
     parts = [
         bytes_field(producer),
-        _TAG[category],
-        _TAG[level],
+        category.tag,
+        level.tag,
         _pack_count(len(indicators)),
     ]
     for ioc in indicators:
-        parts += (_TAG[ioc.kind], str_field(ioc.value), uint_field(ioc.observed_round))
-    parts += (bytes_field(narrative_digest), _TAG[tlp.channel])
+        parts += (ioc.kind.tag, str_field(ioc.value), uint_field(ioc.observed_round))
+    parts += (bytes_field(narrative_digest), tlp.channel.tag)
     parts.append(bytes_seq_field(sorted(tlp.designated) if tlp.designated else ()))
     if policy is None:
         parts.append(b"\x00")

@@ -17,6 +17,7 @@ UTF-8.
 from __future__ import annotations
 
 import struct
+from enum import Enum
 from typing import Callable, Sequence, TypeVar, get_type_hints
 
 from .errors import EncodingError
@@ -48,6 +49,14 @@ def bytes_field(value: bytes) -> bytes:
 def str_field(value: str) -> bytes:
     """A string field: the byte-string field of its UTF-8 encoding."""
     return bytes_field(value.encode("utf-8"))
+
+
+class TaggedEnum(Enum):
+    """An Enum whose members carry `tag`, their value as a string field, so
+    an encoder reads an attribute rather than hashing the member."""
+
+    def __init__(self, value: str):
+        self.tag = str_field(value)
 
 
 def bool_field(value: bool) -> bytes:

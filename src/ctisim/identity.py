@@ -9,10 +9,12 @@ The Registry holds the credentials, and `Registry.apply` is their one
 rulebook. The Registry is the one place that signs: `Registry.sign`
 applies every transaction it signs, and `ledger.verify_chain` replays a
 dump through `apply` on a fresh Registry, so the writer and the auditor
-keep the same rules. `sign` remembers each object until it is sealed;
-when sealing, `authenticate_committed` trusts exactly those objects and
-re-derives the id and signature of every other transaction (hand-built,
-copied or signed elsewhere).
+keep the same rules. `sign` also queues each transaction until a block
+seals it, and that queue, `unsealed()`, is the one record of what a round
+signed: the engine seals exactly it, in signing order. When sealing,
+`authenticate_committed` trusts exactly those objects and re-derives the
+id and signature of every other transaction (hand-built, copied or signed
+elsewhere).
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ class Registry:
         # Ids holding the Authority role, revoked or not.
         self.authorities: set[Digest] = set()
         self.initial_score = initial_score
-        # Transactions this registry signed and no block has sealed yet.
-        self._unsealed: dict[Digest, Transaction] = {}
+        # Transactions this registry signed and no block has sealed yet, by
+        # object identity: signing the same transaction twice queues it twice.
+        self._unsealed: dict[int, Transaction] = {}
 
     def get(self, stakeholder: Digest) -> Credential:
         try:
@@ -90,12 +93,12 @@ class Registry:
         except KeyError:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
-    def bootstrap(self, proof: ProofOfIdentity) -> tuple[Credential, Transaction]:
+    def bootstrap(self, proof: ProofOfIdentity) -> Credential:
         """Self-registration of the first authority: it signs its own Register."""
         return self.register(proof, stakeholder_id(proof.evidence_digest))
 
-    def register(self, proof: ProofOfIdentity, authority: Digest) -> tuple[Credential, Transaction]:
-        """The credential `proof` asks for, and its Register signed by `authority`."""
+    def register(self, proof: ProofOfIdentity, authority: Digest) -> Credential:
+        """The credential `proof` asks for, once `authority` has signed its Register."""
         sid = stakeholder_id(proof.evidence_digest)
         body = RegisterBody(
             stakeholder=sid,
@@ -105,8 +108,8 @@ class Registry:
             secret=derive_secret(proof.evidence_digest),
             initial_score=self.initial_score,
         )
-        tx = self.sign(authority, TxKind.Register, body.encode())
-        return self.credentials[sid], tx
+        self.sign(authority, TxKind.Register, body.encode())
+        return self.credentials[sid]
 
     def apply(self, author: Digest, kind: TxKind, payload: bytes) -> bytes:
         """Apply a transaction's effect on the credentials, in chain order,
@@ -176,8 +179,12 @@ class Registry:
         """A transaction signed with the author's credential secret, once
         `apply` has accepted it and applied its effect."""
         tx = Transaction.create(author, kind, payload, self.apply(author, kind, payload))
-        self._unsealed[tx.tx_id] = tx
+        self._unsealed[id(tx)] = tx
         return tx
+
+    def unsealed(self) -> list[Transaction]:
+        """What this registry signed and no block has sealed, in signing order."""
+        return list(self._unsealed.values())
 
     def authenticate_committed(self, tx: Transaction) -> bool:
         """Whether tx's id and signature are its author's, for sealing.
@@ -187,7 +194,7 @@ class Registry:
         re-derived. Position-independent: `sign` refuses a revoked author
         when the transaction is made, and verify_chain replays the order.
         """
-        if self._unsealed.pop(tx.tx_id, None) is tx:
+        if self._unsealed.pop(id(tx), None) is not None:
             return True
         cred = self.credentials.get(tx.author)
         return (

@@ -31,10 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .encoding import COUNT, ZERO_DIGEST, Digest, bytes_field, str_field, uint_field
+from .encoding import COUNT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
 from .errors import (
     CtiSimError,
     EmptyTransactionList,
@@ -60,7 +59,7 @@ def keyed_digest(secret: bytes, payload: bytes) -> bytes:
     return _sha256(_pack_count(len(secret)) + secret + _pack_count(len(payload)) + payload).digest()
 
 
-class TxKind(Enum):
+class TxKind(TaggedEnum):
     Register = "Register"
     SubmitCti = "SubmitCti"
     Vote = "Vote"
@@ -69,10 +68,6 @@ class TxKind(Enum):
     RenewSubscription = "RenewSubscription"
     ReputationUpdate = "ReputationUpdate"
     AccessGrant = "AccessGrant"
-
-    def __init__(self, name: str):
-        # the name as a string field: an attribute, so no Enum hash per id
-        self.tag = str_field(name)
 
 
 # each kind by its name, as chain.json spells it

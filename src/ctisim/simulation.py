@@ -4,8 +4,11 @@ Registrations happen at round 0; every later round runs the same
 synchronous phases: submissions, votes, finalizations, purchases,
 renewals, then one sealed block. All state transitions materialize as
 ledger transactions, and a fixed (config, seed) pair replays to a
-byte-identical chain. Contract errors raised by an agent's action are
-recorded as rejected-action events and never abort the run.
+byte-identical chain. The operations return their results, not their
+transactions: each block holds what the registry signed that round
+(`Registry.unsealed`), in signing order. Contract errors raised by an
+agent's action are recorded as rejected-action events and never abort
+the run.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
 from .errors import CtiSimError, NotYetExpired
 from .identity import Credential, ProofOfIdentity, Registry, Role, evidence_for
-from .ledger import Chain, Transaction, append_block, sha256
+from .ledger import Chain, append_block, sha256
 from .mining import Campaign, mine_campaigns
 
 if TYPE_CHECKING:
@@ -161,11 +164,10 @@ class Engine:
 
     # -- setup ------------------------------------------------------------
 
-    def _register_all(self) -> list[Transaction]:
+    def _register_all(self) -> None:
         cfg = self.cfg
         self.registry = Registry(cfg.verification.initial_score)
         authority_spec = next(s for s in cfg.agents if Role.Authority in s.roles)
-        txs: list[Transaction] = []
         ordered = [authority_spec] + [s for s in cfg.agents if s is not authority_spec]
         sid_by_name: dict[str, Digest] = {}
         for spec in ordered:
@@ -175,14 +177,13 @@ class Engine:
                 evidence_digest=evidence_for(spec.name),
             )
             if spec is authority_spec:
-                cred, tx = self.registry.bootstrap(proof)
+                cred = self.registry.bootstrap(proof)
                 self.authority = cred.stakeholder
                 self.contracts = ContractSystem(
                     self.registry, cfg.verification, cfg.economics, self.authority
                 )
             else:
-                cred, tx = self.registry.register(proof, self.authority)
-            txs.append(tx)
+                cred = self.registry.register(proof, self.authority)
             sid_by_name[spec.name] = cred.stakeholder
             self.contracts.enroll(cred.stakeholder, spec.endowment)
 
@@ -200,7 +201,6 @@ class Engine:
             self.by_id[sid] = state
         self._specs = {s.name: s for s in cfg.agents}
         self._names = {a.sid: a.name for a in self.agents}
-        return txs
 
     def _resolve_access(self, spec_name: str):
         """TLP label and policy for records produced by this agent."""
@@ -294,15 +294,8 @@ class Engine:
         if cfg.rounds == 0:
             return ScenarioResult(chain, metrics, {}, [], self._empty_summary(), [])
 
-        reg_txs = self._register_all()
-        append_block(
-            chain,
-            reg_txs,
-            sealer=self.authority,
-            authenticator=self.registry.authenticate_committed,
-            is_authority=self.registry.is_authority,
-            timestamp=0,
-        )
+        self._register_all()
+        self._seal(chain, 0)
 
         for round_no in range(1, cfg.rounds + 1):
             self._run_round(chain, metrics, round_no)
@@ -327,7 +320,6 @@ class Engine:
         cfg = self.cfg
         for agent in self.agents:
             agent.current = AgentRoundLog(round_no=round_no)
-        round_txs: list[Transaction] = []
         submitted: list[ReportContract] = []
 
         # submissions
@@ -340,12 +332,11 @@ class Engine:
                     continue
                 record = self._make_record(agent, fabricated, round_no)
                 try:
-                    contract, txs = self.contracts.submit_report(agent.sid, record, self.rng)
+                    contract = self.contracts.submit_report(agent.sid, record, self.rng)
                 except CtiSimError as exc:
                     agent.events.append((round_no, type(exc).__name__))
                     continue
                 self.envelopes[contract.contract_id] = seal(record)
-                round_txs.extend(txs)
                 submitted.append(contract)
                 agent.current.shares += 1
                 if not fabricated:
@@ -360,7 +351,7 @@ class Engine:
                     contract.record.ground_truth, v_agent.strategy.p_acc, self.rng
                 )
                 try:
-                    round_txs.extend(self.contracts.cast_vote(v_sid, contract.contract_id, vote))
+                    self.contracts.cast_vote(v_sid, contract.contract_id, vote)
                 except CtiSimError as exc:
                     v_agent.events.append((round_no, type(exc).__name__))
 
@@ -368,13 +359,12 @@ class Engine:
         newly_verified: list[ReportContract] = []
         for contract in submitted:
             try:
-                outcome, txs = self.contracts.finalize_verification(contract.contract_id, round_no)
+                outcome = self.contracts.finalize_verification(contract.contract_id, round_no)
             except CtiSimError as exc:
                 self.by_id[contract.record.producer].events.append(
                     (round_no, type(exc).__name__)
                 )
                 continue
-            round_txs.extend(txs)
             producer = self.by_id[contract.record.producer]
             if contract.status is ContractStatus.Verified:
                 producer.current.verified += 1
@@ -405,11 +395,10 @@ class Engine:
                 cid = contract.contract_id
                 if cid in self.contracts.market.listings:
                     try:
-                        price, txs = self.contracts.purchase(agent.sid, cid, group)
+                        price = self.contracts.purchase(agent.sid, cid, group)
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         continue
-                    round_txs.extend(txs)
                     agent.current.consumes += 1
                     seller = self.by_id[contract.record.producer]
                     seller.current.income += price
@@ -430,14 +419,13 @@ class Engine:
                 sub = self.contracts.subscription
                 while sub.paid_through.get(agent.sid, 0) <= round_no:
                     try:
-                        charge, txs = self.contracts.renew_subscription(agent.sid, round_no)
+                        charge = self.contracts.renew_subscription(agent.sid, round_no)
                     except NotYetExpired:
                         break
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         agent.inactive = True
                         break
-                    round_txs.extend(txs)
                     agent.current.income += cfg.economics.base_fee - charge
                     agent.inactive = False
 
@@ -461,15 +449,21 @@ class Engine:
                 )
             )
 
-        if round_txs or cfg.heartbeat:
+        self._seal(chain, round_no)
+
+    def _seal(self, chain: Chain, round_no: int) -> None:
+        """Seal what the registry signed since the last block, in signing
+        order; if that is nothing, an empty block only under `heartbeat`."""
+        txs = self.registry.unsealed()
+        if txs or self.cfg.heartbeat:
             append_block(
                 chain,
-                round_txs,
+                txs,
                 sealer=self.authority,
                 authenticator=self.registry.authenticate_committed,
                 is_authority=self.registry.is_authority,
                 timestamp=round_no,
-                allow_empty=not round_txs,
+                allow_empty=not txs,
             )
 
     # -- summaries ------------------------------------------------------------

@@ -172,20 +172,20 @@ def test_criterion_02_blocis_decline():
 
 def test_criterion_03_concession_accounting():
     p = Platform(base_fee=20, discount_per_hq=2)
-    majority_hq, _, _ = p.run_contract([HQ, HQ, LQ], n=1)
+    majority_hq, _ = p.run_contract([HQ, HQ, LQ], n=1)
     assert p.subscription.accrued_discount[p.producer] == 2
     assert all(p.subscription.accrued_discount[v] == 2 for v in majority_hq.assigned_verifiers)
 
-    majority_lq, _, _ = p.run_contract([LQ, HQ, LQ], n=2)
+    majority_lq, _ = p.run_contract([LQ, HQ, LQ], n=2)
     assert p.subscription.accrued_discount[p.producer] == 2  # unchanged
     assert all(p.subscription.accrued_discount[v] == 4 for v in majority_lq.assigned_verifiers)
 
     p.subscription.accrued_discount[p.producer] = 6
-    charge, _ = p.system.renew_subscription(p.producer, round_no=10)
+    charge = p.system.renew_subscription(p.producer, round_no=10)
     assert charge == 20 - 6
 
     p.subscription.accrued_discount[p.producer] = 25
-    charge, _ = p.system.renew_subscription(p.producer, round_no=20)
+    charge = p.system.renew_subscription(p.producer, round_no=20)
     assert charge == 0
     report(3, "majority-HQ discounts producer and all 3 verifiers, majority-LQ "
               "discounts only verifiers, renewal charge = max(0, base - accrued)")
@@ -198,7 +198,7 @@ def test_criterion_03_concession_accounting():
 def test_criterion_04_dealer_fee_flow():
     p = Platform(deposit=9, verification_fee=9)
     start_total = p.total()
-    contract, outcome, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    contract, outcome = p.run_contract([HQ, HQ, HQ], sale_price=5)
     for v in contract.assigned_verifiers:
         assert outcome.verifier_payouts[v] == 3  # 9 split equally
     before_buyer = p.market.balance_of(p.consumer)

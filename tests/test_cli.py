@@ -4,9 +4,11 @@ import shutil
 import subprocess
 
 import pytest
+import yaml
 
 from ctisim.cli import main
 from tests.conftest import SCENARIO_DIR
+from tests.test_config import REVOCABLE_AUTHORITIES
 
 BASELINE = str(SCENARIO_DIR / "blocis-baseline.yaml")
 DOI = str(SCENARIO_DIR / "doi-flood.yaml")
@@ -83,6 +85,14 @@ def test_missing_rounds_field_exits_one(tmp_path, capsys):
     bad.write_text("name: x\nseed: 1\nagents:\n  - {name: a, roles: [Authority]}\n")
     assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
     assert "rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", REVOCABLE_AUTHORITIES.values(), ids=REVOCABLE_AUTHORITIES.keys())
+def test_revocable_authority_exits_one(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert "agents[0].roles" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_two(tmp_path):

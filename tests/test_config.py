@@ -102,6 +102,34 @@ def test_authority_required():
     assert "Authority" in str(exc.value)
 
 
+def revocable_authority(role, strategy):
+    """MINIMAL over 40 rounds at seed 7, the producer always sharing, with an
+    authority that is also a `role`: reputation can revoke it, and the
+    first authority seals every block."""
+    raw = yaml.safe_load(MINIMAL)
+    raw.update(rounds=40, seed=7)
+    raw["agents"][0].update(roles=["Authority", role], strategy=strategy)
+    raw["agents"][4]["strategy"]["share_rate"] = 1.0
+    return raw
+
+
+REVOCABLE_AUTHORITIES = {
+    "verifier": revocable_authority("Verifier", {"kind": "NoisyVerifier", "p_acc": 0.0}),
+    "producer": revocable_authority("Producer", {"kind": "FalseSharer", "fabrication_rate": 1.0}),
+}
+
+
+@pytest.mark.parametrize("raw", REVOCABLE_AUTHORITIES.values(), ids=REVOCABLE_AUTHORITIES.keys())
+def test_authority_that_reputation_can_revoke_rejected(raw):
+    assert invalid_field(raw).field == "agents[0].roles"
+
+
+def test_authority_may_consume():
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][0]["roles"] = ["Authority", "Consumer"]
+    assert parse_config(raw).agents[0].roles == {Role.Authority, Role.Consumer}
+
+
 def test_three_verifiers_required_with_producers():
     raw = yaml.safe_load(MINIMAL)
     raw["agents"] = [a for a in raw["agents"] if a["name"] != "v3"]

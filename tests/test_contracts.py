@@ -90,7 +90,7 @@ class Platform:
         self.registry = Registry(initial_score=50)
         self.rng = random.Random(1)
 
-        auth, _ = self.registry.bootstrap(
+        auth = self.registry.bootstrap(
             ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
         )
         self.authority = auth.stakeholder
@@ -110,7 +110,7 @@ class Platform:
         ]
 
     def add(self, name, roles, endowment=100, attributes=()):
-        cred, _ = self.registry.register(
+        cred = self.registry.register(
             ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name)),
             self.authority,
         )
@@ -131,21 +131,24 @@ class Platform:
         )
 
     def submit(self, n=0, sale_price=None):
-        contract, txs = self.system.submit_report(self.producer, self.record(n, sale_price), self.rng)
-        return contract
+        return self.system.submit_report(self.producer, self.record(n, sale_price), self.rng)
 
     def vote_all(self, contract, votes):
         for v, vote in zip(contract.assigned_verifiers, votes):
             self.system.cast_vote(v, contract.contract_id, vote)
 
     def finalize(self, contract, round_no=1):
-        outcome, txs = self.system.finalize_verification(contract.contract_id, round_no)
-        return outcome, txs
+        return self.system.finalize_verification(contract.contract_id, round_no)
 
     def run_contract(self, votes, n=0, sale_price=None, round_no=1):
         contract = self.submit(n, sale_price)
         self.vote_all(contract, votes)
-        return contract, *self.finalize(contract, round_no)
+        return contract, self.finalize(contract, round_no)
+
+    def kinds_signed(self, since):
+        """Kinds of the registry's unsealed transactions from index `since`
+        on, in signing order."""
+        return [tx.kind for tx in self.registry.unsealed()[since:]]
 
     def total(self):
         return self.market.total_supply() + self.market.burned
@@ -252,7 +255,7 @@ def test_unassigned_voter_rejected():
 
 def test_vote_on_closed_contract_rejected():
     p = Platform()
-    contract, outcome, _ = p.run_contract([HQ, HQ, HQ])
+    contract, outcome = p.run_contract([HQ, HQ, HQ])
     with pytest.raises(ContractClosed):
         p.system.cast_vote(contract.assigned_verifiers[0], contract.contract_id, HQ)
 
@@ -261,7 +264,10 @@ def test_vote_on_closed_contract_rejected():
 
 def test_majority_hq_verifies_refunds_and_discounts_everyone():
     p = Platform()
-    contract, outcome, txs = p.run_contract([HQ, HQ, LQ])
+    contract = p.submit()
+    p.vote_all(contract, [HQ, HQ, LQ])
+    signed = len(p.registry.unsealed())
+    p.finalize(contract)
     assert contract.status is ContractStatus.Verified
     assert contract.deposit_state is DepositState.Refunded
     assert p.market.balance_of(p.producer) == 100  # deposit back
@@ -274,12 +280,12 @@ def test_majority_hq_verifies_refunds_and_discounts_everyone():
     assert p.subscription.accrued_discount[p.producer] == 2
     for v in contract.assigned_verifiers:
         assert p.subscription.accrued_discount[v] == 2
-    assert any(tx.kind is TxKind.FinalizeVerification for tx in txs)
+    assert p.kinds_signed(signed) == [TxKind.FinalizeVerification]
 
 
 def test_majority_lq_rejects_splits_deposit_and_discounts_verifiers_only():
     p = Platform(deposit=9)
-    contract, outcome, _ = p.run_contract([LQ, LQ, HQ])
+    contract, outcome = p.run_contract([LQ, LQ, HQ])
     assert contract.status is ContractStatus.Rejected
     assert contract.deposit_state is DepositState.Forfeited
     assert p.market.balance_of(p.producer) == 91  # deposit gone
@@ -292,7 +298,7 @@ def test_majority_lq_rejects_splits_deposit_and_discounts_verifiers_only():
 
 def test_split_remainder_is_burned():
     p = Platform(deposit=10)
-    contract, outcome, _ = p.run_contract([LQ, LQ, LQ])
+    contract, outcome = p.run_contract([LQ, LQ, LQ])
     assert p.market.burned == 1
     for v in contract.assigned_verifiers:
         assert p.market.balance_of(v) == 103
@@ -300,7 +306,7 @@ def test_split_remainder_is_burned():
 
 def test_burn_policy_burns_whole_deposit():
     p = Platform(forfeiture=ForfeiturePolicy.Burn)
-    contract, outcome, _ = p.run_contract([LQ, LQ, LQ])
+    contract, outcome = p.run_contract([LQ, LQ, LQ])
     assert p.market.burned == 10
     assert all(p.market.balance_of(v) == 100 for v in contract.assigned_verifiers)
 
@@ -315,7 +321,7 @@ def test_hold_policy_parks_deposit_in_contract():
 
 def test_finalize_twice_rejected():
     p = Platform()
-    contract, outcome, _ = p.run_contract([HQ, HQ, HQ])
+    contract, outcome = p.run_contract([HQ, HQ, HQ])
     with pytest.raises(AlreadyFinalized):
         p.finalize(contract)
 
@@ -330,7 +336,7 @@ def test_finalize_requires_quorum():
 
 def test_verification_fee_split_equally_at_finalization():
     p = Platform(verification_fee=9)
-    contract, outcome, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    contract, outcome = p.run_contract([HQ, HQ, HQ], sale_price=5)
     for v in contract.assigned_verifiers:
         assert p.market.balance_of(v) == 103
         assert outcome.verifier_payouts[v] == 3
@@ -342,37 +348,40 @@ def test_verification_fee_split_equally_at_finalization():
 def test_rejection_below_threshold_triggers_revocation_event():
     p = Platform()
     p.reputation.scores[p.producer] = 39
-    contract, outcome, txs = p.run_contract([LQ, LQ, LQ])
+    contract = p.submit()
+    p.vote_all(contract, [LQ, LQ, LQ])
+    signed = len(p.registry.unsealed())
+    outcome = p.finalize(contract)
     # 39 - 10 = 29 < threshold 30: the revoke event fires in the same round
     assert p.reputation.score_of(p.producer) == 29
     assert outcome.revoked == (p.producer,)
     assert p.registry.get(p.producer).revoked
-    kinds = [tx.kind for tx in txs]
-    assert TxKind.ReputationUpdate in kinds
+    assert p.kinds_signed(signed) == [TxKind.FinalizeVerification, TxKind.ReputationUpdate]
 
 
 # --- purchase ---------------------------------------------------------------------
 
 def test_purchase_transfers_exactly_the_sale_price():
     p = Platform()
-    contract, outcome, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
-    price, txs = p.system.purchase(p.consumer, contract.contract_id, group_members=set())
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    signed = len(p.registry.unsealed())
+    price = p.system.purchase(p.consumer, contract.contract_id, group_members=set())
     assert p.market.balance_of(p.consumer) == 95
     assert p.market.balance_of(p.producer) == 105
     assert price == 5
-    assert {tx.kind for tx in txs} == {TxKind.Purchase, TxKind.AccessGrant}
+    assert p.kinds_signed(signed) == [TxKind.Purchase, TxKind.AccessGrant]
 
 
 def test_purchase_of_rejected_contract():
     p = Platform()
-    contract, outcome, _ = p.run_contract([LQ, LQ, LQ], sale_price=5)
+    contract, outcome = p.run_contract([LQ, LQ, LQ], sale_price=5)
     with pytest.raises(NotVerified):
         p.system.purchase(p.consumer, contract.contract_id, set())
 
 
 def test_purchase_needs_funds():
     p = Platform()
-    contract, *_ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     p.market.balances[p.consumer] = 3
     with pytest.raises(InsufficientBalance):
         p.system.purchase(p.consumer, contract.contract_id, set())
@@ -380,14 +389,14 @@ def test_purchase_needs_funds():
 
 def test_purchase_of_unlisted_contract():
     p = Platform()
-    contract, *_ = p.run_contract([HQ, HQ, HQ], sale_price=None)
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=None)
     with pytest.raises(NotForSale):
         p.system.purchase(p.consumer, contract.contract_id, set())
 
 
 def test_self_purchase_forbidden():
     p = Platform()
-    contract, *_ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     with pytest.raises(AccessDenied):
         p.system.purchase(p.producer, contract.contract_id, set())
 
@@ -405,7 +414,7 @@ def test_purchase_respects_access_policy():
         created_round=1,
         ground_truth=GroundTruth.Genuine,
     )
-    contract, _ = p.system.submit_report(p.producer, record, p.rng)
+    contract = p.system.submit_report(p.producer, record, p.rng)
     p.vote_all(contract, [HQ, HQ, HQ])
     p.finalize(contract)
     with pytest.raises(AccessDenied):
@@ -417,7 +426,7 @@ def test_purchase_respects_access_policy():
 def test_renewal_charge_is_base_minus_accrued():
     p = Platform(base_fee=20)
     p.subscription.accrued_discount[p.producer] = 6
-    charge, txs = p.system.renew_subscription(p.producer, round_no=10)
+    charge = p.system.renew_subscription(p.producer, round_no=10)
     assert charge == 14
     assert p.market.balance_of(p.producer) == 86
     assert p.market.balance_of(p.authority) == 114
@@ -428,7 +437,7 @@ def test_renewal_charge_is_base_minus_accrued():
 def test_renewal_charge_clamps_at_zero():
     p = Platform(base_fee=20)
     p.subscription.accrued_discount[p.producer] = 25
-    charge, _ = p.system.renew_subscription(p.producer, round_no=10)
+    charge = p.system.renew_subscription(p.producer, round_no=10)
     assert charge == 0
     assert p.market.balance_of(p.producer) == 100
 
@@ -444,7 +453,7 @@ def test_enrollment_pays_for_the_first_period():
     assert p.subscription.paid_through[p.producer] == 4
     with pytest.raises(NotYetExpired):
         p.system.renew_subscription(p.producer, round_no=3)
-    charge, _ = p.system.renew_subscription(p.producer, round_no=4)
+    charge = p.system.renew_subscription(p.producer, round_no=4)
     assert charge == 20
     assert p.subscription.paid_through[p.producer] == 8
 
@@ -495,7 +504,7 @@ def test_currency_conserved_across_mixed_outcomes():
     start = p.total()
     outcomes = [[HQ, HQ, HQ], [LQ, LQ, LQ], [HQ, LQ, LQ], [HQ, HQ, LQ]]
     for i, votes in enumerate(outcomes):
-        contract, outcome, _ = p.run_contract(votes, n=i, sale_price=4)
+        contract, outcome = p.run_contract(votes, n=i, sale_price=4)
         if contract.status is ContractStatus.Verified:
             p.system.purchase(p.consumer, contract.contract_id, set())
     p.system.renew_subscription(p.producer, round_no=10)

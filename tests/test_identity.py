@@ -16,13 +16,14 @@ def proof(name, roles, attributes=()):
 @pytest.fixture
 def registry():
     reg = Registry(initial_score=50)
-    auth, _ = reg.bootstrap(proof("authority", {Role.Authority}))
+    auth = reg.bootstrap(proof("authority", {Role.Authority}))
     return reg, auth
 
 
 def test_register_issues_credential_and_ledger_tx(registry):
     reg, auth = registry
-    cred, tx = reg.register(proof("prod", {Role.Producer, Role.Consumer}), auth.stakeholder)
+    cred = reg.register(proof("prod", {Role.Producer, Role.Consumer}), auth.stakeholder)
+    _, tx = reg.unsealed()
     assert cred.roles == frozenset({Role.Producer, Role.Consumer})
     assert tx.kind is TxKind.Register
     assert tx.author == auth.stakeholder
@@ -38,7 +39,7 @@ def test_duplicate_registration_rejected(registry):
 
 def test_register_by_non_authority_rejected(registry):
     reg, auth = registry
-    prod, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    prod = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
     with pytest.raises(NotAnAuthority):
         reg.register(proof("other", {Role.Producer}), prod.stakeholder)
 
@@ -66,7 +67,7 @@ def signed_as(author, payload, signature):
 
 def test_sign_then_verify(registry):
     reg, auth = registry
-    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
 
     payload = b"hello"
     sig = keyed_digest(cred.secret, payload)
@@ -80,7 +81,7 @@ def test_sign_then_verify(registry):
 
 def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(registry, monkeypatch):
     reg, auth = registry
-    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
     tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
     assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello", cred.secret)
     fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
@@ -91,16 +92,24 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
     # once sealed, the same object is re-derived like any other
     assert reg.authenticate_committed(fresh) and len(rederived) == 1
     assert not reg.authenticate_committed(replace(tx, signature=b"\x00" * 32))
-    # that forgery shared tx's id, so the original is now re-derived too
-    assert reg.authenticate_committed(tx) and len(rederived) == 3
-    assert reg.authenticate_committed(replace(tx))
+    # the forgery shared tx's id but is another object, so tx is still trusted
+    assert reg.authenticate_committed(tx) and len(rederived) == 2
+    assert reg.authenticate_committed(replace(tx)) and len(rederived) == 3
     with pytest.raises(UnknownStakeholder):
         reg.sign(b"\x00" * 32, TxKind.Vote, b"hello")
 
 
+def test_signing_the_same_transaction_twice_queues_it_twice(registry):
+    reg, auth = registry
+    first = reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
+    second = reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
+    *_, a, b = reg.unsealed()
+    assert first == second and a is first and b is second
+
+
 def test_revoke_is_idempotent(registry):
     reg, auth = registry
-    cred, _ = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
     revoke = ReputationUpdateBody(cred.stakeholder, 20, True, "threshold").encode()
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
@@ -117,19 +126,17 @@ def test_unknown_stakeholder(registry):
 def test_ids_are_deterministic():
     a = Registry(initial_score=50)
     b = Registry(initial_score=50)
-    ca, _ = a.bootstrap(proof("authority", {Role.Authority}))
-    cb, _ = b.bootstrap(proof("authority", {Role.Authority}))
+    ca = a.bootstrap(proof("authority", {Role.Authority}))
+    cb = b.bootstrap(proof("authority", {Role.Authority}))
     assert ca.stakeholder == cb.stakeholder
     assert ca.secret == cb.secret
 
 
 def test_attributes_preserved(registry):
     reg, auth = registry
-    cred, tx = reg.register(
-        proof("org", {Role.Consumer}, {"ICS-ISAC", "gov"}), auth.stakeholder
-    )
+    cred = reg.register(proof("org", {Role.Consumer}, {"ICS-ISAC", "gov"}), auth.stakeholder)
     assert cred.attributes == frozenset({"ICS-ISAC", "gov"})
-    body = RegisterBody.decode(tx.payload)
+    body = RegisterBody.decode(reg.unsealed()[-1].payload)
     assert body.attributes == ("ICS-ISAC", "gov")
 
 
@@ -240,11 +247,12 @@ ILLEGAL_HISTORIES = {
 }
 
 
-def credential_state(reg):
+def registry_state(reg):
     return (
         {s: (c.roles, c.attributes, c.revoked, c.secret) for s, c in reg.credentials.items()},
         set(reg.authorities),
         list(reg.verifier_ids),
+        reg.unsealed(),
     )
 
 
@@ -254,10 +262,10 @@ def test_registry_refuses_illegal_history(history, error, reason):
     *legal, (author, kind, body) = history
     for step_author, step_kind, step_body in legal:
         reg.sign(sid(step_author), step_kind, step_body.encode())
-    before = credential_state(reg)
+    before = registry_state(reg)
     with pytest.raises(error, match=f"^{reason}$"):
         reg.sign(sid(author), kind, body.encode())
-    assert credential_state(reg) == before
+    assert registry_state(reg) == before
 
 
 @pytest.mark.parametrize("history, error, reason", ILLEGAL_HISTORIES.values(), ids=ILLEGAL_HISTORIES.keys())

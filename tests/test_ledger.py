@@ -91,16 +91,16 @@ def reference_sha256(message: bytes) -> bytes:
 
 def fresh_registry():
     reg = Registry(initial_score=50)
-    auth, auth_tx = reg.bootstrap(
+    auth = reg.bootstrap(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
     )
-    user, user_tx = reg.register(
+    user = reg.register(
         ProofOfIdentity(
             frozenset({Role.Producer, Role.Consumer}), frozenset(), evidence_for("user")
         ),
         auth.stakeholder,
     )
-    return reg, auth, user, [auth_tx, user_tx]
+    return reg, auth, user, reg.unsealed()
 
 
 def tx_by(cred, kind=TxKind.Vote, payload=None):
@@ -381,10 +381,10 @@ def test_verify_flags_register_by_a_producer():
 
 def test_verify_flags_block_sealed_by_revoked_authority():
     chain, reg, auth, user = build_chain(0)
-    second, second_tx = reg.register(
+    second = reg.register(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("second")), auth.stakeholder
     )
-    append_block(chain, [second_tx], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
+    append_block(chain, reg.unsealed(), auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
     revoke = ReputationUpdateBody(second.stakeholder, 20, True, "threshold").encode()
     append_block(
         chain, [reg.sign(auth.stakeholder, TxKind.ReputationUpdate, revoke)], auth.stakeholder,

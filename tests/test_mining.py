@@ -59,34 +59,31 @@ def verified_chain(specs, rng):
     from ctisim.ledger import Chain, append_block
 
     registry = Registry(initial_score=50)
-    auth, auth_tx = registry.bootstrap(
+    auth = registry.bootstrap(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
     )
     system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3), auth.stakeholder)
     system.enroll(auth.stakeholder, 100)
 
-    reg_txs = [auth_tx]
     producers = []
     for i in range(3):
-        cred, tx = registry.register(
+        cred = registry.register(
             ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for(f"p{i}")),
             auth.stakeholder,
         )
         producers.append(cred.stakeholder)
         system.enroll(cred.stakeholder, 10_000)
-        reg_txs.append(tx)
     verifiers = []
     for i in range(3):
-        cred, tx = registry.register(
+        cred = registry.register(
             ProofOfIdentity(frozenset({Role.Verifier}), frozenset(), evidence_for(f"v{i}")),
             auth.stakeholder,
         )
         verifiers.append(cred.stakeholder)
         system.enroll(cred.stakeholder, 100)
-        reg_txs.append(tx)
 
     chain = Chain.new()
-    append_block(chain, reg_txs, auth.stakeholder, registry.authenticate_committed,
+    append_block(chain, registry.unsealed(), auth.stakeholder, registry.authenticate_committed,
                  registry.is_authority, timestamp=0)
 
     record_ids = []
@@ -103,12 +100,11 @@ def verified_chain(specs, rng):
             created_round=round_no,
             ground_truth=GroundTruth.Genuine,
         )
-        contract, txs = system.submit_report(producer, record, rng)
+        contract = system.submit_report(producer, record, rng)
         for v in contract.assigned_verifiers:
-            txs += system.cast_vote(v, contract.contract_id, HQ)
-        outcome, fin_txs = system.finalize_verification(contract.contract_id, round_no)
-        txs += fin_txs
-        append_block(chain, txs, auth.stakeholder, registry.authenticate_committed,
+            system.cast_vote(v, contract.contract_id, HQ)
+        system.finalize_verification(contract.contract_id, round_no)
+        append_block(chain, registry.unsealed(), auth.stakeholder, registry.authenticate_committed,
                      registry.is_authority, timestamp=round_no)
         record_ids.append(record.record_id)
     return chain, record_ids

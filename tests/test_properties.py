@@ -9,7 +9,7 @@ every rejected action is named by an error type or an engine blocker.
 Replaying the re-read dump block by block through `Registry.apply` and
 `ContractSystem.apply` conserves currency after every block, never drives
 a balance negative, and ends in the engine's credentials and contract
-state.
+state. Every transaction the registry signed reached a block.
 """
 
 import inspect
@@ -157,6 +157,7 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert replayed.subscription == live.subscription  # paid_through, accrued_discount
     assert contract_states(replayed) == contract_states(live)
     registry = engine.registry
+    assert registry.unsealed() == []
     assert replayed.registry.credentials == registry.credentials
     assert replayed.registry.verifier_ids == registry.verifier_ids
     assert replayed.registry.authorities == registry.authorities
