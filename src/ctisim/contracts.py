@@ -9,16 +9,15 @@ reputation ledger with its participation threshold.
 The parameters are the scenario file's `verification:` and `economics:`
 sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
 `ContractSystem.apply` is the one rulebook for contract state, as
-`identity.Registry.apply` is for credentials. Each operation checks that
-its action is legal, builds the transaction body, signs it through
-`Registry.sign` (which applies it to the credentials, so a threshold
-revocation happens by signing its ReputationUpdate), then applies the same
-body through `apply`, and returns its result, not the transaction: the
-registry keeps what it signed for the round's block. Replaying a chain's
-transactions in order through both `apply`s on fresh objects therefore
-rebuilds the engine's state. The parameters and the starting endowments
-(`enroll`) are not on the chain yet, so such a replay takes them from the
-scenario.
+`identity.Registry.apply` is for credentials. Each operation, registration
+included, checks that its action is legal, builds the transaction body,
+signs it through `Registry.sign` (which applies it to the credentials, so a
+threshold revocation happens by signing its ReputationUpdate), then applies
+the same body through `apply`, and returns its result, not the transaction:
+the registry keeps what it signed for the round's block. A Register carries
+its stakeholder's endowment, so replaying a chain's transactions in order
+through both `apply`s on fresh objects rebuilds the engine's state from the
+chain and the scenario's parameters alone.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .encoding import Digest
 from .errors import (
     AccessDenied,
     AlreadyFinalized,
+    AlreadyPurchased,
     AlreadyVoted,
     BelowTrustThreshold,
     ContractClosed,
@@ -48,7 +48,7 @@ from .errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from .identity import Registry
+from .identity import Credential, ProofOfIdentity, Registry, register_body, stakeholder_id
 from .ledger import TxKind
 from .payloads import (
     AccessGrantBody,
@@ -90,7 +90,7 @@ QUORUM = 3
 # Kinds bound once (`TxKind.X` goes through the Enum metaclass), so that
 # `ContractSystem.apply` dispatches by identity, not by Enum hashes.
 _SUBMIT, _VOTE, _FINALIZE = TxKind.SubmitCti, TxKind.Vote, TxKind.FinalizeVerification
-_PURCHASE, _RENEW = TxKind.Purchase, TxKind.RenewSubscription
+_PURCHASE, _RENEW, _REGISTER = TxKind.Purchase, TxKind.RenewSubscription, TxKind.Register
 _VOTE_BY_NAME = {vote.value: vote for vote in Vote}
 
 
@@ -181,7 +181,7 @@ class ReportContract:
     verification_fee: int
     created_round: int
     finalized_round: Optional[int] = None
-    pi_score: Optional[float] = None
+    score_micro: Optional[int] = None  # the validity score in millionths
 
 
 @dataclass
@@ -195,8 +195,9 @@ class SubscriptionContract:
 
 @dataclass
 class MarketContract:
-    """Balances, escrow and the forfeit/burn pools; conservation is
-    minted == sum(balances) + escrow + held + burned at all times."""
+    """Balances, escrow, the forfeit/burn pools and each (contract, buyer)
+    sale; conservation is minted == sum(balances) + escrow + held + burned
+    at all times."""
 
     balances: dict[Digest, int] = field(default_factory=dict)
     escrow: int = 0
@@ -204,6 +205,7 @@ class MarketContract:
     burned: int = 0
     minted: int = 0
     listings: dict[Digest, int] = field(default_factory=dict)
+    sales: set[tuple[Digest, Digest]] = field(default_factory=set)
 
     def mint(self, stakeholder: Digest, amount: int) -> None:
         self.balances[stakeholder] = self.balances.get(stakeholder, 0) + amount
@@ -256,26 +258,16 @@ class VerificationOutcome:
 class ContractSystem:
     """Executes the contract operations, each signing through the registry."""
 
-    def __init__(
-        self, registry: Registry, policy: VerificationPolicy, economics: EconomicsConfig, authority: Digest
-    ):
+    def __init__(self, registry: Registry, policy: VerificationPolicy, economics: EconomicsConfig):
         self.registry = registry
         self.policy = policy
         self.economics = economics
-        self.authority = authority
+        # the first authority, set by its self-registration
+        self.authority: Optional[Digest] = None
         self.reputation = ReputationLedger(policy)
         self.subscription = SubscriptionContract()
         self.market = MarketContract()
         self.contracts: dict[Digest, ReportContract] = {}
-
-    def enroll(self, stakeholder: Digest, endowment: int) -> None:
-        """Open a registered stakeholder's accounts at round 0: starting
-        reputation, minted endowment, and a first subscription period that
-        registration pays for."""
-        self.reputation.add(stakeholder)
-        self.market.mint(stakeholder, endowment)
-        self.subscription.accrued_discount[stakeholder] = 0
-        self.subscription.paid_through[stakeholder] = self.economics.period_rounds
 
     # -- the rulebook ---------------------------------------------------
 
@@ -283,8 +275,9 @@ class ContractSystem:
         self, author: Digest, kind: TxKind, body, round_no: Optional[int], record: Optional[CtiRecord] = None
     ):
         """Apply a transaction's payload `body` to contract state, in chain
-        order: the one place SubmitCti, Vote, FinalizeVerification, Purchase
-        and RenewSubscription change it. Other kinds change nothing here.
+        order: the one place Register, SubmitCti, Vote, FinalizeVerification,
+        Purchase and RenewSubscription change it. Other kinds change nothing
+        here.
 
         `round_no` is the round of the transaction's block; only SubmitCti
         and FinalizeVerification read it, so a vote or purchase passes None.
@@ -313,6 +306,7 @@ class ContractSystem:
             valid = body.status == ContractStatus.Verified.value
             contract.status = ContractStatus.Verified if valid else ContractStatus.Rejected
             contract.finalized_round = round_no
+            contract.score_micro = body.score_micro
             payouts: dict[Digest, int] = {}
 
             # (a) deposit: refunded, or forfeited as the policy says
@@ -354,11 +348,22 @@ class ContractSystem:
             return payouts, discounts
         elif kind is _PURCHASE:
             market.transfer(author, self.contracts[body.contract_id].record.producer, body.price)
+            market.sales.add((body.contract_id, author))
         elif kind is _RENEW:
             if body.charge:
                 market.transfer(author, self.authority, body.charge)
             self.subscription.accrued_discount[author] = 0
             self.subscription.paid_through[author] = body.paid_through
+        elif kind is _REGISTER:
+            # open the accounts: starting reputation, minted endowment, and
+            # a first subscription period that registration pays for
+            sid = body.stakeholder
+            if author == sid:
+                self.authority = sid
+            self.reputation.add(sid)
+            market.mint(sid, body.endowment)
+            self.subscription.accrued_discount[sid] = 0
+            self.subscription.paid_through[sid] = self.economics.period_rounds
         return None
 
     def _commit(
@@ -378,6 +383,21 @@ class ContractSystem:
         remainder = amount - share * QUORUM
         if remainder:
             self.market.escrow_burn(remainder)
+
+    # -- registration ---------------------------------------------------
+
+    def bootstrap(self, proof: ProofOfIdentity, endowment: int) -> Credential:
+        """Self-registration of the first authority: it signs its own Register."""
+        return self._register(stakeholder_id(proof.evidence_digest), proof, endowment)
+
+    def register(self, proof: ProofOfIdentity, endowment: int) -> Credential:
+        """The credential `proof` asks for, once the authority has signed its Register."""
+        return self._register(self.authority, proof, endowment)
+
+    def _register(self, author: Optional[Digest], proof: ProofOfIdentity, endowment: int) -> Credential:
+        body = register_body(proof, endowment)
+        self._commit(author, _REGISTER, body, None)
+        return self.registry.credentials[body.stakeholder]
 
     # -- submission -----------------------------------------------------
 
@@ -449,7 +469,6 @@ class ContractSystem:
         deposit_state = DepositState.Refunded if pi.valid else DepositState.Forfeited
         body = FinalizeBody(contract_id, status.value, int(round(pi.score * 1_000_000)), deposit_state.value)
         payouts, discounts = self._commit(self.authority, _FINALIZE, body, round_no)
-        contract.pi_score = pi.score  # the summary's float; the chain has score_micro
 
         # threshold revocations
         revoked: list[Digest] = []
@@ -465,7 +484,8 @@ class ContractSystem:
     # -- marketplace -----------------------------------------------------
 
     def purchase(self, consumer: Digest, contract_id: Digest, group_members: set[Digest]) -> int:
-        """Buy access to a verified listed record; returns the price paid."""
+        """Buy access, once per consumer, to a verified listed record; returns
+        the price paid."""
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise NotForSale(contract_id.hex())
@@ -476,6 +496,8 @@ class ContractSystem:
             raise NotForSale(contract_id.hex())
         if consumer == contract.record.producer:
             raise AccessDenied("producers may not consume their own records")
+        if (contract_id, consumer) in self.market.sales:
+            raise AlreadyPurchased(consumer.hex()[:12])
         if self.market.balance_of(consumer) < price:
             raise InsufficientBalance(f"need {price}, have {self.market.balance_of(consumer)}")
         cred = self.registry.get(consumer)

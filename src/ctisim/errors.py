@@ -91,6 +91,10 @@ class NotVerified(CtiSimError):
     pass
 
 
+class AlreadyPurchased(CtiSimError):
+    pass
+
+
 class AccessDenied(CtiSimError):
     pass
 

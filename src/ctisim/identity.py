@@ -3,7 +3,9 @@
 Identity proofs are abstracted to an evidence digest; a registration needs
 a non-empty one. Stakeholder ids and signing secrets are derived
 deterministically from the evidence digest so that a scenario replays
-byte-identically.
+byte-identically. `register_body` builds a Register payload, which also
+carries the endowment the registration mints; `contracts.ContractSystem`
+signs it, so one transaction issues the credential and opens the accounts.
 
 The Registry holds the credentials, and `Registry.apply` is their one
 rulebook. The Registry is the one place that signs: `Registry.sign`
@@ -71,18 +73,29 @@ def evidence_for(name: str) -> Digest:
     return sha256(b"evidence:" + name.encode("utf-8"))
 
 
+def register_body(proof: ProofOfIdentity, endowment: int) -> RegisterBody:
+    """The Register payload for `proof`'s stakeholder, minting `endowment`."""
+    return RegisterBody(
+        stakeholder=stakeholder_id(proof.evidence_digest),
+        roles=tuple(sorted(r.value for r in proof.claimed_roles)),
+        attributes=tuple(sorted(proof.attributes)),
+        evidence_digest=proof.evidence_digest,
+        secret=derive_secret(proof.evidence_digest),
+        endowment=endowment,
+    )
+
+
 class Registry:
     """Credential state and its rules; the single writer is the simulation
     round loop, and verify_chain replays a chain into a fresh one."""
 
-    def __init__(self, initial_score: int):
+    def __init__(self):
         self.credentials: dict[Digest, Credential] = {}
         # Ids holding the Verifier role, in id order. Roles never change and
         # credentials are only revoked, never removed, so this only grows.
         self.verifier_ids: list[Digest] = []
         # Ids holding the Authority role, revoked or not.
         self.authorities: set[Digest] = set()
-        self.initial_score = initial_score
         # Transactions this registry signed and no block has sealed yet, by
         # object identity: signing the same transaction twice queues it twice.
         self._unsealed: dict[int, Transaction] = {}
@@ -92,24 +105,6 @@ class Registry:
             return self.credentials[stakeholder]
         except KeyError:
             raise UnknownStakeholder(stakeholder.hex()) from None
-
-    def bootstrap(self, proof: ProofOfIdentity) -> Credential:
-        """Self-registration of the first authority: it signs its own Register."""
-        return self.register(proof, stakeholder_id(proof.evidence_digest))
-
-    def register(self, proof: ProofOfIdentity, authority: Digest) -> Credential:
-        """The credential `proof` asks for, once `authority` has signed its Register."""
-        sid = stakeholder_id(proof.evidence_digest)
-        body = RegisterBody(
-            stakeholder=sid,
-            roles=tuple(sorted(r.value for r in proof.claimed_roles)),
-            attributes=tuple(sorted(proof.attributes)),
-            evidence_digest=proof.evidence_digest,
-            secret=derive_secret(proof.evidence_digest),
-            initial_score=self.initial_score,
-        )
-        self.sign(authority, TxKind.Register, body.encode())
-        return self.credentials[sid]
 
     def apply(self, author: Digest, kind: TxKind, payload: bytes) -> bytes:
         """Apply a transaction's effect on the credentials, in chain order,

@@ -223,13 +223,13 @@ class VerificationReport:
 def verify_chain(chain: Chain) -> VerificationReport:
     """Replay the chain and report the earliest invariant violation.
 
-    Checks every header, Merkle root, transaction id and signature, and
-    replays each transaction in chain order through `Registry.apply` on a
-    fresh `identity.Registry`, the credential rules the platform signs by;
-    an illegal transaction is reported by the reason apply refuses it
-    with. Register payloads carry each credential's secret, so every
-    signature (including the bootstrap self-registration) is recheckable
-    from the dump alone. Every block after genesis must be sealed by an
+    Checks every header, Merkle root, transaction id and signature, that
+    no transaction id repeats, and replays each transaction in chain order
+    through `Registry.apply` on a fresh `identity.Registry`, the credential
+    rules the platform signs by; an illegal transaction is reported by the
+    reason apply refuses it with. Register payloads carry each credential's
+    secret, so every signature (including the bootstrap self-registration)
+    is recheckable from the dump alone. Every block after genesis must be sealed by an
     authority not revoked in an earlier block or in its own.
     """
     from .identity import Registry
@@ -237,8 +237,9 @@ def verify_chain(chain: Chain) -> VerificationReport:
     if not chain.blocks:
         return VerificationReport(False, 0, "missing genesis block")
 
-    registry = Registry(initial_score=0)
+    registry = Registry()
     apply, credentials, authorities = registry.apply, registry.credentials, registry.authorities
+    seen_ids: set[bytes] = set()
     prev_timestamp = 0
 
     for i, block in enumerate(chain.blocks):
@@ -274,6 +275,9 @@ def verify_chain(chain: Chain) -> VerificationReport:
             tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
             if tx.tx_id != tx_id:
                 return bad("transaction id mismatch")
+            if tx_id in seen_ids:
+                return bad("duplicate transaction id")
+            seen_ids.add(tx_id)
             try:
                 secret = apply(author, kind, payload)
             except CtiSimError as exc:

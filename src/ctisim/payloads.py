@@ -16,14 +16,15 @@ from .encoding import Digest, Layout
 @dataclass(frozen=True)
 class RegisterBody(Layout):
     """Registration record. Carries the simulated signing secret so a chain
-    dump stays self-verifying (signatures are keyed digests, not real keys)."""
+    dump stays self-verifying (signatures are keyed digests, not real keys),
+    and the currency registration mints for the stakeholder."""
 
     stakeholder: Digest
     roles: tuple[str, ...]
     attributes: tuple[str, ...]
     evidence_digest: Digest
     secret: bytes
-    initial_score: int
+    endowment: int
 
 
 @dataclass(frozen=True)

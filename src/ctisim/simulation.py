@@ -1,14 +1,14 @@
 """Agent-based round engine.
 
-Registrations happen at round 0; every later round runs the same
-synchronous phases: submissions, votes, finalizations, purchases,
-renewals, then one sealed block. All state transitions materialize as
-ledger transactions, and a fixed (config, seed) pair replays to a
-byte-identical chain. The operations return their results, not their
-transactions: each block holds what the registry signed that round
-(`Registry.unsealed`), in signing order. Contract errors raised by an
-agent's action are recorded as rejected-action events and never abort
-the run.
+Registrations, each minting its stakeholder's endowment, happen at round
+0; every later round runs the same synchronous phases: submissions,
+votes, finalizations, purchases, renewals, then one sealed block. All
+state transitions materialize as ledger transactions, and a fixed
+(config, seed) pair replays to a byte-identical chain. The operations
+return their results, not their transactions: each block holds what the
+registry signed that round (`Registry.unsealed`), in signing order.
+Contract errors raised by an agent's action are recorded as
+rejected-action events and never abort the run.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class AgentState:
     sid: Digest
     credential: Credential
     strategy: AgentStrategy
-    endowment: int
     # this round's log, and the sum of compute_utility over finished rounds
     current: AgentRoundLog = field(default_factory=lambda: AgentRoundLog(round_no=0))
     total_utility: int = 0
@@ -166,26 +165,15 @@ class Engine:
 
     def _register_all(self) -> None:
         cfg = self.cfg
-        self.registry = Registry(cfg.verification.initial_score)
+        self.registry = Registry()
+        self.contracts = ContractSystem(self.registry, cfg.verification, cfg.economics)
         authority_spec = next(s for s in cfg.agents if Role.Authority in s.roles)
         ordered = [authority_spec] + [s for s in cfg.agents if s is not authority_spec]
         sid_by_name: dict[str, Digest] = {}
         for spec in ordered:
-            proof = ProofOfIdentity(
-                claimed_roles=spec.roles,
-                attributes=spec.attributes,
-                evidence_digest=evidence_for(spec.name),
-            )
-            if spec is authority_spec:
-                cred = self.registry.bootstrap(proof)
-                self.authority = cred.stakeholder
-                self.contracts = ContractSystem(
-                    self.registry, cfg.verification, cfg.economics, self.authority
-                )
-            else:
-                cred = self.registry.register(proof, self.authority)
-            sid_by_name[spec.name] = cred.stakeholder
-            self.contracts.enroll(cred.stakeholder, spec.endowment)
+            proof = ProofOfIdentity(spec.roles, spec.attributes, evidence_for(spec.name))
+            register = self.contracts.bootstrap if spec is authority_spec else self.contracts.register
+            sid_by_name[spec.name] = register(proof, spec.endowment).stakeholder
 
         # agent action order follows the config, not registration order
         for spec in cfg.agents:
@@ -195,7 +183,6 @@ class Engine:
                 sid=sid,
                 credential=self.registry.credentials[sid],
                 strategy=spec.strategy,
-                endowment=spec.endowment,
             )
             self.agents.append(state)
             self.by_id[sid] = state
@@ -459,7 +446,7 @@ class Engine:
             append_block(
                 chain,
                 txs,
-                sealer=self.authority,
+                sealer=self.contracts.authority,
                 authenticator=self.registry.authenticate_committed,
                 is_authority=self.registry.is_authority,
                 timestamp=round_no,
@@ -525,7 +512,7 @@ class Engine:
                     "contract_id": c.contract_id.hex(),
                     "producer": self._names[c.record.producer],
                     "status": c.status.value,
-                    "pi_score": round(c.pi_score, 6) if c.pi_score is not None else None,
+                    "pi_score": c.score_micro / 1_000_000 if c.score_micro is not None else None,
                     "deposit": c.deposit,
                     "deposit_state": c.deposit_state.value,
                     "verification_fee": c.verification_fee,

@@ -19,6 +19,7 @@ from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import (
     AccessDenied,
     AlreadyFinalized,
+    AlreadyPurchased,
     AlreadyVoted,
     BelowTrustThreshold,
     ContractClosed,
@@ -35,7 +36,8 @@ from ctisim.errors import (
 )
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
-from ctisim.ledger import TxKind
+from ctisim.ledger import Chain, TxKind, append_block, verify_chain
+from ctisim.payloads import PurchaseBody
 
 HQ = Vote.HighQuality
 LQ = Vote.LowQuality
@@ -87,22 +89,20 @@ class Platform:
     def __init__(self, n_verifiers=3, deposit=10, verification_fee=0,
                  forfeiture=ForfeiturePolicy.Split, base_fee=0, period=10,
                  discount_per_hq=2, endowment=100):
-        self.registry = Registry(initial_score=50)
+        self.registry = Registry()
         self.rng = random.Random(1)
-
-        auth = self.registry.bootstrap(
-            ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
-        )
-        self.authority = auth.stakeholder
         economics = EconomicsConfig(
             base_fee=base_fee, period_rounds=period, discount_per_hq=discount_per_hq,
             deposit=deposit, verification_fee=verification_fee, forfeiture=forfeiture,
         )
-        self.system = ContractSystem(self.registry, VerificationPolicy(), economics, self.authority)
+        self.system = ContractSystem(self.registry, VerificationPolicy(), economics)
         self.reputation = self.system.reputation
         self.subscription = self.system.subscription
         self.market = self.system.market
-        self.system.enroll(self.authority, endowment)
+        auth = self.system.bootstrap(
+            ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), endowment
+        )
+        self.authority = auth.stakeholder
         self.producer = self.add("producer", {Role.Producer}, endowment)
         self.consumer = self.add("consumer", {Role.Consumer}, endowment)
         self.verifiers = [
@@ -110,11 +110,9 @@ class Platform:
         ]
 
     def add(self, name, roles, endowment=100, attributes=()):
-        cred = self.registry.register(
-            ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name)),
-            self.authority,
+        cred = self.system.register(
+            ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name)), endowment
         )
-        self.system.enroll(cred.stakeholder, endowment)
         return cred.stakeholder
 
     def record(self, n=0, sale_price=None, producer=None, round_no=1):
@@ -370,6 +368,32 @@ def test_purchase_transfers_exactly_the_sale_price():
     assert p.market.balance_of(p.producer) == 105
     assert price == 5
     assert p.kinds_signed(signed) == [TxKind.Purchase, TxKind.AccessGrant]
+
+
+def test_repeat_purchase_refused_without_charge_or_transactions():
+    p = Platform()
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    p.system.purchase(p.consumer, contract.contract_id, set())
+    signed = len(p.registry.unsealed())
+    with pytest.raises(AlreadyPurchased):
+        p.system.purchase(p.consumer, contract.contract_id, set())
+    assert p.market.balance_of(p.consumer) == 95
+    assert p.market.balance_of(p.producer) == 105
+    assert len(p.registry.unsealed()) == signed
+    assert p.market.sales == {(contract.contract_id, p.consumer)}
+
+
+def test_verify_chain_refuses_a_repeated_transaction_id():
+    p = Platform()
+    contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
+    p.system.purchase(p.consumer, contract.contract_id, set())
+    # the registry signs a repeat that purchase would refuse
+    p.registry.sign(p.consumer, TxKind.Purchase, PurchaseBody(contract.contract_id, 5).encode())
+    chain = Chain.new()
+    registry = p.registry
+    append_block(chain, registry.unsealed(), p.authority, registry.authenticate_committed, registry.is_authority, 1)
+    report = verify_chain(chain)
+    assert (report.valid, report.first_bad_height, report.reason) == (False, 1, "duplicate transaction id")
 
 
 def test_purchase_of_rejected_contract():

@@ -4,8 +4,10 @@ Each scenario runs at its config seed and must write byte-identical
 chain.json, summary.json and metrics.csv, and its chain.json must verify
 VALID. Read back, each chain.json must re-emit the same bytes and re-mine,
 with the scenario's `mining:` parameters, the campaigns summary.json
-reports, each of which must pass verify_derivation. A change that is meant
-to move these bytes updates the table and says so in CHANGES.md.
+reports, each of which must pass verify_derivation, and its Register
+transactions must mint exactly the currency summary.json accounts for. A
+change that is meant to move these bytes updates the table and says so in
+CHANGES.md.
 """
 
 import hashlib
@@ -15,33 +17,34 @@ import pytest
 
 from ctisim.cli import main
 from ctisim.config import load_config
-from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
+from ctisim.ledger import TxKind, chain_from_json, chain_to_json, query, verify_chain
 from ctisim.mining import mine_campaigns, verify_derivation
+from ctisim.payloads import RegisterBody
 from tests.conftest import SCENARIO_DIR
 
 GOLDEN = {
     "blocis-baseline": {
-        "chain.json": "0f7f585ee01769795995b62c72736c27f81f6d7df242a783e599a40518731015",
+        "chain.json": "be660a5427d57676b2a4e1a6ba4419012a0af607f160fde9626f6874e54ce960",
         "summary.json": "590055af98241949e1f0a9fb0d264f4a15bb6e1ee9cd259f8ebb2bda41d2998b",
         "metrics.csv": "1619f1113aceb60ceb77b16b0fb17a857ad2bab959429bb8b4752385dfb6bc3b",
     },
     "doi-flood": {
-        "chain.json": "20213c7426771aba3146518eff17f9e25babc12c8660bf5b547b12b64fdc6f0b",
+        "chain.json": "d4eb62cd0cb708b55e9771c242dd7471aac90b39d093b86759a4a202ed9b4bc6",
         "summary.json": "b3bf4356fd291c01ae808e5e81cccba4798b629867a15c9d7c9d8a6e0a300a6c",
         "metrics.csv": "00b12be8731ab756da066466de9f07f411d0ede90e86f97ee0fe3588ce76ef09",
     },
     "free-riding": {
-        "chain.json": "05806bff26005ddb533739977577eec1369a065ed57e21e9196afce542a83483",
+        "chain.json": "a11a8ca40098edd73f29dd2142c6d22dcf466b5abd9bc32db6f13c32f0522cc6",
         "summary.json": "e9a330b95dc027310cfbbce557591e54a4687ce34d50e7477e7847fa904ad1a6",
         "metrics.csv": "9d1a197f4d609e602b28ec9fb7ffc1fb7a8104b1ed1f705c02f9b9975eb86089",
     },
     "marketplace": {
-        "chain.json": "4bcf9f76f29c575f1cfce35b1d1ba4f00e31f1eea269a187b974553ec88a174f",
+        "chain.json": "6a06e0015e267e90e4aadf41f8811a9ad1c6b487de12a0399ceb20b263d11dac",
         "summary.json": "222306e10bcf7d0954e5cb1420152a8447ce19846c404b46edd59d13795c76ab",
         "metrics.csv": "994053a892e2bee4fb0869130533fc414e2880315a7e4b7c9995072945c9de70",
     },
     "tlp-demo": {
-        "chain.json": "50b4dd63a48cc01b39a7d8e0c3844b0d18c16defe2606492aaa7109d781ebcf1",
+        "chain.json": "1bbe39d0671b08d98b4423284d50fab1ee7448dcff976a6564a11e9df2f80d03",
         "summary.json": "b12dfe935fc2741b269b6ac31b00602e15268bf628b85715f9b18127dd0d8091",
         "metrics.csv": "a5675d2d912e88308b82e5149964df2df97ad95eeff21662e9cae2c7983b642c",
     },
@@ -100,3 +103,12 @@ def test_bundled_chain_reloads_to_its_bytes_and_campaigns(scenario, bundled_outp
         for c in campaigns
     ] == summary["campaigns"]
     assert all(verify_derivation(c, chain) for c in campaigns)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_chain_mints_the_currency_the_summary_accounts_for(scenario, bundled_outputs):
+    out = bundled_outputs(scenario)
+    chain = chain_from_json((out / "chain.json").read_text(encoding="utf-8"))
+    minted = sum(RegisterBody.decode(tx.payload).endowment for tx in query(chain, kind=TxKind.Register))
+    aggregates = json.loads((out / "summary.json").read_text(encoding="utf-8"))["aggregates"]
+    assert minted == aggregates["minted"] == aggregates["total_supply"] + aggregates["burned"]

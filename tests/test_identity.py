@@ -4,7 +4,7 @@ import pytest
 
 from ctisim import identity
 from ctisim.errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
-from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
+from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, keyed_digest, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
 
@@ -13,49 +13,57 @@ def proof(name, roles, attributes=()):
     return ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name))
 
 
+def register(reg, proof, author=None):
+    """Sign `proof`'s Register as `author`, by default as its own stakeholder
+    (the first authority's self-registration); returns the credential."""
+    body = register_body(proof, 0)
+    reg.sign(body.stakeholder if author is None else author, TxKind.Register, body.encode())
+    return reg.credentials[body.stakeholder]
+
+
 @pytest.fixture
 def registry():
-    reg = Registry(initial_score=50)
-    auth = reg.bootstrap(proof("authority", {Role.Authority}))
+    reg = Registry()
+    auth = register(reg, proof("authority", {Role.Authority}))
     return reg, auth
 
 
 def test_register_issues_credential_and_ledger_tx(registry):
     reg, auth = registry
-    cred = reg.register(proof("prod", {Role.Producer, Role.Consumer}), auth.stakeholder)
+    cred = register(reg, proof("prod", {Role.Producer, Role.Consumer}), auth.stakeholder)
     _, tx = reg.unsealed()
     assert cred.roles == frozenset({Role.Producer, Role.Consumer})
     assert tx.kind is TxKind.Register
     assert tx.author == auth.stakeholder
-    assert reg.initial_score == 50
+    assert RegisterBody.decode(tx.payload).stakeholder == cred.stakeholder
 
 
 def test_duplicate_registration_rejected(registry):
     reg, auth = registry
-    reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     with pytest.raises(DuplicateRegistration):
-        reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+        register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
 
 
 def test_register_by_non_authority_rejected(registry):
     reg, auth = registry
-    prod = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    prod = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     with pytest.raises(NotAnAuthority):
-        reg.register(proof("other", {Role.Producer}), prod.stakeholder)
+        register(reg, proof("other", {Role.Producer}), prod.stakeholder)
 
 
 def test_bootstrap_requires_empty_registry(registry):
     reg, _ = registry
     with pytest.raises(NotAnAuthority):
-        reg.bootstrap(proof("second", {Role.Authority}))
+        register(reg, proof("second", {Role.Authority}))
 
 
 def test_registration_requires_roles_and_evidence(registry):
     reg, auth = registry
     with pytest.raises(NotAnAuthority):
-        reg.register(ProofOfIdentity(frozenset(), frozenset(), evidence_for("x")), auth.stakeholder)
+        register(reg, ProofOfIdentity(frozenset(), frozenset(), evidence_for("x")), auth.stakeholder)
     with pytest.raises(NotAnAuthority):
-        reg.register(ProofOfIdentity(frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
+        register(reg, ProofOfIdentity(frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
 
 
 def signed_as(author, payload, signature):
@@ -67,7 +75,7 @@ def signed_as(author, payload, signature):
 
 def test_sign_then_verify(registry):
     reg, auth = registry
-    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
 
     payload = b"hello"
     sig = keyed_digest(cred.secret, payload)
@@ -81,7 +89,7 @@ def test_sign_then_verify(registry):
 
 def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(registry, monkeypatch):
     reg, auth = registry
-    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
     assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello", cred.secret)
     fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
@@ -109,7 +117,7 @@ def test_signing_the_same_transaction_twice_queues_it_twice(registry):
 
 def test_revoke_is_idempotent(registry):
     reg, auth = registry
-    cred = reg.register(proof("prod", {Role.Producer}), auth.stakeholder)
+    cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     revoke = ReputationUpdateBody(cred.stakeholder, 20, True, "threshold").encode()
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
@@ -124,17 +132,15 @@ def test_unknown_stakeholder(registry):
 
 
 def test_ids_are_deterministic():
-    a = Registry(initial_score=50)
-    b = Registry(initial_score=50)
-    ca = a.bootstrap(proof("authority", {Role.Authority}))
-    cb = b.bootstrap(proof("authority", {Role.Authority}))
+    ca = register(Registry(), proof("authority", {Role.Authority}))
+    cb = register(Registry(), proof("authority", {Role.Authority}))
     assert ca.stakeholder == cb.stakeholder
     assert ca.secret == cb.secret
 
 
 def test_attributes_preserved(registry):
     reg, auth = registry
-    cred = reg.register(proof("org", {Role.Consumer}, {"ICS-ISAC", "gov"}), auth.stakeholder)
+    cred = register(reg, proof("org", {Role.Consumer}, {"ICS-ISAC", "gov"}), auth.stakeholder)
     assert cred.attributes == frozenset({"ICS-ISAC", "gov"})
     body = RegisterBody.decode(reg.unsealed()[-1].payload)
     assert body.attributes == ("ICS-ISAC", "gov")
@@ -192,8 +198,11 @@ ILLEGAL_HISTORIES = {
         [BOOT, ("stranger", TxKind.Register, registration("rogue", ["Producer"]))],
         NotAnAuthority, "Register by unregistered author",
     ),
+    # the same stakeholder again in another transaction; repeating the very
+    # transaction is refused earlier, as a duplicate transaction id
     "duplicate-registration": (
-        [BOOT, USER, USER], DuplicateRegistration, "duplicate registration",
+        [BOOT, USER, ("authority", TxKind.Register, replace(USER[2], endowment=0))],
+        DuplicateRegistration, "duplicate registration",
     ),
     "no-roles": (
         [BOOT, ("authority", TxKind.Register, registration("user", []))],
@@ -258,7 +267,7 @@ def registry_state(reg):
 
 @pytest.mark.parametrize("history, error, reason", ILLEGAL_HISTORIES.values(), ids=ILLEGAL_HISTORIES.keys())
 def test_registry_refuses_illegal_history(history, error, reason):
-    reg = Registry(initial_score=50)
+    reg = Registry()
     *legal, (author, kind, body) = history
     for step_author, step_kind, step_body in legal:
         reg.sign(sid(step_author), step_kind, step_body.encode())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ctisim.config import load_config
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import EmptyTransactionList, EncodingError, InvalidSignature, UnauthorizedSealer
-from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
+from ctisim.identity import Registry, Role, evidence_for
 from ctisim.ledger import (
     Block,
     Chain,
@@ -32,6 +32,7 @@ from ctisim.payloads import AccessGrantBody, FinalizeBody, ReputationUpdateBody,
 from ctisim.simulation import run_scenario
 from tests.conftest import SCENARIO_DIR
 from tests.reference_writer import Writer
+from tests.test_identity import proof, register
 
 # Pinned once from the pure-python implementation below.
 GENESIS_HEADER_DIGEST = "e0e7fd8de8d4857262cde4e94a5d0ab25921dec05e7d3a9422cc26524d5804a2"
@@ -90,16 +91,9 @@ def reference_sha256(message: bytes) -> bytes:
 # --- fixtures -----------------------------------------------------------------
 
 def fresh_registry():
-    reg = Registry(initial_score=50)
-    auth = reg.bootstrap(
-        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
-    )
-    user = reg.register(
-        ProofOfIdentity(
-            frozenset({Role.Producer, Role.Consumer}), frozenset(), evidence_for("user")
-        ),
-        auth.stakeholder,
-    )
+    reg = Registry()
+    auth = register(reg, proof("authority", {Role.Authority}))
+    user = register(reg, proof("user", {Role.Producer, Role.Consumer}), auth.stakeholder)
     return reg, auth, user, reg.unsealed()
 
 
@@ -116,9 +110,11 @@ def build_chain(n_extra_blocks=2):
     chain = Chain.new()
     append_block(chain, reg_txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
     for r in range(1, n_extra_blocks + 1):
+        # a vote per round, so that no transaction repeats
+        vote = VoteBody(sha256(b"contract:%d" % r), "HighQuality").encode()
         append_block(
             chain,
-            [tx_by(user), tx_by(auth)],
+            [tx_by(user, payload=vote), tx_by(auth, payload=vote)],
             auth.stakeholder,
             reg.authenticate_committed,
             reg.is_authority,
@@ -381,9 +377,7 @@ def test_verify_flags_register_by_a_producer():
 
 def test_verify_flags_block_sealed_by_revoked_authority():
     chain, reg, auth, user = build_chain(0)
-    second = reg.register(
-        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("second")), auth.stakeholder
-    )
+    second = register(reg, proof("second", {Role.Authority}), auth.stakeholder)
     append_block(chain, reg.unsealed(), auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
     revoke = ReputationUpdateBody(second.stakeholder, 20, True, "threshold").encode()
     append_block(

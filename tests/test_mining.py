@@ -58,29 +58,24 @@ def verified_chain(specs, rng):
     from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
     from ctisim.ledger import Chain, append_block
 
-    registry = Registry(initial_score=50)
-    auth = registry.bootstrap(
-        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority"))
+    registry = Registry()
+    system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3))
+    auth = system.bootstrap(
+        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), 100
     )
-    system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3), auth.stakeholder)
-    system.enroll(auth.stakeholder, 100)
 
     producers = []
     for i in range(3):
-        cred = registry.register(
-            ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for(f"p{i}")),
-            auth.stakeholder,
+        cred = system.register(
+            ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for(f"p{i}")), 10_000
         )
         producers.append(cred.stakeholder)
-        system.enroll(cred.stakeholder, 10_000)
     verifiers = []
     for i in range(3):
-        cred = registry.register(
-            ProofOfIdentity(frozenset({Role.Verifier}), frozenset(), evidence_for(f"v{i}")),
-            auth.stakeholder,
+        cred = system.register(
+            ProofOfIdentity(frozenset({Role.Verifier}), frozenset(), evidence_for(f"v{i}")), 100
         )
         verifiers.append(cred.stakeholder)
-        system.enroll(cred.stakeholder, 100)
 
     chain = Chain.new()
     append_block(chain, registry.unsealed(), auth.stakeholder, registry.authenticate_committed,

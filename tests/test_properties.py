@@ -146,13 +146,13 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert run(raw)[2] == outputs
     assert {name for agent in result.agents for _, name in agent.events} <= REJECTION_NAMES
 
-    endowments = {agent.sid: agent.endowment for agent in result.agents}
-    for _, replayed in replay_blocks(reread, engine.cfg, endowments):
+    for _, replayed in replay_blocks(reread, engine.cfg):
         assert replayed.market.conserved()
         assert min(replayed.market.balances.values()) >= 0
 
     live = engine.contracts
-    assert replayed.market == live.market  # balances, escrow, held, burned, minted, listings
+    assert replayed.authority == live.authority
+    assert replayed.market == live.market  # balances, escrow, held, burned, minted, listings, sales
     assert replayed.reputation.scores == live.reputation.scores
     assert replayed.subscription == live.subscription  # paid_through, accrued_discount
     assert contract_states(replayed) == contract_states(live)

@@ -2,10 +2,10 @@
 
 Replays the chain's transactions in order through the rulebooks the engine
 signs by, `Registry.apply` for credentials and `ContractSystem.apply` for
-contract state, on fresh objects. The scenario parameters and the starting
-endowments are not on the chain yet, so the replay takes them from the
-scenario. The result must equal what the engine reported: balances,
-reputations, revocations and every per-round activity counter.
+contract state, on fresh objects. Each Register carries its endowment, so
+the replay needs only the scenario's parameters besides the chain. The
+result must equal what the engine reported: balances, reputations,
+revocations and every per-round activity counter.
 """
 
 from collections import defaultdict
@@ -19,6 +19,7 @@ from tests.test_acceptance import _mixed_scenario
 
 # the payload body of each kind ContractSystem.apply reads
 BODIES = {
+    TxKind.Register: RegisterBody,
     TxKind.SubmitCti: SubmitCtiBody,
     TxKind.Vote: VoteBody,
     TxKind.FinalizeVerification: FinalizeBody,
@@ -27,28 +28,23 @@ BODIES = {
 }
 
 
-def replay_blocks(chain, config, endowments):
+def replay_blocks(chain, config):
     """Apply `chain` to a fresh Registry and ContractSystem, yielding each
     block after genesis and the system once that block is applied."""
-    registry = Registry(initial_score=0)
-    # the first transaction is the authority's self-registration
-    authority = chain.blocks[1].transactions[0].author
-    system = ContractSystem(registry, config.verification, config.economics, authority)
+    registry = Registry()
+    system = ContractSystem(registry, config.verification, config.economics)
     for block in chain.blocks[1:]:
         for tx in block.transactions:
             registry.apply(tx.author, tx.kind, tx.payload)
-            if tx.kind is TxKind.Register:
-                sid = RegisterBody.decode(tx.payload).stakeholder
-                system.enroll(sid, endowments[sid])
-            elif tx.kind in BODIES:
+            if tx.kind in BODIES:
                 system.apply(tx.author, tx.kind, BODIES[tx.kind].decode(tx.payload), block.timestamp)
         yield block, system
 
 
-def replay(chain, config, endowments):
+def replay(chain, config):
     """The replayed ContractSystem and its activity counters by (round, author)."""
     per_round = defaultdict(lambda: defaultdict(int))
-    for block, system in replay_blocks(chain, config, endowments):
+    for block, system in replay_blocks(chain, config):
         for tx in block.transactions:
             if tx.kind is TxKind.Purchase:
                 per_round[(block.timestamp, tx.author)]["consumes"] += 1
@@ -66,8 +62,7 @@ def test_chain_fold_reproduces_engine_state():
     config = _mixed_scenario(seed=321)
     config.rounds = 60
     result = run_scenario(config)
-    endowments = {a.sid: a.endowment for a in result.agents}
-    system, per_round = replay(result.chain, config, endowments)
+    system, per_round = replay(result.chain, config)
 
     for agent in result.agents:
         info = result.summary["agents"][agent.name]

@@ -1,9 +1,10 @@
 import random
 
-from ctisim.contracts import ContractStatus, EconomicsConfig, Vote
+from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
 from ctisim.ledger import TxKind, chain_to_json, query, verify_chain
+from ctisim.payloads import FinalizeBody
 from ctisim.simulation import (
     AgentRoundLog,
     StrategyKind,
@@ -98,6 +99,20 @@ def test_metrics_row_count_and_heartbeat_blocks():
     # genesis + registration block + one heartbeat per round
     assert len(result.chain.blocks) == 9
     assert verify_chain(result.chain).valid
+
+
+def test_summary_pi_score_is_the_chains_score():
+    # alpha and reputation found by a search for a score whose float spelling
+    # rounds to another millionth than the FinalizeVerification carries:
+    # (1 - 0.888598) * 25 / 100 sits on a half-millionth
+    cfg = make_config(
+        basic_crew() + [agent("sharer", [Role.Producer], StrategyKind.FalseSharer, fabrication_rate=1.0)],
+        rounds=1, verification=VerificationPolicy(alpha=0.888598, initial_score=25, trust_threshold=1),
+    )
+    result = run_scenario(cfg)
+    finalized = [FinalizeBody.decode(tx.payload) for tx in query(result.chain, kind=TxKind.FinalizeVerification)]
+    assert [body.score_micro for body in finalized] == [27850]
+    assert [c["pi_score"] for c in result.summary["contracts"]] == [0.02785]
 
 
 def test_false_sharer_declines_and_is_revoked():
