@@ -78,15 +78,6 @@ def evaluate_policy(policy: AttributePolicy, attributes: AbstractSet[str]) -> bo
     raise PolicyParseError(f"unknown policy operator {policy.op!r}")
 
 
-def policy_leaves(policy: AttributePolicy) -> list[str]:
-    if policy.op == "attr":
-        return [policy.tag]
-    out: list[str] = []
-    for child in policy.children:
-        out.extend(policy_leaves(child))
-    return out
-
-
 # Deepest operator nesting parse_policy accepts. A fixed bound, well under
 # the interpreter's recursion limit, makes acceptance independent of how
 # deep the caller's stack already is.

@@ -36,6 +36,10 @@ class DuplicateRegistration(CtiSimError):
     pass
 
 
+class DuplicateTransaction(CtiSimError):
+    pass
+
+
 class UnknownStakeholder(CtiSimError):
     pass
 

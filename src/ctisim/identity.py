@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .encoding import Digest
-from .errors import DuplicateRegistration, EncodingError, NotAnAuthority, UnknownStakeholder
+from .errors import (
+    DuplicateRegistration,
+    DuplicateTransaction,
+    EncodingError,
+    NotAnAuthority,
+    UnknownStakeholder,
+)
 from .ledger import Transaction, TxKind, keyed_digest, sha256
 from .payloads import RegisterBody, ReputationUpdateBody
 
@@ -96,8 +102,10 @@ class Registry:
         self.verifier_ids: list[Digest] = []
         # Ids holding the Authority role, revoked or not.
         self.authorities: set[Digest] = set()
+        # The id of every transaction this registry signed, sealed or not.
+        self._signed: set[Digest] = set()
         # Transactions this registry signed and no block has sealed yet, by
-        # object identity: signing the same transaction twice queues it twice.
+        # object identity.
         self._unsealed: dict[int, Transaction] = {}
 
     def get(self, stakeholder: Digest) -> Credential:
@@ -172,8 +180,18 @@ class Registry:
 
     def sign(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
         """A transaction signed with the author's credential secret, once
-        `apply` has accepted it and applied its effect."""
+        `apply` has accepted it and applied its effect.
+
+        A transaction whose id this registry already signed raises
+        DuplicateTransaction and is not queued: verify_chain refuses a
+        repeated id. `apply` has run by then, which changes nothing for a
+        repeat: it refuses a repeated Register, and a repeated revocation
+        is idempotent.
+        """
         tx = Transaction.create(author, kind, payload, self.apply(author, kind, payload))
+        if tx.tx_id in self._signed:
+            raise DuplicateTransaction(f"duplicate transaction id {tx.tx_id.hex()}")
+        self._signed.add(tx.tx_id)
         self._unsealed[id(tx)] = tx
         return tx
 

@@ -3,8 +3,12 @@
 Verified technical records become graph nodes. Two records are linked when
 they share at least `min_overlap` indicator values and their rounds differ
 by less than `window_rounds`; connected components with enough support are
-reported as campaigns. Any node can re-run the derivation from the
-immutable chain, which is what verify_derivation does.
+reported as campaigns. The engine mines the records its own contracts
+verified; any other node decodes the same records from the immutable
+chain (`verified_technical_records`) and re-runs the derivation, which is
+what verify_derivation does. Both give the same campaigns, because mining
+reads only each record's id, indicator values and round, and the
+partition does not depend on the records' order.
 
 Links are found through an inverted index from each indicator value to the
 records carrying it, ordered by round, so mining never compares every pair
@@ -158,14 +162,20 @@ def _build_campaign(members: list[CtiRecord], params: MiningParams) -> Campaign:
 
 
 def mine_campaigns(
-    chain: Chain, window_rounds: int, min_support: int, min_overlap: int
+    source: Chain | list[CtiRecord], window_rounds: int, min_support: int, min_overlap: int
 ) -> list[Campaign]:
+    """Campaigns among the Verified Technical records of `source`.
+
+    A `Chain` is decoded through `verified_technical_records`; a list is
+    taken to be those records already and is mined as given. The result
+    does not depend on the records' order.
+    """
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
     if min_overlap < 1:
         raise ValueError("min_overlap must be at least 1")
     params = MiningParams(window_rounds, min_support, min_overlap)
-    records = verified_technical_records(chain)
+    records = verified_technical_records(source) if isinstance(source, Chain) else source
     campaigns = [
         _build_campaign(group, params)
         for group in _components(records, params)

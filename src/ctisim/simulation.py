@@ -8,7 +8,9 @@ state transitions materialize as ledger transactions, and a fixed
 return their results, not their transactions: each block holds what the
 registry signed that round (`Registry.unsealed`), in signing order.
 Contract errors raised by an agent's action are recorded as
-rejected-action events and never abort the run.
+rejected-action events and never abort the run. After the last round the
+run mines campaigns from the records its contracts verified, without
+decoding them back from the chain it has just sealed.
 """
 
 from __future__ import annotations
@@ -287,8 +289,13 @@ class Engine:
         for round_no in range(1, cfg.rounds + 1):
             self._run_round(chain, metrics, round_no)
 
+        verified = [
+            c.record
+            for c in self.contracts.contracts.values()
+            if c.status is ContractStatus.Verified and c.record.category is CtiCategory.Technical
+        ]
         campaigns = mine_campaigns(
-            chain,
+            verified,
             window_rounds=cfg.mining.window_rounds,
             min_support=cfg.mining.min_support,
             min_overlap=cfg.mining.min_overlap,

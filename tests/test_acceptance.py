@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy, policy_leaves
+from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy
 from ctisim.cli import main as cli_main
 from ctisim.config import apply_override, load_config, load_raw, parse_config
 from ctisim.contracts import ContractStatus, DepositState, EconomicsConfig, ForfeiturePolicy
@@ -30,7 +30,7 @@ from ctisim.ledger import (
 from ctisim.mining import mine_campaigns, verify_derivation
 from ctisim.simulation import StrategyKind, UtilityModel, run_scenario
 from tests.conftest import SCENARIO_DIR, agent, make_config
-from tests.test_access_control import brute_force_eval, cred, random_policy
+from tests.test_access_control import brute_force_eval, cred, policy_leaves, random_policy
 from tests.test_contracts import HQ, LQ, Platform
 from tests.test_ledger import build_chain
 from tests.test_mining import fixture_chain

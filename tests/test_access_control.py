@@ -18,7 +18,6 @@ from ctisim.access_control import (
     evaluate_policy,
     open_envelope,
     parse_policy,
-    policy_leaves,
     policy_to_string,
     seal,
 )
@@ -88,6 +87,15 @@ def random_policy(rng: random.Random, leaves: list[str], depth: int = 3) -> Attr
     op = rng.choice([all_of, any_of])
     children = [random_policy(rng, leaves, depth - 1) for _ in range(rng.randint(1, 3))]
     return op(*children)
+
+
+def policy_leaves(policy: AttributePolicy) -> list[str]:
+    if policy.op == "attr":
+        return [policy.tag]
+    out: list[str] = []
+    for child in policy.children:
+        out.extend(policy_leaves(child))
+    return out
 
 
 def brute_force_eval(policy: AttributePolicy, attrs: set[str]) -> bool:

@@ -37,7 +37,6 @@ from ctisim.errors import (
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
 from ctisim.ledger import Chain, TxKind, append_block, verify_chain
-from ctisim.payloads import PurchaseBody
 
 HQ = Vote.HighQuality
 LQ = Vote.LowQuality
@@ -387,13 +386,14 @@ def test_verify_chain_refuses_a_repeated_transaction_id():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     p.system.purchase(p.consumer, contract.contract_id, set())
-    # the registry signs a repeat that purchase would refuse
-    p.registry.sign(p.consumer, TxKind.Purchase, PurchaseBody(contract.contract_id, 5).encode())
-    chain = Chain.new()
     registry = p.registry
-    append_block(chain, registry.unsealed(), p.authority, registry.authenticate_committed, registry.is_authority, 1)
+    signed = registry.unsealed()
+    # the writer never signs a repeat; seal one signed object twice instead
+    chain = Chain.new()
+    append_block(chain, signed, p.authority, registry.authenticate_committed, registry.is_authority, 1)
+    append_block(chain, signed[-1:], p.authority, registry.authenticate_committed, registry.is_authority, 2)
     report = verify_chain(chain)
-    assert (report.valid, report.first_bad_height, report.reason) == (False, 1, "duplicate transaction id")
+    assert (report.valid, report.first_bad_height, report.reason) == (False, 2, "duplicate transaction id")
 
 
 def test_purchase_of_rejected_contract():

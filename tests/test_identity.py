@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from ctisim import identity
-from ctisim.errors import DuplicateRegistration, NotAnAuthority, UnknownStakeholder
+from ctisim.errors import DuplicateRegistration, DuplicateTransaction, NotAnAuthority, UnknownStakeholder
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, keyed_digest, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
@@ -107,12 +107,12 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
         reg.sign(b"\x00" * 32, TxKind.Vote, b"hello")
 
 
-def test_signing_the_same_transaction_twice_queues_it_twice(registry):
+def test_signing_the_same_transaction_twice_is_refused(registry):
     reg, auth = registry
     first = reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
-    second = reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
-    *_, a, b = reg.unsealed()
-    assert first == second and a is first and b is second
+    with pytest.raises(DuplicateTransaction, match="duplicate transaction id"):
+        reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
+    assert reg.unsealed()[-1] is first and reg.unsealed().count(first) == 1
 
 
 def test_revoke_is_idempotent(registry):

@@ -186,6 +186,20 @@ def test_mining_is_deterministic():
     assert [c.campaign_id for c in a] == sorted(c.campaign_id for c in a)
 
 
+def test_mining_the_verified_records_in_any_order_matches_the_chain():
+    rng = random.Random(31)
+    labels = [rng.choice(["alpha", "beta", "gamma", None]) for _ in range(50)]
+    chain, _ = fixture_chain(labels, seed=7, rounds_spread=6)
+    records = verified_technical_records(chain)
+    for params in [(10, 2, 1), (2, 2, 1), (3, 3, 1)]:
+        expected = mine_campaigns(chain, *params)
+        assert expected
+        for _ in range(5):
+            shuffled = records[:]
+            rng.shuffle(shuffled)
+            assert mine_campaigns(shuffled, *params) == expected
+
+
 def ref_campaign_id(members, params):
     w = Writer()
     w.put_count(len(members))
@@ -428,3 +442,6 @@ def test_verify_derivation_accepts_every_mined_campaign(specs, params):
     }
     assert {c.member_records for c in campaigns} == expected
     assert all(verify_derivation(c, chain) for c in campaigns)
+    shuffled = verified_technical_records(chain)
+    random.Random(len(specs)).shuffle(shuffled)
+    assert mine_campaigns(shuffled, params.window_rounds, params.min_support, params.min_overlap) == campaigns

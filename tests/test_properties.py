@@ -6,6 +6,10 @@ policy, sale mode, fees, deposits, TLP channel, attribute policy and
 heartbeat setting, runs it, and checks what must hold for every config:
 the re-read dump verifies VALID, a second run writes the same bytes, and
 every rejected action is named by an error type or an engine blocker.
+The campaigns the run mined from its own verified records are those an
+auditor mines from the re-read dump, and each passes `verify_derivation`;
+mining parameters are drawn so that some examples mine a campaign, and
+`--hypothesis-show-statistics` reports how many did.
 Replaying the re-read dump block by block through `Registry.apply` and
 `ContractSystem.apply` conserves currency after every block, never drives
 a balance negative, and ends in the engine's credentials and contract
@@ -15,12 +19,13 @@ state. Every transaction the registry signed reached a block.
 import inspect
 import json
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ctisim import errors
 from ctisim.config import parse_config
 from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
+from ctisim.mining import mine_campaigns, verify_derivation
 from ctisim.simulation import Engine
 from tests.test_replay import replay_blocks
 
@@ -110,7 +115,7 @@ def scenarios(draw):
             "delta_minority_vote": draw(st.integers(-20, -1)),
         },
         "access": {"tlp": tlp, "designated": designated, "policy": draw(st.sampled_from(POLICIES))},
-        "mining": {"window_rounds": draw(st.integers(1, 4)), "min_support": 2},
+        "mining": {"window_rounds": draw(st.integers(1, 6)), "min_support": draw(st.integers(2, 3))},
     }
 
 
@@ -145,6 +150,11 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert all(row.balance >= 0 for row in result.metrics.rows)
     assert run(raw)[2] == outputs
     assert {name for agent in result.agents for _, name in agent.events} <= REJECTION_NAMES
+
+    mining = engine.cfg.mining
+    assert mine_campaigns(reread, mining.window_rounds, mining.min_support, mining.min_overlap) == result.campaigns
+    assert all(verify_derivation(c, reread) for c in result.campaigns)
+    event(f"mined a campaign: {bool(result.campaigns)}")
 
     for _, replayed in replay_blocks(reread, engine.cfg):
         assert replayed.market.conserved()

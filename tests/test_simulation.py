@@ -1,5 +1,6 @@
 import random
 
+from ctisim import mining
 from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
@@ -89,6 +90,26 @@ def test_different_seed_diverges():
     a = run_scenario(config)
     b = run_scenario(config, seed=100)
     assert chain_to_json(a.chain) != chain_to_json(b.chain)
+
+
+def test_run_mines_its_verified_records_without_decoding_its_chain(monkeypatch):
+    crew = basic_crew() + [
+        agent(f"prod-{i}", [Role.Producer], StrategyKind.HonestProducer, share_rate=1.0)
+        for i in range(3)
+    ]
+    config = make_config(crew, rounds=15, seed=9)
+
+    def refuse(chain):
+        raise AssertionError("the run decoded its own chain")
+
+    monkeypatch.setattr(mining, "verified_technical_records", refuse)
+    result = run_scenario(config)
+    monkeypatch.undo()
+    params = config.mining
+    assert result.campaigns
+    assert result.campaigns == mining.mine_campaigns(
+        result.chain, params.window_rounds, params.min_support, params.min_overlap
+    )
 
 
 def test_metrics_row_count_and_heartbeat_blocks():
