@@ -60,22 +60,21 @@ def attr(tag: str) -> AttributePolicy:
     return AttributePolicy(op="attr", tag=tag)
 
 
-def all_of(*children: AttributePolicy) -> AttributePolicy:
-    return AttributePolicy(op="and", children=tuple(children))
-
-
-def any_of(*children: AttributePolicy) -> AttributePolicy:
-    return AttributePolicy(op="or", children=tuple(children))
-
-
 def evaluate_policy(policy: AttributePolicy, attributes: AbstractSet[str]) -> bool:
-    if policy.op == "attr":
+    op = policy.op
+    if op == "attr":
         return policy.tag in attributes
-    if policy.op == "and":
-        return all(evaluate_policy(c, attributes) for c in policy.children)
-    if policy.op == "or":
-        return any(evaluate_policy(c, attributes) for c in policy.children)
-    raise PolicyParseError(f"unknown policy operator {policy.op!r}")
+    if op == "and":
+        for child in policy.children:
+            if not evaluate_policy(child, attributes):
+                return False
+        return True
+    if op == "or":
+        for child in policy.children:
+            if evaluate_policy(child, attributes):
+                return True
+        return False
+    raise PolicyParseError(f"unknown policy operator {op!r}")
 
 
 # Deepest operator nesting parse_policy accepts. A fixed bound, well under

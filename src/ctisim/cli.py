@@ -7,6 +7,10 @@ each leg runs at the config seed, or at the swept value when the swept key
 is `seed`. Sweep legs run one after another in the order given; the
 --parallel flag is still accepted but changes nothing.
 
+`summary.json` and `metrics.json` are written directly by `_json_text`,
+byte-identical to `json.dumps(obj, indent=2)` plus a newline; `chain.json`
+by `ledger.chain_to_json`, byte-identical in the same way.
+
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::
 
@@ -50,9 +54,9 @@ access. Operators nest at most 32 deep.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import yaml
@@ -87,15 +91,84 @@ def _resolve_seed(cli_seed: Optional[int], config_seed: int) -> int:
     return config_seed
 
 
+_INF = float("inf")
+
+
+def _json_text(value: object) -> str:
+    """The text `json.dumps(value, indent=2)` gives, written directly.
+
+    On Python 3.11 `json.dumps` runs its pure-Python encoder whenever
+    `indent` is set. This writes the same text in one recursive pass, with
+    json's own ASCII string escaping, `int.__repr__` and `float.__repr__`
+    (NaN and the infinities spelled as json spells them), and tuples as
+    lists. Dict keys must be strings, as every key in the summary and the
+    metrics is.
+    """
+    out: list[str] = []
+    write = out.append
+
+    def emit(value: object, newline: str) -> None:
+        if isinstance(value, str):
+            write(encode_basestring_ascii(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, float):
+            if value != value:
+                write("NaN")
+            elif value == _INF:
+                write("Infinity")
+            elif value == -_INF:
+                write("-Infinity")
+            else:
+                write(float.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                write("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(sep)
+                write(encode_basestring_ascii(key))
+                write(": ")
+                emit(item, inner)
+                sep = "," + inner
+            write(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                write("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                emit(item, inner)
+                sep = "," + inner
+            write(newline + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    emit(value, "\n")
+    return "".join(out)
+
+
 def _write_outputs(result: ScenarioResult, out_dir: str, fmt: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "chain.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(chain_to_json(result.chain))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(result.summary, indent=2) + "\n")
+        fh.write(_json_text(result.summary) + "\n")
     if fmt == "json":
         with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(result.metrics.to_obj(), indent=2) + "\n")
+            fh.write(_json_text(result.metrics.to_obj()) + "\n")
     else:
         with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(result.metrics.to_csv())

@@ -2,10 +2,14 @@
 
 A record's id is the digest of its canonical bytes (`record_bytes`); a
 decoded record's id is that of the canonical bytes of what was decoded,
-whatever spelling the input used. Decoding raises EncodingError, and
-nothing else, for input that does not decode to a record. It parses each
-distinct policy text once (the last `POLICY_MEMO_SIZE` are kept), and
-re-encodes only non-canonical input. Two fields never serialize:
+whatever spelling the input used. A record from `make_record` or
+`decode_record` keeps the exact bytes its id hashes (`encoded`), so
+`record_bytes` returns them without encoding again; a record built any
+other way, directly or by `dataclasses.replace`, keeps none and is encoded
+from its fields. Decoding raises EncodingError, and nothing else, for
+input that does not decode to a record. It parses each distinct policy
+text once (the last `POLICY_MEMO_SIZE` are kept), and re-encodes only
+non-canonical input. Two fields never serialize:
 ground_truth (the simulation's hidden oracle for measuring verifier
 behavior) and each indicator's campaign_hint (a hidden generator label used
 only to score the miner). Nothing agent-visible or on-chain may carry
@@ -15,7 +19,7 @@ either.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -81,6 +85,8 @@ class CtiRecord:
     sale_price: Optional[int]
     created_round: int
     ground_truth: Optional[GroundTruth] = None  # hidden oracle; None once decoded
+    # the bytes record_id hashes, set only by make_record and decode_record
+    encoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _ioc_syntax_problem(ioc: Ioc) -> Optional[str]:
@@ -92,7 +98,8 @@ def _ioc_syntax_problem(ioc: Ioc) -> Optional[str]:
         except (ipaddress.AddressValueError, ValueError):
             return "not a dotted-quad IPv4 address"
     elif ioc.kind is IocKind.Domain:
-        if "." not in ioc.value or any(c.isspace() for c in ioc.value) or "://" in ioc.value:
+        # split() breaks at exactly the characters isspace() accepts
+        if "." not in ioc.value or ioc.value.split() != [ioc.value] or "://" in ioc.value:
             return "not a plausible domain name"
     elif ioc.kind is IocKind.Url:
         if "://" not in ioc.value:
@@ -199,6 +206,8 @@ def _canonical_bytes(
 
 def record_bytes(record: CtiRecord) -> bytes:
     """Canonical bytes: every field except record_id and the hidden ones."""
+    if record.encoded is not None:
+        return record.encoded
     return _canonical_bytes(
         record.producer,
         record.category,
@@ -214,6 +223,12 @@ def record_bytes(record: CtiRecord) -> bytes:
 
 def record_id_for(data: bytes) -> Digest:
     return sha256(b"cti-record:" + data)
+
+
+def _keeping(record: CtiRecord, data: bytes) -> CtiRecord:
+    """`record`, carrying `data`, the bytes its id is the digest of."""
+    object.__setattr__(record, "encoded", data)
+    return record
 
 
 def make_record(
@@ -234,7 +249,7 @@ def make_record(
     data = _canonical_bytes(
         producer, category, level, indicators, narrative_digest, tlp, policy, sale_price, created_round
     )
-    return CtiRecord(
+    return _keeping(CtiRecord(
         record_id=record_id_for(data),
         producer=producer,
         category=category,
@@ -246,7 +261,7 @@ def make_record(
         sale_price=sale_price,
         created_round=created_round,
         ground_truth=ground_truth,
-    )
+    ), data)
 
 
 def _member(table: dict, name: str, field: str):
@@ -309,7 +324,7 @@ def decode_record(data: bytes) -> CtiRecord:
         data = _canonical_bytes(
             producer, category, level, indicators, narrative, tlp, policy, sale_price, created_round
         )
-    return CtiRecord(
+    return _keeping(CtiRecord(
         record_id_for(data), producer, category, level, indicators, narrative, tlp, policy, sale_price,
         created_round,
-    )
+    ), data)

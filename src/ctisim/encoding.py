@@ -7,7 +7,9 @@ variable-length byte strings carry a 4-byte length prefix, collections a
 The `*_field` functions encode one field each; the one-shot encoders in
 `cti` and `ledger` join them. `FIELD_CODECS` maps each field annotation to
 its encoder and `Reader` method, and a `Layout` subclass takes its wire
-layout from its annotated fields through that table.
+layout from its annotated fields through that table. Each subclass gets
+one generated encoder, compiled once when the class is defined, that
+writes its fields in order without a per-field lookup.
 
 Reading raises EncodingError, and nothing else, for malformed input:
 truncation, trailing bytes, a boolean byte other than 0 or 1, and invalid
@@ -167,8 +169,12 @@ class Layout:
     """Base of a dataclass whose fields, in declared order, are its bytes.
 
     Defining a subclass looks each field's annotation up in FIELD_CODECS
-    once, so an annotation with no codec raises TypeError at import.
-    `encode` joins the field encodings; `decode` reads them back with no
+    once, so an annotation with no codec raises TypeError at import, and
+    generates the subclass's encoder from that table, the way `dataclasses`
+    generates `__init__`: one function that reads each field once, writes a
+    `bytes` field's length prefix and bytes inline and hands every other
+    field to its codec (so a negative uint still raises EncodingError).
+    `encode` calls that function; `decode` reads the fields back with no
     bytes left over and builds the instance from them.
     """
 
@@ -178,11 +184,11 @@ class Layout:
         for name, hint in hints.items():
             if hint not in FIELD_CODECS:
                 raise TypeError(f"{cls.__name__}.{name}: no wire codec for {hint!r}")
-        cls._encoders = tuple((name, FIELD_CODECS[hint][0]) for name, hint in hints.items())
+        cls._encode_fields = _generated_encoder(cls.__name__, hints)
         cls._readers = tuple(FIELD_CODECS[hint][1] for hint in hints.values())
 
     def encode(self) -> bytes:
-        return b"".join([encode(getattr(self, name)) for name, encode in self._encoders])
+        return self._encode_fields()
 
     @classmethod
     def decode(cls: type[_L], data: bytes) -> _L:
@@ -190,3 +196,25 @@ class Layout:
         values = [read(r) for read in cls._readers]
         r.expect_end()
         return cls(*values)
+
+
+def _generated_encoder(class_name: str, hints: dict[str, object]) -> Callable:
+    """Compile `_encode_fields(self)` for a Layout with these field hints."""
+    namespace: dict[str, object] = {"_pack_count": _pack_count}
+    reads, parts = [], []
+    for name, hint in hints.items():
+        reads.append(f"    {name} = self.{name}\n")
+        if hint is bytes:
+            parts.append(f"_pack_count(len({name})), {name}")
+        else:
+            namespace[f"_encode_{name}"] = FIELD_CODECS[hint][0]
+            parts.append(f"_encode_{name}({name})")
+    source = (
+        "def _encode_fields(self):\n"
+        + "".join(reads)
+        + f"    return b''.join(({''.join(part + ', ' for part in parts)}))\n"
+    )
+    exec(source, namespace)
+    fn = namespace["_encode_fields"]
+    fn.__qualname__ = f"{class_name}._encode_fields"
+    return fn

@@ -295,28 +295,6 @@ def verify_chain(chain: Chain) -> VerificationReport:
     return VerificationReport(True)
 
 
-def query(
-    chain: Chain,
-    kind: Optional[TxKind] = None,
-    author: Optional[Digest] = None,
-    round_range: Optional[tuple[int, int]] = None,
-) -> list[Transaction]:
-    """All matching transactions in chain order; filters are conjunctive."""
-    out: list[Transaction] = []
-    for block in chain.blocks:
-        if round_range is not None:
-            lo, hi = round_range
-            if not (lo <= block.timestamp <= hi):
-                continue
-        for tx in block.transactions:
-            if kind is not None and tx.kind is not kind:
-                continue
-            if author is not None and tx.author != author:
-                continue
-            out.append(tx)
-    return out
-
-
 # --- chain.json dump -------------------------------------------------------
 
 def _tx_to_json(t: Transaction) -> str:

@@ -5,10 +5,11 @@ they share at least `min_overlap` indicator values and their rounds differ
 by less than `window_rounds`; connected components with enough support are
 reported as campaigns. The engine mines the records its own contracts
 verified; any other node decodes the same records from the immutable
-chain (`verified_technical_records`) and re-runs the derivation, which is
-what verify_derivation does. Both give the same campaigns, because mining
-reads only each record's id, indicator values and round, and the
-partition does not depend on the records' order.
+chain (`verified_technical_records`) and re-runs the derivation. Both give
+the same campaigns, because mining reads only each record's id, indicator
+values and round, and the partition does not depend on the records' order.
+verify_derivation audits a claim that way and accepts it only if it is a
+whole component, as mining would report it.
 
 Links are found through an inverted index from each indicator value to the
 records carrying it, ordered by round, so mining never compares every pair
@@ -186,20 +187,17 @@ def mine_campaigns(
 
 
 def verify_derivation(campaign: Campaign, chain: Chain) -> bool:
-    """Audit a mined claim: re-derive it from the cited members on the chain."""
-    by_id = {rec.record_id: rec for rec in verified_technical_records(chain)}
-    if not campaign.member_records:
-        return False
-    members = []
-    for rid in campaign.member_records:
-        rec = by_id.get(rid)
-        if rec is None:
-            return False
-        members.append(rec)
-    if len(members) < campaign.params.min_support:
-        return False
-    groups = _components(members, campaign.params)
-    if len(groups) != 1:
-        return False
-    rebuilt = _build_campaign(groups[0], campaign.params)
-    return rebuilt == campaign
+    """Audit a mined claim: re-derive it from the chain.
+
+    The claim holds only if its members are one whole component of the
+    graph over every Verified Technical record on the chain, under the
+    claim's parameters, with at least `min_support` records, and the claim
+    is what mining builds from that component. A connected part of a
+    component is refused: mining would never report it.
+    """
+    params = campaign.params
+    members = campaign.member_records
+    for group in _components(verified_technical_records(chain), params):
+        if any(rec.record_id in members for rec in group):
+            return len(group) >= params.min_support and _build_campaign(group, params) == campaign
+    return False

@@ -11,8 +11,6 @@ from ctisim.access_control import (
     _xor,
     TlpChannel,
     TlpLabel,
-    all_of,
-    any_of,
     attr,
     authorize,
     evaluate_policy,
@@ -35,6 +33,14 @@ def cred(name, attributes=(), revoked=False):
         revoked=revoked,
         secret=b"s",
     )
+
+
+def all_of(*children: AttributePolicy) -> AttributePolicy:
+    return AttributePolicy(op="and", children=tuple(children))
+
+
+def any_of(*children: AttributePolicy) -> AttributePolicy:
+    return AttributePolicy(op="or", children=tuple(children))
 
 
 # --- policy evaluation --------------------------------------------------------
@@ -114,6 +120,32 @@ def test_random_formulas_match_exhaustive_truth_table():
         for bits in itertools.product([False, True], repeat=len(names)):
             attrs = {n for n, b in zip(names, bits) if b}
             assert evaluate_policy(policy, attrs) == brute_force_eval(policy, attrs)
+
+
+def generator_evaluate_policy(policy: AttributePolicy, attributes) -> bool:
+    """evaluate_policy as it was written over all()/any() generators."""
+    if policy.op == "attr":
+        return policy.tag in attributes
+    if policy.op == "and":
+        return all(generator_evaluate_policy(c, attributes) for c in policy.children)
+    if policy.op == "or":
+        return any(generator_evaluate_policy(c, attributes) for c in policy.children)
+    raise PolicyParseError(f"unknown policy operator {policy.op!r}")
+
+
+POLICY_TAGS = [f"t{i}" for i in range(6)]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32), attrs=st.frozensets(st.sampled_from(POLICY_TAGS)))
+def test_evaluate_policy_matches_the_generator_definition(seed, attrs):
+    policy = random_policy(random.Random(seed), POLICY_TAGS, depth=4)
+    assert evaluate_policy(policy, attrs) == generator_evaluate_policy(policy, attrs)
+
+
+def test_evaluate_policy_on_empty_operands_matches_all_and_any():
+    for attrs in (frozenset(), frozenset({"a"})):
+        assert evaluate_policy(all_of(), attrs) is True
+        assert evaluate_policy(any_of(), attrs) is False
 
 
 def test_monotonicity_adding_attributes_never_revokes():

@@ -5,8 +5,12 @@ import subprocess
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctisim.cli import main
+from ctisim.cli import _json_text, main
+from ctisim.config import load_config
+from ctisim.simulation import run_scenario
 from tests.conftest import SCENARIO_DIR
 from tests.test_config import REVOCABLE_AUTHORITIES
 
@@ -78,6 +82,60 @@ def test_json_metrics_rows_equal_csv_rows(tmp_path):
     for obj, row in zip(json_rows, csv_rows):
         assert list(obj) == header
         assert [str(v) for v in obj.values()] == row
+
+
+# --- the JSON writer against json.dumps(indent=2) --------------------------------
+
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n\r\b\f", "caf\u00e9", "\u2028\uffff",
+     "\U0001f600", "\ud800", ""]
+)
+json_numbers = (
+    st.integers()
+    | st.sampled_from([2**64, 2**64 + 1, -(2**65), 10**40, -1, 0])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308,
+                       float("nan"), float("inf"), float("-inf")])
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_numbers | json_strings,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=json_values)
+def test_json_writer_matches_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{}, [], (), {"a": {}}, [[], {}], {"k": [[]]}])
+def test_json_writer_empty_containers(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: "int key"}, {"k": b"bytes"}, {"k": {1, 2}}])
+def test_json_writer_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_json_outputs_equal_json_dumps_of_the_run(scenario, tmp_path, monkeypatch):
+    monkeypatch.delenv("CTISIM_SEED", raising=False)
+    path = str(SCENARIO_DIR / f"{scenario}.yaml")
+    result = run_scenario(load_config(path))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", str(out), "--format", "json") == 0
+    rows = result.metrics.to_obj()
+    assert rows
+    assert (out / "metrics.json").read_text(encoding="utf-8") == json.dumps(rows, indent=2) + "\n"
+    assert (out / "summary.json").read_text(encoding="utf-8") == json.dumps(result.summary, indent=2) + "\n"
 
 
 def test_missing_rounds_field_exits_one(tmp_path, capsys):

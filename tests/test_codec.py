@@ -11,6 +11,7 @@ on canonical, non-canonical and mutated bytes.
 
 import struct
 from dataclasses import is_dataclass, replace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,19 @@ def test_payload_body_cut_or_extended_is_encoding_error(body):
         type(body).decode(data + b"\x00")
 
 
+UINT_BODIES = [cls for cls in BODY_CLASSES if int in get_type_hints(cls).values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=st.sampled_from(UINT_BODIES).flatmap(body_strategy), value=st.integers(max_value=-1),
+       data=st.data())
+def test_payload_body_negative_uint_is_encoding_error(body, value, data):
+    uint_fields = [name for name, hint in get_type_hints(type(body)).items() if hint is int]
+    body = replace(body, **{data.draw(st.sampled_from(uint_fields)): value})
+    with pytest.raises(EncodingError):
+        body.encode()
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -358,9 +372,27 @@ def test_payload_body_bad_bool_or_utf8_is_encoding_error(data):
 @given(record=records)
 def test_record_round_trips(record):
     data = record_bytes(record)
+    assert data == ref_record_bytes(record)
+    assert record.record_id == record_id_for(data)
     decoded = decode_record(data)
     assert decoded == record
     assert decoded.record_id == record_id_for(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=records, sale_price=st.none() | uints, created_round=uints)
+def test_record_bytes_of_a_record_built_another_way_encode_its_fields(record, sale_price, created_round):
+    """Only make_record and decode_record keep bytes; a replaced or directly
+    built record is encoded from its fields, never given stale bytes."""
+    changed = replace(record, sale_price=sale_price, created_round=created_round)
+    assert changed.encoded is None
+    assert record_bytes(changed) == ref_record_bytes(changed)
+    built = CtiRecord(record.record_id, record.producer, record.category, record.level,
+                      record.indicators, record.narrative_digest, record.tlp, record.policy,
+                      record.sale_price, record.created_round, record.ground_truth)
+    assert built.encoded is None
+    assert built == record and hash(built) == hash(record)
+    assert record_bytes(built) == ref_record_bytes(built) == record_bytes(record)
 
 
 @settings(max_examples=200, deadline=None)
@@ -457,6 +489,7 @@ def check_against_reference(data):
     got = outcome(decode_record, data)
     assert got == outcome(ref_decode_record, data)
     if isinstance(got, CtiRecord):
+        assert record_bytes(got) == ref_record_bytes(got)
         assert got.record_id == record_id_for(record_bytes(got))
 
 

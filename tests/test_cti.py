@@ -62,6 +62,12 @@ def test_bad_ip_octet_flagged():
         (IocKind.Domain, "evil.example", True),
         (IocKind.Domain, "nodots", False),
         (IocKind.Domain, "spa ced.example", False),
+        (IocKind.Domain, " evil.example", False),
+        (IocKind.Domain, "evil.example\n", False),
+        (IocKind.Domain, "evil\u3000.example", False),
+        (IocKind.Domain, "evil\x1c.example", False),
+        (IocKind.Domain, " . ", False),
+        (IocKind.Domain, "evil\u200b.example", True),
         (IocKind.Url, "http://evil.example/x", True),
         (IocKind.Url, "evil.example/x", False),
         (IocKind.FileHash, "a" * 64, True),
@@ -75,6 +81,17 @@ def test_ioc_kind_syntax(kind, value, ok):
     rec = technical((Ioc(kind, value, 1),))
     violations = validate_format(rec)
     assert (violations == []) is ok
+
+
+def test_split_finds_whitespace_exactly_where_isspace_does():
+    """The domain check's `value.split() != [value]` against `c.isspace()`,
+    on every code point."""
+    def split_finds_space(c):
+        value = "a" + c + "b"
+        return value.split() != [value]
+
+    chars = map(chr, range(0x110000))
+    assert [c for c in chars if split_finds_space(c) != c.isspace()] == []
 
 
 def test_tlp_structure_checked():

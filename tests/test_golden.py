@@ -17,10 +17,17 @@ import pytest
 
 from ctisim.cli import main
 from ctisim.config import load_config
-from ctisim.ledger import TxKind, chain_from_json, chain_to_json, query, verify_chain
-from ctisim.mining import mine_campaigns, verify_derivation
+from ctisim.ledger import TxKind, chain_from_json, chain_to_json, verify_chain
+from ctisim.mining import (
+    _build_campaign,
+    _components,
+    mine_campaigns,
+    verified_technical_records,
+    verify_derivation,
+)
 from ctisim.payloads import RegisterBody
 from tests.conftest import SCENARIO_DIR
+from tests.test_ledger import query
 
 GOLDEN = {
     "blocis-baseline": {
@@ -103,6 +110,23 @@ def test_bundled_chain_reloads_to_its_bytes_and_campaigns(scenario, bundled_outp
         for c in campaigns
     ] == summary["campaigns"]
     assert all(verify_derivation(c, chain) for c in campaigns)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_bundled_campaign_without_its_last_member_is_refused(scenario, bundled_outputs):
+    """Dropping a mined campaign's latest member leaves a connected claim
+    that only the whole-component check refuses."""
+    chain = chain_from_json((bundled_outputs(scenario) / "chain.json").read_text(encoding="utf-8"))
+    params = load_config(str(SCENARIO_DIR / f"{scenario}.yaml")).mining
+    records = verified_technical_records(chain)
+    campaigns = mine_campaigns(records, params.window_rounds, params.min_support, params.min_overlap)
+    assert campaigns
+    for campaign in campaigns:
+        members = [r for r in records if r.record_id in campaign.member_records]
+        truncated = members[:-1]
+        assert len(_components(truncated, params)) == 1
+        assert verify_derivation(campaign, chain)
+        assert not verify_derivation(_build_campaign(truncated, params), chain)
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))

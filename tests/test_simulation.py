@@ -4,7 +4,7 @@ from ctisim import mining
 from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
-from ctisim.ledger import TxKind, chain_to_json, query, verify_chain
+from ctisim.ledger import TxKind, chain_to_json, verify_chain
 from ctisim.payloads import FinalizeBody
 from ctisim.simulation import (
     AgentRoundLog,
@@ -15,6 +15,7 @@ from ctisim.simulation import (
     verifier_vote_model,
 )
 from tests.conftest import agent, basic_crew, make_config
+from tests.test_ledger import query
 
 
 # --- verifier_vote_model ------------------------------------------------------
