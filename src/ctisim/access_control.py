@@ -28,20 +28,26 @@ class TlpChannel(TaggedEnum):
     White = "White"
 
 
+# Channels bound once, compared by identity (why: see the note at the bound
+# members in `contracts`).
+_RED, _ORANGE, _GREEN = TlpChannel.Red, TlpChannel.Orange, TlpChannel.Green
+
+
 @dataclass(frozen=True)
 class TlpLabel:
     channel: TlpChannel
     designated: Optional[frozenset[Digest]] = None
 
     def problems(self) -> list[str]:
-        if self.channel is TlpChannel.Red:
+        channel = self.channel
+        if channel is _RED:
             if self.designated is None or len(self.designated) != 1:
                 return ["Red requires exactly one designated recipient"]
-        elif self.channel is TlpChannel.Orange:
+        elif channel is _ORANGE:
             if not self.designated:
                 return ["Orange requires a non-empty designated group"]
         elif self.designated is not None:
-            return [f"{self.channel.value} must not carry a designated set"]
+            return [f"{channel.value} must not carry a designated set"]
         return []
 
 
@@ -141,15 +147,16 @@ def authorize(
     requester: "Credential",
     tlp: TlpLabel,
     policy: Optional[AttributePolicy],
-    group_members: set[Digest],
+    group_members: AbstractSet[Digest],
 ) -> bool:
     """TLP gate AND optional attribute policy; revoked requesters never pass."""
     if requester.revoked:
         return False
     rid = requester.stakeholder
-    if tlp.channel in (TlpChannel.Red, TlpChannel.Orange):
+    channel = tlp.channel
+    if channel is _RED or channel is _ORANGE:
         tlp_ok = tlp.designated is not None and rid in tlp.designated
-    elif tlp.channel is TlpChannel.Green:
+    elif channel is _GREEN:
         tlp_ok = rid in group_members
     else:
         tlp_ok = True
@@ -200,7 +207,7 @@ def seal(record: "CtiRecord") -> EncryptedEnvelope:
 def open_envelope(
     envelope: EncryptedEnvelope,
     requester: "Credential",
-    group_members: set[Digest],
+    group_members: AbstractSet[Digest],
 ) -> Digest:
     """Return the content digest, or raise AccessDenied."""
     if not authorize(requester, envelope.tlp, envelope.policy, group_members):

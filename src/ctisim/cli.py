@@ -18,7 +18,8 @@ examples)::
     rounds: 50            # action rounds; registrations happen at round 0
     seed: 42
     agents:               # one entry per stakeholder
-      - name: authority
+      - name: authority               # unique; metrics.csv writes it bare, so no
+                                      # comma, double quote or line break
         roles: [Authority]            # Producer | Consumer | Verifier | Authority
                                       # (an Authority is not also Producer or Verifier)
       - name: prod

@@ -234,11 +234,23 @@ def _agent_access(value: Any, name: str) -> Optional[AccessSpec]:
     return _section(AccessSpec, value, name) if _mapping(value, name) else None
 
 
+# metrics.csv writes each agent name bare, so a name may hold none of the
+# characters a CSV field would have to quote
+_CSV_QUOTED = (",", '"', "\r", "\n")
+
+
+def _agent_name(value: Any, name: str) -> str:
+    text = str(value)
+    if any(c in text for c in _CSV_QUOTED):
+        raise ConfigInvalid(name, f"{text!r} holds a comma, double quote or line break")
+    return text
+
+
 def _agents(value: Any, name: str) -> list[AgentSpec]:
     if not isinstance(value, list) or not value:
         raise ConfigInvalid(name, "must be a non-empty list")
     agents = [
-        _section(AgentSpec, entry, f"{name}[{i}]", access=_agent_access)
+        _section(AgentSpec, entry, f"{name}[{i}]", access=_agent_access, name=_agent_name)
         for i, entry in enumerate(value)
     ]
     names = [a.name for a in agents]
@@ -264,7 +276,8 @@ def _verification(value: Any, name: str) -> VerificationPolicy:
 
 
 # One check per field name; a name means the same in every mapping that has
-# it, except an agent's own `access`, which `_agents` reads with _agent_access.
+# it, except an agent's own `access` and `name`, which `_agents` reads with
+# _agent_access and _agent_name.
 _CHECKS: dict[str, Check] = {
     # top level: ScenarioConfig
     "rounds": _int(lo=0),

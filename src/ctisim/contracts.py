@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .access_control import authorize
 from .cti import CtiRecord, decode_record, record_bytes, validate_format
@@ -87,10 +87,23 @@ class ForfeiturePolicy(Enum):
 # verifiers assigned to, and votes needed by, every submission
 QUORUM = 3
 
-# Kinds bound once (`TxKind.X` goes through the Enum metaclass), so that
-# `ContractSystem.apply` dispatches by identity, not by Enum hashes.
+# Members bound once. On CPython 3.11 a class lookup such as
+# `ContractStatus.Verified` goes through the Enum metaclass (~130 ns) and
+# `.value` through a Python-level descriptor (~180 ns); a module global
+# costs ~12 ns and the `_value_` attribute ~20 ns. So every per-transaction
+# and per-record path compares against a bound member, by identity and
+# never by an Enum hash, and reads a member's name through `_value_`, Enum's
+# documented sunder attribute. The engine, `cti` and `access_control` bind
+# theirs the same way.
 _SUBMIT, _VOTE, _FINALIZE = TxKind.SubmitCti, TxKind.Vote, TxKind.FinalizeVerification
 _PURCHASE, _RENEW, _REGISTER = TxKind.Purchase, TxKind.RenewSubscription, TxKind.Register
+_ACCESS_GRANT, _REPUTATION_UPDATE = TxKind.AccessGrant, TxKind.ReputationUpdate
+_PENDING, _VERIFIED, _REJECTED = (
+    ContractStatus.PendingVerification, ContractStatus.Verified, ContractStatus.Rejected
+)
+_ESCROWED, _REFUNDED, _FORFEITED = DepositState.Escrowed, DepositState.Refunded, DepositState.Forfeited
+_HIGH, _LOW = Vote.HighQuality, Vote.LowQuality
+_BURN, _HOLD = ForfeiturePolicy.Burn, ForfeiturePolicy.HoldInContract
 _VOTE_BY_NAME = {vote.value: vote for vote in Vote}
 
 
@@ -136,7 +149,7 @@ def evaluate_pi(policy: VerificationPolicy, votes: list[Vote], producer_score: i
     """score = alpha * (high-quality fraction) + (1 - alpha) * (reputation / 100)."""
     if len(votes) != QUORUM:
         raise QuorumNotMet(f"need {QUORUM} votes, have {len(votes)}")
-    hq = sum(1 for v in votes if v is Vote.HighQuality)
+    hq = sum(1 for v in votes if v is _HIGH)
     score = policy.alpha * (hq / QUORUM) + (1.0 - policy.alpha) * (producer_score / 100.0)
     return PiResult(valid=score >= policy.tau, score=score)
 
@@ -292,8 +305,8 @@ class ContractSystem:
                 record = decode_record(body.record_bytes)
             market.to_escrow(author, body.deposit + body.verification_fee)
             contract = self.contracts[body.contract_id] = ReportContract(
-                body.contract_id, record, ContractStatus.PendingVerification, body.verifiers, {},
-                body.deposit, DepositState.Escrowed, body.verification_fee, round_no,
+                body.contract_id, record, _PENDING, body.verifiers, {},
+                body.deposit, _ESCROWED, body.verification_fee, round_no,
             )
             if record.sale_price is not None:
                 market.listings[body.contract_id] = record.sale_price
@@ -303,8 +316,8 @@ class ContractSystem:
         elif kind is _FINALIZE:
             contract = self.contracts[body.contract_id]
             producer, verifiers = contract.record.producer, contract.assigned_verifiers
-            valid = body.status == ContractStatus.Verified.value
-            contract.status = ContractStatus.Verified if valid else ContractStatus.Rejected
+            valid = body.status == _VERIFIED._value_
+            contract.status = _VERIFIED if valid else _REJECTED
             contract.finalized_round = round_no
             contract.score_micro = body.score_micro
             payouts: dict[Digest, int] = {}
@@ -312,13 +325,13 @@ class ContractSystem:
             # (a) deposit: refunded, or forfeited as the policy says
             if valid:
                 market.escrow_to(producer, contract.deposit)
-                contract.deposit_state = DepositState.Refunded
+                contract.deposit_state = _REFUNDED
             else:
-                contract.deposit_state = DepositState.Forfeited
+                contract.deposit_state = _FORFEITED
                 forfeiture = self.economics.forfeiture
-                if forfeiture is ForfeiturePolicy.Burn:
+                if forfeiture is _BURN:
                     market.escrow_burn(contract.deposit)
-                elif forfeiture is ForfeiturePolicy.HoldInContract:
+                elif forfeiture is _HOLD:
                     market.escrow_hold(contract.deposit)
                 else:
                     self._split_escrow(contract.deposit, verifiers, payouts)
@@ -326,12 +339,12 @@ class ContractSystem:
             # (b) subscription discounts: verifiers always, producer only on
             # a high-quality majority
             votes = [contract.votes[v] for v in verifiers]
-            majority = Vote.HighQuality if votes.count(Vote.HighQuality) * 2 > QUORUM else Vote.LowQuality
+            majority = _HIGH if votes.count(_HIGH) * 2 > QUORUM else _LOW
             discounts: dict[Digest, int] = {}
             per_hq = self.economics.discount_per_hq
             if per_hq > 0:
                 accrued = self.subscription.accrued_discount
-                for sid in (*verifiers, producer) if majority is Vote.HighQuality else verifiers:
+                for sid in (*verifiers, producer) if majority is _HIGH else verifiers:
                     accrued[sid] = accrued.get(sid, 0) + per_hq
                     discounts[sid] = per_hq
 
@@ -441,7 +454,7 @@ class ContractSystem:
 
     def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> None:
         contract = self.contracts.get(contract_id)
-        if contract is None or contract.status is not ContractStatus.PendingVerification:
+        if contract is None or contract.status is not _PENDING:
             raise ContractClosed(contract_id.hex())
         if verifier not in contract.assigned_verifiers:
             raise NotAssigned(verifier.hex()[:12])
@@ -449,7 +462,7 @@ class ContractSystem:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
             raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
-        self._commit(verifier, _VOTE, VoteBody(contract_id=contract_id, vote=vote.value), None)
+        self._commit(verifier, _VOTE, VoteBody(contract_id=contract_id, vote=vote._value_), None)
 
     # -- finalization ----------------------------------------------------
 
@@ -457,7 +470,7 @@ class ContractSystem:
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise ContractClosed(contract_id.hex())
-        if contract.status is not ContractStatus.PendingVerification:
+        if contract.status is not _PENDING:
             raise AlreadyFinalized(contract_id.hex())
         ordered_votes = [contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes]
         if len(ordered_votes) != QUORUM:
@@ -465,9 +478,11 @@ class ContractSystem:
 
         producer = contract.record.producer
         pi = evaluate_pi(self.policy, ordered_votes, self.reputation.score_of(producer))
-        status = ContractStatus.Verified if pi.valid else ContractStatus.Rejected
-        deposit_state = DepositState.Refunded if pi.valid else DepositState.Forfeited
-        body = FinalizeBody(contract_id, status.value, int(round(pi.score * 1_000_000)), deposit_state.value)
+        status = _VERIFIED if pi.valid else _REJECTED
+        deposit_state = _REFUNDED if pi.valid else _FORFEITED
+        body = FinalizeBody(
+            contract_id, status._value_, int(round(pi.score * 1_000_000)), deposit_state._value_
+        )
         payouts, discounts = self._commit(self.authority, _FINALIZE, body, round_no)
 
         # threshold revocations
@@ -477,19 +492,19 @@ class ContractSystem:
                 reason = "reputation below trust threshold"
                 rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
                 # signing applies it: the registry revokes the credential
-                self.registry.sign(self.authority, TxKind.ReputationUpdate, rb.encode())
+                self.registry.sign(self.authority, _REPUTATION_UPDATE, rb.encode())
                 revoked.append(sid)
         return VerificationOutcome(payouts, discounts, tuple(revoked))
 
     # -- marketplace -----------------------------------------------------
 
-    def purchase(self, consumer: Digest, contract_id: Digest, group_members: set[Digest]) -> int:
+    def purchase(self, consumer: Digest, contract_id: Digest, group_members: AbstractSet[Digest]) -> int:
         """Buy access, once per consumer, to a verified listed record; returns
         the price paid."""
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise NotForSale(contract_id.hex())
-        if contract.status is not ContractStatus.Verified:
+        if contract.status is not _VERIFIED:
             raise NotVerified(contract_id.hex())
         price = self.market.listings.get(contract_id)
         if price is None:
@@ -507,7 +522,7 @@ class ContractSystem:
 
         self._commit(consumer, _PURCHASE, PurchaseBody(contract_id, price), None)
         grant = AccessGrantBody(contract_id, consumer)
-        self.registry.sign(self.authority, TxKind.AccessGrant, grant.encode())
+        self.registry.sign(self.authority, _ACCESS_GRANT, grant.encode())
         return price
 
     # -- subscriptions ---------------------------------------------------

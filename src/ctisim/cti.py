@@ -58,6 +58,13 @@ class IocKind(TaggedEnum):
     Rule = "Rule"
 
 
+# Members bound once, compared by identity (why: see the note at the bound
+# members in `contracts`).
+_TECHNICAL = CtiCategory.Technical
+_DATA, _INFORMATION, _INTELLIGENCE = IntelLevel.Data, IntelLevel.Information, IntelLevel.Intelligence
+_IP_ADDRESS, _DOMAIN, _FILE_HASH, _URL = IocKind.IpAddress, IocKind.Domain, IocKind.FileHash, IocKind.Url
+
+
 @dataclass(frozen=True)
 class Ioc:
     kind: IocKind
@@ -90,22 +97,23 @@ class CtiRecord:
 
 
 def _ioc_syntax_problem(ioc: Ioc) -> Optional[str]:
-    if not ioc.value:
+    value, kind = ioc.value, ioc.kind
+    if not value:
         return "empty value"
-    if ioc.kind is IocKind.IpAddress:
+    if kind is _IP_ADDRESS:
         try:
-            ipaddress.IPv4Address(ioc.value)
+            ipaddress.IPv4Address(value)
         except (ipaddress.AddressValueError, ValueError):
             return "not a dotted-quad IPv4 address"
-    elif ioc.kind is IocKind.Domain:
+    elif kind is _DOMAIN:
         # split() breaks at exactly the characters isspace() accepts
-        if "." not in ioc.value or ioc.value.split() != [ioc.value] or "://" in ioc.value:
+        if "." not in value or value.split() != [value] or "://" in value:
             return "not a plausible domain name"
-    elif ioc.kind is IocKind.Url:
-        if "://" not in ioc.value:
+    elif kind is _URL:
+        if "://" not in value:
             return "missing scheme"
-    elif ioc.kind is IocKind.FileHash:
-        stripped = ioc.value.lower()
+    elif kind is _FILE_HASH:
+        stripped = value.lower()
         if len(stripped) < 32 or len(stripped) % 2 or any(c not in "0123456789abcdef" for c in stripped):
             return "not a hex digest"
     return None
@@ -114,9 +122,10 @@ def _ioc_syntax_problem(ioc: Ioc) -> Optional[str]:
 def validate_format(record: CtiRecord) -> list[FormatViolation]:
     """Sharing-standard checks; an empty list means the record is well formed."""
     out: list[FormatViolation] = []
-    if record.category is CtiCategory.Technical and not record.indicators:
+    technical = record.category is _TECHNICAL
+    if technical and not record.indicators:
         out.append(FormatViolation("indicators.empty", "Technical records need indicators"))
-    if record.category is CtiCategory.Technical and record.level is IntelLevel.Intelligence:
+    if technical and record.level is _INTELLIGENCE:
         out.append(FormatViolation("level", "Technical records are data or information only"))
     for i, ioc in enumerate(record.indicators):
         problem = _ioc_syntax_problem(ioc)
@@ -151,12 +160,12 @@ def _level_of(
     narrative_digest: Digest,
     linked_values: frozenset[str] = frozenset(),
 ) -> IntelLevel:
-    if category is not CtiCategory.Technical and narrative_digest != ZERO_DIGEST:
-        return IntelLevel.Intelligence
+    if category is not _TECHNICAL and narrative_digest != ZERO_DIGEST:
+        return _INTELLIGENCE
     linked = sum(1 for ioc in indicators if ioc.value in linked_values)
     if linked >= 2:
-        return IntelLevel.Information
-    return IntelLevel.Data
+        return _INFORMATION
+    return _DATA
 
 
 # --- canonical serialization -------------------------------------------------

@@ -219,6 +219,7 @@ class Registry:
     def is_authority(self, stakeholder: Digest) -> bool:
         return stakeholder in self.authorities and not self.credentials[stakeholder].revoked
 
-    def active_ids(self) -> list[Digest]:
-        """Registered, unrevoked stakeholders in stable (id) order."""
-        return sorted(sid for sid, c in self.credentials.items() if not c.revoked)
+    def active_ids(self) -> frozenset[Digest]:
+        """Registered, unrevoked stakeholders: the platform group a Green
+        record admits."""
+        return frozenset(sid for sid, c in self.credentials.items() if not c.revoked)

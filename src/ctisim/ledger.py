@@ -7,15 +7,19 @@ comes from three commitments: transaction ids (hash of author, kind and
 payload), per-block Merkle roots over transaction ids, and the
 previous-header hash carried by every block.
 
-Transactions are signed in one place, `identity.Registry.sign`. Sealing
-(`append_block`) asks an authenticator for each transaction's id and
-signature; the registry's authenticator trusts the unsealed objects it
-signed itself and re-derives both digests for every other transaction.
-verify_chain trusts nothing: it replays the whole chain, re-deriving every
-id, Merkle root and signature, and rebuilds the credentials by applying
-each transaction to a fresh registry through `identity.Registry.apply`,
-the rulebook the registry applies to every transaction it signs, so that a
-bare dump can be re-verified with no out-of-band state.
+A transaction is an immutable named tuple, built by one `tuple.__new__`
+with no per-field `__setattr__`; setting a field raises AttributeError,
+and its equality and hash are those of its field tuple. Blocks and the
+chain stay dataclasses: a run seals far fewer of them. Transactions are
+signed in one place, `identity.Registry.sign`. Sealing (`append_block`)
+asks an authenticator for each transaction's id and signature; the
+registry's authenticator trusts the unsealed objects it signed itself and
+re-derives both digests for every other transaction. verify_chain trusts
+nothing: it replays the whole chain, re-deriving every id, Merkle root
+and signature, and rebuilds the credentials by applying each transaction
+to a fresh registry through `identity.Registry.apply`, the rulebook the
+registry applies to every transaction it signs, so that a bare dump can
+be re-verified with no out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
@@ -31,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .encoding import COUNT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
 from .errors import (
@@ -44,6 +48,7 @@ from .errors import (
 
 _sha256 = hashlib.sha256
 _pack_count = COUNT.pack
+_tuple_new = tuple.__new__
 
 
 def sha256(data: bytes) -> Digest:
@@ -76,8 +81,7 @@ _KIND_BY_NAME = {kind.value: kind for kind in TxKind}
 _REGISTER = TxKind.Register
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     tx_id: Digest
     author: Digest
     kind: TxKind
@@ -100,7 +104,7 @@ class Transaction:
         payload_field = _pack_count(len(payload)) + payload
         tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
         signature = _sha256(_pack_count(len(secret)) + secret + payload_field).digest()
-        return cls(tx_id, author, kind, payload, signature)
+        return _tuple_new(cls, (tx_id, author, kind, payload, signature))
 
 
 @dataclass(frozen=True)
@@ -302,7 +306,7 @@ def _tx_to_json(t: Transaction) -> str:
         "      {\n"
         f'        "tx_id": "{t.tx_id.hex()}",\n'
         f'        "author": "{t.author.hex()}",\n'
-        f'        "kind": "{t.kind.value}",\n'
+        f'        "kind": "{t.kind._value_}",\n'
         f'        "payload": "{t.payload.hex()}",\n'
         f'        "signature": "{t.signature.hex()}"\n'
         "      }"

@@ -20,6 +20,7 @@ are linked, which is near-linear in the number of indicators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .cti import CtiCategory, CtiRecord, decode_record
 from .encoding import Digest, bytes_seq_field, uint_field
@@ -45,6 +46,15 @@ class Campaign:
     window: tuple[int, int]
     support: int
     params: MiningParams
+
+
+def _params_problem(params: MiningParams) -> Optional[str]:
+    """Why mining refuses to mine with `params`, or None if it mines."""
+    if params.min_support < 2:
+        return "min_support must be at least 2"
+    if params.min_overlap < 1:
+        return "min_overlap must be at least 1"
+    return None
 
 
 def verified_technical_records(chain: Chain) -> list[CtiRecord]:
@@ -171,11 +181,10 @@ def mine_campaigns(
     taken to be those records already and is mined as given. The result
     does not depend on the records' order.
     """
-    if min_support < 2:
-        raise ValueError("min_support must be at least 2")
-    if min_overlap < 1:
-        raise ValueError("min_overlap must be at least 1")
     params = MiningParams(window_rounds, min_support, min_overlap)
+    problem = _params_problem(params)
+    if problem is not None:
+        raise ValueError(problem)
     records = verified_technical_records(source) if isinstance(source, Chain) else source
     campaigns = [
         _build_campaign(group, params)
@@ -193,9 +202,12 @@ def verify_derivation(campaign: Campaign, chain: Chain) -> bool:
     graph over every Verified Technical record on the chain, under the
     claim's parameters, with at least `min_support` records, and the claim
     is what mining builds from that component. A connected part of a
-    component is refused: mining would never report it.
+    component is refused: mining would never report it, and so is a claim
+    under parameters mining refuses, before the chain is decoded.
     """
     params = campaign.params
+    if _params_problem(params) is not None:
+        return False
     members = campaign.member_records
     for group in _components(verified_technical_records(chain), params):
         if any(rec.record_id in members for rec in group):

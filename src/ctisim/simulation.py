@@ -16,11 +16,12 @@ decoding them back from the chain it has just sealed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .access_control import EncryptedEnvelope, TlpLabel, open_envelope, seal
+from .access_control import AttributePolicy, EncryptedEnvelope, TlpLabel, open_envelope, seal
 from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
 from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
@@ -30,7 +31,7 @@ from .ledger import Chain, append_block, sha256
 from .mining import Campaign, mine_campaigns
 
 if TYPE_CHECKING:
-    from .config import ScenarioConfig
+    from .config import AgentSpec, ScenarioConfig
 
 
 class StrategyKind(Enum):
@@ -44,6 +45,14 @@ class StrategyKind(Enum):
 
 
 SUBMITTING_KINDS = (StrategyKind.HonestProducer, StrategyKind.FalseSharer, StrategyKind.DoIFlooder)
+
+# Members bound once, compared by identity; names read through `_value_`
+# (why: see the note at the bound members in `contracts`).
+_HONEST_PRODUCER, _FALSE_SHARER, _FLOODER = SUBMITTING_KINDS
+_GENUINE, _FABRICATED = GroundTruth.Genuine, GroundTruth.Fabricated
+_HIGH, _LOW = Vote.HighQuality, Vote.LowQuality
+_VERIFIED, _REJECTED = ContractStatus.Verified, ContractStatus.Rejected
+_DOMAIN, _TECHNICAL = IocKind.Domain, CtiCategory.Technical
 
 
 @dataclass
@@ -70,9 +79,10 @@ class UtilityModel:
 
 def verifier_vote_model(truth: GroundTruth, p_acc: float, rng: random.Random) -> Vote:
     """Truth-aligned vote with probability p_acc, the opposite otherwise."""
-    aligned = Vote.HighQuality if truth is GroundTruth.Genuine else Vote.LowQuality
-    opposite = Vote.LowQuality if aligned is Vote.HighQuality else Vote.HighQuality
-    return aligned if rng.random() < p_acc else opposite
+    genuine = truth is _GENUINE
+    if rng.random() < p_acc:
+        return _HIGH if genuine else _LOW
+    return _LOW if genuine else _HIGH
 
 
 @dataclass
@@ -188,12 +198,13 @@ class Engine:
             )
             self.agents.append(state)
             self.by_id[sid] = state
-        self._specs = {s.name: s for s in cfg.agents}
         self._names = {a.sid: a.name for a in self.agents}
+        # A producer's access spec and every agent's id are fixed from here
+        # on, and a label is immutable, so all of an agent's records share one.
+        self._access = {spec.name: self._resolve_access(spec) for spec in cfg.agents}
 
-    def _resolve_access(self, spec_name: str):
+    def _resolve_access(self, spec: "AgentSpec") -> tuple[TlpLabel, Optional[AttributePolicy]]:
         """TLP label and policy for records produced by this agent."""
-        spec = self._specs[spec_name]
         access = spec.access if spec.access is not None else self.cfg.access
         designated = None
         if access.designated:
@@ -203,25 +214,32 @@ class Engine:
     # -- per-round behavior -------------------------------------------------
 
     def _worth_sharing(self, agent: AgentState, round_no: int) -> bool:
-        window = self.cfg.utility.window
-        lo = round_no - window
-        recent_shares = sum(1 for rr in agent.share_rounds if lo <= rr < round_no)
+        """Whether the agent's income per share over the trailing window,
+        rounds [round_no - window, round_no), covers the sharing risk.
+
+        Both histories are appended in non-decreasing round order, so the
+        window is found by bisection, not by a scan.
+        """
+        lo = round_no - self.cfg.utility.window
+        shares = agent.share_rounds
+        recent_shares = bisect_left(shares, round_no) - bisect_left(shares, lo)
         if recent_shares == 0:
             return True  # probe: refresh the income estimate
-        recent_income = sum(
-            amt for rr, amt in agent.est_income_events if lo <= rr < round_no
-        )
+        events = agent.est_income_events
+        recent = events[bisect_left(events, (lo,)):bisect_left(events, (round_no,))]
+        recent_income = sum(amt for _, amt in recent)
         return recent_income / recent_shares >= self.cfg.utility.sharing_risk_cost
 
     def _submission_plan(self, agent: AgentState, round_no: int) -> list[bool]:
         s = agent.strategy
-        if s.kind is StrategyKind.DoIFlooder:
+        kind = s.kind
+        if kind is _FLOODER:
             return [True] * s.flood_multiplier
-        if s.kind not in (StrategyKind.HonestProducer, StrategyKind.FalseSharer):
+        if kind is not _HONEST_PRODUCER and kind is not _FALSE_SHARER:
             return []
         if self.rng.random() >= s.share_rate:
             return []
-        if s.kind is StrategyKind.FalseSharer:
+        if kind is _FALSE_SHARER:
             return [self.rng.random() < s.fabrication_rate]
         if s.utility_responsive and not self._worth_sharing(agent, round_no):
             return []
@@ -239,25 +257,25 @@ class Engine:
         agent.record_counter += 1
         n = agent.record_counter
         if fabricated:
-            iocs = (Ioc(IocKind.Domain, f"bogus-{agent.name}-{n}.example", round_no),)
-            truth = GroundTruth.Fabricated
+            iocs = (Ioc(_DOMAIN, f"bogus-{agent.name}-{n}.example", round_no),)
+            truth = _FABRICATED
         else:
-            truth = GroundTruth.Genuine
+            truth = _GENUINE
             if self.rng.random() < 0.5:
                 hint = f"camp-{self.rng.randint(1, 3)}"
                 # the shared value is an opaque derivation of the hidden hint,
                 # so the label itself never reaches emitted bytes
                 shared = sha256(b"campaign-indicator:" + hint.encode())[:6].hex()
                 iocs = (
-                    Ioc(IocKind.Domain, f"shared-{shared}.example", round_no, hint),
-                    Ioc(IocKind.Domain, f"{agent.name}-{n}.example", round_no, hint),
+                    Ioc(_DOMAIN, f"shared-{shared}.example", round_no, hint),
+                    Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no, hint),
                 )
             else:
-                iocs = (Ioc(IocKind.Domain, f"{agent.name}-{n}.example", round_no),)
-        tlp, policy = self._resolve_access(agent.name)
+                iocs = (Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),)
+        tlp, policy = self._access[agent.name]
         return make_record(
             producer=agent.sid,
-            category=CtiCategory.Technical,
+            category=_TECHNICAL,
             indicators=iocs,
             narrative_digest=ZERO_DIGEST,
             tlp=tlp,
@@ -292,7 +310,7 @@ class Engine:
         verified = [
             c.record
             for c in self.contracts.contracts.values()
-            if c.status is ContractStatus.Verified and c.record.category is CtiCategory.Technical
+            if c.status is _VERIFIED and c.record.category is _TECHNICAL
         ]
         campaigns = mine_campaigns(
             verified,
@@ -360,7 +378,7 @@ class Engine:
                 )
                 continue
             producer = self.by_id[contract.record.producer]
-            if contract.status is ContractStatus.Verified:
+            if contract.status is _VERIFIED:
                 producer.current.verified += 1
                 newly_verified.append(contract)
             else:
@@ -374,7 +392,7 @@ class Engine:
                 self.by_id[sid].revoked_round = round_no
 
         # purchases and free reads of this round's newly verified records
-        group = set(self.registry.active_ids())
+        group = self.registry.active_ids()
         for agent in self.agents:
             rate = agent.strategy.consume_rate
             if rate <= 0 or Role.Consumer not in agent.credential.roles:
@@ -479,13 +497,10 @@ class Engine:
             self.contracts.contracts.values(),
             key=lambda c: (c.created_round, c.contract_id),
         )
-        total_verified = sum(1 for c in contracts if c.status is ContractStatus.Verified)
-        total_rejected = sum(1 for c in contracts if c.status is ContractStatus.Rejected)
+        total_verified = sum(1 for c in contracts if c.status is _VERIFIED)
+        total_rejected = sum(1 for c in contracts if c.status is _REJECTED)
         verified_fabricated = sum(
-            1
-            for c in contracts
-            if c.status is ContractStatus.Verified
-            and c.record.ground_truth is GroundTruth.Fabricated
+            1 for c in contracts if c.status is _VERIFIED and c.record.ground_truth is _FABRICATED
         )
         poisoning_rate = verified_fabricated / total_verified if total_verified else 0.0
         # moral-hazard observable: currency verifiers pocketed from forfeits
@@ -493,7 +508,7 @@ class Engine:
             verifier_forfeit_income = sum(
                 (c.deposit // QUORUM) * QUORUM
                 for c in contracts
-                if c.status is ContractStatus.Rejected
+                if c.status is _REJECTED
             )
         else:
             verifier_forfeit_income = 0
@@ -518,16 +533,16 @@ class Engine:
                 {
                     "contract_id": c.contract_id.hex(),
                     "producer": self._names[c.record.producer],
-                    "status": c.status.value,
+                    "status": c.status._value_,
                     "pi_score": c.score_micro / 1_000_000 if c.score_micro is not None else None,
                     "deposit": c.deposit,
-                    "deposit_state": c.deposit_state.value,
+                    "deposit_state": c.deposit_state._value_,
                     "verification_fee": c.verification_fee,
                     "sale_price": c.record.sale_price,
                     "created_round": c.created_round,
                     "finalized_round": c.finalized_round,
                     "votes": {
-                        self._names[v]: c.votes[v].value
+                        self._names[v]: c.votes[v]._value_
                         for v in c.assigned_verifiers
                         if v in c.votes
                     },

@@ -153,6 +153,26 @@ def test_revocable_authority_exits_one(tmp_path, capsys, raw):
     assert "agents[0].roles" in capsys.readouterr().err
 
 
+def test_agent_name_with_a_comma_exits_one(tmp_path, capsys):
+    raw = yaml.safe_load((SCENARIO_DIR / "blocis-baseline.yaml").read_text())
+    index = next(i for i, a in enumerate(raw["agents"]) if a["name"] == "verifier-1")
+    raw["agents"][index]["name"] = "acme, inc"
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert f"agents[{index}].name" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_every_metrics_csv_row_is_as_wide_as_its_header(tmp_path, path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
 def test_unreadable_config_exits_two(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)) == 2
 

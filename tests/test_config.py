@@ -147,6 +147,13 @@ def test_duplicate_agent_names_rejected():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+def test_agent_name_metrics_csv_would_have_to_quote_rejected(char):
+    raw = yaml.safe_load(MINIMAL)
+    raw["agents"][4]["name"] = f"acme{char} inc"
+    assert invalid_field(raw).field == "agents[4].name"
+
+
 def test_tau_strictly_inside_unit_interval():
     raw = yaml.safe_load(MINIMAL)
     raw["verification"] = {"tau": 1.0}

@@ -99,10 +99,10 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
     assert reg.authenticate_committed(fresh) and rederived == []
     # once sealed, the same object is re-derived like any other
     assert reg.authenticate_committed(fresh) and len(rederived) == 1
-    assert not reg.authenticate_committed(replace(tx, signature=b"\x00" * 32))
+    assert not reg.authenticate_committed(tx._replace(signature=b"\x00" * 32))
     # the forgery shared tx's id but is another object, so tx is still trusted
     assert reg.authenticate_committed(tx) and len(rederived) == 2
-    assert reg.authenticate_committed(replace(tx)) and len(rederived) == 3
+    assert reg.authenticate_committed(tx._replace()) and len(rederived) == 3
     with pytest.raises(UnknownStakeholder):
         reg.sign(b"\x00" * 32, TxKind.Vote, b"hello")
 
@@ -122,7 +122,7 @@ def test_revoke_is_idempotent(registry):
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     assert cred.revoked
-    assert reg.active_ids() == [auth.stakeholder]
+    assert reg.active_ids() == {auth.stakeholder}
 
 
 def test_unknown_stakeholder(registry):

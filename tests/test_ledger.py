@@ -239,7 +239,7 @@ def test_append_rejects_altered_copy_of_registry_signed_tx(change):
     signed = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
     with pytest.raises(InvalidSignature):
         append_block(
-            Chain.new(), [replace(signed, **change)], auth.stakeholder,
+            Chain.new(), [signed._replace(**change)], auth.stakeholder,
             reg.authenticate_committed, reg.is_authority, timestamp=0,
         )
 
@@ -485,6 +485,28 @@ def test_chain_json_round_trip():
     assert verify_chain(loaded).valid
 
 
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_bundled_chains_read_back_equal_the_engines_block_for_block(path):
+    chain = run_scenario(load_config(str(path))).chain
+    loaded = chain_from_json(chain_to_json(chain))
+    assert len(loaded.blocks) == len(chain.blocks)
+    for read, written in zip(loaded.blocks, chain.blocks):
+        assert read == written
+        assert all(type(tx) is Transaction for tx in read.transactions)
+
+
+def test_setting_any_field_of_a_signed_transaction_raises():
+    reg, _, user, _ = fresh_registry()
+    tx = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
+    before = tuple(tx)
+    for name in Transaction._fields:
+        with pytest.raises(AttributeError):
+            setattr(tx, name, b"")
+    with pytest.raises(AttributeError):
+        tx.extra = b""
+    assert tuple(tx) == before
+
+
 def _set(path, value):
     """A change to a dump's parsed object: set the value at `path`."""
     def change(root):
@@ -598,8 +620,12 @@ def test_read_chain_is_frozen_and_shares_stakeholder_ids():
     ids = [b.sealer for b in loaded.blocks] + [t.author for b in loaded.blocks for t in b.transactions]
     assert len({id(i) for i in ids}) == len(set(ids))
     block = loaded.blocks[1]
-    for obj, name in ((block.transactions[0], "payload"), (block, "height")):
-        with pytest.raises(FrozenInstanceError):
+    # a transaction is a named tuple, a block a frozen dataclass;
+    # FrozenInstanceError is an AttributeError
+    for obj, name, error in (
+        (block.transactions[0], "payload", AttributeError), (block, "height", FrozenInstanceError)
+    ):
+        with pytest.raises(error):
             setattr(obj, name, getattr(obj, name))
 
 

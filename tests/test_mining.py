@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctisim import mining
 from ctisim.access_control import TlpChannel, TlpLabel
+from ctisim.config import load_config
 from ctisim.contracts import Vote
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
@@ -21,7 +23,7 @@ from ctisim.mining import (
     verify_derivation,
 )
 from ctisim.simulation import StrategyKind, run_scenario
-from tests.conftest import agent, basic_crew, make_config
+from tests.conftest import SCENARIO_DIR, agent, basic_crew, make_config
 from tests.reference_writer import Writer
 
 HQ = Vote.HighQuality
@@ -255,6 +257,30 @@ def test_verify_derivation_rejects_dropped_member_below_support():
         params=campaign.params,
     )
     assert not verify_derivation(dropped, chain)
+
+
+def test_verify_derivation_refuses_claims_under_parameters_mining_refuses(monkeypatch):
+    """On blocis-baseline's chain: one record alone under min_support=1, and
+    a component of three or more under min_overlap=0. Each claim is what
+    `_build_campaign` makes of a whole component under its parameters, so
+    only the parameters are wrong, and they are refused before decoding."""
+    result = run_scenario(load_config(str(SCENARIO_DIR / "blocis-baseline.yaml")))
+    chain = result.chain
+    records = verified_technical_records(chain)
+    one = MiningParams(10, min_support=1, min_overlap=1)
+    single = next(g for g in _components(records, one) if len(g) == 1)
+    zero = MiningParams(10, min_support=3, min_overlap=0)
+    group = next(g for g in _components(records, zero) if len(g) >= 3)
+    decode = mining.verified_technical_records
+    decodes = []
+    monkeypatch.setattr(mining, "verified_technical_records", lambda c: decodes.append(c) or decode(c))
+    for params, members in ((one, single), (zero, group)):
+        with pytest.raises(ValueError):
+            mine_campaigns(records, params.window_rounds, params.min_support, params.min_overlap)
+        assert not verify_derivation(_build_campaign(members, params), chain)
+    assert decodes == []
+    # a claim mining makes still costs one decode
+    assert verify_derivation(result.campaigns[0], chain) and len(decodes) == 1
 
 
 def test_campaign_derived_record_classifies_as_information():

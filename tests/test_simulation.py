@@ -1,4 +1,8 @@
 import random
+from types import SimpleNamespace
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctisim import mining
 from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
@@ -8,6 +12,7 @@ from ctisim.ledger import TxKind, chain_to_json, verify_chain
 from ctisim.payloads import FinalizeBody
 from ctisim.simulation import (
     AgentRoundLog,
+    Engine,
     StrategyKind,
     UtilityModel,
     compute_utility,
@@ -39,6 +44,46 @@ def test_accuracy_converges_to_p_acc():
         for _ in range(10_000)
     )
     assert abs(aligned / 10_000 - 0.8) < 0.02
+
+
+def test_each_vote_draws_exactly_one_random_number():
+    for truth in GroundTruth:
+        for p_acc in (0.0, 0.5, 1.0):
+            rng, twin = random.Random(7), random.Random(7)
+            for _ in range(50):
+                verifier_vote_model(truth, p_acc, rng)
+                twin.random()
+            assert rng.getstate() == twin.getstate()
+
+
+# --- _worth_sharing -------------------------------------------------------------
+
+def scanned_worth_sharing(share_rounds, income_events, round_no, window, cost):
+    """`Engine._worth_sharing` as a scan of both whole histories."""
+    lo = round_no - window
+    recent_shares = sum(1 for rr in share_rounds if lo <= rr < round_no)
+    if recent_shares == 0:
+        return True
+    recent_income = sum(amt for rr, amt in income_events if lo <= rr < round_no)
+    return recent_income / recent_shares >= cost
+
+
+@given(
+    share_rounds=st.lists(st.integers(0, 40)).map(sorted),
+    # appended in non-decreasing round order; amounts within a round in any order
+    income_events=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 50))).map(
+        lambda events: sorted(events, key=lambda e: e[0])
+    ),
+    round_no=st.integers(0, 45),
+    window=st.integers(1, 12),
+    cost=st.integers(0, 30),
+)
+def test_worth_sharing_matches_a_scan_of_the_whole_history(share_rounds, income_events, round_no, window, cost):
+    engine = Engine(make_config(basic_crew(), utility=UtilityModel(sharing_risk_cost=cost, window=window)))
+    agent_state = SimpleNamespace(share_rounds=share_rounds, est_income_events=income_events)
+    assert engine._worth_sharing(agent_state, round_no) == scanned_worth_sharing(
+        share_rounds, income_events, round_no, window, cost
+    )
 
 
 # --- compute_utility -----------------------------------------------------------
