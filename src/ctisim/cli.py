@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 the config seed and the --seed flag overrides both. `sweep` takes neither:
 each leg runs at the config seed, or at the swept value when the swept key
 is `seed`. Sweep legs run one after another in the order given; the
---parallel flag is still accepted but changes nothing.
+--parallel flag is still accepted but changes nothing. Each leg writes to
+`<param>=<value>` under --out, with path separators and colons mapped to
+`_`; values that map to the same directory are refused before any leg runs.
 
 `summary.json` and `metrics.json` are written directly by `_json_text`,
 byte-identical to `json.dumps(obj, indent=2)` plus a newline; `chain.json`
@@ -221,12 +223,11 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     return 3
 
 
-def _run_sweep_leg(raw: dict, param: str, value, out_root: str, fmt: str) -> dict:
+def _run_sweep_leg(raw: dict, param: str, value, out_dir: str, fmt: str) -> dict:
     overridden = apply_override(raw, param, value)
     config = parse_config(overridden)
     result = run_scenario(config)
-    leg_name = f"{param}={value}".replace(os.sep, "_").replace(":", "_")
-    _write_outputs(result, os.path.join(out_root, leg_name), fmt)
+    _write_outputs(result, out_dir, fmt)
     agg = result.summary.get("aggregates", {})
     row = {"param": param, "value": value}
     for key in SWEEP_AGGREGATE_KEYS:
@@ -243,13 +244,36 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    values = [yaml.safe_load(v) for v in args.values.split(",") if v != ""]
+    texts = [v for v in args.values.split(",") if v != ""]
+    values = []
+    for text in texts:
+        try:
+            values.append(yaml.safe_load(text))
+        except yaml.YAMLError as exc:
+            reason = getattr(exc, "problem", None) or exc
+            print(f"error: --values: {text!r} is not YAML: {reason}", file=sys.stderr)
+            return 1
     if not values:
         print("error: --values must list at least one value", file=sys.stderr)
         return 1
+    # every leg's directory is fixed before any leg runs, so two values that
+    # would write the same directory are refused before anything is written
+    legs: dict[str, str] = {}
+    for text, value in zip(texts, values):
+        name = f"{args.param}={value}".replace(os.sep, "_").replace(":", "_")
+        if name in legs:
+            print(
+                f"error: --values: {legs[name]!r} and {text!r} both write {name}",
+                file=sys.stderr,
+            )
+            return 1
+        legs[name] = text
 
     try:
-        rows = [_run_sweep_leg(raw, args.param, v, args.out, args.format) for v in values]
+        rows = [
+            _run_sweep_leg(raw, args.param, v, os.path.join(args.out, name), args.format)
+            for v, name in zip(values, legs)
+        ]
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

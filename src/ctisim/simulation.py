@@ -10,7 +10,9 @@ registry signed that round (`Registry.unsealed`), in signing order.
 Contract errors raised by an agent's action are recorded as
 rejected-action events and never abort the run. After the last round the
 run mines campaigns from the records its contracts verified, without
-decoding them back from the chain it has just sealed.
+decoding them back from the chain it has just sealed. A record's envelope
+is sealed on the first free read of it, in the round that verified it, and
+kept only for that round's other readers: nothing else opens one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .access_control import AttributePolicy, EncryptedEnvelope, TlpLabel, open_envelope, seal
+from .access_control import AttributePolicy, TlpLabel, open_envelope, seal
 from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
 from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
@@ -171,7 +173,6 @@ class Engine:
         self.rng = random.Random(self.seed)
         self.agents: list[AgentState] = []
         self.by_id: dict[Digest, AgentState] = {}
-        self.envelopes: dict[Digest, EncryptedEnvelope] = {}
 
     # -- setup ------------------------------------------------------------
 
@@ -348,7 +349,6 @@ class Engine:
                 except CtiSimError as exc:
                     agent.events.append((round_no, type(exc).__name__))
                     continue
-                self.envelopes[contract.contract_id] = seal(record)
                 submitted.append(contract)
                 agent.current.shares += 1
                 if not fabricated:
@@ -391,8 +391,11 @@ class Engine:
             for sid in outcome.revoked:
                 self.by_id[sid].revoked_round = round_no
 
-        # purchases and free reads of this round's newly verified records
+        # purchases and free reads of this round's newly verified records;
+        # a record is sealed on its first free read and its envelope serves
+        # the round's later readers (no later round reads it)
         group = self.registry.active_ids()
+        envelopes = {}
         for agent in self.agents:
             rate = agent.strategy.consume_rate
             if rate <= 0 or Role.Consumer not in agent.credential.roles:
@@ -416,8 +419,11 @@ class Engine:
                     seller.current.income += price
                     seller.est_income_events.append((round_no, price))
                 else:
+                    envelope = envelopes.get(cid)
+                    if envelope is None:
+                        envelope = envelopes[cid] = seal(contract.record)
                     try:
-                        open_envelope(self.envelopes[cid], agent.credential, group)
+                        open_envelope(envelope, agent.credential, group)
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         continue

@@ -272,6 +272,30 @@ def test_sweep_unknown_key_exits_one(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("values", ["[", "1,{a: 1"])
+def test_sweep_values_that_are_not_yaml_exit_one(tmp_path, capsys, values):
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--config", DOI, "--param", "seed", "--values", values, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --values: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values, first, second",
+    [("a/b,a_b", "a/b", "a_b"), ("1,1", "1", "1"), ("x,a:b,a_b", "a:b", "a_b")],
+    ids=["separator", "repeat", "colon"],
+)
+def test_sweep_legs_that_share_a_directory_are_refused(tmp_path, capsys, values, first, second):
+    out = tmp_path / "s"
+    assert run_cli("sweep", "--config", DOI, "--param", "name", "--values", values, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --values: ")
+    assert f"{first!r} and {second!r}" in err
+    assert not out.exists()
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

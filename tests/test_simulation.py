@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctisim import mining
+from ctisim import mining, simulation
+from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
 from ctisim.cti import GroundTruth
 from ctisim.identity import Role
@@ -19,7 +22,7 @@ from ctisim.simulation import (
     run_scenario,
     verifier_vote_model,
 )
-from tests.conftest import agent, basic_crew, make_config
+from tests.conftest import SCENARIO_DIR, agent, basic_crew, make_config
 from tests.test_ledger import query
 
 
@@ -156,6 +159,40 @@ def test_run_mines_its_verified_records_without_decoding_its_chain(monkeypatch):
     assert result.campaigns == mining.mine_campaigns(
         result.chain, params.window_rounds, params.min_support, params.min_overlap
     )
+
+
+# (seals, free reads) of each bundled scenario at its config seed; only
+# free-riding and tlp-demo read records for free, and their readers share
+# one envelope per record
+BUNDLED_ENVELOPES = {
+    "blocis-baseline": (0, 0),
+    "doi-flood": (0, 0),
+    "free-riding": (240, 592),
+    "marketplace": (0, 0),
+    "tlp-demo": (80, 240),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED_ENVELOPES))
+def test_a_record_is_sealed_once_and_only_when_a_free_read_opens_it(monkeypatch, scenario):
+    sealed: Counter = Counter()
+    opened: Counter = Counter()
+    real_seal, real_open = simulation.seal, simulation.open_envelope
+
+    def counting_seal(record):
+        sealed[record.record_id] += 1
+        return real_seal(record)
+
+    def counting_open(envelope, requester, group_members):
+        opened[envelope.record_id] += 1
+        return real_open(envelope, requester, group_members)
+
+    monkeypatch.setattr(simulation, "seal", counting_seal)
+    monkeypatch.setattr(simulation, "open_envelope", counting_open)
+    run_scenario(load_config(str(SCENARIO_DIR / f"{scenario}.yaml")))
+    assert set(sealed) == set(opened)
+    assert all(n == 1 for n in sealed.values())
+    assert (sum(sealed.values()), sum(opened.values())) == BUNDLED_ENVELOPES[scenario]
 
 
 def test_metrics_row_count_and_heartbeat_blocks():
