@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
 3 tampered chain. For `run`, the CTISIM_SEED environment variable overrides
 the config seed and the --seed flag overrides both. `sweep` takes neither:
 each leg runs at the config seed, or at the swept value when the swept key
-is `seed`. Sweep legs run one after another in the order given; the
---parallel flag is still accepted but changes nothing. Each leg writes to
-`<param>=<value>` under --out, with path separators and colons mapped to
-`_`; values that map to the same directory are refused before any leg runs.
+is `seed`. --values is one YAML flow sequence: `1,2,3` sweeps three
+numbers, `[a,b],[c]` two lists. Legs run one after another in the order
+given; the --parallel flag is still accepted but changes nothing. Each leg
+writes to `<param>=<value>` under --out, with path separators and colons
+mapped to `_`; values that map to the same directory are refused before
+any leg runs. `sweep.csv` quotes a value holding a comma or a quote.
 
 `summary.json` and `metrics.json` are written directly by `_json_text`,
 byte-identical to `json.dumps(obj, indent=2)` plus a newline; `chain.json`
@@ -57,6 +59,7 @@ access. Operators nest at most 32 deep.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -244,30 +247,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    texts = [v for v in args.values.split(",") if v != ""]
-    values = []
-    for text in texts:
-        try:
-            values.append(yaml.safe_load(text))
-        except yaml.YAMLError as exc:
-            reason = getattr(exc, "problem", None) or exc
-            print(f"error: --values: {text!r} is not YAML: {reason}", file=sys.stderr)
-            return 1
+    # one YAML flow sequence, so a value may itself be a list or a mapping
+    try:
+        values = yaml.safe_load("[" + args.values + "]")
+    except yaml.YAMLError as exc:
+        reason = getattr(exc, "problem", None) or exc
+        print(f"error: --values: {args.values!r} is not YAML: {reason}", file=sys.stderr)
+        return 1
     if not values:
         print("error: --values must list at least one value", file=sys.stderr)
         return 1
     # every leg's directory is fixed before any leg runs, so two values that
     # would write the same directory are refused before anything is written
     legs: dict[str, str] = {}
-    for text, value in zip(texts, values):
+    for value in values:
         name = f"{args.param}={value}".replace(os.sep, "_").replace(":", "_")
         if name in legs:
             print(
-                f"error: --values: {legs[name]!r} and {text!r} both write {name}",
+                f"error: --values: {legs[name]!r} and {str(value)!r} both write {name}",
                 file=sys.stderr,
             )
             return 1
-        legs[name] = text
+        legs[name] = str(value)
 
     try:
         rows = [
@@ -284,11 +285,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         columns = ["param", "value", *SWEEP_AGGREGATE_KEYS]
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in columns))
-        with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+            # csv quotes a field holding a comma, a quote or a line break
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([str(row[c]) for c in columns] for row in rows)
     except OSError as exc:
         print(f"error: cannot write sweep.csv: {exc}", file=sys.stderr)
         return 2
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p = sub.add_parser("sweep", help="run a scenario over several values of one parameter")
     sw_p.add_argument("--config", required=True, help="scenario YAML file")
     sw_p.add_argument("--param", required=True, help="dotted config key, e.g. verification.alpha")
-    sw_p.add_argument("--values", required=True, help="comma-separated values")
+    sw_p.add_argument("--values", required=True, help="comma-separated YAML values: 1,2,3 or [a,b],[c]")
     sw_p.add_argument("--parallel", action="store_true", help="no effect: legs always run in order")
     sw_p.add_argument("--out", default="sweep-out", help="output directory")
     sw_p.add_argument("--format", choices=("csv", "json"), default="csv", help="metrics format")

@@ -8,16 +8,16 @@ reputation ledger with its participation threshold.
 
 The parameters are the scenario file's `verification:` and `economics:`
 sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
-`ContractSystem.apply` is the one rulebook for contract state, as
-`identity.Registry.apply` is for credentials. Each operation, registration
-included, checks that its action is legal, builds the transaction body,
-signs it through `Registry.sign` (which applies it to the credentials, so a
-threshold revocation happens by signing its ReputationUpdate), then applies
-the same body through `apply`, and returns its result, not the transaction:
-the registry keeps what it signed for the round's block. A Register carries
-its stakeholder's endowment, so replaying a chain's transactions in order
-through both `apply`s on fresh objects rebuilds the engine's state from the
-chain and the scenario's parameters alone.
+Each contract rule is one method that refuses an illegal action with a
+typed error or derives what its body must say. An operation calls its
+rule, signs the body built from that through `Registry.sign` (which
+applies it to the credentials, so signing a ReputationUpdate revokes),
+applies it through `apply`, the one place contract state changes, and
+returns its result; the registry keeps what it signed for the block.
+`check`, the reader's door, runs the same rules on a transaction read
+from a chain, so replaying a chain through `Registry.apply`, `check` and
+`apply` on fresh objects rebuilds the engine's state from the chain and
+the scenario's parameters alone (a Register carries its endowment).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Optional
+from typing import Optional
 
 from .access_control import authorize
 from .cti import CtiRecord, decode_record, record_bytes, validate_format
@@ -38,6 +38,7 @@ from .errors import (
     BelowTrustThreshold,
     ContractClosed,
     DuplicateRecord,
+    EncodingError,
     FormatInvalid,
     InsufficientBalance,
     NotAssigned,
@@ -295,7 +296,7 @@ class ContractSystem:
         `round_no` is the round of the transaction's block; only SubmitCti
         and FinalizeVerification read it, so a vote or purchase passes None.
         A SubmitCti's record is decoded from its body unless given. The
-        operations check legality before they sign; apply trusts them.
+        body is legal: a rule derived it, or `check` passed it.
         Returns a SubmitCti's contract, a FinalizeVerification's (verifier
         payouts, discounts), else None.
         """
@@ -387,6 +388,51 @@ class ContractSystem:
         self.registry.sign(author, kind, body.encode())
         return self.apply(author, kind, body, round_no, record)
 
+    def check(self, author: Digest, kind: TxKind, body, round_no: Optional[int]) -> None:
+        """The reader's door, before `apply`: raise what the kind's rule raises,
+        or refuse a body other than what the rule derives, naming the clause.
+        Changes nothing; Register and the credentials are `Registry.apply`'s."""
+        if kind is _SUBMIT:
+            record = decode_record(body.record_bytes)
+            if record.record_id != body.contract_id:
+                raise EncodingError("SubmitCti record does not hash to its contract id")
+            if record.producer != author:
+                raise AccessDenied("SubmitCti of a record another stakeholder produced")
+            if record.created_round != round_no:
+                raise EncodingError("SubmitCti of a record created in another round")
+            deposit, fee, pool = self._admission(author, record)
+            if (body.deposit, body.verification_fee) != (deposit, fee):
+                raise InsufficientBalance(
+                    f"SubmitCti escrows {body.deposit} + {body.verification_fee}, the rule asks {deposit} + {fee}"
+                )
+            if len(body.verifiers) != QUORUM or len(set(body.verifiers).intersection(pool)) != QUORUM:
+                raise NotAssigned(f"SubmitCti verifiers are not {QUORUM} distinct members of the pool")
+        elif kind is _VOTE:
+            self._ballot(author, body.contract_id)
+            if body.vote not in _VOTE_BY_NAME:
+                raise EncodingError("Vote neither HighQuality nor LowQuality")
+        elif kind is _FINALIZE:
+            verdict = self._verdict(body.contract_id)
+            if (body.status, body.score_micro, body.deposit_state) != verdict:
+                raise QuorumNotMet("FinalizeVerification is not the votes' verdict (%s, %d, %s)" % verdict)
+        elif kind is _PURCHASE:
+            price = self._sale(author, body.contract_id)
+            if body.price != price:
+                raise NotForSale(f"Purchase at {body.price}, listed at {price}")
+        elif kind is _RENEW:
+            due = self._renewal(author, round_no)
+            if (body.charge, body.paid_through) != due:
+                raise InsufficientBalance(
+                    "RenewSubscription charges %d through round %d, the rule asks %d through round %d"
+                    % (body.charge, body.paid_through, *due)
+                )
+        elif kind is _REPUTATION_UPDATE:
+            score, threshold = self.reputation.score_of(body.stakeholder), self.policy.trust_threshold
+            if body.score != score:
+                raise BelowTrustThreshold(f"ReputationUpdate score {body.score}, the ledger's is {score}")
+            if body.revoked and score >= threshold:
+                raise BelowTrustThreshold(f"ReputationUpdate revokes a stakeholder at {score}, not below {threshold}")
+
     def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
         """Pay each verifier a QUORUM-th of escrowed `amount` into `payouts`; burn the rest."""
         share = amount // QUORUM
@@ -427,7 +473,8 @@ class ContractSystem:
             and self.reputation.is_trusted(sid)
         ]
 
-    def submit_report(self, producer: Digest, record: CtiRecord, rng: random.Random) -> ReportContract:
+    def _admission(self, producer: Digest, record: CtiRecord) -> tuple[int, int, list[Digest]]:
+        """The deposit, verification fee and verifier pool of `producer` submitting `record`."""
         if not self.reputation.is_trusted(producer):
             raise BelowTrustThreshold(
                 f"score {self.reputation.score_of(producer)} < {self.policy.trust_threshold}"
@@ -445,14 +492,19 @@ class ContractSystem:
         pool = self.verifier_pool(producer)
         if len(pool) < QUORUM:
             raise VerifierPoolTooSmall(f"{len(pool)} eligible, need {QUORUM}")
-        verifiers = tuple(rng.sample(pool, QUORUM))
+        return deposit, fee, pool
 
+    def submit_report(self, producer: Digest, record: CtiRecord, rng: random.Random) -> ReportContract:
+        deposit, fee, pool = self._admission(producer, record)
+        # drawn after admission, so a refused submission draws nothing
+        verifiers = tuple(rng.sample(pool, QUORUM))
         body = SubmitCtiBody(record.record_id, record_bytes(record), deposit, fee, verifiers)
         return self._commit(producer, _SUBMIT, body, record.created_round, record)
 
     # -- voting ----------------------------------------------------------
 
-    def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> None:
+    def _ballot(self, verifier: Digest, contract_id: Digest) -> None:
+        """Refuse unless `contract_id` is open to a vote by `verifier`: assigned, trusted, not yet voted."""
         contract = self.contracts.get(contract_id)
         if contract is None or contract.status is not _PENDING:
             raise ContractClosed(contract_id.hex())
@@ -462,32 +514,33 @@ class ContractSystem:
             raise AlreadyVoted(verifier.hex()[:12])
         if not self.reputation.is_trusted(verifier):
             raise BelowTrustThreshold(f"verifier score below {self.policy.trust_threshold}")
+
+    def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> None:
+        self._ballot(verifier, contract_id)
         self._commit(verifier, _VOTE, VoteBody(contract_id=contract_id, vote=vote._value_), None)
 
     # -- finalization ----------------------------------------------------
 
-    def finalize_verification(self, contract_id: Digest, round_no: int) -> VerificationOutcome:
+    def _verdict(self, contract_id: Digest) -> tuple[str, int, str]:
+        """The status, score in millionths and deposit state the recorded votes give `contract_id`."""
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise ContractClosed(contract_id.hex())
         if contract.status is not _PENDING:
             raise AlreadyFinalized(contract_id.hex())
-        ordered_votes = [contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes]
-        if len(ordered_votes) != QUORUM:
-            raise QuorumNotMet(f"{len(ordered_votes)} of {QUORUM} votes cast")
+        votes = [contract.votes[v] for v in contract.assigned_verifiers if v in contract.votes]
+        pi = evaluate_pi(self.policy, votes, self.reputation.score_of(contract.record.producer))
+        status, deposit_state = (_VERIFIED, _REFUNDED) if pi.valid else (_REJECTED, _FORFEITED)
+        return status._value_, int(round(pi.score * 1_000_000)), deposit_state._value_
 
-        producer = contract.record.producer
-        pi = evaluate_pi(self.policy, ordered_votes, self.reputation.score_of(producer))
-        status = _VERIFIED if pi.valid else _REJECTED
-        deposit_state = _REFUNDED if pi.valid else _FORFEITED
-        body = FinalizeBody(
-            contract_id, status._value_, int(round(pi.score * 1_000_000)), deposit_state._value_
-        )
+    def finalize_verification(self, contract_id: Digest, round_no: int) -> VerificationOutcome:
+        body = FinalizeBody(contract_id, *self._verdict(contract_id))
         payouts, discounts = self._commit(self.authority, _FINALIZE, body, round_no)
+        contract = self.contracts[contract_id]
 
         # threshold revocations
         revoked: list[Digest] = []
-        for sid in [producer, *contract.assigned_verifiers]:
+        for sid in [contract.record.producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
                 reason = "reputation below trust threshold"
                 rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
@@ -498,9 +551,8 @@ class ContractSystem:
 
     # -- marketplace -----------------------------------------------------
 
-    def purchase(self, consumer: Digest, contract_id: Digest, group_members: AbstractSet[Digest]) -> int:
-        """Buy access, once per consumer, to a verified listed record; returns
-        the price paid."""
+    def _sale(self, consumer: Digest, contract_id: Digest) -> int:
+        """The price `consumer` pays, once, for a verified listed record it may read."""
         contract = self.contracts.get(contract_id)
         if contract is None:
             raise NotForSale(contract_id.hex())
@@ -515,11 +567,15 @@ class ContractSystem:
             raise AlreadyPurchased(consumer.hex()[:12])
         if self.market.balance_of(consumer) < price:
             raise InsufficientBalance(f"need {price}, have {self.market.balance_of(consumer)}")
-        cred = self.registry.get(consumer)
         record = contract.record
-        if not authorize(cred, record.tlp, record.policy, group_members):
+        # authorize refuses a revoked requester first: the credentials serve as the Green group
+        if not authorize(self.registry.get(consumer), record.tlp, record.policy, self.registry.credentials):
             raise AccessDenied(consumer.hex()[:12])
+        return price
 
+    def purchase(self, consumer: Digest, contract_id: Digest) -> int:
+        """Buy access to a verified listed record; returns the price paid."""
+        price = self._sale(consumer, contract_id)
         self._commit(consumer, _PURCHASE, PurchaseBody(contract_id, price), None)
         grant = AccessGrantBody(contract_id, consumer)
         self.registry.sign(self.authority, _ACCESS_GRANT, grant.encode())
@@ -527,8 +583,8 @@ class ContractSystem:
 
     # -- subscriptions ---------------------------------------------------
 
-    def renew_subscription(self, user: Digest, round_no: int) -> int:
-        """Charge max(0, base_fee - accrued discount); returns the charge."""
+    def _renewal(self, user: Digest, round_no: int) -> tuple[int, int]:
+        """The charge, max(0, base_fee - accrued discount), and the new paid-through round."""
         sub = self.subscription
         if user not in sub.paid_through:
             raise UnknownStakeholder(user.hex())
@@ -537,6 +593,10 @@ class ContractSystem:
         charge = max(0, self.economics.base_fee - sub.accrued_discount.get(user, 0))
         if self.market.balance_of(user) < charge:
             raise InsufficientBalance(f"renewal needs {charge}")
-        body = RenewBody(charge=charge, paid_through=sub.paid_through[user] + self.economics.period_rounds)
-        self._commit(user, _RENEW, body, round_no)
+        return charge, sub.paid_through[user] + self.economics.period_rounds
+
+    def renew_subscription(self, user: Digest, round_no: int) -> int:
+        """Renew `user`'s subscription for one period; returns the charge."""
+        charge, paid_through = self._renewal(user, round_no)
+        self._commit(user, _RENEW, RenewBody(charge=charge, paid_through=paid_through), round_no)
         return charge

@@ -410,7 +410,7 @@ class Engine:
                 cid = contract.contract_id
                 if cid in self.contracts.market.listings:
                     try:
-                        price = self.contracts.purchase(agent.sid, cid, group)
+                        price = self.contracts.purchase(agent.sid, cid)
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         continue

@@ -15,9 +15,8 @@ import pytest
 from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy
 from ctisim.cli import main as cli_main
 from ctisim.config import apply_override, load_config, load_raw, parse_config
-from ctisim.contracts import ContractStatus, DepositState, EconomicsConfig, ForfeiturePolicy
+from ctisim.contracts import ContractStatus, DepositState
 from ctisim.cti import GroundTruth
-from ctisim.identity import Role
 from ctisim.ledger import (
     Block,
     Chain,
@@ -28,8 +27,8 @@ from ctisim.ledger import (
     verify_chain,
 )
 from ctisim.mining import mine_campaigns, verify_derivation
-from ctisim.simulation import StrategyKind, UtilityModel, run_scenario
-from tests.conftest import SCENARIO_DIR, agent, make_config
+from ctisim.simulation import run_scenario
+from tests.conftest import SCENARIO_DIR, mixed_scenario
 from tests.test_access_control import brute_force_eval, cred, policy_leaves, random_policy
 from tests.test_contracts import HQ, LQ, Platform
 from tests.test_ledger import build_chain
@@ -203,7 +202,7 @@ def test_criterion_04_dealer_fee_flow():
         assert outcome.verifier_payouts[v] == 3  # 9 split equally
     before_buyer = p.market.balance_of(p.consumer)
     before_seller = p.market.balance_of(p.producer)
-    p.system.purchase(p.consumer, contract.contract_id, set())
+    p.system.purchase(p.consumer, contract.contract_id)
     assert p.market.balance_of(p.consumer) == before_buyer - 5
     assert p.market.balance_of(p.producer) == before_seller + 5
     assert p.total() == start_total
@@ -224,38 +223,9 @@ def test_criterion_04_dealer_fee_flow():
 # 5. Deposit terminality + conservation
 # -----------------------------------------------------------------------------
 
-def _mixed_scenario(seed: int):
-    crew = [
-        agent("authority", [Role.Authority]),
-        agent("v1", [Role.Verifier], StrategyKind.NoisyVerifier, p_acc=0.8),
-        agent("v2", [Role.Verifier], StrategyKind.NoisyVerifier, p_acc=0.8),
-        agent("v3", [Role.Verifier], StrategyKind.HonestVerifier, p_acc=1.0),
-        agent("v4", [Role.Verifier], StrategyKind.HonestVerifier, p_acc=1.0),
-        agent("p1", [Role.Producer, Role.Consumer], StrategyKind.HonestProducer,
-              share_rate=0.7, endowment=300),
-        agent("p2", [Role.Producer, Role.Consumer], StrategyKind.HonestProducer,
-              share_rate=0.5, endowment=300),
-        agent("liar", [Role.Producer], StrategyKind.FalseSharer,
-              share_rate=0.8, fabrication_rate=0.4, endowment=300),
-        agent("flooder", [Role.Producer], StrategyKind.DoIFlooder,
-              flood_multiplier=2, endowment=120),
-        agent("buyer", [Role.Consumer], StrategyKind.LazyConsumer,
-              consume_rate=0.8, endowment=400),
-        agent("rider", [Role.Producer, Role.Consumer], StrategyKind.FreeRider,
-              consume_rate=0.6),
-    ]
-    economics = EconomicsConfig(
-        base_fee=15, period_rounds=20, discount_per_hq=1, deposit=9,
-        verification_fee=3, sale_mode="fixed", fixed_price=4,
-        forfeiture=ForfeiturePolicy.Split,
-    )
-    return make_config(crew, rounds=200, seed=seed, economics=economics,
-                       utility=UtilityModel(consumption_benefit=2, sharing_risk_cost=1))
-
-
 def test_criterion_05_terminality_and_conservation():
     for seed in (101, 202, 303, 404, 505):
-        result = run_scenario(_mixed_scenario(seed))
+        result = run_scenario(mixed_scenario(seed))
         agg = result.summary["aggregates"]
         assert agg["escrow"] == 0, f"stuck escrow at seed {seed}"
         for contract in result.contracts.values():

@@ -272,7 +272,7 @@ def test_sweep_unknown_key_exits_one(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("values", ["[", "1,{a: 1"])
+@pytest.mark.parametrize("values", ["[", "1,{a: 1", "1,,2"])
 def test_sweep_values_that_are_not_yaml_exit_one(tmp_path, capsys, values):
     out = tmp_path / "s"
     assert run_cli("sweep", "--config", DOI, "--param", "seed", "--values", values, "--out", str(out)) == 1
@@ -294,6 +294,28 @@ def test_sweep_legs_that_share_a_directory_are_refused(tmp_path, capsys, values,
     assert err.startswith("error: --values: ")
     assert f"{first!r} and {second!r}" in err
     assert not out.exists()
+
+
+def test_sweep_over_lists_writes_a_leg_per_list_and_quotes_them(tmp_path):
+    out = tmp_path / "s"
+    rc = run_cli(
+        "sweep", "--config", DOI, "--param", "agents.flooder.attributes",
+        "--values", "[a,b],[c]", "--out", str(out),
+    )
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "agents.flooder.attributes=['a', 'b']",
+        "agents.flooder.attributes=['c']",
+    ]
+    text = (out / "sweep.csv").read_text()
+    header, first, second = text.splitlines()
+    assert header.startswith("param,value,")
+    # a value holding a comma is quoted; one without keeps its bare bytes
+    assert first.startswith("agents.flooder.attributes,\"['a', 'b']\",")
+    assert second.startswith("agents.flooder.attributes,['c'],")
+    assert [row[1] for row in csv.reader(text.splitlines()[1:])] == ["['a', 'b']", "['c']"]
+    for leg in ("['a', 'b']", "['c']"):
+        assert (out / f"agents.flooder.attributes={leg}" / "summary.json").exists()
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

@@ -1,4 +1,8 @@
+import copy
 import random
+import re
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
@@ -24,6 +28,7 @@ from ctisim.errors import (
     BelowTrustThreshold,
     ContractClosed,
     DuplicateRecord,
+    EncodingError,
     FormatInvalid,
     InsufficientBalance,
     NotAssigned,
@@ -34,9 +39,11 @@ from ctisim.errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
+from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record, record_bytes
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
-from ctisim.ledger import Chain, TxKind, append_block, verify_chain
+from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
+from ctisim.payloads import FinalizeBody, PurchaseBody, RenewBody, ReputationUpdateBody, SubmitCtiBody, VoteBody
+from tests.test_replay import refusal_height
 
 HQ = Vote.HighQuality
 LQ = Vote.LowQuality
@@ -107,6 +114,8 @@ class Platform:
         self.verifiers = [
             self.add(f"verifier-{i}", {Role.Verifier}, endowment) for i in range(n_verifiers)
         ]
+        # blocks sealed by `seal`: the chain a reader replays
+        self.chain = Chain.new()
 
     def add(self, name, roles, endowment=100, attributes=()):
         cred = self.system.register(
@@ -142,6 +151,15 @@ class Platform:
         self.vote_all(contract, votes)
         return contract, self.finalize(contract, round_no)
 
+    def seal(self, round_no):
+        """Seal what the registry signed since the last seal, if anything, as
+        round `round_no`'s block."""
+        registry, txs = self.registry, self.registry.unsealed()
+        if txs:
+            append_block(
+                self.chain, txs, self.authority, registry.authenticate_committed, registry.is_authority, round_no
+            )
+
     def kinds_signed(self, since):
         """Kinds of the registry's unsealed transactions from index `since`
         on, in signing order."""
@@ -167,22 +185,28 @@ def test_submit_escrows_deposit_and_assigns_three_verifiers():
 def test_submit_below_threshold_rejected():
     p = Platform()
     p.reputation.scores[p.producer] = 29
+    drawn = p.rng.getstate()
     with pytest.raises(BelowTrustThreshold):
         p.submit()
+    assert p.rng.getstate() == drawn
     p.reputation.scores[p.producer] = 30  # boundary: threshold itself is allowed
     p.submit()
 
 
 def test_submit_with_small_pool_rejected():
     p = Platform(n_verifiers=2)
+    drawn = p.rng.getstate()
     with pytest.raises(VerifierPoolTooSmall):
         p.submit()
+    assert p.rng.getstate() == drawn
 
 
 def test_submit_insufficient_balance():
     p = Platform(deposit=101)
+    drawn = p.rng.getstate()
     with pytest.raises(InsufficientBalance):
         p.submit()
+    assert p.rng.getstate() == drawn
 
 
 def test_submit_invalid_format_rejected():
@@ -198,15 +222,19 @@ def test_submit_invalid_format_rejected():
         created_round=1,
         ground_truth=GroundTruth.Genuine,
     )
+    drawn = p.rng.getstate()
     with pytest.raises(FormatInvalid):
         p.system.submit_report(p.producer, bad, p.rng)
+    assert p.rng.getstate() == drawn
 
 
 def test_submit_duplicate_record_rejected():
     p = Platform()
     p.submit(n=1)
+    drawn = p.rng.getstate()
     with pytest.raises(DuplicateRecord):
         p.submit(n=1)
+    assert p.rng.getstate() == drawn
 
 
 def test_listing_requires_verification_fee_funds():
@@ -362,7 +390,7 @@ def test_purchase_transfers_exactly_the_sale_price():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     signed = len(p.registry.unsealed())
-    price = p.system.purchase(p.consumer, contract.contract_id, group_members=set())
+    price = p.system.purchase(p.consumer, contract.contract_id)
     assert p.market.balance_of(p.consumer) == 95
     assert p.market.balance_of(p.producer) == 105
     assert price == 5
@@ -372,10 +400,10 @@ def test_purchase_transfers_exactly_the_sale_price():
 def test_repeat_purchase_refused_without_charge_or_transactions():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
-    p.system.purchase(p.consumer, contract.contract_id, set())
+    p.system.purchase(p.consumer, contract.contract_id)
     signed = len(p.registry.unsealed())
     with pytest.raises(AlreadyPurchased):
-        p.system.purchase(p.consumer, contract.contract_id, set())
+        p.system.purchase(p.consumer, contract.contract_id)
     assert p.market.balance_of(p.consumer) == 95
     assert p.market.balance_of(p.producer) == 105
     assert len(p.registry.unsealed()) == signed
@@ -385,7 +413,7 @@ def test_repeat_purchase_refused_without_charge_or_transactions():
 def test_verify_chain_refuses_a_repeated_transaction_id():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
-    p.system.purchase(p.consumer, contract.contract_id, set())
+    p.system.purchase(p.consumer, contract.contract_id)
     registry = p.registry
     signed = registry.unsealed()
     # the writer never signs a repeat; seal one signed object twice instead
@@ -400,7 +428,7 @@ def test_purchase_of_rejected_contract():
     p = Platform()
     contract, outcome = p.run_contract([LQ, LQ, LQ], sale_price=5)
     with pytest.raises(NotVerified):
-        p.system.purchase(p.consumer, contract.contract_id, set())
+        p.system.purchase(p.consumer, contract.contract_id)
 
 
 def test_purchase_needs_funds():
@@ -408,21 +436,21 @@ def test_purchase_needs_funds():
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     p.market.balances[p.consumer] = 3
     with pytest.raises(InsufficientBalance):
-        p.system.purchase(p.consumer, contract.contract_id, set())
+        p.system.purchase(p.consumer, contract.contract_id)
 
 
 def test_purchase_of_unlisted_contract():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=None)
     with pytest.raises(NotForSale):
-        p.system.purchase(p.consumer, contract.contract_id, set())
+        p.system.purchase(p.consumer, contract.contract_id)
 
 
 def test_self_purchase_forbidden():
     p = Platform()
     contract, _ = p.run_contract([HQ, HQ, HQ], sale_price=5)
     with pytest.raises(AccessDenied):
-        p.system.purchase(p.producer, contract.contract_id, set())
+        p.system.purchase(p.producer, contract.contract_id)
 
 
 def test_purchase_respects_access_policy():
@@ -442,7 +470,30 @@ def test_purchase_respects_access_policy():
     p.vote_all(contract, [HQ, HQ, HQ])
     p.finalize(contract)
     with pytest.raises(AccessDenied):
-        p.system.purchase(p.consumer, contract.contract_id, set())
+        p.system.purchase(p.consumer, contract.contract_id)
+
+
+def test_green_purchase_admits_registered_unrevoked_members():
+    p = Platform()
+    record = make_record(
+        producer=p.producer,
+        category=CtiCategory.Technical,
+        indicators=(Ioc(IocKind.Domain, "ioc.example", 1),),
+        narrative_digest=ZERO_DIGEST,
+        tlp=TlpLabel(TlpChannel.Green),
+        policy=None,
+        sale_price=4,
+        created_round=1,
+        ground_truth=GroundTruth.Genuine,
+    )
+    contract = p.system.submit_report(p.producer, record, p.rng)
+    p.vote_all(contract, [HQ, HQ, HQ])
+    p.finalize(contract)
+    assert p.system.purchase(p.consumer, contract.contract_id) == 4
+    late = p.add("late", {Role.Consumer})
+    p.registry.get(late).revoked = True
+    with pytest.raises(AccessDenied):
+        p.system.purchase(late, contract.contract_id)
 
 
 # --- renew_subscription -------------------------------------------------------------
@@ -530,10 +581,234 @@ def test_currency_conserved_across_mixed_outcomes():
     for i, votes in enumerate(outcomes):
         contract, outcome = p.run_contract(votes, n=i, sale_price=4)
         if contract.status is ContractStatus.Verified:
-            p.system.purchase(p.consumer, contract.contract_id, set())
+            p.system.purchase(p.consumer, contract.contract_id)
     p.system.renew_subscription(p.producer, round_no=10)
     assert p.market.escrow == 0
     assert p.total() == start
     assert p.market.conserved()
     # deposit 9 and fee 3 split exactly: nothing burned
     assert p.market.burned == 0
+
+
+# --- one rulebook, two doors ---------------------------------------------------
+#
+# Each row brings a Platform, through the operations, to a prefix sealed on
+# its chain, and returns one illegal action: who signs it, its kind, body and
+# round, the error and reason it must meet, and the operation that would
+# sign it, or None where no operation can build that body. The writer door
+# asks ContractSystem.check, then the operation; the reader door re-signs the
+# action onto the prefix's chain, as a forger could, and replays it.
+
+class Illegal(NamedTuple):
+    author: bytes
+    kind: TxKind
+    body: object
+    round_no: int
+    error: type
+    reason: str
+    act: Optional[Callable[[], object]] = None
+
+
+ILLEGAL_ACTIONS = {}
+UNKNOWN = sha256(b"unknown contract")
+
+
+def illegal(name, **platform):
+    def register(build):
+        ILLEGAL_ACTIONS[name] = (platform, build)
+        return build
+    return register
+
+
+def pending(p, votes=()):
+    """A contract submitted and voted on by its first verifiers in round 1, sealed."""
+    contract = p.submit()
+    for v, vote in zip(contract.assigned_verifiers, votes):
+        p.system.cast_vote(v, contract.contract_id, vote)
+    p.seal(1)
+    return contract
+
+
+def finalized(p, votes, sale_price=5):
+    """A contract listed at `sale_price`, finalized in round 1, sealed."""
+    contract, _ = p.run_contract(votes, sale_price=sale_price)
+    p.seal(1)
+    return contract
+
+
+def submission(p, author=None, deposit=10, verifiers=None, record=None, contract_id=None):
+    """A SubmitCti of the producer's record in round 1, as `author`."""
+    record = record or p.record()
+    body = SubmitCtiBody(
+        contract_id or record.record_id, record_bytes(record), deposit, 0, verifiers or tuple(p.verifiers)
+    )
+    return author or p.producer, TxKind.SubmitCti, body, 1
+
+
+@illegal("vote-on-an-unknown-contract")
+def _(p):
+    v = pending(p).assigned_verifiers[0]
+    return Illegal(v, TxKind.Vote, VoteBody(UNKNOWN, "HighQuality"), 1, ContractClosed, UNKNOWN.hex(),
+                   lambda: p.system.cast_vote(v, UNKNOWN, HQ))
+
+
+@illegal("vote-by-an-unassigned-stakeholder")
+def _(p):
+    cid = pending(p).contract_id
+    return Illegal(p.consumer, TxKind.Vote, VoteBody(cid, "HighQuality"), 1, NotAssigned, p.consumer.hex()[:12],
+                   lambda: p.system.cast_vote(p.consumer, cid, HQ))
+
+
+@illegal("second-vote")
+def _(p):
+    contract = pending(p, [HQ])
+    v, cid = contract.assigned_verifiers[0], contract.contract_id
+    return Illegal(v, TxKind.Vote, VoteBody(cid, "LowQuality"), 1, AlreadyVoted, v.hex()[:12],
+                   lambda: p.system.cast_vote(v, cid, LQ))
+
+
+@illegal("vote-named-maybe")
+def _(p):
+    contract = pending(p)
+    return Illegal(contract.assigned_verifiers[0], TxKind.Vote, VoteBody(contract.contract_id, "Maybe"), 1,
+                   EncodingError, "Vote neither HighQuality nor LowQuality")
+
+
+@illegal("finalization-before-quorum")
+def _(p):
+    cid = pending(p, [HQ]).contract_id
+    return Illegal(p.authority, TxKind.FinalizeVerification, FinalizeBody(cid, "Verified", 900_000, "Refunded"), 1,
+                   QuorumNotMet, "need 3 votes, have 1", lambda: p.system.finalize_verification(cid, 1))
+
+
+@illegal("flipped-verdict")
+def _(p):
+    cid = pending(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(p.authority, TxKind.FinalizeVerification, FinalizeBody(cid, "Rejected", 900_000, "Forfeited"), 1,
+                   QuorumNotMet, "FinalizeVerification is not the votes' verdict (Verified, 900000, Refunded)")
+
+
+@illegal("purchase-at-price-zero")
+def _(p):
+    cid = finalized(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(p.consumer, TxKind.Purchase, PurchaseBody(cid, 0), 1, NotForSale, "Purchase at 0, listed at 5")
+
+
+@illegal("purchase-of-a-rejected-record")
+def _(p):
+    cid = finalized(p, [LQ, LQ, LQ]).contract_id
+    return Illegal(p.consumer, TxKind.Purchase, PurchaseBody(cid, 5), 1, NotVerified, cid.hex(),
+                   lambda: p.system.purchase(p.consumer, cid))
+
+
+@illegal("producer-buying-its-own-record")
+def _(p):
+    cid = finalized(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(p.producer, TxKind.Purchase, PurchaseBody(cid, 5), 1,
+                   AccessDenied, "producers may not consume their own records",
+                   lambda: p.system.purchase(p.producer, cid))
+
+
+@illegal("overspend")
+def _(p):
+    poor = p.add("poor", {Role.Consumer}, endowment=3)
+    cid = finalized(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(poor, TxKind.Purchase, PurchaseBody(cid, 5), 1, InsufficientBalance, "need 5, have 3",
+                   lambda: p.system.purchase(poor, cid))
+
+
+@illegal("early-renewal", base_fee=20)
+def _(p):
+    return Illegal(p.producer, TxKind.RenewSubscription, RenewBody(20, 20), 5, NotYetExpired, "paid through round 10",
+                   lambda: p.system.renew_subscription(p.producer, 5))
+
+
+@illegal("undercharged-renewal", base_fee=20)
+def _(p):
+    return Illegal(p.producer, TxKind.RenewSubscription, RenewBody(5, 20), 10, InsufficientBalance,
+                   "RenewSubscription charges 5 through round 20, the rule asks 20 through round 20")
+
+
+@illegal("zero-deposit")
+def _(p):
+    return Illegal(*submission(p, deposit=0), InsufficientBalance, "SubmitCti escrows 0 + 0, the rule asks 10 + 0")
+
+
+@illegal("verifier-outside-the-pool")
+def _(p):
+    verifiers = (p.verifiers[0], p.verifiers[1], p.consumer)
+    return Illegal(*submission(p, verifiers=verifiers), NotAssigned,
+                   "SubmitCti verifiers are not 3 distinct members of the pool")
+
+
+@illegal("verifier-assigned-twice")
+def _(p):
+    verifiers = (p.verifiers[0], p.verifiers[0], p.verifiers[1])
+    return Illegal(*submission(p, verifiers=verifiers), NotAssigned,
+                   "SubmitCti verifiers are not 3 distinct members of the pool")
+
+
+@illegal("record-by-someone-other-than-the-author")
+def _(p):
+    return Illegal(*submission(p, author=p.consumer), AccessDenied,
+                   "SubmitCti of a record another stakeholder produced")
+
+
+@illegal("record-created-in-another-round")
+def _(p):
+    return Illegal(*submission(p, record=p.record(round_no=2)), EncodingError,
+                   "SubmitCti of a record created in another round")
+
+
+@illegal("contract-id-not-the-records")
+def _(p):
+    return Illegal(*submission(p, contract_id=UNKNOWN), EncodingError,
+                   "SubmitCti record does not hash to its contract id")
+
+
+@illegal("revocation-of-a-trusted-stakeholder")
+def _(p):
+    body = ReputationUpdateBody(p.producer, 50, True, "reputation below trust threshold")
+    return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, BelowTrustThreshold,
+                   "ReputationUpdate revokes a stakeholder at 50, not below 30")
+
+
+@illegal("reputation-update-with-another-score")
+def _(p):
+    body = ReputationUpdateBody(p.producer, 20, True, "reputation below trust threshold")
+    return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, BelowTrustThreshold,
+                   "ReputationUpdate score 20, the ledger's is 50")
+
+
+def contract_state(system):
+    return copy.deepcopy(
+        (system.authority, system.contracts, system.market, system.reputation, system.subscription)
+    )
+
+
+@pytest.mark.parametrize("platform, build", ILLEGAL_ACTIONS.values(), ids=ILLEGAL_ACTIONS.keys())
+def test_writer_refuses_illegal_action(platform, build):
+    p = Platform(**platform)
+    row = build(p)
+    before, signed = contract_state(p.system), p.registry.unsealed()
+    with pytest.raises(row.error, match=f"^{re.escape(row.reason)}$"):
+        p.system.check(row.author, row.kind, row.body, row.round_no)
+    assert contract_state(p.system) == before
+    if row.act is not None:
+        with pytest.raises(row.error, match=f"^{re.escape(row.reason)}$"):
+            row.act()
+        assert contract_state(p.system) == before
+        assert p.registry.unsealed() == signed
+
+
+@pytest.mark.parametrize("platform, build", ILLEGAL_ACTIONS.values(), ids=ILLEGAL_ACTIONS.keys())
+def test_fold_refuses_illegal_action(platform, build):
+    p = Platform(**platform)
+    row = build(p)
+    p.seal(row.round_no)
+    secret = p.registry.credentials[row.author].secret
+    tx = Transaction.create(row.author, row.kind, row.body.encode(), secret)
+    # linked with none of append_block's checks, as a forger could
+    append_block(p.chain, [tx], p.authority, lambda _: True, lambda _: True, row.round_no)
+    config = SimpleNamespace(verification=p.system.policy, economics=p.system.economics)
+    assert refusal_height(p.chain, config, row.error, f"^{re.escape(row.reason)}$") == len(p.chain.blocks) - 1

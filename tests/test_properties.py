@@ -10,10 +10,10 @@ The campaigns the run mined from its own verified records are those an
 auditor mines from the re-read dump, and each passes `verify_derivation`;
 mining parameters are drawn so that some examples mine a campaign, and
 `--hypothesis-show-statistics` reports how many did.
-Replaying the re-read dump block by block through `Registry.apply` and
-`ContractSystem.apply` conserves currency after every block, never drives
-a balance negative, and ends in the engine's credentials and contract
-state. Every transaction the registry signed reached a block.
+Replaying the re-read dump block by block through `Registry.apply`,
+`ContractSystem.check` and `ContractSystem.apply` refuses nothing,
+conserves currency after every block, never drives a balance negative,
+and ends in the engine's credentials and contract state. Every transaction the registry signed reached a block.
 """
 
 import inspect

@@ -1,23 +1,40 @@
-"""Contract state must be a pure fold over the chain.
+"""Contract state must be a pure fold over the chain, and the fold refuses
+an illegal history.
 
 Replays the chain's transactions in order through the rulebooks the engine
-signs by, `Registry.apply` for credentials and `ContractSystem.apply` for
-contract state, on fresh objects. Each Register carries its endowment, so
-the replay needs only the scenario's parameters besides the chain. The
-result must equal what the engine reported: balances, reputations,
-revocations and every per-round activity counter.
+signs by on fresh objects: `Registry.apply` for credentials, then
+`ContractSystem.check`, which calls the same contract rules the operations
+call, then `ContractSystem.apply` for contract state. Each Register carries
+its endowment, so the replay needs only the scenario's parameters besides
+the chain. The result must equal what the engine reported: balances,
+reputations, revocations and every per-round activity counter.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
+import pytest
+
+from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, ContractSystem, DepositState
+from ctisim.errors import NotForSale, QuorumNotMet
 from ctisim.identity import Registry
-from ctisim.ledger import TxKind
-from ctisim.payloads import FinalizeBody, PurchaseBody, RegisterBody, RenewBody, SubmitCtiBody, VoteBody
+from ctisim.ledger import Chain, Transaction, TxKind, append_block, verify_chain
+from ctisim.payloads import (
+    FinalizeBody,
+    PurchaseBody,
+    RegisterBody,
+    RenewBody,
+    ReputationUpdateBody,
+    SubmitCtiBody,
+    VoteBody,
+)
 from ctisim.simulation import run_scenario
-from tests.test_acceptance import _mixed_scenario
+from tests.conftest import SCENARIO_DIR, mixed_scenario
 
-# the payload body of each kind ContractSystem.apply reads
+BUNDLED = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
+
+# the payload body of each kind ContractSystem.check or .apply reads
 BODIES = {
     TxKind.Register: RegisterBody,
     TxKind.SubmitCti: SubmitCtiBody,
@@ -25,19 +42,23 @@ BODIES = {
     TxKind.FinalizeVerification: FinalizeBody,
     TxKind.Purchase: PurchaseBody,
     TxKind.RenewSubscription: RenewBody,
+    TxKind.ReputationUpdate: ReputationUpdateBody,
 }
 
 
 def replay_blocks(chain, config):
     """Apply `chain` to a fresh Registry and ContractSystem, yielding each
-    block after genesis and the system once that block is applied."""
+    block after genesis and the system once that block is applied; a
+    transaction either rulebook refuses raises its CtiSimError."""
     registry = Registry()
     system = ContractSystem(registry, config.verification, config.economics)
     for block in chain.blocks[1:]:
         for tx in block.transactions:
             registry.apply(tx.author, tx.kind, tx.payload)
             if tx.kind in BODIES:
-                system.apply(tx.author, tx.kind, BODIES[tx.kind].decode(tx.payload), block.timestamp)
+                body = BODIES[tx.kind].decode(tx.payload)
+                system.check(tx.author, tx.kind, body, block.timestamp)
+                system.apply(tx.author, tx.kind, body, block.timestamp)
         yield block, system
 
 
@@ -58,10 +79,7 @@ def replay(chain, config):
     return system, per_round
 
 
-def test_chain_fold_reproduces_engine_state():
-    config = _mixed_scenario(seed=321)
-    config.rounds = 60
-    result = run_scenario(config)
+def assert_fold_matches(result, config, every_consume_is_a_purchase):
     system, per_round = replay(result.chain, config)
 
     for agent in result.agents:
@@ -70,8 +88,8 @@ def test_chain_fold_reproduces_engine_state():
         assert system.reputation.score_of(agent.sid) == info["reputation"], agent.name
         assert system.registry.get(agent.sid).revoked == info["revoked"], agent.name
 
-    # per-round activity columns match the replay exactly (fixed sale mode:
-    # every consume is an on-chain purchase)
+    # per-round activity columns match the replay exactly; a free read is
+    # a consume with no transaction, so without one purchases only bound it
     for row in result.metrics.rows:
         sid = next(a.sid for a in result.agents if a.name == row.agent)
         counters = per_round.get((row.round, sid), {})
@@ -79,4 +97,91 @@ def test_chain_fold_reproduces_engine_state():
         assert counters.get("verified", 0) == row.verified
         assert counters.get("rejected", 0) == row.rejected
         assert counters.get("forfeited", 0) == row.forfeited
-        assert counters.get("consumes", 0) == row.consumes
+        if every_consume_is_a_purchase:
+            assert counters.get("consumes", 0) == row.consumes
+        else:
+            assert counters.get("consumes", 0) <= row.consumes
+
+
+def test_chain_fold_reproduces_engine_state():
+    config = mixed_scenario(seed=321)
+    config.rounds = 60
+    # fixed sale mode: every consume is an on-chain purchase
+    assert_fold_matches(run_scenario(config), config, every_consume_is_a_purchase=True)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_chains_pass_check_and_fold_to_the_engine_state(name):
+    config = load_config(str(SCENARIO_DIR / f"{name}.yaml"))
+    assert_fold_matches(run_scenario(config), config, every_consume_is_a_purchase=False)
+
+
+# --- tampers a forger can re-sign ---------------------------------------------
+#
+# Every signing secret is on the chain (RegisterBody.secret), so a forger can
+# re-sign an altered transaction and re-link every later block. verify_chain
+# checks only the credentials and still accepts both tampers below; the fold
+# refuses them by the contract rules.
+
+def relinked(chain, swap):
+    """`chain` with every transaction passed through `swap`, each block
+    re-hashed and re-linked onto the one before."""
+    out = Chain.new()
+    for block in chain.blocks[1:]:
+        txs = [swap(tx) for tx in block.transactions]
+        append_block(out, txs, block.sealer, lambda _: True, lambda _: True, block.timestamp, allow_empty=True)
+    return out
+
+
+def tampered_marketplace(kind, edit):
+    """The marketplace chain with its first `kind` transaction's body edited
+    by `edit` and re-signed; returns the config, the chain and that body."""
+    config = load_config(str(SCENARIO_DIR / "marketplace.yaml"))
+    result = run_scenario(config)
+    secrets = {agent.sid: agent.credential.secret for agent in result.agents}
+    first = next(tx for block in result.chain.blocks for tx in block.transactions if tx.kind is kind)
+    body = BODIES[kind].decode(first.payload)
+
+    def swap(tx):
+        if tx is not first:
+            return tx
+        return Transaction.create(tx.author, kind, edit(body).encode(), secrets[tx.author])
+
+    return config, relinked(result.chain, swap), body
+
+
+def refusal_height(chain, config, error, reason):
+    """The height of the block at which the fold raises `error`."""
+    replayed = []
+    with pytest.raises(error, match=reason):
+        for block, _ in replay_blocks(chain, config):
+            replayed.append(block.height)
+    return replayed[-1] + 1 if replayed else 1
+
+
+def test_fold_refuses_a_resigned_flipped_vote_at_its_finalization():
+    flip = {"HighQuality": "LowQuality", "LowQuality": "HighQuality"}
+    config, chain, vote = tampered_marketplace(TxKind.Vote, lambda b: replace(b, vote=flip[b.vote]))
+    assert verify_chain(chain).valid
+    finalization = next(
+        block.height
+        for block in chain.blocks
+        for tx in block.transactions
+        if tx.kind is TxKind.FinalizeVerification and FinalizeBody.decode(tx.payload).contract_id == vote.contract_id
+    )
+    reason = "^FinalizeVerification is not the votes' verdict "
+    assert refusal_height(chain, config, QuorumNotMet, reason) == finalization
+
+
+def test_fold_refuses_a_resigned_purchase_at_price_zero():
+    config, chain, purchase = tampered_marketplace(TxKind.Purchase, lambda b: replace(b, price=0))
+    assert purchase.price > 0
+    assert verify_chain(chain).valid
+    height = next(
+        block.height
+        for block in chain.blocks
+        for tx in block.transactions
+        if tx.kind is TxKind.Purchase and PurchaseBody.decode(tx.payload) == replace(purchase, price=0)
+    )
+    reason = f"^Purchase at 0, listed at {purchase.price}$"
+    assert refusal_height(chain, config, NotForSale, reason) == height
