@@ -10,10 +10,12 @@ The parameters are the scenario file's `verification:` and `economics:`
 sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
 Each contract rule is one method that refuses an illegal action with a
 typed error or derives what its body must say. An operation calls its
-rule, signs the body built from that through `Registry.sign` (which
-applies it to the credentials, so signing a ReputationUpdate revokes),
-applies it through `apply`, the one place contract state changes, and
-returns its result; the registry keeps what it signed for the block.
+rule and commits the body built from that through one door, `_commit`:
+it signs through `Registry.sign` (which applies it to the credentials, so
+signing a ReputationUpdate revokes), then applies it through `apply`, the
+one place contract state changes; the registry keeps what it signed for
+the block. `register` signs as the authority, or as the new stakeholder
+itself while there is none, the first authority's self-registration.
 `check`, the reader's door, runs the same rules on a transaction read
 from a chain, so replaying a chain through `Registry.apply`, `check` and
 `apply` on fresh objects rebuilds the engine's state from the chain and
@@ -49,7 +51,7 @@ from .errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from .identity import Credential, ProofOfIdentity, Registry, register_body, stakeholder_id
+from .identity import Credential, ProofOfIdentity, Registry, Role, register_body
 from .ledger import TxKind
 from .payloads import (
     AccessGrantBody,
@@ -106,6 +108,7 @@ _ESCROWED, _REFUNDED, _FORFEITED = DepositState.Escrowed, DepositState.Refunded,
 _HIGH, _LOW = Vote.HighQuality, Vote.LowQuality
 _BURN, _HOLD = ForfeiturePolicy.Burn, ForfeiturePolicy.HoldInContract
 _VOTE_BY_NAME = {vote.value: vote for vote in Vote}
+_PRODUCER, _CONSUMER = Role.Producer, Role.Consumer
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,6 @@ class MarketContract:
     held: int = 0
     burned: int = 0
     minted: int = 0
-    listings: dict[Digest, int] = field(default_factory=dict)
     sales: set[tuple[Digest, Digest]] = field(default_factory=set)
 
     def mint(self, stakeholder: Digest, amount: int) -> None:
@@ -309,8 +311,6 @@ class ContractSystem:
                 body.contract_id, record, _PENDING, body.verifiers, {},
                 body.deposit, _ESCROWED, body.verification_fee, round_no,
             )
-            if record.sale_price is not None:
-                market.listings[body.contract_id] = record.sale_price
             return contract
         if kind is _VOTE:
             self.contracts[body.contract_id].votes[author] = _VOTE_BY_NAME[body.vote]
@@ -432,6 +432,9 @@ class ContractSystem:
                 raise BelowTrustThreshold(f"ReputationUpdate score {body.score}, the ledger's is {score}")
             if body.revoked and score >= threshold:
                 raise BelowTrustThreshold(f"ReputationUpdate revokes a stakeholder at {score}, not below {threshold}")
+        elif kind is _ACCESS_GRANT:
+            if (body.contract_id, body.consumer) not in self.market.sales:
+                raise NotForSale("AccessGrant of a record the consumer has not bought")
 
     def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
         """Pay each verifier a QUORUM-th of escrowed `amount` into `payouts`; burn the rest."""
@@ -445,17 +448,11 @@ class ContractSystem:
 
     # -- registration ---------------------------------------------------
 
-    def bootstrap(self, proof: ProofOfIdentity, endowment: int) -> Credential:
-        """Self-registration of the first authority: it signs its own Register."""
-        return self._register(stakeholder_id(proof.evidence_digest), proof, endowment)
-
     def register(self, proof: ProofOfIdentity, endowment: int) -> Credential:
-        """The credential `proof` asks for, once the authority has signed its Register."""
-        return self._register(self.authority, proof, endowment)
-
-    def _register(self, author: Optional[Digest], proof: ProofOfIdentity, endowment: int) -> Credential:
+        """The credential `proof` asks for, once its Register is signed by the
+        authority, or by its own stakeholder while there is no authority."""
         body = register_body(proof, endowment)
-        self._commit(author, _REGISTER, body, None)
+        self._commit(self.authority or body.stakeholder, _REGISTER, body, None)
         return self.registry.credentials[body.stakeholder]
 
     # -- submission -----------------------------------------------------
@@ -475,6 +472,8 @@ class ContractSystem:
 
     def _admission(self, producer: Digest, record: CtiRecord) -> tuple[int, int, list[Digest]]:
         """The deposit, verification fee and verifier pool of `producer` submitting `record`."""
+        if _PRODUCER not in self.registry.get(producer).roles:
+            raise AccessDenied("SubmitCti by a stakeholder without the Producer role")
         if not self.reputation.is_trusted(producer):
             raise BelowTrustThreshold(
                 f"score {self.reputation.score_of(producer)} < {self.policy.trust_threshold}"
@@ -545,7 +544,7 @@ class ContractSystem:
                 reason = "reputation below trust threshold"
                 rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
                 # signing applies it: the registry revokes the credential
-                self.registry.sign(self.authority, _REPUTATION_UPDATE, rb.encode())
+                self._commit(self.authority, _REPUTATION_UPDATE, rb, None)
                 revoked.append(sid)
         return VerificationOutcome(payouts, discounts, tuple(revoked))
 
@@ -558,18 +557,21 @@ class ContractSystem:
             raise NotForSale(contract_id.hex())
         if contract.status is not _VERIFIED:
             raise NotVerified(contract_id.hex())
-        price = self.market.listings.get(contract_id)
+        record = contract.record
+        price = record.sale_price
         if price is None:
             raise NotForSale(contract_id.hex())
-        if consumer == contract.record.producer:
+        if consumer == record.producer:
             raise AccessDenied("producers may not consume their own records")
+        cred = self.registry.get(consumer)
+        if _CONSUMER not in cred.roles:
+            raise AccessDenied("Purchase by a stakeholder without the Consumer role")
         if (contract_id, consumer) in self.market.sales:
             raise AlreadyPurchased(consumer.hex()[:12])
         if self.market.balance_of(consumer) < price:
             raise InsufficientBalance(f"need {price}, have {self.market.balance_of(consumer)}")
-        record = contract.record
         # authorize refuses a revoked requester first: the credentials serve as the Green group
-        if not authorize(self.registry.get(consumer), record.tlp, record.policy, self.registry.credentials):
+        if not authorize(cred, record.tlp, record.policy, self.registry.credentials):
             raise AccessDenied(consumer.hex()[:12])
         return price
 
@@ -577,8 +579,7 @@ class ContractSystem:
         """Buy access to a verified listed record; returns the price paid."""
         price = self._sale(consumer, contract_id)
         self._commit(consumer, _PURCHASE, PurchaseBody(contract_id, price), None)
-        grant = AccessGrantBody(contract_id, consumer)
-        self.registry.sign(self.authority, _ACCESS_GRANT, grant.encode())
+        self._commit(self.authority, _ACCESS_GRANT, AccessGrantBody(contract_id, consumer), None)
         return price
 
     # -- subscriptions ---------------------------------------------------

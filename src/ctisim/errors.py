@@ -24,10 +24,6 @@ class UnauthorizedSealer(CtiSimError):
     pass
 
 
-class EmptyTransactionList(CtiSimError):
-    pass
-
-
 class NotAnAuthority(CtiSimError):
     pass
 

@@ -4,7 +4,7 @@ Identity proofs are abstracted to an evidence digest; a registration needs
 a non-empty one. Stakeholder ids and signing secrets are derived
 deterministically from the evidence digest so that a scenario replays
 byte-identically. `register_body` builds a Register payload, which also
-carries the endowment the registration mints; `contracts.ContractSystem`
+carries the endowment the registration mints; `ContractSystem.register`
 signs it, so one transaction issues the credential and opens the accounts.
 
 The Registry holds the credentials, and `Registry.apply` is their one
@@ -14,9 +14,9 @@ dump through `apply` on a fresh Registry, so the writer and the auditor
 keep the same rules. `sign` also queues each transaction until a block
 seals it, and that queue, `unsealed()`, is the one record of what a round
 signed: the engine seals exactly it, in signing order. When sealing,
-`authenticate_committed` trusts exactly those objects and re-derives the
-id and signature of every other transaction (hand-built, copied or signed
-elsewhere).
+`authenticate_committed` trusts exactly those objects and re-derives
+every other transaction (hand-built, copied or signed elsewhere) with
+`Transaction.create`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotAnAuthority,
     UnknownStakeholder,
 )
-from .ledger import Transaction, TxKind, keyed_digest, sha256
+from .ledger import Transaction, TxKind, sha256
 from .payloads import RegisterBody, ReputationUpdateBody
 
 
@@ -203,18 +203,15 @@ class Registry:
         """Whether tx's id and signature are its author's, for sealing.
 
         The very object `sign` returned, not yet sealed, is trusted as
-        signed; any other transaction has its id and keyed signature
-        re-derived. Position-independent: `sign` refuses a revoked author
-        when the transaction is made, and verify_chain replays the order.
+        signed; any other transaction must equal the one `Transaction.create`
+        derives with its author's secret. Position-independent: `sign`
+        refuses a revoked author when the transaction is made, and
+        verify_chain replays the order.
         """
         if self._unsealed.pop(id(tx), None) is not None:
             return True
         cred = self.credentials.get(tx.author)
-        return (
-            cred is not None
-            and tx.tx_id == Transaction.compute_id(tx.author, tx.kind, tx.payload)
-            and tx.signature == keyed_digest(cred.secret, tx.payload)
-        )
+        return cred is not None and tx == Transaction.create(tx.author, tx.kind, tx.payload, cred.secret)
 
     def is_authority(self, stakeholder: Digest) -> bool:
         return stakeholder in self.authorities and not self.credentials[stakeholder].revoked

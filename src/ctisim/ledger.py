@@ -10,11 +10,12 @@ previous-header hash carried by every block.
 A transaction is an immutable named tuple, built by one `tuple.__new__`
 with no per-field `__setattr__`; setting a field raises AttributeError,
 and its equality and hash are those of its field tuple. Blocks and the
-chain stay dataclasses: a run seals far fewer of them. Transactions are
-signed in one place, `identity.Registry.sign`. Sealing (`append_block`)
-asks an authenticator for each transaction's id and signature; the
-registry's authenticator trusts the unsealed objects it signed itself and
-re-derives both digests for every other transaction. verify_chain trusts
+chain stay dataclasses: a run seals far fewer of them. `Transaction.create`
+defines both a transaction's digests; transactions are signed in one
+place, `identity.Registry.sign`. Sealing (`append_block`) asks an
+authenticator for each transaction's id and signature; the registry's
+authenticator trusts the unsealed objects it signed itself and re-derives
+every other transaction. verify_chain trusts
 nothing: it replays the whole chain, re-deriving every id, Merkle root
 and signature, and rebuilds the credentials by applying each transaction
 to a fresh registry through `identity.Registry.apply`, the rulebook the
@@ -38,13 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .encoding import COUNT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
-from .errors import (
-    CtiSimError,
-    EmptyTransactionList,
-    EncodingError,
-    InvalidSignature,
-    UnauthorizedSealer,
-)
+from .errors import CtiSimError, EncodingError, InvalidSignature, UnauthorizedSealer
 
 _sha256 = hashlib.sha256
 _pack_count = COUNT.pack
@@ -53,15 +48,6 @@ _tuple_new = tuple.__new__
 
 def sha256(data: bytes) -> Digest:
     return _sha256(data).digest()
-
-
-def keyed_digest(secret: bytes, payload: bytes) -> bytes:
-    """Simulated signature: digest keyed by the credential secret.
-
-    The digest is over the canonical encoding of (secret, payload): two
-    byte-string fields.
-    """
-    return _sha256(_pack_count(len(secret)) + secret + _pack_count(len(payload)) + payload).digest()
 
 
 class TxKind(TaggedEnum):
@@ -88,18 +74,15 @@ class Transaction(NamedTuple):
     payload: bytes
     signature: bytes
 
-    @staticmethod
-    def compute_id(author: Digest, kind: TxKind, payload: bytes) -> Digest:
-        """Digest of the canonical encoding of (author, kind name, payload)."""
-        return _sha256(
-            _pack_count(len(author)) + author + kind.tag + _pack_count(len(payload)) + payload
-        ).digest()
-
     @classmethod
     def create(cls, author: Digest, kind: TxKind, payload: bytes, secret: bytes) -> "Transaction":
-        """A transaction with its compute_id and its keyed_digest signature.
+        """The one definition of a transaction's two digests:
 
-        Both digests end with the payload's byte-string field, built once.
+        - id: sha256 of the canonical encoding of (author, kind name, payload);
+        - signature, simulated: sha256 of the canonical encoding of (secret,
+          payload), a digest keyed by the credential secret.
+
+        Both end with the payload's byte-string field, built once.
         """
         payload_field = _pack_count(len(payload)) + payload
         tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
@@ -182,27 +165,25 @@ def append_block(
     authenticator: Authenticator,
     is_authority: Callable[[Digest], bool],
     timestamp: int,
-    allow_empty: bool = False,
 ) -> Block:
-    """Seal a new block onto the chain.
+    """Seal a new block onto the chain; an empty one is a heartbeat.
 
-    The authenticator answers for each transaction's id and signature; any
-    transaction it refuses raises InvalidSignature. The registry's
-    authenticator takes the objects it signed itself as they are and
-    re-derives both digests for any other transaction. It is
+    A sealer without authority is refused before any transaction is
+    authenticated. The authenticator answers for each transaction's id and
+    signature; any transaction it refuses raises InvalidSignature. The
+    registry's authenticator takes the objects it signed itself as they are
+    and re-derives both digests for any other transaction. It is
     position-independent on purpose: a round's block may contain
     transactions authored just before a same-round revocation. Revocation
     ordering is enforced by `identity.Registry.apply`, which refuses a
     revoked author both when `Registry.sign` makes a transaction and when
     verify_chain replays the chain.
     """
-    if not txs and not allow_empty:
-        raise EmptyTransactionList("only heartbeat blocks may be empty")
+    if not is_authority(sealer):
+        raise UnauthorizedSealer(f"sealer {sealer.hex()[:12]} lacks authority")
     for tx in txs:
         if not authenticator(tx):
             raise InvalidSignature(tx.tx_id)
-    if not is_authority(sealer):
-        raise UnauthorizedSealer(f"sealer {sealer.hex()[:12]} lacks authority")
 
     block = Block(
         height=len(chain.blocks),
@@ -232,9 +213,10 @@ def verify_chain(chain: Chain) -> VerificationReport:
     through `Registry.apply` on a fresh `identity.Registry`, the credential
     rules the platform signs by; an illegal transaction is reported by the
     reason apply refuses it with. Register payloads carry each credential's
-    secret, so every signature (including the bootstrap self-registration)
-    is recheckable from the dump alone. Every block after genesis must be sealed by an
-    authority not revoked in an earlier block or in its own.
+    secret, so every signature (the first authority's self-registration
+    too) is recheckable from the dump alone. A block may be empty; every
+    block after genesis must be sealed by an authority not revoked in an
+    earlier block or in its own.
     """
     from .identity import Registry
 
@@ -273,8 +255,8 @@ def verify_chain(chain: Chain) -> VerificationReport:
 
         for tx in block.transactions:
             author, kind, payload = tx.author, tx.kind, tx.payload
-            # The payload's byte-string field ends both the id and the
-            # signature preimage (see Transaction.create).
+            # Transaction.create's digests, inline: the id is checked before
+            # apply returns the secret that keys the signature.
             payload_field = _pack_count(len(payload)) + payload
             tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
             if tx.tx_id != tx_id:

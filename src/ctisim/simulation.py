@@ -27,7 +27,7 @@ from .access_control import AttributePolicy, TlpLabel, open_envelope, seal
 from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
 from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
-from .errors import CtiSimError, NotYetExpired
+from .errors import CtiSimError
 from .identity import Credential, ProofOfIdentity, Registry, Role, evidence_for
 from .ledger import Chain, append_block, sha256
 from .mining import Campaign, mine_campaigns
@@ -185,8 +185,7 @@ class Engine:
         sid_by_name: dict[str, Digest] = {}
         for spec in ordered:
             proof = ProofOfIdentity(spec.roles, spec.attributes, evidence_for(spec.name))
-            register = self.contracts.bootstrap if spec is authority_spec else self.contracts.register
-            sid_by_name[spec.name] = register(proof, spec.endowment).stakeholder
+            sid_by_name[spec.name] = self.contracts.register(proof, spec.endowment).stakeholder
 
         # agent action order follows the config, not registration order
         for spec in cfg.agents:
@@ -199,7 +198,6 @@ class Engine:
             )
             self.agents.append(state)
             self.by_id[sid] = state
-        self._names = {a.sid: a.name for a in self.agents}
         # A producer's access spec and every agent's id are fixed from here
         # on, and a label is immutable, so all of an agent's records share one.
         self._access = {spec.name: self._resolve_access(spec) for spec in cfg.agents}
@@ -408,7 +406,7 @@ class Engine:
                 if contract.record.producer == agent.sid:
                     continue
                 cid = contract.contract_id
-                if cid in self.contracts.market.listings:
+                if contract.record.sale_price is not None:
                     try:
                         price = self.contracts.purchase(agent.sid, cid)
                     except CtiSimError as exc:
@@ -438,8 +436,6 @@ class Engine:
                 while sub.paid_through.get(agent.sid, 0) <= round_no:
                     try:
                         charge = self.contracts.renew_subscription(agent.sid, round_no)
-                    except NotYetExpired:
-                        break
                     except CtiSimError as exc:
                         agent.events.append((round_no, type(exc).__name__))
                         agent.inactive = True
@@ -481,7 +477,6 @@ class Engine:
                 authenticator=self.registry.authenticate_committed,
                 is_authority=self.registry.is_authority,
                 timestamp=round_no,
-                allow_empty=not txs,
             )
 
     # -- summaries ------------------------------------------------------------
@@ -498,7 +493,7 @@ class Engine:
         }
 
     def _build_summary(self, campaigns: list[Campaign]) -> dict:
-        market = self.contracts.market
+        market, by_id = self.contracts.market, self.by_id
         contracts = sorted(
             self.contracts.contracts.values(),
             key=lambda c: (c.created_round, c.contract_id),
@@ -538,7 +533,7 @@ class Engine:
             "contracts": [
                 {
                     "contract_id": c.contract_id.hex(),
-                    "producer": self._names[c.record.producer],
+                    "producer": by_id[c.record.producer].name,
                     "status": c.status._value_,
                     "pi_score": c.score_micro / 1_000_000 if c.score_micro is not None else None,
                     "deposit": c.deposit,
@@ -548,7 +543,7 @@ class Engine:
                     "created_round": c.created_round,
                     "finalized_round": c.finalized_round,
                     "votes": {
-                        self._names[v]: c.votes[v]._value_
+                        by_id[v].name: c.votes[v]._value_
                         for v in c.assigned_verifiers
                         if v in c.votes
                     },

@@ -1,9 +1,12 @@
 """Reference copy of the field-by-field canonical writer.
 
 The package encodes with one-shot field helpers (`ctisim.encoding`); tests
-build the bytes those helpers must match with this independent writer.
+build the bytes those helpers must match with this independent writer, and
+the two transaction digests `ctisim.ledger.Transaction.create` must match
+with `ref_id` and `ref_signature`.
 """
 
+import hashlib
 import struct
 
 from ctisim.errors import EncodingError
@@ -41,3 +44,13 @@ class Writer:
 
     def getvalue(self):
         return b"".join(self._parts)
+
+
+def ref_id(author, kind, payload):
+    """A transaction id: sha256 of the encoding of (author, kind name, payload)."""
+    return hashlib.sha256(Writer().put_bytes(author).put_str(kind.value).put_bytes(payload).getvalue()).digest()
+
+
+def ref_signature(secret, payload):
+    """A simulated signature: sha256 of the encoding of (secret, payload)."""
+    return hashlib.sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue()).digest()

@@ -153,6 +153,27 @@ def test_revocable_authority_exits_one(tmp_path, capsys, raw):
     assert "agents[0].roles" in capsys.readouterr().err
 
 
+def test_authority_running_a_producer_strategy_is_refused_each_round(tmp_path, capsys):
+    # an Authority without the Producer role submitting fabrications was
+    # revoked by its rejections, and the next seal had no authority to sign it
+    raw = {
+        "name": "authority-false-sharer", "rounds": 40, "seed": 7,
+        "agents": [
+            {"name": "auth", "roles": ["Authority"],
+             "strategy": {"kind": "FalseSharer", "share_rate": 1.0, "fabrication_rate": 1.0}},
+            *({"name": f"verifier-{i}", "roles": ["Verifier"], "strategy": {"kind": "HonestVerifier"}}
+              for i in range(1, 4)),
+        ],
+    }
+    config, out = tmp_path / "config.yaml", tmp_path / "o"
+    config.write_text(yaml.safe_dump(raw))
+    assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    auth = json.loads((out / "summary.json").read_text())["agents"]["auth"]
+    assert (auth["revoked"], auth["rejected_actions"]) == (False, 40)
+    assert run_cli("verify-chain", "--chain", str(out / "chain.json")) == 0
+
+
 def test_agent_name_with_a_comma_exits_one(tmp_path, capsys):
     raw = yaml.safe_load((SCENARIO_DIR / "blocis-baseline.yaml").read_text())
     index = next(i for i, a in enumerate(raw["agents"]) if a["name"] == "verifier-1")

@@ -31,6 +31,7 @@ from ctisim.errors import (
     EncodingError,
     FormatInvalid,
     InsufficientBalance,
+    NotAnAuthority,
     NotAssigned,
     NotForSale,
     NotVerified,
@@ -40,9 +41,17 @@ from ctisim.errors import (
     VerifierPoolTooSmall,
 )
 from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record, record_bytes
-from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
+from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
-from ctisim.payloads import FinalizeBody, PurchaseBody, RenewBody, ReputationUpdateBody, SubmitCtiBody, VoteBody
+from ctisim.payloads import (
+    AccessGrantBody,
+    FinalizeBody,
+    PurchaseBody,
+    RenewBody,
+    ReputationUpdateBody,
+    SubmitCtiBody,
+    VoteBody,
+)
 from tests.test_replay import refusal_height
 
 HQ = Vote.HighQuality
@@ -105,7 +114,7 @@ class Platform:
         self.reputation = self.system.reputation
         self.subscription = self.system.subscription
         self.market = self.system.market
-        auth = self.system.bootstrap(
+        auth = self.system.register(
             ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), endowment
         )
         self.authority = auth.stakeholder
@@ -167,6 +176,23 @@ class Platform:
 
     def total(self):
         return self.market.total_supply() + self.market.burned
+
+
+# --- register -------------------------------------------------------------------
+
+def test_first_register_without_the_authority_role_is_refused_as_verify_chain_refuses_it():
+    system = ContractSystem(Registry(), VerificationPolicy(), EconomicsConfig())
+    proof = ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for("first"))
+    body = register_body(proof, 100)
+    chain = Chain.new()
+    tx = Transaction.create(body.stakeholder, TxKind.Register, body.encode(), body.secret)
+    append_block(chain, [tx], body.stakeholder, lambda _: True, lambda _: True, 0)
+    reason = verify_chain(chain).reason
+    assert reason == "self-registration without the Authority role"
+    with pytest.raises(NotAnAuthority, match=f"^{re.escape(reason)}$"):
+        system.register(proof, 100)
+    assert system.authority is None
+    assert system.registry.credentials == {} and system.registry.unsealed() == []
 
 
 # --- submit_report ------------------------------------------------------------
@@ -709,6 +735,22 @@ def _(p):
                    lambda: p.system.purchase(p.producer, cid))
 
 
+@illegal("purchase-by-a-producer-only-stakeholder")
+def _(p):
+    other = p.add("other-producer", {Role.Producer})
+    cid = finalized(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(other, TxKind.Purchase, PurchaseBody(cid, 5), 1,
+                   AccessDenied, "Purchase by a stakeholder without the Consumer role",
+                   lambda: p.system.purchase(other, cid))
+
+
+@illegal("access-grant-without-a-purchase")
+def _(p):
+    cid = finalized(p, [HQ, HQ, HQ]).contract_id
+    return Illegal(p.authority, TxKind.AccessGrant, AccessGrantBody(cid, p.consumer), 1,
+                   NotForSale, "AccessGrant of a record the consumer has not bought")
+
+
 @illegal("overspend")
 def _(p):
     poor = p.add("poor", {Role.Consumer}, endowment=3)
@@ -752,6 +794,14 @@ def _(p):
 def _(p):
     return Illegal(*submission(p, author=p.consumer), AccessDenied,
                    "SubmitCti of a record another stakeholder produced")
+
+
+@illegal("submission-by-a-consumer-only-stakeholder")
+def _(p):
+    record = p.record(producer=p.consumer)
+    return Illegal(*submission(p, author=p.consumer, record=record), AccessDenied,
+                   "SubmitCti by a stakeholder without the Producer role",
+                   lambda: p.system.submit_report(p.consumer, record, p.rng))
 
 
 @illegal("record-created-in-another-round")

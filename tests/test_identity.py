@@ -5,8 +5,9 @@ import pytest
 from ctisim import identity
 from ctisim.errors import DuplicateRegistration, DuplicateTransaction, NotAnAuthority, UnknownStakeholder
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
-from ctisim.ledger import Chain, Transaction, TxKind, append_block, keyed_digest, sha256, verify_chain
+from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
+from tests.reference_writer import ref_id, ref_signature
 
 
 def proof(name, roles, attributes=()):
@@ -68,9 +69,7 @@ def test_registration_requires_roles_and_evidence(registry):
 
 def signed_as(author, payload, signature):
     """A hand-built transaction whose id is right, so only its signature can fail."""
-    return Transaction(
-        Transaction.compute_id(author, TxKind.Vote, payload), author, TxKind.Vote, payload, signature
-    )
+    return Transaction(ref_id(author, TxKind.Vote, payload), author, TxKind.Vote, payload, signature)
 
 
 def test_sign_then_verify(registry):
@@ -78,7 +77,7 @@ def test_sign_then_verify(registry):
     cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
 
     payload = b"hello"
-    sig = keyed_digest(cred.secret, payload)
+    sig = ref_signature(cred.secret, payload)
     assert reg.authenticate_committed(signed_as(cred.stakeholder, payload, sig))
     assert not reg.authenticate_committed(signed_as(cred.stakeholder, payload + b"!", sig))
     flipped = bytes([payload[0] ^ 1]) + payload[1:]
@@ -93,8 +92,8 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
     tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
     assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello", cred.secret)
     fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
-    rederived = []
-    monkeypatch.setattr(identity, "keyed_digest", lambda *a: rederived.append(a) or keyed_digest(*a))
+    rederived, create = [], Transaction.create
+    monkeypatch.setattr(Transaction, "create", lambda *a: rederived.append(a) or create(*a))
 
     assert reg.authenticate_committed(fresh) and rederived == []
     # once sealed, the same object is re-derived like any other

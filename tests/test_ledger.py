@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctisim.config import load_config
 from ctisim.encoding import ZERO_DIGEST
-from ctisim.errors import EmptyTransactionList, EncodingError, InvalidSignature, UnauthorizedSealer
+from ctisim.errors import EncodingError, InvalidSignature, UnauthorizedSealer
 from ctisim.identity import Registry, Role, evidence_for
 from ctisim.ledger import (
     Block,
@@ -21,7 +21,6 @@ from ctisim.ledger import (
     chain_from_json,
     chain_to_json,
     hash_header,
-    keyed_digest,
     make_genesis,
     merkle_root,
     sha256,
@@ -30,7 +29,7 @@ from ctisim.ledger import (
 from ctisim.payloads import AccessGrantBody, FinalizeBody, ReputationUpdateBody, VoteBody
 from ctisim.simulation import run_scenario
 from tests.conftest import SCENARIO_DIR
-from tests.reference_writer import Writer
+from tests.reference_writer import Writer, ref_id, ref_signature
 from tests.test_identity import proof, register
 
 # Pinned once from the pure-python implementation below.
@@ -181,7 +180,7 @@ def test_payload_byte_flip_changes_header_digest():
     tampered_payload = bytearray(block.transactions[0].payload)
     tampered_payload[0] ^= 0x01
     tampered_tx = Transaction(
-        tx_id=Transaction.compute_id(block.transactions[0].author, block.transactions[0].kind, bytes(tampered_payload)),
+        tx_id=ref_id(block.transactions[0].author, block.transactions[0].kind, bytes(tampered_payload)),
         author=block.transactions[0].author,
         kind=block.transactions[0].kind,
         payload=bytes(tampered_payload),
@@ -251,15 +250,15 @@ def test_append_rejects_non_authority_sealer():
         append_block(chain, [tx_by(user)], user.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
 
 
-def test_empty_block_needs_heartbeat_flag():
-    reg, auth, _, _ = fresh_registry()
+def test_refused_sealer_leaves_the_round_to_seal():
+    reg, auth, user, _ = fresh_registry()
+    signed = reg.unsealed()
     chain = Chain.new()
-    with pytest.raises(EmptyTransactionList):
-        append_block(chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
-    block = append_block(
-        chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0, allow_empty=True
-    )
-    assert block.transactions == ()
+    with pytest.raises(UnauthorizedSealer):
+        append_block(chain, signed, user.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    assert reg.unsealed() == signed and len(chain.blocks) == 1
+    append_block(chain, signed, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    assert reg.unsealed() == [] and verify_chain(chain).valid
 
 
 def test_deterministic_blocks_at_difficulty_zero():
@@ -338,7 +337,7 @@ def test_verify_flags_revoked_author_after_revocation_tx():
 
 def link(chain, txs, sealer, timestamp):
     """Append a block with none of append_block's checks, as a forger could."""
-    append_block(chain, txs, sealer, lambda tx: True, lambda sid: True, timestamp, allow_empty=True)
+    append_block(chain, txs, sealer, lambda tx: True, lambda sid: True, timestamp)
 
 
 def registration(name, roles, signer=None):
@@ -680,9 +679,7 @@ chains = st.builds(Chain, blocks=st.lists(blocks, max_size=5))
 
 def test_chain_json_heartbeat_block_matches_json_dumps():
     chain, reg, auth, _ = build_chain(1)
-    append_block(
-        chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=2, allow_empty=True
-    )
+    append_block(chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=2)
     text = chain_to_json(chain)
     assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
     assert chain_from_json(text) == chain
@@ -711,12 +708,8 @@ def test_chain_json_matches_json_dumps_property(chain):
     secret=st.binary(max_size=40),
 )
 def test_one_shot_digests_match_writer_encoding(author, kind, payload, secret):
-    expected_id = sha256(Writer().put_bytes(author).put_str(kind.value).put_bytes(payload).getvalue())
-    expected_signature = sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue())
-    assert Transaction.compute_id(author, kind, payload) == expected_id
-    assert keyed_digest(secret, payload) == expected_signature
     assert Transaction.create(author, kind, payload, secret) == Transaction(
-        expected_id, author, kind, payload, expected_signature
+        ref_id(author, kind, payload), author, kind, payload, ref_signature(secret, payload)
     )
 
 

@@ -63,7 +63,7 @@ def verified_chain(specs, rng):
 
     registry = Registry()
     system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3))
-    auth = system.bootstrap(
+    auth = system.register(
         ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), 100
     )
 

@@ -162,7 +162,7 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
 
     live = engine.contracts
     assert replayed.authority == live.authority
-    assert replayed.market == live.market  # balances, escrow, held, burned, minted, listings, sales
+    assert replayed.market == live.market  # balances, escrow, held, burned, minted, sales
     assert replayed.reputation.scores == live.reputation.scores
     assert replayed.subscription == live.subscription  # paid_through, accrued_discount
     assert contract_states(replayed) == contract_states(live)

@@ -21,6 +21,7 @@ from ctisim.errors import NotForSale, QuorumNotMet
 from ctisim.identity import Registry
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, verify_chain
 from ctisim.payloads import (
+    AccessGrantBody,
     FinalizeBody,
     PurchaseBody,
     RegisterBody,
@@ -43,6 +44,7 @@ BODIES = {
     TxKind.Purchase: PurchaseBody,
     TxKind.RenewSubscription: RenewBody,
     TxKind.ReputationUpdate: ReputationUpdateBody,
+    TxKind.AccessGrant: AccessGrantBody,
 }
 
 
@@ -129,7 +131,7 @@ def relinked(chain, swap):
     out = Chain.new()
     for block in chain.blocks[1:]:
         txs = [swap(tx) for tx in block.transactions]
-        append_block(out, txs, block.sealer, lambda _: True, lambda _: True, block.timestamp, allow_empty=True)
+        append_block(out, txs, block.sealer, lambda _: True, lambda _: True, block.timestamp)
     return out
 
 
