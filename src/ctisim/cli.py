@@ -1,19 +1,19 @@
 """Command line interface: run scenarios, verify chain dumps, sweep parameters.
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
-3 tampered chain. For `run`, the CTISIM_SEED environment variable overrides
-the config seed and the --seed flag overrides both. `sweep` takes neither:
-each leg runs at the config seed, or at the swept value when the swept key
-is `seed`. --values is one YAML flow sequence: `1,2,3` sweeps three
+3 tampered chain. A run's outputs depend on its config and seed alone:
+`run` takes the config seed unless --seed overrides it, and `sweep` runs
+each leg at the config seed, or at the swept value when the swept key is
+`seed`. --values is one YAML flow sequence: `1,2,3` sweeps three
 numbers, `[a,b],[c]` two lists. Legs run one after another in the order
 given; the --parallel flag is still accepted but changes nothing. Each leg
 writes to `<param>=<value>` under --out, with path separators and colons
 mapped to `_`; values that map to the same directory are refused before
 any leg runs. `sweep.csv` quotes a value holding a comma or a quote.
 
-`summary.json` and `metrics.json` are written directly by `_json_text`,
-byte-identical to `json.dumps(obj, indent=2)` plus a newline; `chain.json`
-by `ledger.chain_to_json`, byte-identical in the same way.
+`summary.json` is written directly by `_json_text`, byte-identical to
+`json.dumps(obj, indent=2)` plus a newline; `chain.json` by
+`ledger.chain_to_json`, byte-identical in the same way.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::
@@ -85,18 +85,6 @@ SWEEP_AGGREGATE_KEYS = (
 )
 
 
-def _resolve_seed(cli_seed: Optional[int], config_seed: int) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("CTISIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigInvalid("CTISIM_SEED", f"not an integer: {env!r}") from None
-    return config_seed
-
-
 _INF = float("inf")
 
 
@@ -107,8 +95,7 @@ def _json_text(value: object) -> str:
     `indent` is set. This writes the same text in one recursive pass, with
     json's own ASCII string escaping, `int.__repr__` and `float.__repr__`
     (NaN and the infinities spelled as json spells them), and tuples as
-    lists. Dict keys must be strings, as every key in the summary and the
-    metrics is.
+    lists. Dict keys must be strings, as every key in the summary is.
     """
     out: list[str] = []
     write = out.append
@@ -166,18 +153,14 @@ def _json_text(value: object) -> str:
     return "".join(out)
 
 
-def _write_outputs(result: ScenarioResult, out_dir: str, fmt: str) -> None:
+def _write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "chain.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(chain_to_json(result.chain))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json_text(result.summary) + "\n")
-    if fmt == "json":
-        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_text(result.metrics.to_obj()) + "\n")
-    else:
-        with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(result.metrics.to_csv())
+    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(result.metrics.to_csv())
 
 
 def _one_line_summary(result: ScenarioResult) -> str:
@@ -193,16 +176,15 @@ def _one_line_summary(result: ScenarioResult) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = parse_config(load_raw(args.config))
-        seed = _resolve_seed(args.seed, config.seed)
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(config, seed)
+    result = run_scenario(config, args.seed)
     try:
-        _write_outputs(result, args.out, args.format)
+        _write_outputs(result, args.out)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
@@ -226,11 +208,11 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     return 3
 
 
-def _run_sweep_leg(raw: dict, param: str, value, out_dir: str, fmt: str) -> dict:
+def _run_sweep_leg(raw: dict, param: str, value, out_dir: str) -> dict:
     overridden = apply_override(raw, param, value)
     config = parse_config(overridden)
     result = run_scenario(config)
-    _write_outputs(result, out_dir, fmt)
+    _write_outputs(result, out_dir)
     agg = result.summary.get("aggregates", {})
     row = {"param": param, "value": value}
     for key in SWEEP_AGGREGATE_KEYS:
@@ -272,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         rows = [
-            _run_sweep_leg(raw, args.param, v, os.path.join(args.out, name), args.format)
+            _run_sweep_leg(raw, args.param, v, os.path.join(args.out, name))
             for v, name in zip(values, legs)
         ]
     except ConfigInvalid as exc:
@@ -308,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="scenario YAML file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default="out", help="output directory")
-    run_p.add_argument("--format", choices=("csv", "json"), default="csv", help="metrics format")
     run_p.set_defaults(func=cmd_run)
 
     vc_p = sub.add_parser("verify-chain", help="verify a chain.json dump")
@@ -321,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--values", required=True, help="comma-separated YAML values: 1,2,3 or [a,b],[c]")
     sw_p.add_argument("--parallel", action="store_true", help="no effect: legs always run in order")
     sw_p.add_argument("--out", default="sweep-out", help="output directory")
-    sw_p.add_argument("--format", choices=("csv", "json"), default="csv", help="metrics format")
     sw_p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,7 +1,7 @@
 """Scenario configuration: YAML files with nested key/value sections.
 
 Top-level keys: name, rounds, seed, agents, economics, verification,
-access, mining, utility, heartbeat. Validation is strict: unknown keys and
+access, mining, utility. Validation is strict: unknown keys and
 out-of-range values raise ConfigInvalid naming the offending field.
 
 Every mapping in a scenario file is read by `_section` into a dataclass
@@ -73,7 +73,6 @@ class ScenarioConfig:
     mining: MiningParams = field(default_factory=MiningParams)
     utility: UtilityModel = field(default_factory=UtilityModel)
     access: AccessSpec = field(default_factory=AccessSpec)
-    heartbeat: bool = True
     name: str = "scenario"
 
 
@@ -288,7 +287,6 @@ _CHECKS: dict[str, Check] = {
     "mining": lambda value, name: _section(MiningParams, value, name),
     "utility": lambda value, name: _section(UtilityModel, value, name),
     "access": lambda value, name: _section(AccessSpec, value, name),
-    "heartbeat": _bool,
     "name": lambda value, _: str(value),
     # agents[i]: AgentSpec
     "roles": _roles,

@@ -9,18 +9,16 @@ other way, directly or by `dataclasses.replace`, keeps none and is encoded
 from its fields. Decoding raises EncodingError, and nothing else, for
 input that does not decode to a record. It parses each distinct policy
 text once (the last `POLICY_MEMO_SIZE` are kept), and re-encodes only
-non-canonical input. Two fields never serialize:
-ground_truth (the simulation's hidden oracle for measuring verifier
-behavior) and each indicator's campaign_hint (a hidden generator label used
-only to score the miner). Nothing agent-visible or on-chain may carry
-either.
+non-canonical input. Every field but `record_id` and `encoded` is
+serialized, so a well-formed record decodes back equal to itself. What
+the simulation knows and the chain must not (whether a record is genuine)
+the engine keeps beside its records, not on them.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
@@ -45,11 +43,6 @@ class IntelLevel(TaggedEnum):
     Intelligence = "Intelligence"
 
 
-class GroundTruth(Enum):
-    Genuine = "Genuine"
-    Fabricated = "Fabricated"
-
-
 class IocKind(TaggedEnum):
     IpAddress = "IpAddress"
     Domain = "Domain"
@@ -70,7 +63,6 @@ class Ioc:
     kind: IocKind
     value: str
     observed_round: int
-    campaign_hint: Optional[str] = None  # generator-only; never serialized
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,6 @@ class CtiRecord:
     policy: Optional[AttributePolicy]
     sale_price: Optional[int]
     created_round: int
-    ground_truth: Optional[GroundTruth] = None  # hidden oracle; None once decoded
     # the bytes record_id hashes, set only by make_record and decode_record
     encoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
@@ -214,7 +205,7 @@ def _canonical_bytes(
 
 
 def record_bytes(record: CtiRecord) -> bytes:
-    """Canonical bytes: every field except record_id and the hidden ones."""
+    """Canonical bytes: every field except record_id."""
     if record.encoded is not None:
         return record.encoded
     return _canonical_bytes(
@@ -249,7 +240,6 @@ def make_record(
     policy: Optional[AttributePolicy],
     sale_price: Optional[int],
     created_round: int,
-    ground_truth: Optional[GroundTruth],
     level: Optional[IntelLevel] = None,
 ) -> CtiRecord:
     """Build a record, deriving its level and content-addressed id."""
@@ -269,7 +259,6 @@ def make_record(
         policy=policy,
         sale_price=sale_price,
         created_round=created_round,
-        ground_truth=ground_truth,
     ), data)
 
 
@@ -293,7 +282,7 @@ def _decoded_policy(text: str) -> tuple[AttributePolicy, bool]:
 
 
 def decode_record(data: bytes) -> CtiRecord:
-    """Inverse of record_bytes; hidden fields come back unknown (None).
+    """Inverse of record_bytes.
 
     Raises EncodingError for any malformed input, including an unknown
     category, level, indicator kind or TLP channel name and an unparseable

@@ -14,9 +14,11 @@ dump through `apply` on a fresh Registry, so the writer and the auditor
 keep the same rules. `sign` also queues each transaction until a block
 seals it, and that queue, `unsealed()`, is the one record of what a round
 signed: the engine seals exactly it, in signing order. When sealing,
-`authenticate_committed` trusts exactly those objects and re-derives
+`authenticate_committed` trusts exactly the queued objects and re-derives
 every other transaction (hand-built, copied or signed elsewhere) with
-`Transaction.create`.
+`Transaction.create`; it takes nothing off the queue, so a refused seal
+leaves the queue as it was. `mark_sealed` takes a sealed block's
+transactions off it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NotAnAuthority,
     UnknownStakeholder,
 )
-from .ledger import Transaction, TxKind, sha256
+from .ledger import Block, Transaction, TxKind, sha256
 from .payloads import RegisterBody, ReputationUpdateBody
 
 
@@ -202,16 +204,21 @@ class Registry:
     def authenticate_committed(self, tx: Transaction) -> bool:
         """Whether tx's id and signature are its author's, for sealing.
 
-        The very object `sign` returned, not yet sealed, is trusted as
+        The very object `sign` returned, still queued, is trusted as
         signed; any other transaction must equal the one `Transaction.create`
         derives with its author's secret. Position-independent: `sign`
         refuses a revoked author when the transaction is made, and
         verify_chain replays the order.
         """
-        if self._unsealed.pop(id(tx), None) is not None:
+        if id(tx) in self._unsealed:
             return True
         cred = self.credentials.get(tx.author)
         return cred is not None and tx == Transaction.create(tx.author, tx.kind, tx.payload, cred.secret)
+
+    def mark_sealed(self, block: Block) -> None:
+        """Take a sealed block's transactions off the queue."""
+        for tx in block.transactions:
+            self._unsealed.pop(id(tx), None)
 
     def is_authority(self, stakeholder: Digest) -> bool:
         return stakeholder in self.authorities and not self.credentials[stakeholder].revoked

@@ -170,9 +170,11 @@ def append_block(
 
     A sealer without authority is refused before any transaction is
     authenticated. The authenticator answers for each transaction's id and
-    signature; any transaction it refuses raises InvalidSignature. The
-    registry's authenticator takes the objects it signed itself as they are
-    and re-derives both digests for any other transaction. It is
+    signature; any transaction it refuses raises InvalidSignature, and a
+    refused seal changes nothing. The registry's authenticator takes the
+    objects it signed and still queues as they are and re-derives both
+    digests for any other transaction; the registry's queue drops a block's
+    transactions only once the block is sealed (`Registry.mark_sealed`). It is
     position-independent on purpose: a round's block may contain
     transactions authored just before a same-round revocation. Revocation
     ordering is enforced by `identity.Registry.apply`, which refuses a

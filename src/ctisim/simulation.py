@@ -6,13 +6,19 @@ votes, finalizations, purchases, renewals, then one sealed block. All
 state transitions materialize as ledger transactions, and a fixed
 (config, seed) pair replays to a byte-identical chain. The operations
 return their results, not their transactions: each block holds what the
-registry signed that round (`Registry.unsealed`), in signing order.
-Contract errors raised by an agent's action are recorded as
-rejected-action events and never abort the run. After the last round the
-run mines campaigns from the records its contracts verified, without
-decoding them back from the chain it has just sealed. A record's envelope
-is sealed on the first free read of it, in the round that verified it, and
-kept only for that round's other readers: nothing else opens one.
+registry signed that round (`Registry.unsealed`), in signing order, and
+a round that signed nothing seals an empty block. Contract errors raised
+by an agent's action are recorded as rejected-action events and never
+abort the run. After the last round the run mines campaigns from the
+records its contracts verified, without decoding them back from the chain
+it has just sealed. A record's envelope is sealed on the first free read
+of it, in the round that verified it, and kept only for that round's
+other readers: nothing else opens one.
+
+Whether a record is genuine or fabricated is known to the engine alone:
+`Engine.truth` maps each accepted submission's contract id to it, the
+verifiers' votes and the summary's `verified_fabricated` read it there,
+and no record, transaction or output carries it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .access_control import AttributePolicy, TlpLabel, open_envelope, seal
 from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
-from .cti import CtiCategory, CtiRecord, GroundTruth, Ioc, IocKind, make_record
+from .cti import CtiCategory, CtiRecord, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
 from .errors import CtiSimError
 from .identity import Credential, ProofOfIdentity, Registry, Role, evidence_for
@@ -44,6 +50,11 @@ class StrategyKind(Enum):
     HonestVerifier = "HonestVerifier"
     NoisyVerifier = "NoisyVerifier"
     LazyConsumer = "LazyConsumer"
+
+
+class GroundTruth(Enum):
+    Genuine = "Genuine"
+    Fabricated = "Fabricated"
 
 
 SUBMITTING_KINDS = (StrategyKind.HonestProducer, StrategyKind.FalseSharer, StrategyKind.DoIFlooder)
@@ -127,7 +138,7 @@ class AgentState:
 
 class MetricsRow(NamedTuple):
     """One agent's metrics for one round; the fields, in order, are the
-    columns of metrics.csv and the keys of each metrics.json row."""
+    columns of metrics.csv."""
 
     round: int
     agent: str
@@ -150,9 +161,6 @@ class MetricsSeries:
         lines += [",".join(map(str, r)) for r in self.rows]
         return "\n".join(lines) + "\n"
 
-    def to_obj(self) -> list[dict]:
-        return [dict(zip(MetricsRow._fields, r)) for r in self.rows]
-
 
 @dataclass
 class ScenarioResult:
@@ -162,6 +170,7 @@ class ScenarioResult:
     campaigns: list[Campaign]
     summary: dict
     agents: list[AgentState]
+    truth: dict[Digest, GroundTruth]
 
 
 class Engine:
@@ -173,6 +182,8 @@ class Engine:
         self.rng = random.Random(self.seed)
         self.agents: list[AgentState] = []
         self.by_id: dict[Digest, AgentState] = {}
+        # each accepted submission's truth, by contract id
+        self.truth: dict[Digest, GroundTruth] = {}
 
     # -- setup ------------------------------------------------------------
 
@@ -257,20 +268,17 @@ class Engine:
         n = agent.record_counter
         if fabricated:
             iocs = (Ioc(_DOMAIN, f"bogus-{agent.name}-{n}.example", round_no),)
-            truth = _FABRICATED
+        elif self.rng.random() < 0.5:
+            label = f"camp-{self.rng.randint(1, 3)}"
+            # the shared value is an opaque derivation of the campaign's
+            # label, so the label itself never reaches emitted bytes
+            shared = sha256(b"campaign-indicator:" + label.encode())[:6].hex()
+            iocs = (
+                Ioc(_DOMAIN, f"shared-{shared}.example", round_no),
+                Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),
+            )
         else:
-            truth = _GENUINE
-            if self.rng.random() < 0.5:
-                hint = f"camp-{self.rng.randint(1, 3)}"
-                # the shared value is an opaque derivation of the hidden hint,
-                # so the label itself never reaches emitted bytes
-                shared = sha256(b"campaign-indicator:" + hint.encode())[:6].hex()
-                iocs = (
-                    Ioc(_DOMAIN, f"shared-{shared}.example", round_no, hint),
-                    Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no, hint),
-                )
-            else:
-                iocs = (Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),)
+            iocs = (Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),)
         tlp, policy = self._access[agent.name]
         return make_record(
             producer=agent.sid,
@@ -281,7 +289,6 @@ class Engine:
             policy=policy,
             sale_price=self._sale_price_for(agent),
             created_round=round_no,
-            ground_truth=truth,
         )
 
     def _can_act(self, agent: AgentState) -> Optional[str]:
@@ -298,7 +305,7 @@ class Engine:
         chain = Chain.new()
         metrics = MetricsSeries()
         if cfg.rounds == 0:
-            return ScenarioResult(chain, metrics, {}, [], self._empty_summary(), [])
+            return ScenarioResult(chain, metrics, {}, [], self._empty_summary(), [], {})
 
         self._register_all()
         self._seal(chain, 0)
@@ -325,6 +332,7 @@ class Engine:
             campaigns=campaigns,
             summary=summary,
             agents=self.agents,
+            truth=self.truth,
         )
 
     def _run_round(self, chain: Chain, metrics: MetricsSeries, round_no: int) -> None:
@@ -347,6 +355,7 @@ class Engine:
                 except CtiSimError as exc:
                     agent.events.append((round_no, type(exc).__name__))
                     continue
+                self.truth[contract.contract_id] = _FABRICATED if fabricated else _GENUINE
                 submitted.append(contract)
                 agent.current.shares += 1
                 if not fabricated:
@@ -355,11 +364,10 @@ class Engine:
 
         # votes: the engine guarantees every assigned verifier votes this round
         for contract in submitted:
+            truth = self.truth[contract.contract_id]
             for v_sid in contract.assigned_verifiers:
                 v_agent = self.by_id[v_sid]
-                vote = verifier_vote_model(
-                    contract.record.ground_truth, v_agent.strategy.p_acc, self.rng
-                )
+                vote = verifier_vote_model(truth, v_agent.strategy.p_acc, self.rng)
                 try:
                     self.contracts.cast_vote(v_sid, contract.contract_id, vote)
                 except CtiSimError as exc:
@@ -467,17 +475,17 @@ class Engine:
 
     def _seal(self, chain: Chain, round_no: int) -> None:
         """Seal what the registry signed since the last block, in signing
-        order; if that is nothing, an empty block only under `heartbeat`."""
-        txs = self.registry.unsealed()
-        if txs or self.cfg.heartbeat:
-            append_block(
-                chain,
-                txs,
-                sealer=self.contracts.authority,
-                authenticator=self.registry.authenticate_committed,
-                is_authority=self.registry.is_authority,
-                timestamp=round_no,
-            )
+        order, as round `round_no`'s block; an empty round seals an empty
+        block."""
+        registry = self.registry
+        registry.mark_sealed(append_block(
+            chain,
+            registry.unsealed(),
+            sealer=self.contracts.authority,
+            authenticator=registry.authenticate_committed,
+            is_authority=registry.is_authority,
+            timestamp=round_no,
+        ))
 
     # -- summaries ------------------------------------------------------------
 
@@ -500,8 +508,9 @@ class Engine:
         )
         total_verified = sum(1 for c in contracts if c.status is _VERIFIED)
         total_rejected = sum(1 for c in contracts if c.status is _REJECTED)
+        truth = self.truth
         verified_fabricated = sum(
-            1 for c in contracts if c.status is _VERIFIED and c.record.ground_truth is _FABRICATED
+            1 for c in contracts if c.status is _VERIFIED and truth[c.contract_id] is _FABRICATED
         )
         poisoning_rate = verified_fabricated / total_verified if total_verified else 0.0
         # moral-hazard observable: currency verifiers pocketed from forfeits

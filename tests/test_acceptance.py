@@ -16,7 +16,6 @@ from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_poli
 from ctisim.cli import main as cli_main
 from ctisim.config import apply_override, load_config, load_raw, parse_config
 from ctisim.contracts import ContractStatus, DepositState
-from ctisim.cti import GroundTruth
 from ctisim.ledger import (
     Block,
     Chain,
@@ -27,7 +26,7 @@ from ctisim.ledger import (
     verify_chain,
 )
 from ctisim.mining import mine_campaigns, verify_derivation
-from ctisim.simulation import run_scenario
+from ctisim.simulation import GroundTruth, run_scenario
 from tests.conftest import SCENARIO_DIR, mixed_scenario
 from tests.test_access_control import brute_force_eval, cred, policy_leaves, random_policy
 from tests.test_contracts import HQ, LQ, Platform
@@ -245,7 +244,7 @@ def _genuine_verified(result) -> int:
     return sum(
         1 for c in result.contracts.values()
         if c.status is ContractStatus.Verified
-        and c.record.ground_truth is GroundTruth.Genuine
+        and result.truth[c.contract_id] is GroundTruth.Genuine
     )
 
 

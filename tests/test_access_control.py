@@ -20,7 +20,7 @@ from ctisim.access_control import (
     seal,
 )
 from ctisim.errors import AccessDenied, PolicyParseError
-from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
+from ctisim.cti import CtiCategory, Ioc, IocKind, make_record
 from ctisim.identity import Credential, Role
 from ctisim.ledger import sha256
 
@@ -235,7 +235,6 @@ def sealed_record(tlp, policy=None):
         policy=policy,
         sale_price=None,
         created_round=1,
-        ground_truth=GroundTruth.Genuine,
     )
 
 

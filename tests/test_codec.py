@@ -29,7 +29,6 @@ from ctisim.cti import (
     POLICY_MEMO_SIZE,
     CtiCategory,
     CtiRecord,
-    GroundTruth,
     IntelLevel,
     Ioc,
     IocKind,
@@ -83,9 +82,9 @@ def ref_record_bytes(record):
 
 
 def ref_make_record(producer, category, indicators, narrative_digest, tlp, policy,
-                    sale_price, created_round, ground_truth, level=None):
+                    sale_price, created_round, level=None):
     rec = CtiRecord(ZERO_DIGEST, producer, category, level or IntelLevel.Data, indicators,
-                    narrative_digest, tlp, policy, sale_price, created_round, ground_truth)
+                    narrative_digest, tlp, policy, sale_price, created_round)
     if level is None:
         rec = replace(rec, level=classify_level(rec))
     return replace(rec, record_id=record_id_for(ref_record_bytes(rec)))
@@ -153,7 +152,7 @@ def ref_decode_record(data):
     created_round = r.take_uint()
     r.expect_end()
     rec = CtiRecord(ZERO_DIGEST, producer, category, level, tuple(indicators), narrative,
-                    TlpLabel(channel, designated), policy, sale_price, created_round, None)
+                    TlpLabel(channel, designated), policy, sale_price, created_round)
     return replace(rec, record_id=record_id_for(ref_record_bytes(rec)))
 
 
@@ -205,7 +204,6 @@ record_fields = dict(
     policy=st.none() | policies,
     sale_price=st.none() | uints,
     created_round=uints,
-    ground_truth=st.none(),
 )
 records = st.builds(make_record, level=st.none() | st.sampled_from(IntelLevel), **record_fields)
 
@@ -389,7 +387,7 @@ def test_record_bytes_of_a_record_built_another_way_encode_its_fields(record, sa
     assert record_bytes(changed) == ref_record_bytes(changed)
     built = CtiRecord(record.record_id, record.producer, record.category, record.level,
                       record.indicators, record.narrative_digest, record.tlp, record.policy,
-                      record.sale_price, record.created_round, record.ground_truth)
+                      record.sale_price, record.created_round)
     assert built.encoded is None
     assert built == record and hash(built) == hash(record)
     assert record_bytes(built) == ref_record_bytes(built) == record_bytes(record)
@@ -403,10 +401,9 @@ def test_record_bytes_match_reference_encoder(record):
 
 @settings(max_examples=100, deadline=None)
 @given(fields=st.fixed_dictionaries(record_fields),
-       level=st.none() | st.sampled_from(IntelLevel),
-       truth=st.none() | st.sampled_from(GroundTruth))
-def test_make_record_matches_reference(fields, level, truth):
-    fields.update(level=level, ground_truth=truth)
+       level=st.none() | st.sampled_from(IntelLevel))
+def test_make_record_matches_reference(fields, level):
+    fields.update(level=level)
     assert make_record(**fields) == ref_make_record(**fields)
 
 

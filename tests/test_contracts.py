@@ -40,7 +40,7 @@ from ctisim.errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record, record_bytes
+from ctisim.cti import CtiCategory, Ioc, IocKind, make_record, record_bytes
 from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import (
@@ -142,7 +142,6 @@ class Platform:
             policy=None,
             sale_price=sale_price,
             created_round=round_no,
-            ground_truth=GroundTruth.Genuine,
         )
 
     def submit(self, n=0, sale_price=None):
@@ -165,9 +164,9 @@ class Platform:
         round `round_no`'s block."""
         registry, txs = self.registry, self.registry.unsealed()
         if txs:
-            append_block(
+            registry.mark_sealed(append_block(
                 self.chain, txs, self.authority, registry.authenticate_committed, registry.is_authority, round_no
-            )
+            ))
 
     def kinds_signed(self, since):
         """Kinds of the registry's unsealed transactions from index `since`
@@ -246,7 +245,6 @@ def test_submit_invalid_format_rejected():
         policy=None,
         sale_price=None,
         created_round=1,
-        ground_truth=GroundTruth.Genuine,
     )
     drawn = p.rng.getstate()
     with pytest.raises(FormatInvalid):
@@ -490,7 +488,6 @@ def test_purchase_respects_access_policy():
         policy=None,
         sale_price=4,
         created_round=1,
-        ground_truth=GroundTruth.Genuine,
     )
     contract = p.system.submit_report(p.producer, record, p.rng)
     p.vote_all(contract, [HQ, HQ, HQ])
@@ -510,7 +507,6 @@ def test_green_purchase_admits_registered_unrevoked_members():
         policy=None,
         sale_price=4,
         created_round=1,
-        ground_truth=GroundTruth.Genuine,
     )
     contract = p.system.submit_report(p.producer, record, p.rng)
     p.vote_all(contract, [HQ, HQ, HQ])

@@ -4,7 +4,6 @@ from ctisim.access_control import TlpChannel, TlpLabel, parse_policy
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.cti import (
     CtiCategory,
-    GroundTruth,
     IntelLevel,
     Ioc,
     IocKind,
@@ -30,7 +29,6 @@ def technical(indicators, **kwargs):
         policy=None,
         sale_price=None,
         created_round=1,
-        ground_truth=GroundTruth.Genuine,
     )
     defaults.update(kwargs)
     return make_record(**defaults)
@@ -117,7 +115,6 @@ def test_tactical_with_narrative_is_intelligence():
         policy=None,
         sale_price=None,
         created_round=2,
-        ground_truth=GroundTruth.Genuine,
     )
     assert rec.level is IntelLevel.Intelligence
 
@@ -143,34 +140,13 @@ def test_technical_never_intelligence():
 
 def test_record_id_stable_across_round_trip():
     rec = technical(
-        (Ioc(IocKind.Domain, "a.example", 1, campaign_hint="camp-1"),),
+        (Ioc(IocKind.Domain, "a.example", 1),),
         policy=parse_policy("(and ICS-ISAC gov)"),
         sale_price=5,
     )
     decoded = decode_record(record_bytes(rec))
+    assert decoded == rec
     assert decoded.record_id == rec.record_id
-    assert decoded.policy == rec.policy
-    assert decoded.sale_price == 5
-
-
-def test_hidden_fields_never_serialize():
-    genuine = technical((Ioc(IocKind.Domain, "a.example", 1, campaign_hint="camp-9"),))
-    fabricated = technical(
-        (Ioc(IocKind.Domain, "a.example", 1, campaign_hint="camp-9"),),
-        ground_truth=GroundTruth.Fabricated,
-    )
-    # identical bytes and id regardless of the hidden oracle fields
-    assert record_bytes(genuine) == record_bytes(fabricated)
-    assert genuine.record_id == fabricated.record_id
-    blob = record_bytes(genuine)
-    assert b"ground_truth" not in blob
-    assert b"Genuine" not in blob and b"Fabricated" not in blob
-    assert b"camp-9" not in blob
-
-
-def test_decoded_record_has_unknown_truth():
-    rec = technical((Ioc(IocKind.Domain, "a.example", 1),))
-    assert decode_record(record_bytes(rec)).ground_truth is None
 
 
 def test_record_id_changes_with_content():

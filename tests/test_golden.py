@@ -70,9 +70,7 @@ def bundled_outputs(tmp_path_factory):
     def outputs(scenario):
         if scenario not in dirs:
             out = tmp_path_factory.mktemp(scenario) / "out"
-            with pytest.MonkeyPatch.context() as mp:
-                mp.delenv("CTISIM_SEED", raising=False)
-                assert main(["run", "--config", str(SCENARIO_DIR / f"{scenario}.yaml"), "--out", str(out)]) == 0
+            assert main(["run", "--config", str(SCENARIO_DIR / f"{scenario}.yaml"), "--out", str(out)]) == 0
             dirs[scenario] = out
         return dirs[scenario]
 

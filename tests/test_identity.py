@@ -96,7 +96,12 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
     monkeypatch.setattr(Transaction, "create", lambda *a: rederived.append(a) or create(*a))
 
     assert reg.authenticate_committed(fresh) and rederived == []
-    # once sealed, the same object is re-derived like any other
+    # trusting an object leaves it queued; once sealed, it is re-derived like any other
+    assert reg.unsealed()[-1] is fresh
+    reg.mark_sealed(append_block(
+        Chain.new(), [fresh], auth.stakeholder, reg.authenticate_committed, reg.is_authority, 0
+    ))
+    assert rederived == [] and fresh not in reg.unsealed()
     assert reg.authenticate_committed(fresh) and len(rederived) == 1
     assert not reg.authenticate_committed(tx._replace(signature=b"\x00" * 32))
     # the forgery shared tx's id but is another object, so tx is still trusted

@@ -106,7 +106,9 @@ def tx_by(cred, kind=TxKind.Vote, payload=None):
 def build_chain(n_extra_blocks=2):
     reg, auth, user, reg_txs = fresh_registry()
     chain = Chain.new()
-    append_block(chain, reg_txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    reg.mark_sealed(
+        append_block(chain, reg_txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    )
     for r in range(1, n_extra_blocks + 1):
         # a vote per round, so that no transaction repeats
         vote = VoteBody(sha256(b"contract:%d" % r), "HighQuality").encode()
@@ -257,7 +259,27 @@ def test_refused_sealer_leaves_the_round_to_seal():
     with pytest.raises(UnauthorizedSealer):
         append_block(chain, signed, user.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
     assert reg.unsealed() == signed and len(chain.blocks) == 1
-    append_block(chain, signed, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    reg.mark_sealed(
+        append_block(chain, signed, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    )
+    assert reg.unsealed() == [] and verify_chain(chain).valid
+
+
+@pytest.mark.parametrize("forged_at", [0, 1, 2])
+def test_a_forgery_anywhere_in_the_list_leaves_the_queue_as_it_was(forged_at):
+    reg, auth, user, _ = fresh_registry()
+    for n in range(3):
+        reg.sign(user.stakeholder, TxKind.Vote, VoteBody(sha256(b"contract:%d" % n), "HighQuality").encode())
+    queued = reg.unsealed()
+    txs = queued[-3:]
+    txs[forged_at] = txs[forged_at]._replace(signature=b"\x00" * 32)
+    chain = Chain.new()
+    with pytest.raises(InvalidSignature):
+        append_block(chain, txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    assert reg.unsealed() == queued and len(chain.blocks) == 1
+    reg.mark_sealed(
+        append_block(chain, queued, auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=0)
+    )
     assert reg.unsealed() == [] and verify_chain(chain).valid
 
 
@@ -393,7 +415,9 @@ def test_verify_flags_register_by_a_producer():
 def test_verify_flags_block_sealed_by_revoked_authority():
     chain, reg, auth, user = build_chain(0)
     second = register(reg, proof("second", {Role.Authority}), auth.stakeholder)
-    append_block(chain, reg.unsealed(), auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
+    reg.mark_sealed(
+        append_block(chain, reg.unsealed(), auth.stakeholder, reg.authenticate_committed, reg.is_authority, timestamp=1)
+    )
     revoke = ReputationUpdateBody(second.stakeholder, 20, True, "threshold").encode()
     append_block(
         chain, [reg.sign(auth.stakeholder, TxKind.ReputationUpdate, revoke)], auth.stakeholder,

@@ -9,7 +9,7 @@ from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.config import load_config
 from ctisim.contracts import Vote
 from ctisim.encoding import ZERO_DIGEST
-from ctisim.cti import CtiCategory, GroundTruth, Ioc, IocKind, make_record
+from ctisim.cti import CtiCategory, Ioc, IocKind, make_record
 from ctisim.identity import Role
 from ctisim.ledger import sha256, verify_chain
 from ctisim.mining import (
@@ -30,8 +30,9 @@ HQ = Vote.HighQuality
 
 
 def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
-    """Build a real chain whose Verified Technical records carry hidden
-    campaign labels; records labelled together share one indicator value.
+    """Build a real chain of Verified Technical records, one per label;
+    records labelled together share one indicator value, and the labels
+    stay off the chain.
 
     Returns (chain, {record_id: label}).
     """
@@ -40,9 +41,9 @@ def fixture_chain(labels_per_record, seed=1, rounds_spread=5):
     def specs():
         for n, label in enumerate(labels_per_record):
             round_no = 1 + rng.randrange(rounds_spread)
-            iocs = [Ioc(IocKind.Domain, f"unique-{n}.example", round_no, campaign_hint=label)]
+            iocs = [Ioc(IocKind.Domain, f"unique-{n}.example", round_no)]
             if label is not None:
-                iocs.insert(0, Ioc(IocKind.Domain, f"shared-{label}.example", round_no, campaign_hint=label))
+                iocs.insert(0, Ioc(IocKind.Domain, f"shared-{label}.example", round_no))
             yield round_no, tuple(iocs)
 
     chain, record_ids = verified_chain(specs(), rng)
@@ -81,8 +82,12 @@ def verified_chain(specs, rng):
         verifiers.append(cred.stakeholder)
 
     chain = Chain.new()
-    append_block(chain, registry.unsealed(), auth.stakeholder, registry.authenticate_committed,
-                 registry.is_authority, timestamp=0)
+
+    def seal(round_no):
+        registry.mark_sealed(append_block(chain, registry.unsealed(), auth.stakeholder,
+                                          registry.authenticate_committed, registry.is_authority, round_no))
+
+    seal(0)
 
     record_ids = []
     for n, (round_no, iocs) in enumerate(specs):
@@ -96,14 +101,12 @@ def verified_chain(specs, rng):
             policy=None,
             sale_price=None,
             created_round=round_no,
-            ground_truth=GroundTruth.Genuine,
         )
         contract = system.submit_report(producer, record, rng)
         for v in contract.assigned_verifiers:
             system.cast_vote(v, contract.contract_id, HQ)
         system.finalize_verification(contract.contract_id, round_no)
-        append_block(chain, registry.unsealed(), auth.stakeholder, registry.authenticate_committed,
-                     registry.is_authority, timestamp=round_no)
+        seal(round_no)
         record_ids.append(record.record_id)
     return chain, record_ids
 
@@ -301,7 +304,6 @@ def test_campaign_derived_record_classifies_as_information():
         policy=None,
         sale_price=None,
         created_round=campaign.window[1],
-        ground_truth=None,
     )
     level = classify_level(derived, linked_values=campaign.shared_indicators)
     # a single shared value stays Data; two or more linked values lift it
@@ -318,7 +320,6 @@ def test_campaign_derived_record_classifies_as_information():
         policy=None,
         sale_price=None,
         created_round=campaign.window[1],
-        ground_truth=None,
     )
     assert narrative.level is IntelLevel.Intelligence
 
@@ -444,7 +445,6 @@ def test_index_components_match_all_pairs(specs, params):
             policy=None,
             sale_price=None,
             created_round=round_no,
-            ground_truth=None,
         )
         for n, (round_no, values) in enumerate(specs)
     ]

@@ -2,8 +2,8 @@
 
 Each example draws a small platform (1-8 producers, 0-3 false-sharers, 3-6
 verifiers, 0-4 consumers, an optional flooder) under a random forfeiture
-policy, sale mode, fees, deposits, TLP channel, attribute policy and
-heartbeat setting, runs it, and checks what must hold for every config:
+policy, sale mode, fees, deposits, TLP channel and attribute policy,
+runs it, and checks what must hold for every config:
 the re-read dump verifies VALID, a second run writes the same bytes, and
 every rejected action is named by an error type or an engine blocker.
 The campaigns the run mined from its own verified records are those an
@@ -96,7 +96,6 @@ def scenarios(draw):
         "name": "property",
         "rounds": draw(st.integers(1, 6)),
         "seed": draw(st.integers(0, 2**16)),
-        "heartbeat": draw(st.booleans()),
         "agents": agents,
         "economics": {
             "base_fee": draw(st.sampled_from([0, 3, 12])),

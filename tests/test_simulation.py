@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from ctisim import mining, simulation
 from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy, Vote
-from ctisim.cti import GroundTruth
+from ctisim.cti import decode_record, record_bytes
 from ctisim.identity import Role
 from ctisim.ledger import TxKind, chain_to_json, verify_chain
-from ctisim.payloads import FinalizeBody
+from ctisim.payloads import FinalizeBody, SubmitCtiBody
 from ctisim.simulation import (
     AgentRoundLog,
     Engine,
+    GroundTruth,
     StrategyKind,
     UtilityModel,
     compute_utility,
@@ -193,6 +194,17 @@ def test_a_record_is_sealed_once_and_only_when_a_free_read_opens_it(monkeypatch,
     assert set(sealed) == set(opened)
     assert all(n == 1 for n in sealed.values())
     assert (sum(sealed.values()), sum(opened.values())) == BUNDLED_ENVELOPES[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED_ENVELOPES))
+def test_every_committed_record_is_the_record_a_reader_decodes(scenario):
+    result = run_scenario(load_config(str(SCENARIO_DIR / f"{scenario}.yaml")))
+    records = {cid: c.record for cid, c in result.contracts.items()}
+    assert records and set(result.truth) == set(records)
+    for record in records.values():
+        assert decode_record(record_bytes(record)) == record
+    submitted = [SubmitCtiBody.decode(tx.payload) for tx in query(result.chain, TxKind.SubmitCti)]
+    assert {body.contract_id: decode_record(body.record_bytes) for body in submitted} == records
 
 
 def test_metrics_row_count_and_heartbeat_blocks():
@@ -376,7 +388,7 @@ def test_incentives_increase_genuine_verified_volume():
         return sum(
             1 for c in result.contracts.values()
             if c.status is ContractStatus.Verified
-            and c.record.ground_truth is GroundTruth.Genuine
+            and result.truth[c.contract_id] is GroundTruth.Genuine
         )
 
     vol_on = genuine_verified(run_scenario(on))
