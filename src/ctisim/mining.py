@@ -11,6 +11,13 @@ values and round, and the partition does not depend on the records' order.
 verify_derivation audits a claim that way and accepts it only if it is a
 whole component, as mining would report it.
 
+An audit mines a chain and then re-derives every claim from the same chain,
+yet decodes it once: `verified_technical_records` keeps the last chain's
+records, keyed by the identity of its block objects. Blocks are frozen, so
+the same objects always decode to the same records, while a block swapped
+into or appended to `chain.blocks` misses. Content is not the key, so two
+reads of the same bytes each decode their own chain.
+
 Links are found through an inverted index from each indicator value to the
 records carrying it, ordered by round, so mining never compares every pair
 of records. With `min_overlap == 1` only consecutive occurrences of a value
@@ -19,13 +26,14 @@ are linked, which is near-linear in the number of indicators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .cti import CtiCategory, CtiRecord, decode_record
 from .encoding import Digest, bytes_seq_field, uint_field
 from .errors import EncodingError
-from .ledger import Chain, TxKind, sha256
+from .ledger import Block, Chain, TxKind, sha256
 from .payloads import FinalizeBody, SubmitCtiBody
 
 
@@ -50,6 +58,8 @@ class Campaign:
 
 def _params_problem(params: MiningParams) -> Optional[str]:
     """Why mining refuses to mine with `params`, or None if it mines."""
+    if params.window_rounds < 1:
+        return "window_rounds must be at least 1"
     if params.min_support < 2:
         return "min_support must be at least 2"
     if params.min_overlap < 1:
@@ -57,12 +67,37 @@ def _params_problem(params: MiningParams) -> Optional[str]:
     return None
 
 
+# The blocks `verified_technical_records` last decoded, and their records.
+# Holding the blocks keeps their ids from being reused while they are the
+# key, and comparing identities, a miss reads no bytes. Read and replaced as
+# one tuple, so no thread pairs one chain's blocks with another's records.
+# Interim: it goes once an audit replays the chain and verify_derivation
+# takes the records that replay decoded.
+_last_decoded: tuple[tuple[Block, ...], tuple[CtiRecord, ...]] = ((), ())
+
+
 def verified_technical_records(chain: Chain) -> list[CtiRecord]:
-    """Decode submissions from the chain, keeping Verified Technical ones."""
+    """Decode submissions from the chain, keeping Verified Technical ones.
+
+    Sorted by (round, record id), in a new list on every call. The chain is
+    decoded only if `chain.blocks` no longer holds the very blocks of the
+    last call.
+    """
+    global _last_decoded
+    blocks = tuple(chain.blocks)
+    seen, records = _last_decoded
+    if len(seen) == len(blocks) and all(map(operator.is_, seen, blocks)):
+        return list(records)
+    records = tuple(_decode(blocks))
+    _last_decoded = blocks, records
+    return list(records)
+
+
+def _decode(blocks: tuple[Block, ...]) -> list[CtiRecord]:
     records: dict[Digest, CtiRecord] = {}
     verified: set[Digest] = set()
     submit, finalize = TxKind.SubmitCti, TxKind.FinalizeVerification
-    for block in chain.blocks:
+    for block in blocks:
         for tx in block.transactions:
             kind = tx.kind
             try:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,16 @@ from ctisim.contracts import Vote
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.cti import CtiCategory, Ioc, IocKind, make_record
 from ctisim.identity import Role
-from ctisim.ledger import sha256, verify_chain
+from ctisim.ledger import (
+    Chain,
+    TxKind,
+    chain_from_json,
+    chain_to_json,
+    hash_header,
+    merkle_root,
+    sha256,
+    verify_chain,
+)
 from ctisim.mining import (
     Campaign,
     MiningParams,
@@ -60,7 +70,7 @@ def verified_chain(specs, rng):
     """
     from ctisim.contracts import ContractSystem, EconomicsConfig, VerificationPolicy
     from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
-    from ctisim.ledger import Chain, append_block
+    from ctisim.ledger import append_block
 
     registry = Registry()
     system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3))
@@ -125,27 +135,19 @@ def test_two_records_below_min_support_no_campaign():
     assert mine_campaigns(chain, window_rounds=10, min_support=3, min_overlap=1) == []
 
 
+def without_finalizations(block, prev):
+    """`block` with its FinalizeVerification transactions stripped, linked to `prev`."""
+    txs = tuple(t for t in block.transactions if t.kind is not TxKind.FinalizeVerification)
+    return replace(block, prev_hash=hash_header(prev), merkle_root=merkle_root(txs), transactions=txs)
+
+
 def test_only_verified_records_contribute():
     chain, truth = fixture_chain(["a", "a", "a"], rounds_spread=1)
     # strip the finalization transactions: no record is Verified any more
-    from ctisim.ledger import Chain, TxKind, append_block
-
     pruned = Chain.new()
     pruned.blocks = [chain.blocks[0]]
-    from ctisim.ledger import Block, merkle_root, hash_header
-
     for block in chain.blocks[1:]:
-        txs = tuple(t for t in block.transactions if t.kind is not TxKind.FinalizeVerification)
-        new = Block(
-            height=len(pruned.blocks),
-            prev_hash=hash_header(pruned.blocks[-1]),
-            merkle_root=merkle_root(txs),
-            timestamp=block.timestamp,
-            nonce=0,
-            sealer=block.sealer,
-            transactions=txs,
-        )
-        pruned.blocks.append(new)
+        pruned.blocks.append(without_finalizations(block, pruned.blocks[-1]))
     assert mine_campaigns(pruned, 10, 3, 1) == []
 
 
@@ -263,10 +265,11 @@ def test_verify_derivation_rejects_dropped_member_below_support():
 
 
 def test_verify_derivation_refuses_claims_under_parameters_mining_refuses(monkeypatch):
-    """On blocis-baseline's chain: one record alone under min_support=1, and
-    a component of three or more under min_overlap=0. Each claim is what
-    `_build_campaign` makes of a whole component under its parameters, so
-    only the parameters are wrong, and they are refused before decoding."""
+    """On blocis-baseline's chain: one record alone under min_support=1, a
+    component of three or more under min_overlap=0, and a campaign mined
+    with window_rounds=10 under window_rounds=0. Each claim is what
+    `_build_campaign` makes of those records under its parameters, so only
+    the parameters are wrong, and they are refused before decoding."""
     result = run_scenario(load_config(str(SCENARIO_DIR / "blocis-baseline.yaml")))
     chain = result.chain
     records = verified_technical_records(chain)
@@ -274,16 +277,77 @@ def test_verify_derivation_refuses_claims_under_parameters_mining_refuses(monkey
     single = next(g for g in _components(records, one) if len(g) == 1)
     zero = MiningParams(10, min_support=3, min_overlap=0)
     group = next(g for g in _components(records, zero) if len(g) >= 3)
+    no_window = MiningParams(0, min_support=3, min_overlap=1)
+    mined = [r for r in records if r.record_id in result.campaigns[0].member_records]
     decode = mining.verified_technical_records
     decodes = []
     monkeypatch.setattr(mining, "verified_technical_records", lambda c: decodes.append(c) or decode(c))
-    for params, members in ((one, single), (zero, group)):
+    for params, members in ((one, single), (zero, group), (no_window, mined)):
         with pytest.raises(ValueError):
             mine_campaigns(records, params.window_rounds, params.min_support, params.min_overlap)
         assert not verify_derivation(_build_campaign(members, params), chain)
     assert decodes == []
     # a claim mining makes still costs one decode
     assert verify_derivation(result.campaigns[0], chain) and len(decodes) == 1
+
+
+def test_swapping_a_block_changes_the_next_records():
+    chain, _ = fixture_chain(["a", "a", "a"], rounds_spread=1)
+    before = {r.record_id for r in verified_technical_records(chain)}
+    chain.blocks[2] = without_finalizations(chain.blocks[2], chain.blocks[1])
+    after = {r.record_id for r in verified_technical_records(chain)}
+    assert len(before) == 3 and len(after) == 2 and after < before
+
+
+def test_appending_a_block_changes_the_next_records():
+    chain, _ = fixture_chain(["a", "a", "a"], rounds_spread=1)
+    last = chain.blocks.pop()
+    before = {r.record_id for r in verified_technical_records(chain)}
+    chain.blocks.append(last)
+    after = {r.record_id for r in verified_technical_records(chain)}
+    assert len(before) == 2 and len(after) == 3 and before < after
+
+
+def test_two_reads_of_one_text_each_decode_once(monkeypatch):
+    chain, _ = fixture_chain(["a", "a", "a"], rounds_spread=1)
+    expected = verified_technical_records(chain)
+    text = chain_to_json(chain)
+    decode = mining.decode_record
+    decoded = []
+    monkeypatch.setattr(mining, "decode_record", lambda data: decoded.append(data) or decode(data))
+    counts = []
+    for read in (chain_from_json(text), chain_from_json(text)):
+        assert verified_technical_records(read) == verified_technical_records(read) == expected
+        counts.append(len(decoded))
+    assert counts == [3, 6]
+
+
+def test_shuffling_returned_records_leaves_the_next_call_sorted():
+    chain, _ = fixture_chain(["a", "b", None, "a", "b"], rounds_spread=5)
+    records = verified_technical_records(chain)
+    expected = sorted(records, key=lambda r: (r.created_round, r.record_id))
+    assert records == expected
+    random.Random(0).shuffle(records)
+    assert records != expected
+    assert verified_technical_records(chain) == expected
+
+
+def test_an_audit_decodes_each_submission_once(monkeypatch):
+    """On blocis-baseline: mining the chain and verifying every campaign
+    decodes each SubmitCti record once, while every step still enters
+    verified_technical_records."""
+    config = load_config(str(SCENARIO_DIR / "blocis-baseline.yaml"))
+    chain = run_scenario(config).chain
+    submissions = sum(tx.kind is TxKind.SubmitCti for block in chain.blocks for tx in block.transactions)
+    decode, derive = mining.decode_record, mining.verified_technical_records
+    decoded, entered = [], []
+    monkeypatch.setattr(mining, "decode_record", lambda data: decoded.append(data) or decode(data))
+    monkeypatch.setattr(mining, "verified_technical_records", lambda c: entered.append(c) or derive(c))
+    p = config.mining
+    campaigns = mine_campaigns(chain, p.window_rounds, p.min_support, p.min_overlap)
+    assert campaigns and all(verify_derivation(c, chain) for c in campaigns)
+    assert len(decoded) == submissions
+    assert len(entered) == 1 + len(campaigns)
 
 
 def test_campaign_derived_record_classifies_as_information():
