@@ -1,15 +1,20 @@
 """Command line interface: run scenarios, verify chain dumps, sweep parameters.
 
 Exit codes: 0 success, 1 invalid config or arguments, 2 I/O failure,
-3 tampered chain. A run's outputs depend on its config and seed alone:
-`run` takes the config seed unless --seed overrides it, and `sweep` runs
-each leg at the config seed, or at the swept value when the swept key is
-`seed`. --values is one YAML flow sequence: `1,2,3` sweeps three
+3 tampered chain; `main` maps a ConfigInvalid to 1 and an OSError to 2
+for every command. A run's outputs depend on its config alone, and the
+seed is one of its keys: `run --seed N` overrides the config's `seed` key
+exactly as `sweep --param seed --values N` does for its leg, so the two
+write the same bytes. `run` and each sweep leg take the same two steps:
+build the config (raw YAML, overrides, `parse_config`), then run it and
+write its outputs. --values is one YAML flow sequence: `1,2,3` sweeps three
 numbers, `[a,b],[c]` two lists. Legs run one after another in the order
 given; the --parallel flag is still accepted but changes nothing. Each leg
 writes to `<param>=<value>` under --out, with path separators and colons
-mapped to `_`; values that map to the same directory are refused before
-any leg runs. `sweep.csv` quotes a value holding a comma or a quote.
+mapped to `_`. Every leg's directory and config are settled before any leg
+runs, so values that map to the same directory, or a value the config
+refuses, exit 1 with nothing written. `sweep.csv` quotes a value holding a
+comma or a quote.
 
 `summary.json` is written directly by `_json_text`, byte-identical to
 `json.dumps(obj, indent=2)` plus a newline; `chain.json` by
@@ -67,7 +72,7 @@ from typing import Optional
 
 import yaml
 
-from .config import apply_override, load_raw, parse_config
+from .config import ScenarioConfig, apply_override, load_raw, parse_config
 from .errors import ConfigInvalid, EncodingError
 from .ledger import chain_from_json, chain_to_json, verify_chain
 from .simulation import ScenarioResult, run_scenario
@@ -164,7 +169,7 @@ def _write_outputs(result: ScenarioResult, out_dir: str) -> None:
 
 
 def _one_line_summary(result: ScenarioResult) -> str:
-    agg = result.summary.get("aggregates", {})
+    agg = result.summary["aggregates"]
     return (
         f"scenario={result.summary.get('scenario')} rounds={result.summary.get('rounds')} "
         f"seed={result.summary.get('seed')} verified={agg.get('total_verified', 0)} "
@@ -173,21 +178,23 @@ def _one_line_summary(result: ScenarioResult) -> str:
     )
 
 
+def _config(raw: dict, overrides: dict[str, object]) -> ScenarioConfig:
+    """Step one of a run: the raw config, each dotted key overridden, parsed."""
+    for key, value in overrides.items():
+        raw = apply_override(raw, key, value)
+    return parse_config(raw)
+
+
+def _run(config: ScenarioConfig, out_dir: str) -> ScenarioResult:
+    """Step two of a run: run the scenario and write its three outputs."""
+    result = run_scenario(config)
+    _write_outputs(result, out_dir)
+    return result
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = parse_config(load_raw(args.config))
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    result = run_scenario(config, args.seed)
-    try:
-        _write_outputs(result, args.out)
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    result = _run(_config(load_raw(args.config), overrides), args.out)
     print(_one_line_summary(result))
     return 0
 
@@ -208,27 +215,8 @@ def cmd_verify_chain(args: argparse.Namespace) -> int:
     return 3
 
 
-def _run_sweep_leg(raw: dict, param: str, value, out_dir: str) -> dict:
-    overridden = apply_override(raw, param, value)
-    config = parse_config(overridden)
-    result = run_scenario(config)
-    _write_outputs(result, out_dir)
-    agg = result.summary.get("aggregates", {})
-    row = {"param": param, "value": value}
-    for key in SWEEP_AGGREGATE_KEYS:
-        row[key] = agg.get(key, 0)
-    return row
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        raw = load_raw(args.config)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+    raw = load_raw(args.config)
     # one YAML flow sequence, so a value may itself be a list or a mapping
     try:
         values = yaml.safe_load("[" + args.values + "]")
@@ -239,8 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("error: --values must list at least one value", file=sys.stderr)
         return 1
-    # every leg's directory is fixed before any leg runs, so two values that
-    # would write the same directory are refused before anything is written
+    # every leg's directory and config are fixed before any leg runs, so a
+    # value that collides with another or does not parse writes nothing
     legs: dict[str, str] = {}
     for value in values:
         name = f"{args.param}={value}".replace(os.sep, "_").replace(":", "_")
@@ -251,30 +239,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 1
         legs[name] = str(value)
+    configs = [_config(raw, {args.param: value}) for value in values]
 
-    try:
-        rows = [
-            _run_sweep_leg(raw, args.param, v, os.path.join(args.out, name))
-            for v, name in zip(values, legs)
-        ]
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        columns = ["param", "value", *SWEEP_AGGREGATE_KEYS]
-        with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-            # csv quotes a field holding a comma, a quote or a line break
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([str(row[c]) for c in columns] for row in rows)
-    except OSError as exc:
-        print(f"error: cannot write sweep.csv: {exc}", file=sys.stderr)
-        return 2
+    rows = []
+    for value, name, config in zip(values, legs, configs):
+        agg = _run(config, os.path.join(args.out, name)).summary["aggregates"]
+        rows.append([args.param, value, *(agg.get(key, 0) for key in SWEEP_AGGREGATE_KEYS)])
+    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+        # csv quotes a field holding a comma, a quote or a line break
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["param", "value", *SWEEP_AGGREGATE_KEYS])
+        writer.writerows([str(field) for field in row] for row in rows)
     print(f"sweep complete: {len(rows)} legs in {args.out}")
     return 0
 
@@ -307,9 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigInvalid as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

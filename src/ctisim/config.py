@@ -87,7 +87,7 @@ def _section(cls: type, raw: Any, path: str, **overrides: Check) -> Any:
     check (from `overrides`, else `_CHECKS`), an absent one keeps the
     field's default or, for a field without one, is reported missing.
     """
-    raw = _mapping(raw, path)
+    raw = _mapping(raw, path or "config")
     prefix = f"{path}." if path else ""
     declared = fields(cls)
     names = {f.name for f in declared}
@@ -335,9 +335,7 @@ _CHECKS: dict[str, Check] = {
 }
 
 
-def parse_config(raw: Any) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config", "top level must be a mapping")
+def parse_config(raw: dict) -> ScenarioConfig:
     config = _section(ScenarioConfig, raw, "")
     _validate_cross(config)
     return config
@@ -369,6 +367,8 @@ _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_raw(path: str) -> dict:
+    """The file's YAML, which must be a mapping. `run` and `sweep` both read
+    their config here, so both refuse a bad file with the same words."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_SAFE_LOADER)
@@ -378,6 +378,8 @@ def load_raw(path: str) -> dict:
             raise ConfigInvalid("config", f"not UTF-8 text: {exc}") from None
     if raw is None:
         raise ConfigInvalid("config", "file is empty")
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("config", "top level must be a mapping")
     return raw
 
 
@@ -385,7 +387,8 @@ def apply_override(raw: dict, dotted_key: str, value: Any) -> dict:
     """Return a copy of the raw config with one dotted key replaced.
 
     Paths traverse mappings by key; the agents list is addressed by agent
-    name, e.g. agents.flooder.strategy.flood_multiplier.
+    name, e.g. agents.flooder.strategy.flood_multiplier. An absent or null
+    mapping on the way is created empty, as `parse_config` reads null.
     """
     out = copy.deepcopy(raw)
     parts = dotted_key.split(".")
@@ -394,7 +397,7 @@ def apply_override(raw: dict, dotted_key: str, value: Any) -> dict:
         if isinstance(node, list):
             node = _agent_by_name(node, part, dotted_key)
         elif isinstance(node, dict):
-            if part not in node:
+            if node.get(part) is None:
                 node[part] = {}
             node = node[part]
         else:

@@ -3,8 +3,8 @@
 Registrations, each minting its stakeholder's endowment, happen at round
 0; every later round runs the same synchronous phases: submissions,
 votes, finalizations, purchases, renewals, then one sealed block. All
-state transitions materialize as ledger transactions, and a fixed
-(config, seed) pair replays to a byte-identical chain. The operations
+state transitions materialize as ledger transactions, and a fixed config
+(its seed included) replays to a byte-identical chain. The operations
 return their results, not their transactions: each block holds what the
 registry signed that round (`Registry.unsealed`), in signing order, and
 a round that signed nothing seals an empty block. Contract errors raised
@@ -174,12 +174,13 @@ class ScenarioResult:
 
 
 class Engine:
-    """One scenario run; construct a fresh engine per run."""
+    """One scenario run; construct a fresh engine per run. Its one source
+    of randomness is seeded from `config.seed`: to run another seed, pass a
+    config that holds it (`dataclasses.replace(config, seed=...)`)."""
 
-    def __init__(self, config: "ScenarioConfig", seed: Optional[int] = None):
+    def __init__(self, config: "ScenarioConfig"):
         self.cfg = config
-        self.seed = config.seed if seed is None else seed
-        self.rng = random.Random(self.seed)
+        self.rng = random.Random(config.seed)
         self.agents: list[AgentState] = []
         self.by_id: dict[Digest, AgentState] = {}
         # each accepted submission's truth, by contract id
@@ -493,7 +494,7 @@ class Engine:
         return {
             "scenario": self.cfg.name,
             "rounds": 0,
-            "seed": self.seed,
+            "seed": self.cfg.seed,
             "agents": {},
             "contracts": [],
             "campaigns": [],
@@ -537,7 +538,7 @@ class Engine:
         return {
             "scenario": self.cfg.name,
             "rounds": self.cfg.rounds,
-            "seed": self.seed,
+            "seed": self.cfg.seed,
             "agents": agents_summary,
             "contracts": [
                 {
@@ -587,5 +588,6 @@ class Engine:
         }
 
 
-def run_scenario(config: "ScenarioConfig", seed: Optional[int] = None) -> ScenarioResult:
-    return Engine(config, seed).run()
+def run_scenario(config: "ScenarioConfig") -> ScenarioResult:
+    """Run `config` at its own seed; the same config gives the same bytes."""
+    return Engine(config).run()

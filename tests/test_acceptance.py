@@ -258,8 +258,8 @@ def test_criterion_06_free_riding_counterfactual():
     assert on > off, f"expected strict increase, got on={on} off={off}"
     # same comparison holds across other seeds
     for seed in (1, 2, 3):
-        assert _genuine_verified(run_scenario(on_cfg, seed)) >= _genuine_verified(
-            run_scenario(off_cfg, seed)
+        assert _genuine_verified(run_scenario(replace(on_cfg, seed=seed))) >= _genuine_verified(
+            run_scenario(replace(off_cfg, seed=seed))
         )
     report(6, f"genuine Verified volume: incentives on {on} > off {off}, "
               f"and >= across extra seeds")

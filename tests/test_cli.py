@@ -229,6 +229,54 @@ def test_non_utf8_config_exits_one(tmp_path, capsys, argv):
     assert "UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drop_seed", [False, True], ids=["bundled", "no-seed-key"])
+def test_run_seed_writes_the_bytes_of_the_sweep_leg(tmp_path, drop_seed):
+    path = DOI
+    if drop_seed:
+        raw = yaml.safe_load((SCENARIO_DIR / "doi-flood.yaml").read_text())
+        del raw["seed"]
+        path = str(tmp_path / "no-seed.yaml")
+        (tmp_path / "no-seed.yaml").write_text(yaml.safe_dump(raw))
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert run_cli("run", "--config", path, "--seed", "4", "--out", str(run_out)) == 0
+    assert run_cli("sweep", "--config", path, "--param", "seed", "--values", "4", "--out", str(sweep_out)) == 0
+    for name in ("chain.json", "summary.json", "metrics.csv"):
+        assert (run_out / name).read_bytes() == (sweep_out / "seed=4" / name).read_bytes()
+    assert json.loads((run_out / "summary.json").read_text())["seed"] == 4
+
+
+def test_sweep_writes_nothing_when_a_later_value_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli("sweep", "--config", DOI, "--param", "seed", "--values", "1,2,x", "--out", str(out)) == 1
+    assert "seed: expected an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_null_section_takes_overrides(tmp_path):
+    raw = yaml.safe_load((SCENARIO_DIR / "doi-flood.yaml").read_text())
+    raw["economics"] = None
+    path = tmp_path / "null-economics.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert "economics: null" in path.read_text()
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    args = ["--param", "economics.deposit", "--values", "3,4", "--out", str(tmp_path / "sweep")]
+    assert run_cli("sweep", "--config", str(path), *args) == 0
+    for value in (3, 4):
+        summary = json.loads((tmp_path / "sweep" / f"economics.deposit={value}" / "summary.json").read_text())
+        assert {c["deposit"] for c in summary["contracts"]} == {value}
+
+
+@pytest.mark.parametrize(
+    "argv", [["run"], ["sweep", "--param", "seed", "--values", "1"]], ids=["run", "sweep"]
+)
+def test_a_config_that_is_not_a_mapping_exits_one(tmp_path, capsys, argv):
+    bad = tmp_path / "list.yaml"
+    bad.write_text("- name: x\n- rounds: 3\n")
+    assert run_cli(*argv, "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: config: top level must be a mapping\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_writes_leg_dirs_and_csv(tmp_path):
     out = tmp_path / "sweep"
     rc = run_cli(

@@ -624,7 +624,7 @@ def test_chain_from_json_peaks_near_the_chain_it_returns():
     parsed copy of the dump is built first (such a copy alone is larger than
     the chain)."""
     config = load_config(str(SCENARIO_DIR / "marketplace.yaml"))
-    text = chain_to_json(run_scenario(config, config.seed).chain)
+    text = chain_to_json(run_scenario(config).chain)
     gc.collect()
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -138,7 +139,7 @@ def test_different_seed_diverges():
     ]
     config = make_config(crew, rounds=20, seed=99)
     a = run_scenario(config)
-    b = run_scenario(config, seed=100)
+    b = run_scenario(replace(config, seed=100))
     assert chain_to_json(a.chain) != chain_to_json(b.chain)
 
 
