@@ -14,11 +14,14 @@ writes to `<param>=<value>` under --out, with path separators and colons
 mapped to `_`. Every leg's directory and config are settled before any leg
 runs, so values that map to the same directory, or a value the config
 refuses, exit 1 with nothing written. `sweep.csv` quotes a value holding a
-comma or a quote.
+comma or a quote. The config file and --values are read by one YAML
+reader, `config.read_yaml`, which refuses nesting deeper than
+`config.MAX_YAML_DEPTH` with exit 1 before the YAML loader recurses.
 
 `summary.json` is written directly by `_json_text`, byte-identical to
 `json.dumps(obj, indent=2)` plus a newline; `chain.json` by
-`ledger.chain_to_json`, byte-identical in the same way.
+`ledger.chain_to_json`, byte-identical in the same way. Every summary,
+zero rounds included, holds every agent and aggregate the output reads.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::
@@ -72,7 +75,7 @@ from typing import Optional
 
 import yaml
 
-from .config import ScenarioConfig, apply_override, load_raw, parse_config
+from .config import ScenarioConfig, apply_override, load_raw, parse_config, read_yaml
 from .errors import ConfigInvalid, EncodingError
 from .ledger import chain_from_json, chain_to_json, verify_chain
 from .simulation import ScenarioResult, run_scenario
@@ -169,12 +172,11 @@ def _write_outputs(result: ScenarioResult, out_dir: str) -> None:
 
 
 def _one_line_summary(result: ScenarioResult) -> str:
-    agg = result.summary["aggregates"]
+    summary, agg = result.summary, result.summary["aggregates"]
     return (
-        f"scenario={result.summary.get('scenario')} rounds={result.summary.get('rounds')} "
-        f"seed={result.summary.get('seed')} verified={agg.get('total_verified', 0)} "
-        f"rejected={agg.get('total_rejected', 0)} poisoning_rate={agg.get('poisoning_rate', 0.0)} "
-        f"revoked={agg.get('revoked_agents', 0)} campaigns={agg.get('campaigns', 0)}"
+        f"scenario={summary['scenario']} rounds={summary['rounds']} seed={summary['seed']} "
+        f"verified={agg['total_verified']} rejected={agg['total_rejected']} "
+        f"poisoning_rate={agg['poisoning_rate']} revoked={agg['revoked_agents']} campaigns={agg['campaigns']}"
     )
 
 
@@ -219,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw = load_raw(args.config)
     # one YAML flow sequence, so a value may itself be a list or a mapping
     try:
-        values = yaml.safe_load("[" + args.values + "]")
+        values = read_yaml("[" + args.values + "]", "--values")
     except yaml.YAMLError as exc:
         reason = getattr(exc, "problem", None) or exc
         print(f"error: --values: {args.values!r} is not YAML: {reason}", file=sys.stderr)
@@ -244,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for value, name, config in zip(values, legs, configs):
         agg = _run(config, os.path.join(args.out, name)).summary["aggregates"]
-        rows.append([args.param, value, *(agg.get(key, 0) for key in SWEEP_AGGREGATE_KEYS)])
+        rows.append([args.param, value, *(agg[key] for key in SWEEP_AGGREGATE_KEYS)])
     with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         # csv quotes a field holding a comma, a quote or a line break
         writer = csv.writer(fh, lineterminator="\n")

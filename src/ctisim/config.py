@@ -365,13 +365,54 @@ def load_config(path: str) -> ScenarioConfig:
 # several times faster than by the pure-Python SafeLoader
 _SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# Deepest nesting of mappings and sequences `read_yaml` accepts; a scenario
+# nests 5 deep (agents[i].access.designated). Both loaders compose a node
+# by recursion, and libyaml's overflows the C stack near 50,000 levels; a
+# value nested past Python's recursion limit breaks `str` and `deepcopy`.
+MAX_YAML_DEPTH = 32
+_OPEN = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
+_CLOSE = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+
+
+def read_yaml(stream: Any, name: str) -> Any:
+    """The YAML in `stream`, a string or a text file, loaded safely.
+
+    Its events are walked first, which takes no recursion. A value nested
+    deeper than MAX_YAML_DEPTH raises ConfigInvalid naming `name`; an alias
+    counts as deep as the node its anchor names, so chained anchors cannot
+    build a deeper value from a shallow document. Then a file is rewound
+    and loaded. A malformed document raises yaml.YAMLError.
+    """
+    # per open mapping or sequence: its anchor and the deepest level in it
+    opened: list[list] = []
+    spans: dict[str, int] = {}  # the levels each anchored collection spans
+    for event in yaml.parse(stream, Loader=_SAFE_LOADER):
+        if isinstance(event, _OPEN):
+            opened.append([event.anchor, len(opened) + 1])
+            level = len(opened)
+        elif isinstance(event, _CLOSE):
+            anchor, level = opened.pop()
+            if anchor is not None:
+                spans[anchor] = level - len(opened)
+        elif isinstance(event, yaml.AliasEvent):
+            level = len(opened) + spans.get(event.anchor, 0)
+        else:
+            continue
+        if level > MAX_YAML_DEPTH:
+            raise ConfigInvalid(name, f"nested deeper than {MAX_YAML_DEPTH} levels")
+        if opened and level > opened[-1][1]:
+            opened[-1][1] = level
+    if not isinstance(stream, str):
+        stream.seek(0)
+    return yaml.load(stream, Loader=_SAFE_LOADER)
+
 
 def load_raw(path: str) -> dict:
     """The file's YAML, which must be a mapping. `run` and `sweep` both read
     their config here, so both refuse a bad file with the same words."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.load(fh, Loader=_SAFE_LOADER)
+            raw = read_yaml(fh, "config")
         except yaml.YAMLError as exc:
             raise ConfigInvalid("config", f"YAML parse error: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -389,9 +430,12 @@ def apply_override(raw: dict, dotted_key: str, value: Any) -> dict:
     Paths traverse mappings by key; the agents list is addressed by agent
     name, e.g. agents.flooder.strategy.flood_multiplier. An absent or null
     mapping on the way is created empty, as `parse_config` reads null.
+    A key with an empty part (``''``, ``economics.``, ``a..b``) is refused.
     """
-    out = copy.deepcopy(raw)
     parts = dotted_key.split(".")
+    if "" in parts:
+        raise ConfigInvalid("--param", f"{dotted_key!r} has an empty key part")
+    out = copy.deepcopy(raw)
     node: Any = out
     for i, part in enumerate(parts[:-1]):
         if isinstance(node, list):

@@ -20,6 +20,8 @@ itself while there is none, the first authority's self-registration.
 from a chain, so replaying a chain through `Registry.apply`, `check` and
 `apply` on fresh objects rebuilds the engine's state from the chain and
 the scenario's parameters alone (a Register carries its endowment).
+Figures the contracts decide, such as `verifier_forfeit_income`, are read
+from that state here, so the writer and a replay derive them one way.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     UnknownStakeholder,
     VerifierPoolTooSmall,
 )
-from .identity import Credential, ProofOfIdentity, Registry, Role, register_body
+from .identity import Credential, Registry, Role, register_body
 from .ledger import TxKind
 from .payloads import (
     AccessGrantBody,
@@ -106,7 +108,7 @@ _PENDING, _VERIFIED, _REJECTED = (
 )
 _ESCROWED, _REFUNDED, _FORFEITED = DepositState.Escrowed, DepositState.Refunded, DepositState.Forfeited
 _HIGH, _LOW = Vote.HighQuality, Vote.LowQuality
-_BURN, _HOLD = ForfeiturePolicy.Burn, ForfeiturePolicy.HoldInContract
+_SPLIT, _BURN, _HOLD = ForfeiturePolicy.Split, ForfeiturePolicy.Burn, ForfeiturePolicy.HoldInContract
 _VOTE_BY_NAME = {vote.value: vote for vote in Vote}
 _PRODUCER, _CONSUMER = Role.Producer, Role.Consumer
 
@@ -297,15 +299,13 @@ class ContractSystem:
 
         `round_no` is the round of the transaction's block; only SubmitCti
         and FinalizeVerification read it, so a vote or purchase passes None.
-        A SubmitCti's record is decoded from its body unless given. The
-        body is legal: a rule derived it, or `check` passed it.
+        A SubmitCti passes the record `submit_report` made or `check`
+        decoded. The body is legal: a rule derived it, or `check` passed it.
         Returns a SubmitCti's contract, a FinalizeVerification's (verifier
         payouts, discounts), else None.
         """
         market = self.market
         if kind is _SUBMIT:
-            if record is None:
-                record = decode_record(body.record_bytes)
             market.to_escrow(author, body.deposit + body.verification_fee)
             contract = self.contracts[body.contract_id] = ReportContract(
                 body.contract_id, record, _PENDING, body.verifiers, {},
@@ -388,10 +388,11 @@ class ContractSystem:
         self.registry.sign(author, kind, body.encode())
         return self.apply(author, kind, body, round_no, record)
 
-    def check(self, author: Digest, kind: TxKind, body, round_no: Optional[int]) -> None:
+    def check(self, author: Digest, kind: TxKind, body, round_no: Optional[int]) -> Optional[CtiRecord]:
         """The reader's door, before `apply`: raise what the kind's rule raises,
         or refuse a body other than what the rule derives, naming the clause.
-        Changes nothing; Register and the credentials are `Registry.apply`'s."""
+        Changes nothing; Register and the credentials are `Registry.apply`'s.
+        Returns a SubmitCti's decoded record, for `apply`; else None."""
         if kind is _SUBMIT:
             record = decode_record(body.record_bytes)
             if record.record_id != body.contract_id:
@@ -407,6 +408,7 @@ class ContractSystem:
                 )
             if len(body.verifiers) != QUORUM or len(set(body.verifiers).intersection(pool)) != QUORUM:
                 raise NotAssigned(f"SubmitCti verifiers are not {QUORUM} distinct members of the pool")
+            return record
         elif kind is _VOTE:
             self._ballot(author, body.contract_id)
             if body.vote not in _VOTE_BY_NAME:
@@ -435,6 +437,7 @@ class ContractSystem:
         elif kind is _ACCESS_GRANT:
             if (body.contract_id, body.consumer) not in self.market.sales:
                 raise NotForSale("AccessGrant of a record the consumer has not bought")
+        return None
 
     def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
         """Pay each verifier a QUORUM-th of escrowed `amount` into `payouts`; burn the rest."""
@@ -446,12 +449,20 @@ class ContractSystem:
         if remainder:
             self.market.escrow_burn(remainder)
 
+    def verifier_forfeit_income(self) -> int:
+        """What verifiers were paid from forfeited deposits: their `_split_escrow` shares under Split, else 0."""
+        if self.economics.forfeiture is not _SPLIT:
+            return 0
+        return sum(c.deposit // QUORUM * QUORUM for c in self.contracts.values() if c.deposit_state is _FORFEITED)
+
     # -- registration ---------------------------------------------------
 
-    def register(self, proof: ProofOfIdentity, endowment: int) -> Credential:
-        """The credential `proof` asks for, once its Register is signed by the
-        authority, or by its own stakeholder while there is no authority."""
-        body = register_body(proof, endowment)
+    def register(
+        self, roles: frozenset[Role], attributes: frozenset[str], evidence: Digest, endowment: int
+    ) -> Credential:
+        """The credential claiming `roles` and `attributes` on `evidence`, once its Register is
+        signed by the authority, or by its own stakeholder while there is no authority."""
+        body = register_body(roles, attributes, evidence, endowment)
         self._commit(self.authority or body.stakeholder, _REGISTER, body, None)
         return self.registry.credentials[body.stakeholder]
 

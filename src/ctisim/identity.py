@@ -3,9 +3,9 @@
 Identity proofs are abstracted to an evidence digest; a registration needs
 a non-empty one. Stakeholder ids and signing secrets are derived
 deterministically from the evidence digest so that a scenario replays
-byte-identically. `register_body` builds a Register payload, which also
-carries the endowment the registration mints; `ContractSystem.register`
-signs it, so one transaction issues the credential and opens the accounts.
+byte-identically. `register_body` builds a Register payload of claimed
+roles, attributes and evidence, with the endowment it mints; signed by
+`ContractSystem.register`, it grants the credential and opens the accounts.
 
 The Registry holds the credentials, and `Registry.apply` is their one
 rulebook. The Registry is the one place that signs: `Registry.sign`
@@ -52,13 +52,6 @@ _REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
 _AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
 
 
-@dataclass(frozen=True)
-class ProofOfIdentity:
-    claimed_roles: frozenset[Role]
-    attributes: frozenset[str]
-    evidence_digest: Digest
-
-
 @dataclass
 class Credential:
     stakeholder: Digest
@@ -81,14 +74,16 @@ def evidence_for(name: str) -> Digest:
     return sha256(b"evidence:" + name.encode("utf-8"))
 
 
-def register_body(proof: ProofOfIdentity, endowment: int) -> RegisterBody:
-    """The Register payload for `proof`'s stakeholder, minting `endowment`."""
+def register_body(
+    roles: frozenset[Role], attributes: frozenset[str], evidence: Digest, endowment: int
+) -> RegisterBody:
+    """The Register payload claiming `roles` and `attributes` on `evidence`, minting `endowment`."""
     return RegisterBody(
-        stakeholder=stakeholder_id(proof.evidence_digest),
-        roles=tuple(sorted(r.value for r in proof.claimed_roles)),
-        attributes=tuple(sorted(proof.attributes)),
-        evidence_digest=proof.evidence_digest,
-        secret=derive_secret(proof.evidence_digest),
+        stakeholder=stakeholder_id(evidence),
+        roles=tuple(sorted(r.value for r in roles)),
+        attributes=tuple(sorted(attributes)),
+        evidence_digest=evidence,
+        secret=derive_secret(evidence),
         endowment=endowment,
     )
 

@@ -1,24 +1,26 @@
 """Agent-based round engine.
 
 Registrations, each minting its stakeholder's endowment, happen at round
-0; every later round runs the same synchronous phases: submissions,
-votes, finalizations, purchases, renewals, then one sealed block. All
-state transitions materialize as ledger transactions, and a fixed config
-(its seed included) replays to a byte-identical chain. The operations
-return their results, not their transactions: each block holds what the
-registry signed that round (`Registry.unsealed`), in signing order, and
-a round that signed nothing seals an empty block. Contract errors raised
-by an agent's action are recorded as rejected-action events and never
-abort the run. After the last round the run mines campaigns from the
-records its contracts verified, without decoding them back from the chain
-it has just sealed. A record's envelope is sealed on the first free read
-of it, in the round that verified it, and kept only for that round's
-other readers: nothing else opens one.
+0, in block 1, even in a run of zero rounds; every later round runs the
+same synchronous phases: submissions, votes, finalizations, purchases,
+renewals, then one sealed block. All state transitions materialize as
+ledger transactions, and a fixed config (its seed included) replays to a
+byte-identical chain. The operations return their results, not their
+transactions: each block holds what the registry signed that round
+(`Registry.unsealed`), in signing order, and a round that signed nothing
+seals an empty block. Contract errors raised by an agent's action are
+recorded as rejected-action events and never abort the run. After the
+last round the run mines campaigns from the records its contracts
+verified, without decoding them back from the chain it has just sealed. A
+record's envelope is sealed on the first free read of it, in the round
+that verified it, and kept only for that round's other readers: nothing
+else opens one.
 
 Whether a record is genuine or fabricated is known to the engine alone:
 `Engine.truth` maps each accepted submission's contract id to it, the
 verifiers' votes and the summary's `verified_fabricated` read it there,
-and no record, transaction or output carries it.
+and no record, transaction or output carries it. Every run builds its
+summary one way, reading each figure the contracts decide from them.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .access_control import AttributePolicy, TlpLabel, open_envelope, seal
-from .contracts import QUORUM, ContractSystem, ContractStatus, ForfeiturePolicy, ReportContract, Vote
+from .contracts import ContractSystem, ContractStatus, ReportContract, Vote
 from .cti import CtiCategory, CtiRecord, Ioc, IocKind, make_record
 from .encoding import ZERO_DIGEST, Digest
 from .errors import CtiSimError
-from .identity import Credential, ProofOfIdentity, Registry, Role, evidence_for
+from .identity import Credential, Registry, Role, evidence_for
 from .ledger import Chain, append_block, sha256
 from .mining import Campaign, mine_campaigns
 
@@ -100,7 +102,6 @@ def verifier_vote_model(truth: GroundTruth, p_acc: float, rng: random.Random) ->
 
 @dataclass
 class AgentRoundLog:
-    round_no: int
     shares: int = 0
     genuine_shares: int = 0
     verified: int = 0
@@ -126,7 +127,7 @@ class AgentState:
     credential: Credential
     strategy: AgentStrategy
     # this round's log, and the sum of compute_utility over finished rounds
-    current: AgentRoundLog = field(default_factory=lambda: AgentRoundLog(round_no=0))
+    current: AgentRoundLog = field(default_factory=AgentRoundLog)
     total_utility: int = 0
     events: list[tuple[int, str]] = field(default_factory=list)
     share_rounds: list[int] = field(default_factory=list)
@@ -196,8 +197,8 @@ class Engine:
         ordered = [authority_spec] + [s for s in cfg.agents if s is not authority_spec]
         sid_by_name: dict[str, Digest] = {}
         for spec in ordered:
-            proof = ProofOfIdentity(spec.roles, spec.attributes, evidence_for(spec.name))
-            sid_by_name[spec.name] = self.contracts.register(proof, spec.endowment).stakeholder
+            credential = self.contracts.register(spec.roles, spec.attributes, evidence_for(spec.name), spec.endowment)
+            sid_by_name[spec.name] = credential.stakeholder
 
         # agent action order follows the config, not registration order
         for spec in cfg.agents:
@@ -305,9 +306,6 @@ class Engine:
         cfg = self.cfg
         chain = Chain.new()
         metrics = MetricsSeries()
-        if cfg.rounds == 0:
-            return ScenarioResult(chain, metrics, {}, [], self._empty_summary(), [], {})
-
         self._register_all()
         self._seal(chain, 0)
 
@@ -339,7 +337,7 @@ class Engine:
     def _run_round(self, chain: Chain, metrics: MetricsSeries, round_no: int) -> None:
         cfg = self.cfg
         for agent in self.agents:
-            agent.current = AgentRoundLog(round_no=round_no)
+            agent.current = AgentRoundLog()
         submitted: list[ReportContract] = []
 
         # submissions
@@ -490,17 +488,6 @@ class Engine:
 
     # -- summaries ------------------------------------------------------------
 
-    def _empty_summary(self) -> dict:
-        return {
-            "scenario": self.cfg.name,
-            "rounds": 0,
-            "seed": self.cfg.seed,
-            "agents": {},
-            "contracts": [],
-            "campaigns": [],
-            "aggregates": {},
-        }
-
     def _build_summary(self, campaigns: list[Campaign]) -> dict:
         market, by_id = self.contracts.market, self.by_id
         contracts = sorted(
@@ -514,15 +501,6 @@ class Engine:
             1 for c in contracts if c.status is _VERIFIED and truth[c.contract_id] is _FABRICATED
         )
         poisoning_rate = verified_fabricated / total_verified if total_verified else 0.0
-        # moral-hazard observable: currency verifiers pocketed from forfeits
-        if self.cfg.economics.forfeiture is ForfeiturePolicy.Split:
-            verifier_forfeit_income = sum(
-                (c.deposit // QUORUM) * QUORUM
-                for c in contracts
-                if c.status is _REJECTED
-            )
-        else:
-            verifier_forfeit_income = 0
 
         agents_summary = {}
         for agent in self.agents:
@@ -571,13 +549,13 @@ class Engine:
                 for c in campaigns
             ],
             "aggregates": {
-                "total_submissions": sum(len(a.share_rounds) for a in self.agents),
+                "total_submissions": len(contracts),
                 "total_verified": total_verified,
                 "total_rejected": total_rejected,
                 "verified_fabricated": verified_fabricated,
                 "poisoning_rate": round(poisoning_rate, 6),
                 "revoked_agents": sum(1 for a in self.agents if a.credential.revoked),
-                "verifier_forfeit_income": verifier_forfeit_income,
+                "verifier_forfeit_income": self.contracts.verifier_forfeit_income(),
                 "escrow": market.escrow,
                 "held": market.held,
                 "burned": market.burned,

@@ -292,6 +292,18 @@ def test_sweep_writes_leg_dirs_and_csv(tmp_path):
     assert lines[0].startswith("param,value,")
 
 
+def test_sweep_over_zero_rounds_writes_a_full_row(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", DOI, "--param", "rounds", "--values", "0,1", "--out", str(out)) == 0
+    zero, one = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    assert zero.keys() == one.keys() and None not in zero.values()
+    assert zero["total_supply"] == str(sum(spec.endowment for spec in load_config(DOI).agents))
+    assert (zero["total_submissions"], zero["campaigns"], zero["poisoning_rate"]) == ("0", "0", "0.0")
+    capsys.readouterr()
+    assert run_cli("verify-chain", "--chain", str(out / "rounds=0" / "chain.json")) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
 def test_sweep_ignores_seed_env(tmp_path, monkeypatch):
     args = ["sweep", "--config", DOI, "--param", "verification.alpha", "--values", "0.6,0.8"]
     plain, with_env = tmp_path / "plain", tmp_path / "env"

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,17 +13,20 @@ from ctisim.access_control import TlpChannel
 from ctisim.config import (
     AccessSpec,
     AgentSpec,
+    MAX_YAML_DEPTH,
     ScenarioConfig,
     apply_override,
     load_config,
     load_raw,
     parse_config,
+    read_yaml,
 )
 from ctisim.contracts import EconomicsConfig, ForfeiturePolicy, VerificationPolicy
 from ctisim.errors import ConfigInvalid
 from ctisim.identity import Role
 from ctisim.mining import MiningParams
 from ctisim.simulation import AgentStrategy, StrategyKind, UtilityModel
+from tests.conftest import SCENARIO_DIR
 
 MINIMAL = """
 name: tiny
@@ -224,6 +231,15 @@ def test_override_with_unknown_leaf_fails_validation():
         parse_config(out)
 
 
+@pytest.mark.parametrize("key", ["", "economics.", "economics..deposit"])
+def test_a_key_with_an_empty_part_is_refused_naming_param_and_key(tmp_path, capsys, key):
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(SCENARIO_DIR / "doi-flood.yaml"), "--param", key, "--values", "1"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --param: {key!r} has an empty key part\n"
+    assert not out.exists()
+
+
 def test_bundled_scenarios_all_parse(scenario_dir):
     for path in sorted(scenario_dir.glob("*.yaml")):
         config = load_config(str(path))
@@ -245,6 +261,78 @@ def test_unloadable_yaml_is_config_invalid(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigInvalid):
         load_raw(str(path))
+
+
+# --- nesting: refused before either loader recurses ------------------------------
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def nested(depth):
+    """A config whose `name` is a flow sequence `depth` - 1 deep, so the
+    document nests `depth` deep."""
+    return "name: " + "[" * (depth - 1) + "]" * (depth - 1) + "\n"
+
+
+def aliased(depth):
+    """A config whose `name` reaches `depth` levels only through an alias
+    of a sequence 16 deep, so the document itself nests at most 17 deep."""
+    outer = depth - 17
+    return "x: &x " + "[" * 16 + "]" * 16 + "\nname: " + "[" * outer + "*x" + "]" * outer + "\n"
+
+
+@pytest.mark.parametrize("shape", [nested, aliased])
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_nesting_at_the_bound_loads_and_one_deeper_is_refused(monkeypatch, tmp_path, loader, shape):
+    monkeypatch.setattr(config_module, "_SAFE_LOADER", loader)
+    path = tmp_path / "deep.yaml"
+    path.write_text(shape(MAX_YAML_DEPTH))
+    assert isinstance(load_raw(str(path))["name"], list)
+    path.write_text(shape(MAX_YAML_DEPTH + 1))
+    with pytest.raises(ConfigInvalid, match=f"^config: nested deeper than {MAX_YAML_DEPTH} levels$"):
+        load_raw(str(path))
+    with pytest.raises(ConfigInvalid, match="^--values: nested deeper"):
+        read_yaml("[" * 40 + "]" * 40, "--values")
+
+
+DEEP_CASES = ["run", "sweep"]
+
+
+def deep_argv(tmp_path, case):
+    """The argv of a `run` of a 50,000-deep config, or of a `sweep` over a
+    2,000-deep --values list, and the name its refusal gives."""
+    out = str(tmp_path / "o")
+    if case == "run":
+        path = tmp_path / "deep.yaml"
+        path.write_text(nested(50_000))
+        return ["run", "--config", str(path), "--out", out], "config"
+    values = "[" * 2000 + "]" * 2000
+    doi = str(SCENARIO_DIR / "doi-flood.yaml")
+    return ["sweep", "--config", doi, "--param", "name", "--values", values, "--out", out], "--values"
+
+
+@pytest.mark.parametrize("case", DEEP_CASES)
+def test_deep_yaml_exits_one_under_the_pure_python_loader(monkeypatch, tmp_path, capsys, case):
+    # the fallback where PyYAML lacks libyaml: it raised RecursionError
+    monkeypatch.setattr(config_module, "_SAFE_LOADER", yaml.SafeLoader)
+    argv, name = deep_argv(tmp_path, case)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {name}: nested deeper than {MAX_YAML_DEPTH} levels\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("case", DEEP_CASES)
+def test_deep_yaml_exits_one_under_libyaml(tmp_path, case):
+    # in a child process: libyaml's composer overflowed the C stack (exit 139)
+    argv, name = deep_argv(tmp_path, case)
+    src = str(Path(config_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctisim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {name}: nested deeper than {MAX_YAML_DEPTH} levels\n")
+    assert not (tmp_path / "o").exists()
 
 
 # --- field types: a wrong type is a ConfigInvalid naming the field -------------

@@ -41,7 +41,7 @@ from ctisim.errors import (
     VerifierPoolTooSmall,
 )
 from ctisim.cti import CtiCategory, Ioc, IocKind, make_record, record_bytes
-from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
+from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import (
     AccessGrantBody,
@@ -114,9 +114,7 @@ class Platform:
         self.reputation = self.system.reputation
         self.subscription = self.system.subscription
         self.market = self.system.market
-        auth = self.system.register(
-            ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), endowment
-        )
+        auth = self.system.register(frozenset({Role.Authority}), frozenset(), evidence_for("authority"), endowment)
         self.authority = auth.stakeholder
         self.producer = self.add("producer", {Role.Producer}, endowment)
         self.consumer = self.add("consumer", {Role.Consumer}, endowment)
@@ -127,9 +125,7 @@ class Platform:
         self.chain = Chain.new()
 
     def add(self, name, roles, endowment=100, attributes=()):
-        cred = self.system.register(
-            ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name)), endowment
-        )
+        cred = self.system.register(frozenset(roles), frozenset(attributes), evidence_for(name), endowment)
         return cred.stakeholder
 
     def record(self, n=0, sale_price=None, producer=None, round_no=1):
@@ -181,15 +177,15 @@ class Platform:
 
 def test_first_register_without_the_authority_role_is_refused_as_verify_chain_refuses_it():
     system = ContractSystem(Registry(), VerificationPolicy(), EconomicsConfig())
-    proof = ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for("first"))
-    body = register_body(proof, 100)
+    claim = (frozenset({Role.Producer}), frozenset(), evidence_for("first"))
+    body = register_body(*claim, 100)
     chain = Chain.new()
     tx = Transaction.create(body.stakeholder, TxKind.Register, body.encode(), body.secret)
     append_block(chain, [tx], body.stakeholder, lambda _: True, lambda _: True, 0)
     reason = verify_chain(chain).reason
     assert reason == "self-registration without the Authority role"
     with pytest.raises(NotAnAuthority, match=f"^{re.escape(reason)}$"):
-        system.register(proof, 100)
+        system.register(*claim, 100)
     assert system.authority is None
     assert system.registry.credentials == {} and system.registry.unsealed() == []
 

@@ -4,20 +4,21 @@ import pytest
 
 from ctisim import identity
 from ctisim.errors import DuplicateRegistration, DuplicateTransaction, NotAnAuthority, UnknownStakeholder
-from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for, register_body
+from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
 from tests.reference_writer import ref_id, ref_signature
 
 
 def proof(name, roles, attributes=()):
-    return ProofOfIdentity(frozenset(roles), frozenset(attributes), evidence_for(name))
+    """The roles, attributes and evidence a Register claims."""
+    return frozenset(roles), frozenset(attributes), evidence_for(name)
 
 
 def register(reg, proof, author=None):
     """Sign `proof`'s Register as `author`, by default as its own stakeholder
     (the first authority's self-registration); returns the credential."""
-    body = register_body(proof, 0)
+    body = register_body(*proof, 0)
     reg.sign(body.stakeholder if author is None else author, TxKind.Register, body.encode())
     return reg.credentials[body.stakeholder]
 
@@ -62,9 +63,9 @@ def test_bootstrap_requires_empty_registry(registry):
 def test_registration_requires_roles_and_evidence(registry):
     reg, auth = registry
     with pytest.raises(NotAnAuthority):
-        register(reg, ProofOfIdentity(frozenset(), frozenset(), evidence_for("x")), auth.stakeholder)
+        register(reg, (frozenset(), frozenset(), evidence_for("x")), auth.stakeholder)
     with pytest.raises(NotAnAuthority):
-        register(reg, ProofOfIdentity(frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
+        register(reg, (frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
 
 
 def signed_as(author, payload, signature):

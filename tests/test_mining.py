@@ -69,26 +69,20 @@ def verified_chain(specs, rng):
     Returns (chain, [record_id, ...]) in spec order.
     """
     from ctisim.contracts import ContractSystem, EconomicsConfig, VerificationPolicy
-    from ctisim.identity import ProofOfIdentity, Registry, Role, evidence_for
+    from ctisim.identity import Registry, Role, evidence_for
     from ctisim.ledger import append_block
 
     registry = Registry()
     system = ContractSystem(registry, VerificationPolicy(), EconomicsConfig(deposit=3))
-    auth = system.register(
-        ProofOfIdentity(frozenset({Role.Authority}), frozenset(), evidence_for("authority")), 100
-    )
+    auth = system.register(frozenset({Role.Authority}), frozenset(), evidence_for("authority"), 100)
 
     producers = []
     for i in range(3):
-        cred = system.register(
-            ProofOfIdentity(frozenset({Role.Producer}), frozenset(), evidence_for(f"p{i}")), 10_000
-        )
+        cred = system.register(frozenset({Role.Producer}), frozenset(), evidence_for(f"p{i}"), 10_000)
         producers.append(cred.stakeholder)
     verifiers = []
     for i in range(3):
-        cred = system.register(
-            ProofOfIdentity(frozenset({Role.Verifier}), frozenset(), evidence_for(f"v{i}")), 100
-        )
+        cred = system.register(frozenset({Role.Verifier}), frozenset(), evidence_for(f"v{i}"), 100)
         verifiers.append(cred.stakeholder)
 
     chain = Chain.new()

@@ -13,7 +13,10 @@ mining parameters are drawn so that some examples mine a campaign, and
 Replaying the re-read dump block by block through `Registry.apply`,
 `ContractSystem.check` and `ContractSystem.apply` refuses nothing,
 conserves currency after every block, never drives a balance negative,
-and ends in the engine's credentials and contract state. Every transaction the registry signed reached a block.
+and ends in the engine's credentials and contract state, with the
+summary's submission count and verifier forfeit income under each of the
+three forfeiture policies. Every transaction the registry signed reached
+a block.
 """
 
 import inspect
@@ -165,6 +168,10 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert replayed.reputation.scores == live.reputation.scores
     assert replayed.subscription == live.subscription  # paid_through, accrued_discount
     assert contract_states(replayed) == contract_states(live)
+    aggregates = result.summary["aggregates"]
+    assert replayed.verifier_forfeit_income() == aggregates["verifier_forfeit_income"]
+    assert len(replayed.contracts) == aggregates["total_submissions"]
+    event(f"forfeiture: {engine.cfg.economics.forfeiture.value}")
     registry = engine.registry
     assert registry.unsealed() == []
     assert replayed.registry.credentials == registry.credentials

@@ -4,10 +4,12 @@ an illegal history.
 Replays the chain's transactions in order through the rulebooks the engine
 signs by on fresh objects: `Registry.apply` for credentials, then
 `ContractSystem.check`, which calls the same contract rules the operations
-call, then `ContractSystem.apply` for contract state. Each Register carries
+call, then `ContractSystem.apply` for contract state, with the record
+`check` decoded, so each submission is decoded once. Each Register carries
 its endowment, so the replay needs only the scenario's parameters besides
 the chain. The result must equal what the engine reported: balances,
-reputations, revocations and every per-round activity counter.
+reputations, revocations, every per-round activity counter, and the
+aggregates the contracts decide.
 """
 
 from collections import defaultdict
@@ -15,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from ctisim import contracts
 from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, ContractSystem, DepositState
 from ctisim.errors import NotForSale, QuorumNotMet
@@ -59,8 +62,8 @@ def replay_blocks(chain, config):
             registry.apply(tx.author, tx.kind, tx.payload)
             if tx.kind in BODIES:
                 body = BODIES[tx.kind].decode(tx.payload)
-                system.check(tx.author, tx.kind, body, block.timestamp)
-                system.apply(tx.author, tx.kind, body, block.timestamp)
+                record = system.check(tx.author, tx.kind, body, block.timestamp)
+                system.apply(tx.author, tx.kind, body, block.timestamp, record)
         yield block, system
 
 
@@ -84,6 +87,9 @@ def replay(chain, config):
 def assert_fold_matches(result, config, every_consume_is_a_purchase):
     system, per_round = replay(result.chain, config)
 
+    aggregates = result.summary["aggregates"]
+    assert system.verifier_forfeit_income() == aggregates["verifier_forfeit_income"]
+    assert len(system.contracts) == aggregates["total_submissions"]
     for agent in result.agents:
         info = result.summary["agents"][agent.name]
         assert system.market.balance_of(agent.sid) == info["balance"], agent.name
@@ -116,6 +122,19 @@ def test_chain_fold_reproduces_engine_state():
 def test_bundled_chains_pass_check_and_fold_to_the_engine_state(name):
     config = load_config(str(SCENARIO_DIR / f"{name}.yaml"))
     assert_fold_matches(run_scenario(config), config, every_consume_is_a_purchase=False)
+
+
+def test_the_fold_decodes_each_submission_once(monkeypatch):
+    config = load_config(str(SCENARIO_DIR / "blocis-baseline.yaml"))
+    chain = run_scenario(config).chain
+    submissions = sum(tx.kind is TxKind.SubmitCti for block in chain.blocks for tx in block.transactions)
+    decoded = []
+    decode = contracts.decode_record
+    monkeypatch.setattr(contracts, "decode_record", lambda data: decoded.append(data) or decode(data))
+    for _ in replay_blocks(chain, config):
+        pass
+    assert submissions > 0
+    assert len(decoded) == submissions
 
 
 # --- tampers a forger can re-sign ---------------------------------------------

@@ -95,29 +95,48 @@ def test_worth_sharing_matches_a_scan_of_the_whole_history(share_rounds, income_
 
 def test_utility_consumption_only():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=3)
-    log = AgentRoundLog(round_no=1, consumes=2)
+    log = AgentRoundLog(consumes=2)
     assert compute_utility(log, model) == 6
 
 
 def test_utility_share_cost_without_incentives():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=3)
-    log = AgentRoundLog(round_no=1, genuine_shares=1, consumes=1)
+    log = AgentRoundLog(genuine_shares=1, consumes=1)
     assert compute_utility(log, model) == -2
 
 
 def test_utility_income_added():
     model = UtilityModel(sharing_risk_cost=5, consumption_benefit=0)
-    log = AgentRoundLog(round_no=1, genuine_shares=1, income=6)
+    log = AgentRoundLog(genuine_shares=1, income=6)
     assert compute_utility(log, model) == 1
 
 
 # --- engine basics ---------------------------------------------------------------
 
-def test_zero_rounds_gives_genesis_only():
+def summary_keys(summary):
+    """The summary's top-level keys, each agent's keys and the aggregates' keys."""
+    return (
+        list(summary),
+        {name: list(info) for name, info in summary["agents"].items()},
+        list(summary["aggregates"]),
+    )
+
+
+def test_zero_rounds_registers_everyone_and_summarizes_like_one_round():
     config = make_config(basic_crew(), rounds=0)
     result = run_scenario(config)
-    assert len(result.chain.blocks) == 1
+    _, registrations = result.chain.blocks
+    assert registrations.timestamp == 0
+    assert [tx.kind for tx in registrations.transactions] == [TxKind.Register] * len(config.agents)
+    assert verify_chain(result.chain).valid
     assert result.metrics.rows == []
+    assert result.metrics.to_csv().count("\n") == 1
+    one_round = run_scenario(replace(config, rounds=1))
+    assert summary_keys(result.summary) == summary_keys(one_round.summary)
+    aggregates = result.summary["aggregates"]
+    endowments = sum(spec.endowment for spec in config.agents)
+    assert aggregates["total_supply"] == aggregates["minted"] == endowments > 0
+    assert aggregates["total_submissions"] == 0 and result.summary["contracts"] == []
 
 
 def test_same_seed_same_bytes():
