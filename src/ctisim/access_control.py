@@ -2,9 +2,9 @@
 
 Attribute policies are monotone AND/OR formulas over attribute tags,
 written in config files as s-expressions like
-``(and ICS-ISAC (or critical-infra gov))``. Envelope encryption is
-simulated with keyed digests: the access decision is what matters here,
-not cryptographic strength.
+``(and ICS-ISAC (or critical-infra gov))``. An envelope holds a record's
+content digest behind its label and policy, in the clear: opening one is
+the `authorize` decision, and nothing is encrypted.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, AbstractSet, Optional
 
 from .encoding import Digest, TaggedEnum
 from .errors import AccessDenied, PolicyParseError
-from .ledger import sha256
 
 if TYPE_CHECKING:
     from .cti import CtiRecord
@@ -167,51 +166,27 @@ def authorize(
     return evaluate_policy(policy, requester.attributes)
 
 
-# --- simulated envelope encryption ------------------------------------------
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    """Bytewise XOR, truncated to the shorter input."""
-    n = min(len(a), len(b))
-    return (int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
-
-
-def _witness(tlp: TlpLabel, policy: Optional[AttributePolicy]) -> str:
-    designated = sorted(d.hex() for d in tlp.designated) if tlp.designated else []
-    pol = policy_to_string(policy) if policy is not None else ""
-    return f"{tlp.channel.value}|{','.join(designated)}|{pol}"
-
+# --- envelopes --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EncryptedEnvelope:
+class Envelope:
     record_id: Digest
-    ciphertext: bytes
-    wrapped_keys: tuple[tuple[str, bytes], ...]
+    content: Digest
     tlp: TlpLabel
     policy: Optional[AttributePolicy]
 
 
-def seal(record: "CtiRecord") -> EncryptedEnvelope:
-    """Wrap the record's content digest under its TLP label and policy."""
-    content_key = sha256(b"content-key:" + record.record_id)
-    witness = _witness(record.tlp, record.policy)
-    wrapped = _xor(content_key, sha256(b"wrap:" + witness.encode("utf-8")))
-    return EncryptedEnvelope(
-        record_id=record.record_id,
-        ciphertext=_xor(record.narrative_digest, content_key),
-        wrapped_keys=((witness, wrapped),),
-        tlp=record.tlp,
-        policy=record.policy,
-    )
+def seal(record: "CtiRecord") -> Envelope:
+    """Put the record's content digest behind its TLP label and policy."""
+    return Envelope(record.record_id, record.narrative_digest, record.tlp, record.policy)
 
 
 def open_envelope(
-    envelope: EncryptedEnvelope,
+    envelope: Envelope,
     requester: "Credential",
     group_members: AbstractSet[Digest],
 ) -> Digest:
     """Return the content digest, or raise AccessDenied."""
     if not authorize(requester, envelope.tlp, envelope.policy, group_members):
         raise AccessDenied(f"requester {requester.stakeholder.hex()[:12]} not authorized")
-    witness, wrapped = envelope.wrapped_keys[0]
-    content_key = _xor(wrapped, sha256(b"wrap:" + witness.encode("utf-8")))
-    return _xor(envelope.ciphertext, content_key)
+    return envelope.content

@@ -160,9 +160,18 @@ def _bool(value: Any, name: str) -> bool:
     return value
 
 
+def _text(value: Any, name: str) -> str:
+    """A scalar read as a string. A mapping or list is refused before `str`
+    reads it: through aliases a small document can make one of any size."""
+    if isinstance(value, (dict, list)):
+        kind = "mapping" if isinstance(value, dict) else "list"
+        raise ConfigInvalid(name, f"expected a scalar, got a {kind}")
+    return str(value)
+
+
 def _names(value: Any, name: str) -> list[str]:
-    """A list of agent names or attribute tags, each read as a string."""
-    return [str(v) for v in _list(value, name)]
+    """A list of agent names or attribute tags, each a scalar read as a string."""
+    return [_text(v, name) for v in _list(value, name)]
 
 
 def _roles(value: Any, name: str) -> frozenset[Role]:
@@ -189,7 +198,7 @@ def _kind(value: Any, name: str) -> StrategyKind:
 
 def _tlp(value: Any, name: str) -> TlpChannel:
     try:
-        return TlpChannel(str(value).capitalize())
+        return TlpChannel(_text(value, name).capitalize())
     except ValueError:
         raise ConfigInvalid(name, f"unknown channel {value!r}") from None
 
@@ -213,7 +222,7 @@ def _sale_mode(value: Any, name: str) -> str:
 
 
 def _forfeiture(value: Any, name: str) -> ForfeiturePolicy:
-    key = str(value).lower()
+    key = _text(value, name).lower()
     if key not in FORFEITURE:
         raise ConfigInvalid(name, f"unknown policy {value!r}")
     return FORFEITURE[key]
@@ -239,7 +248,7 @@ _CSV_QUOTED = (",", '"', "\r", "\n")
 
 
 def _agent_name(value: Any, name: str) -> str:
-    text = str(value)
+    text = _text(value, name)
     if any(c in text for c in _CSV_QUOTED):
         raise ConfigInvalid(name, f"{text!r} holds a comma, double quote or line break")
     return text
@@ -287,7 +296,7 @@ _CHECKS: dict[str, Check] = {
     "mining": lambda value, name: _section(MiningParams, value, name),
     "utility": lambda value, name: _section(UtilityModel, value, name),
     "access": lambda value, name: _section(AccessSpec, value, name),
-    "name": lambda value, _: str(value),
+    "name": _text,
     # agents[i]: AgentSpec
     "roles": _roles,
     "strategy": _strategy,

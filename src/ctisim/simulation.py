@@ -14,7 +14,8 @@ last round the run mines campaigns from the records its contracts
 verified, without decoding them back from the chain it has just sealed. A
 record's envelope is sealed on the first free read of it, in the round
 that verified it, and kept only for that round's other readers: nothing
-else opens one.
+else opens one. Opening an envelope is the `authorize` decision; a
+denied free read is a rejected action, like a refused purchase.
 
 Whether a record is genuine or fabricated is known to the engine alone:
 `Engine.truth` maps each accepted submission's contract id to it, the

@@ -2,13 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from ctisim.access_control import (
     MAX_POLICY_DEPTH,
     AttributePolicy,
-    _xor,
     TlpChannel,
     TlpLabel,
     attr,
@@ -243,7 +242,6 @@ def test_seal_open_round_trip():
     envelope = seal(record)
     got = open_envelope(envelope, cred("reader"), set())
     assert got == record.narrative_digest
-    assert envelope.ciphertext != record.narrative_digest
 
 
 def test_open_denied_without_policy_match():
@@ -272,6 +270,40 @@ def test_open_monotone_in_attributes():
             open_envelope(envelope, cred("r", attrs | {rng.choice(tags)}), set())
 
 
-@given(a=st.binary(max_size=70), b=st.binary(max_size=70))
-def test_xor_matches_bytewise_reference(a, b):
-    assert _xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+PEOPLE = [f"p{i}" for i in range(5)]
+
+
+@st.composite
+def labels(draw):
+    channel = draw(st.sampled_from(list(TlpChannel)))
+    if channel is TlpChannel.Red:
+        designated = frozenset({draw(st.sampled_from(PEOPLE))})
+    elif channel is TlpChannel.Orange:
+        designated = draw(st.frozensets(st.sampled_from(PEOPLE), min_size=1))
+    else:
+        return TlpLabel(channel)
+    return TlpLabel(channel, frozenset(sha256(p.encode()) for p in designated))
+
+
+@given(
+    label=labels(),
+    policy_seed=st.none() | st.integers(min_value=0, max_value=2**32),
+    reader=st.sampled_from(PEOPLE),
+    attrs=st.frozensets(st.sampled_from(POLICY_TAGS)),
+    group=st.frozensets(st.sampled_from(PEOPLE)),
+    revoked=st.booleans(),
+)
+def test_open_returns_the_content_exactly_when_authorize_admits(
+    label, policy_seed, reader, attrs, group, revoked
+):
+    policy = None if policy_seed is None else random_policy(random.Random(policy_seed), POLICY_TAGS)
+    record = sealed_record(label, policy)
+    requester = cred(reader, attrs, revoked=revoked)
+    members = {sha256(p.encode()) for p in group}
+    admitted = authorize(requester, label, policy, members)
+    event(f"{label.channel.value} {'admitted' if admitted else 'denied'}")
+    if admitted:
+        assert open_envelope(seal(record), requester, members) == record.narrative_digest
+    else:
+        with pytest.raises(AccessDenied):
+            open_envelope(seal(record), requester, members)

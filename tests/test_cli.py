@@ -157,6 +157,41 @@ def test_agent_name_with_a_comma_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+def aliased_name(levels, width):
+    """A `name` of `levels` nested lists, each of `width` aliases of the
+    last: a few hundred bytes of YAML that `str` reads as width**levels."""
+    lines = ["name:", "  - &l0 [" + ", ".join(["xxxxxxxx"] * width) + "]"]
+    for i in range(1, levels):
+        lines.append(f"  - &l{i} [" + ", ".join([f"*l{i - 1}"] * width) + "]")
+    return "\n".join(lines) + "\n"
+
+
+def test_an_aliased_name_exits_one_and_writes_nothing(tmp_path, capsys):
+    text = (SCENARIO_DIR / "doi-flood.yaml").read_text()
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("name:"))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n" + aliased_name(5, 10))
+    assert bad.stat().st_size < 2000
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: name: expected a scalar, got a list\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where, value, field, kind", [
+    ("attributes", [["ICS-ISAC", "gov"]], "attributes", "list"),
+    ("access", {"tlp": "orange", "designated": [{"consumer-a": None}]}, "access.designated", "mapping"),
+], ids=["list-tag", "mapping-designated"])
+def test_a_tag_or_designated_entry_that_is_not_a_scalar_exits_one(tmp_path, capsys, where, value, field, kind):
+    raw = yaml.safe_load((SCENARIO_DIR / "tlp-demo.yaml").read_text())
+    index = next(i for i, a in enumerate(raw["agents"]) if a["name"] == "prod-orange")
+    raw["agents"][index][where] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: agents[{index}].{field}: expected a scalar, got a {kind}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
 def test_every_metrics_csv_row_is_as_wide_as_its_header(tmp_path, path):
     out = tmp_path / "out"

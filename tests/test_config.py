@@ -376,6 +376,57 @@ def test_designated_entries_are_names():
     assert invalid_field(raw).field == "agents[4].access.designated"
 
 
+def set_name(raw, value):
+    raw["name"] = value
+    return "name"
+
+
+def set_agent_name(raw, value):
+    raw["agents"][4]["name"] = value
+    return "agents[4].name"
+
+
+def set_attribute(raw, value):
+    raw["agents"][4]["attributes"] = ["gov", value]
+    return "agents[4].attributes"
+
+
+def set_designated(raw, value):
+    raw["agents"][4]["access"] = {"tlp": "orange", "designated": ["v1", value]}
+    return "agents[4].access.designated"
+
+
+def set_tlp(raw, value):
+    raw["access"] = {"tlp": value}
+    return "access.tlp"
+
+
+def set_forfeiture(raw, value):
+    raw["economics"] = {"forfeiture": value}
+    return "economics.forfeiture"
+
+
+TEXT_FIELDS = [set_name, set_agent_name, set_attribute, set_designated, set_tlp, set_forfeiture]
+
+
+@pytest.mark.parametrize("value, kind", [(["a"], "list"), ({"a": 1}, "mapping")], ids=["list", "mapping"])
+@pytest.mark.parametrize("setter", TEXT_FIELDS, ids=lambda f: f.__name__[4:])
+def test_a_text_field_refuses_a_list_or_mapping(setter, value, kind):
+    raw = yaml.safe_load(MINIMAL)
+    field = setter(raw, value)
+    err = invalid_field(raw)
+    assert (err.field, str(err)) == (field, f"{field}: expected a scalar, got a {kind}")
+
+
+@pytest.mark.parametrize("value, text", [(7, "7"), (2.5, "2.5"), (True, "True"), ("x", "x")])
+def test_a_scalar_name_or_tag_reads_as_its_string(value, text):
+    raw = yaml.safe_load(MINIMAL)
+    raw["name"] = value
+    raw["agents"][4]["attributes"] = [value]
+    config = parse_config(raw)
+    assert (config.name, config.agents[4].attributes) == (text, frozenset({text}))
+
+
 @pytest.mark.parametrize("policy", [5, 0, False, [], {}], ids=["5", "0", "false", "list", "mapping"])
 def test_policy_must_be_a_string(policy):
     raw = yaml.safe_load(MINIMAL)

@@ -382,6 +382,10 @@ def test_consumption_respects_tlp():
     }
     assert consumed["alice"] == 5
     assert consumed["bob"] == 0
+    # each denied free read is a rejected action, counted in the summary
+    bob = next(a for a in result.agents if a.name == "bob")
+    assert bob.events == [(r, "AccessDenied") for r in range(1, 6)]
+    assert result.summary["agents"]["bob"]["rejected_actions"] == 5
 
 
 def test_incentives_increase_genuine_verified_volume():
