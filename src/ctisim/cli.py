@@ -16,11 +16,12 @@ runs, so values that map to the same directory, or a value the config
 refuses, exit 1 with nothing written. `sweep.csv` quotes a value holding a
 comma or a quote. The config file and --values are read by one YAML
 reader, `config.read_yaml`, which refuses nesting deeper than
-`config.MAX_YAML_DEPTH` with exit 1 before the YAML loader recurses.
+`config.MAX_YAML_DEPTH`, or more than `config.MAX_YAML_NODES` nodes with
+every alias expanded, with exit 1 before the YAML loader builds anything.
 
-`summary.json` is written directly by `_json_text`, byte-identical to
-`json.dumps(obj, indent=2)` plus a newline; `chain.json` by
-`ledger.chain_to_json`, byte-identical in the same way. Every summary,
+`summary.json` (`simulation.summary_json`), `chain.json` (`ledger.chain_to_json`)
+and `metrics.csv` are each written from one template per row, the JSON files
+byte-identical to `json.dumps(obj, indent=2)` plus a newline. Every summary,
 zero rounds included, holds every agent and aggregate the output reads.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
@@ -70,7 +71,6 @@ import argparse
 import csv
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import yaml
@@ -78,7 +78,7 @@ import yaml
 from .config import ScenarioConfig, apply_override, load_raw, parse_config, read_yaml
 from .errors import ConfigInvalid, EncodingError
 from .ledger import chain_from_json, chain_to_json, verify_chain
-from .simulation import ScenarioResult, run_scenario
+from .simulation import ScenarioResult, run_scenario, summary_json
 
 SWEEP_AGGREGATE_KEYS = (
     "total_submissions",
@@ -93,80 +93,12 @@ SWEEP_AGGREGATE_KEYS = (
 )
 
 
-_INF = float("inf")
-
-
-def _json_text(value: object) -> str:
-    """The text `json.dumps(value, indent=2)` gives, written directly.
-
-    On Python 3.11 `json.dumps` runs its pure-Python encoder whenever
-    `indent` is set. This writes the same text in one recursive pass, with
-    json's own ASCII string escaping, `int.__repr__` and `float.__repr__`
-    (NaN and the infinities spelled as json spells them), and tuples as
-    lists. Dict keys must be strings, as every key in the summary is.
-    """
-    out: list[str] = []
-    write = out.append
-
-    def emit(value: object, newline: str) -> None:
-        if isinstance(value, str):
-            write(encode_basestring_ascii(value))
-        elif value is None:
-            write("null")
-        elif value is True:
-            write("true")
-        elif value is False:
-            write("false")
-        elif isinstance(value, int):
-            write(int.__repr__(value))
-        elif isinstance(value, float):
-            if value != value:
-                write("NaN")
-            elif value == _INF:
-                write("Infinity")
-            elif value == -_INF:
-                write("-Infinity")
-            else:
-                write(float.__repr__(value))
-        elif isinstance(value, dict):
-            if not value:
-                write("{}")
-                return
-            inner = newline + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                write(sep)
-                write(encode_basestring_ascii(key))
-                write(": ")
-                emit(item, inner)
-                sep = "," + inner
-            write(newline + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                write("[]")
-                return
-            inner = newline + "  "
-            sep = "[" + inner
-            for item in value:
-                write(sep)
-                emit(item, inner)
-                sep = "," + inner
-            write(newline + "]")
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    emit(value, "\n")
-    return "".join(out)
-
-
 def _write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "chain.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(chain_to_json(result.chain))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(result.summary) + "\n")
+        fh.write(summary_json(result.summary))
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(result.metrics.to_csv())
 

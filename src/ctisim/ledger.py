@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain as chain_items, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .encoding import COUNT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
@@ -285,9 +286,9 @@ def verify_chain(chain: Chain) -> VerificationReport:
 
 # --- chain.json dump -------------------------------------------------------
 
-def _tx_to_json(t: Transaction) -> str:
+def _tx_to_json(sep: str, t: Transaction) -> str:
     return (
-        "      {\n"
+        f"{sep}      {{\n"
         f'        "tx_id": "{t.tx_id.hex()}",\n'
         f'        "author": "{t.author.hex()}",\n'
         f'        "kind": "{t.kind._value_}",\n'
@@ -297,34 +298,33 @@ def _tx_to_json(t: Transaction) -> str:
     )
 
 
-def _block_to_json(b: Block) -> str:
-    if b.transactions:
-        txs = "[\n" + ",\n".join(map(_tx_to_json, b.transactions)) + "\n    ]"
-    else:
-        txs = "[]"
-    return (
-        "  {\n"
-        f'    "height": {b.height},\n'
-        f'    "prev_hash": "{b.prev_hash.hex()}",\n'
-        f'    "merkle_root": "{b.merkle_root.hex()}",\n'
-        f'    "timestamp": {b.timestamp},\n'
-        f'    "nonce": {b.nonce},\n'
-        f'    "sealer": "{b.sealer.hex()}",\n'
-        f'    "transactions": {txs}\n'
-        "  }"
-    )
-
-
 def chain_to_json(chain: Chain) -> str:
     """The chain.json dump: the bytes json.dumps(indent=2) wrote, plus "\\n".
 
     Blocks and transactions are emitted field by field in the fixed order
     chain_from_json reads. Every value is an integer, a hex string or a
-    TxKind name, so nothing needs JSON escaping.
+    TxKind name, so nothing needs JSON escaping. Each block head and each
+    transaction is one text opening with its separator, all joined once.
     """
     if not chain.blocks:
         return "[]\n"
-    return "[\n" + ",\n".join(map(_block_to_json, chain.blocks)) + "\n]\n"
+    parts, sep = [], "[\n"
+    for b in chain.blocks:
+        parts.append(
+            f"{sep}  {{\n"
+            f'    "height": {b.height},\n'
+            f'    "prev_hash": "{b.prev_hash.hex()}",\n'
+            f'    "merkle_root": "{b.merkle_root.hex()}",\n'
+            f'    "timestamp": {b.timestamp},\n'
+            f'    "nonce": {b.nonce},\n'
+            f'    "sealer": "{b.sealer.hex()}",\n'
+            '    "transactions": ['
+        )
+        parts += map(_tx_to_json, chain_items(("\n",), repeat(",\n")), b.transactions)
+        parts.append("\n    ]\n  }" if b.transactions else "]\n  }")
+        sep = ",\n"
+    parts.append("\n]\n")
+    return "".join(parts)
 
 
 # Header integers are unsigned 64-bit fields (see encoding.uint_field).

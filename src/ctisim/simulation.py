@@ -30,6 +30,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _enc
+from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .access_control import AttributePolicy, TlpLabel, open_envelope, seal
@@ -140,7 +142,8 @@ class AgentState:
 
 class MetricsRow(NamedTuple):
     """One agent's metrics for one round; the fields, in order, are the
-    columns of metrics.csv."""
+    columns of metrics.csv, and `MetricsSeries.to_csv` writes a row as
+    `",".join(map(str, row))` would, through one format string."""
 
     round: int
     agent: str
@@ -154,14 +157,16 @@ class MetricsRow(NamedTuple):
     utility: int
 
 
+# one metrics.csv line: `%s` spells each field as `str` does
+_CSV_ROW = ",".join(["%s"] * len(MetricsRow._fields)) + "\n"
+
+
 @dataclass
 class MetricsSeries:
     rows: list[MetricsRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = [",".join(MetricsRow._fields)]
-        lines += [",".join(map(str, r)) for r in self.rows]
-        return "\n".join(lines) + "\n"
+        return ",".join(MetricsRow._fields) + "\n" + "".join([_CSV_ROW % r for r in self.rows])
 
 
 @dataclass
@@ -456,20 +461,11 @@ class Engine:
             log = agent.current
             utility = compute_utility(log, cfg.utility)
             agent.total_utility += utility
-            metrics.rows.append(
-                MetricsRow(
-                    round=round_no,
-                    agent=agent.name,
-                    reputation=self.contracts.reputation.score_of(agent.sid),
-                    balance=self.contracts.market.balance_of(agent.sid),
-                    shares=log.shares,
-                    verified=log.verified,
-                    rejected=log.rejected,
-                    consumes=log.consumes,
-                    forfeited=log.forfeited,
-                    utility=utility,
-                )
-            )
+            metrics.rows.append(MetricsRow(
+                round_no, agent.name, self.contracts.reputation.score_of(agent.sid),
+                self.contracts.market.balance_of(agent.sid), log.shares, log.verified,
+                log.rejected, log.consumes, log.forfeited, utility,
+            ))
 
         self._seal(chain, round_no)
 
@@ -565,6 +561,75 @@ class Engine:
                 "campaigns": len(campaigns),
             },
         }
+
+
+def json_scalar(value: object) -> str:
+    """`value` as `json.dumps` spells it: json's own ASCII escaping for a
+    string, `int.__repr__`, `float.__repr__` or NaN and ±Infinity; TypeError
+    for a value of any other type."""
+    if isinstance(value, str):
+        return _enc(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _members(texts: list[str], brackets: str, indent: str) -> str:
+    """A JSON object or array at `indent` from its members' texts, each
+    opening with its own newline; an empty one as `json.dumps` writes it."""
+    return f"{brackets[0]}{','.join(texts)}\n{indent}{brackets[1]}" if texts else brackets
+
+
+def _scalars(values, indent: str) -> str:
+    """A JSON object (from a dict) or array of scalars at `indent`."""
+    if isinstance(values, dict):
+        return _members([f"\n{indent}  {_enc(k)}: {json_scalar(v)}" for k, v in values.items()], "{}", indent)
+    return _members([f"\n{indent}  {json_scalar(v)}" for v in values], "[]", indent)
+
+
+def summary_json(summary: dict) -> str:
+    """The summary.json text, `json.dumps(summary, indent=2)` plus a newline,
+    of a summary `Engine._build_summary` built. Each contract and campaign
+    is one template whose integer fields are formatted directly; an agent,
+    the votes and the aggregates are objects of scalars (`_scalars`)."""
+    contracts = [
+        f'\n    {{\n      "contract_id": {_enc(c["contract_id"])},'
+        f'\n      "producer": {_enc(c["producer"])},'
+        f'\n      "status": {_enc(c["status"])},'
+        f'\n      "pi_score": {json_scalar(c["pi_score"])},'
+        f'\n      "deposit": {c["deposit"]},'
+        f'\n      "deposit_state": {_enc(c["deposit_state"])},'
+        f'\n      "verification_fee": {c["verification_fee"]},'
+        f'\n      "sale_price": {json_scalar(c["sale_price"])},'
+        f'\n      "created_round": {c["created_round"]},'
+        f'\n      "finalized_round": {json_scalar(c["finalized_round"])},'
+        f'\n      "votes": {_scalars(c["votes"], "      ")}\n    }}'
+        for c in summary["contracts"]
+    ]
+    campaigns = [
+        f'\n    {{\n      "campaign_id": {_enc(c["campaign_id"])},'
+        f'\n      "member_records": {_scalars(c["member_records"], "      ")},'
+        f'\n      "shared_indicators": {_scalars(c["shared_indicators"], "      ")},'
+        f'\n      "window": {_scalars(c["window"], "      ")},'
+        f'\n      "support": {c["support"]}\n    }}'
+        for c in summary["campaigns"]
+    ]
+    agents = [f"\n    {_enc(name)}: {_scalars(a, '    ')}" for name, a in summary["agents"].items()]
+    return (
+        f'{{\n  "scenario": {_enc(summary["scenario"])},'
+        f'\n  "rounds": {summary["rounds"]},'
+        f'\n  "seed": {summary["seed"]},'
+        f'\n  "agents": {_members(agents, "{}", "  ")},'
+        f'\n  "contracts": {_members(contracts, "[]", "  ")},'
+        f'\n  "campaigns": {_members(campaigns, "[]", "  ")},'
+        f'\n  "aggregates": {_scalars(summary["aggregates"], "  ")}\n}}\n'
+    )
 
 
 def run_scenario(config: "ScenarioConfig") -> ScenarioResult:

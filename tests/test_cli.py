@@ -8,9 +8,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctisim.cli import _json_text, main
-from ctisim.config import load_config
-from ctisim.simulation import run_scenario
+from ctisim.cli import main
+from ctisim.config import MAX_YAML_NODES, load_config
+from ctisim.simulation import json_scalar, run_scenario, summary_json
 from tests.conftest import SCENARIO_DIR
 from tests.test_config import REVOCABLE_AUTHORITIES
 
@@ -60,45 +60,122 @@ def test_seed_flag_and_env_override(tmp_path, monkeypatch):
     assert (out_b / "chain.json").read_bytes() == (out_c / "chain.json").read_bytes()
 
 
-# --- the JSON writer against json.dumps(indent=2) --------------------------------
+# --- the summary writer against json.dumps(indent=2) ------------------------------
 
 json_strings = st.text() | st.sampled_from(
     ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\t\n\r\b\f", "caf\u00e9", "\u2028\uffff",
      "\U0001f600", "\ud800", ""]
 )
-json_numbers = (
-    st.integers()
-    | st.sampled_from([2**64, 2**64 + 1, -(2**65), 10**40, -1, 0])
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308,
-                       float("nan"), float("inf"), float("-inf")])
+json_ints = st.integers() | st.sampled_from([2**64, 2**64 + 1, -(2**65), 10**40, -1, 0])
+json_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
 )
-json_values = st.recursive(
-    st.none() | st.booleans() | json_numbers | json_strings,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(json_strings, children, max_size=4)
-    ),
-    max_leaves=20,
+json_scalars = st.none() | st.booleans() | json_ints | json_floats | json_strings
+
+AGENT_KEYS = ("reputation", "balance", "revoked", "revoked_round", "rejected_actions", "total_utility")
+AGGREGATE_KEYS = (
+    "total_submissions", "total_verified", "total_rejected", "verified_fabricated", "poisoning_rate",
+    "revoked_agents", "verifier_forfeit_income", "escrow", "held", "burned", "total_supply", "minted",
+    "campaigns",
 )
+
+
+def ordered(fields):
+    """Dicts of the drawn values, with their keys in the order of `fields`."""
+    return st.fixed_dictionaries(fields).map(lambda drawn: {key: drawn[key] for key in fields})
+
+
+def scalar_row(keys):
+    return ordered({key: json_scalars for key in keys})
+
+
+# each field drawn from the values its slot may hold: a string, an integer,
+# a float or null, an integer or null; the agents, votes and aggregates
+# are objects of any scalars
+summaries = ordered({
+    "scenario": json_strings,
+    "rounds": json_ints,
+    "seed": json_ints,
+    "agents": st.dictionaries(json_strings, scalar_row(AGENT_KEYS), max_size=3),
+    "contracts": st.lists(ordered({
+        "contract_id": json_strings,
+        "producer": json_strings,
+        "status": json_strings,
+        "pi_score": st.none() | json_floats,
+        "deposit": json_ints,
+        "deposit_state": json_strings,
+        "verification_fee": json_ints,
+        "sale_price": st.none() | json_ints,
+        "created_round": json_ints,
+        "finalized_round": st.none() | json_ints,
+        "votes": st.dictionaries(json_strings, json_scalars, max_size=3),
+    }), max_size=3),
+    "campaigns": st.lists(ordered({
+        "campaign_id": json_strings,
+        "member_records": st.lists(json_strings, max_size=3),
+        "shared_indicators": st.lists(json_strings, max_size=3),
+        "window": st.lists(json_ints, max_size=2),
+        "support": json_ints,
+    }), max_size=2),
+    "aggregates": scalar_row(AGGREGATE_KEYS),
+})
+
+
+def summary_shaped(**changes):
+    """A summary with one agent, contract and campaign, then `changes`."""
+    summary = {
+        "scenario": "s", "rounds": 1, "seed": 2,
+        "agents": {"a": dict.fromkeys(AGENT_KEYS, 0)},
+        "contracts": [{
+            "contract_id": "00", "producer": "a", "status": "Pending", "pi_score": None, "deposit": 1,
+            "deposit_state": "Held", "verification_fee": 1, "sale_price": None, "created_round": 1,
+            "finalized_round": None, "votes": {"v": "HighQuality"},
+        }],
+        "campaigns": [{"campaign_id": "01", "member_records": ["00"], "shared_indicators": ["x"],
+                       "window": [1, 2], "support": 2}],
+        "aggregates": dict.fromkeys(AGGREGATE_KEYS, 0),
+    }
+    summary.update(changes)
+    return summary
+
+
+def with_contract(**changes):
+    return summary_shaped(contracts=[{**summary_shaped()["contracts"][0], **changes}])
 
 
 @settings(max_examples=400, deadline=None)
-@given(value=json_values)
+@given(value=json_scalars)
+def test_json_scalar_matches_json_dumps(value):
+    assert json_scalar(value) == json.dumps(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=summaries)
 def test_json_writer_matches_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert summary_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [{}, [], (), {"a": {}}, [[], {}], {"k": [[]]}])
+@pytest.mark.parametrize("value", [
+    summary_shaped(agents={}),
+    summary_shaped(contracts=[]),
+    summary_shaped(campaigns=[]),
+    with_contract(votes={}),
+    summary_shaped(campaigns=[{"campaign_id": "01", "member_records": [], "shared_indicators": [],
+                               "window": [], "support": 0}]),
+    summary_shaped(agents={"a": {}}, contracts=[], campaigns=[], aggregates={}),
+])
 def test_json_writer_empty_containers(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    assert summary_json(value) == json.dumps(value, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [{1: "int key"}, {"k": b"bytes"}, {"k": {1, 2}}])
+@pytest.mark.parametrize("value", [
+    summary_shaped(agents={1: dict.fromkeys(AGENT_KEYS, 0)}),
+    with_contract(votes={"v": b"bytes"}),
+    summary_shaped(aggregates={"k": {1, 2}}),
+])
 def test_json_writer_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
-        _json_text(value)
+        summary_json(value)
 
 
 @pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
@@ -157,24 +234,48 @@ def test_agent_name_with_a_comma_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
-def aliased_name(levels, width):
-    """A `name` of `levels` nested lists, each of `width` aliases of the
+def aliased(key, levels, width):
+    """A `key` of `levels` nested lists, each of `width` aliases of the
     last: a few hundred bytes of YAML that `str` reads as width**levels."""
-    lines = ["name:", "  - &l0 [" + ", ".join(["xxxxxxxx"] * width) + "]"]
+    lines = [f"{key}:", "  - &l0 [" + ", ".join(["xxxxxxxx"] * width) + "]"]
     for i in range(1, levels):
         lines.append(f"  - &l{i} [" + ", ".join([f"*l{i - 1}"] * width) + "]")
     return "\n".join(lines) + "\n"
 
 
+def doi_flood_with(key, text):
+    """doi-flood's config with its `key` line replaced by `text`."""
+    lines = (SCENARIO_DIR / "doi-flood.yaml").read_text().splitlines()
+    return "\n".join(line for line in lines if not line.startswith(f"{key}:")) + "\n" + text
+
+
 def test_an_aliased_name_exits_one_and_writes_nothing(tmp_path, capsys):
-    text = (SCENARIO_DIR / "doi-flood.yaml").read_text()
-    text = "\n".join(line for line in text.splitlines() if not line.startswith("name:"))
+    # 4 levels: 12,347 nodes, under MAX_YAML_NODES, so `_text` refuses it
     bad = tmp_path / "bad.yaml"
-    bad.write_text(text + "\n" + aliased_name(5, 10))
+    bad.write_text(doi_flood_with("name", aliased("name", 4, 10)))
     assert bad.stat().st_size < 2000
     assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == "error: name: expected a scalar, got a list\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["run", "sweep"])
+def test_a_config_or_values_past_the_node_bound_exits_one_briefly(tmp_path, capsys, case):
+    # `rounds` of 5 levels of 10 aliases expands a 1,343-byte config to
+    # 123,549 nodes: refused whole, before any check could repr the value
+    out = tmp_path / "o"
+    if case == "run":
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(doi_flood_with("rounds", aliased("rounds", 5, 10)))
+        assert bad.stat().st_size < 2000
+        argv, name = ["run", "--config", str(bad), "--out", str(out)], "config"
+    else:
+        values = ", ".join(line[4:] for line in aliased("v", 5, 10).splitlines()[1:])
+        argv = ["sweep", "--config", DOI, "--param", "rounds", "--values", values, "--out", str(out)]
+        name = "--values"
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {name}: expands to more than {MAX_YAML_NODES:,} nodes\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where, value, field, kind", [

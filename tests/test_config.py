@@ -14,6 +14,7 @@ from ctisim.config import (
     AccessSpec,
     AgentSpec,
     MAX_YAML_DEPTH,
+    MAX_YAML_NODES,
     ScenarioConfig,
     apply_override,
     load_config,
@@ -335,6 +336,41 @@ def test_deep_yaml_exits_one_under_libyaml(tmp_path, case):
     assert not (tmp_path / "o").exists()
 
 
+# --- expansion: every node an alias names counts ---------------------------------
+
+def expanding_to(total):
+    """A document of exactly `total` nodes (>= 204): a 100-node anchored
+    list, then a list of aliases of it padded with scalars."""
+    aliases, pad = divmod(total - 104, 100)
+    return "a: &a [" + ", ".join("0" * 99) + "]\nb: [" + ", ".join(["*a"] * aliases + ["0"] * pad) + "]\n"
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_expansion_at_the_node_bound_loads_and_one_node_more_is_refused(monkeypatch, loader):
+    monkeypatch.setattr(config_module, "_SAFE_LOADER", loader)
+    loaded = read_yaml(expanding_to(MAX_YAML_NODES), "config")
+    assert len(loaded["b"]) == (MAX_YAML_NODES - 104) // 100 + (MAX_YAML_NODES - 104) % 100
+    refusal = f"^config: expands to more than {MAX_YAML_NODES:,} nodes$"
+    with pytest.raises(ConfigInvalid, match=refusal):
+        read_yaml(expanding_to(MAX_YAML_NODES + 1), "config")
+    # without an alias, as many nodes written out are refused alike
+    with pytest.raises(ConfigInvalid, match=refusal):
+        read_yaml("[" + "0," * MAX_YAML_NODES + "]", "config")
+
+
+def test_a_config_whose_agents_share_lists_loads_as_dumped(tmp_path):
+    # yaml.safe_dump writes a list that several agents share once, with an
+    # anchor, and an alias at every later use, as generated configs do
+    raw = yaml.safe_load(MINIMAL)
+    tags, roles = ["ICS-ISAC", "gov"], ["Consumer"]
+    raw["agents"] += [{"name": f"c{i}", "roles": roles, "attributes": tags} for i in range(1000)]
+    path = tmp_path / "shared.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    assert "&id001" in path.read_text() and "*id001" in path.read_text()
+    assert load_raw(str(path)) == raw
+    assert len(parse_config(raw).agents) == 1005
+
+
 # --- field types: a wrong type is a ConfigInvalid naming the field -------------
 
 def invalid_field(raw):
@@ -343,17 +379,31 @@ def invalid_field(raw):
     return exc.value
 
 
-@pytest.mark.parametrize("tau", ["abc", [1], "0.7"])
-def test_tau_must_be_a_number(tau):
+@pytest.mark.parametrize(
+    "tau, got",
+    [("abc", "'abc'"), ([1], "a list"), ("0.7", "'0.7'"), ({"a": 1}, "a mapping")],
+    ids=["abc", "tau1", "0.7", "mapping"],
+)
+def test_tau_must_be_a_number(tau, got):
     raw = yaml.safe_load(MINIMAL)
     raw["verification"] = {"tau": tau}
-    assert invalid_field(raw).field == "verification.tau"
+    err = invalid_field(raw)
+    assert (err.field, str(err)) == ("verification.tau", f"verification.tau: expected a number, got {got}")
+
+
+@pytest.mark.parametrize("rounds, got", [("5", "'5'"), ([5], "a list"), ({"n": 5}, "a mapping")],
+                         ids=["string", "list", "mapping"])
+def test_rounds_must_be_an_integer(rounds, got):
+    raw = yaml.safe_load(MINIMAL)
+    raw["rounds"] = rounds
+    assert str(invalid_field(raw)) == f"rounds: expected an integer, got {got}"
 
 
 def test_attributes_must_be_a_list():
     raw = yaml.safe_load(MINIMAL)
-    raw["agents"][4]["attributes"] = "gov"
-    assert invalid_field(raw).field == "agents[4].attributes"
+    for value, got in [("gov", "'gov'"), ({"gov": None}, "a mapping")]:
+        raw["agents"][4]["attributes"] = value
+        assert str(invalid_field(raw)) == f"agents[4].attributes: expected a list, got {got}"
 
 
 def test_roles_must_be_a_list():
@@ -406,7 +456,25 @@ def set_forfeiture(raw, value):
     return "economics.forfeiture"
 
 
-TEXT_FIELDS = [set_name, set_agent_name, set_attribute, set_designated, set_tlp, set_forfeiture]
+def set_role(raw, value):
+    raw["agents"][4]["roles"] = ["Producer", value]
+    return "agents[4].roles"
+
+
+def set_kind(raw, value):
+    raw["agents"][4]["strategy"] = {"kind": value}
+    return "agents[4].strategy.kind"
+
+
+def set_sale_mode(raw, value):
+    raw["economics"] = {"sale_mode": value}
+    return "economics.sale_mode"
+
+
+TEXT_FIELDS = [
+    set_name, set_agent_name, set_attribute, set_designated, set_tlp, set_forfeiture,
+    set_role, set_kind, set_sale_mode,
+]
 
 
 @pytest.mark.parametrize("value, kind", [(["a"], "list"), ({"a": 1}, "mapping")], ids=["list", "mapping"])
@@ -429,12 +497,13 @@ def test_a_scalar_name_or_tag_reads_as_its_string(value, text):
 
 @pytest.mark.parametrize("policy", [5, 0, False, [], {}], ids=["5", "0", "false", "list", "mapping"])
 def test_policy_must_be_a_string(policy):
+    got = {list: "a list", dict: "a mapping"}.get(type(policy), repr(policy))
     raw = yaml.safe_load(MINIMAL)
     raw["agents"][4]["access"] = {"tlp": "green", "policy": policy}
-    assert invalid_field(raw).field == "agents[4].access.policy"
+    assert str(invalid_field(raw)) == f"agents[4].access.policy: expected a string, got {got}"
     del raw["agents"][4]["access"]
     raw["access"] = {"tlp": "green", "policy": policy}
-    assert invalid_field(raw).field == "access.policy"
+    assert str(invalid_field(raw)) == f"access.policy: expected a string, got {got}"
 
 
 @pytest.mark.parametrize("policy", [None, ""])
@@ -447,8 +516,10 @@ def test_null_or_empty_policy_means_no_policy(policy):
 @pytest.mark.parametrize("section", ["economics", "verification", "access", "mining", "utility"])
 def test_section_must_be_a_mapping(section):
     raw = yaml.safe_load(MINIMAL)
-    raw[section] = 5
-    assert invalid_field(raw).field == section
+    for value, got in [(5, "5"), (["a"], "a list")]:
+        raw[section] = value
+        err = invalid_field(raw)
+        assert (err.field, str(err)) == (section, f"{section}: expected a mapping, got {got}")
 
 
 def test_agent_entry_must_be_a_mapping():

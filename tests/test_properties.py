@@ -1,11 +1,14 @@
 """Scenario properties over small random configs.
 
 Each example draws a small platform (1-8 producers, 0-3 false-sharers, 3-6
-verifiers, 0-4 consumers, an optional flooder) under a random forfeiture
+verifiers, 0-4 consumers, an optional flooder; producer and consumer names
+may hold non-ASCII characters or a backslash) under a random forfeiture
 policy, sale mode, fees, deposits, TLP channel and attribute policy,
-runs it, and checks what must hold for every config:
-the re-read dump verifies VALID, a second run writes the same bytes, and
-every rejected action is named by an error type or an engine blocker.
+runs it for 0-6 rounds, and checks what must hold for every config:
+summary.json is `json.dumps(summary, indent=2)` and each metrics.csv line
+`",".join(map(str, row))`, the re-read dump verifies VALID, a second run
+writes the same bytes, and every rejected action is named by an error
+type or an engine blocker.
 The campaigns the run mined from its own verified records are those an
 auditor mines from the re-read dump, and each passes `verify_derivation`;
 mining parameters are drawn so that some examples mine a campaign, and
@@ -29,7 +32,7 @@ from ctisim import errors
 from ctisim.config import parse_config
 from ctisim.ledger import chain_from_json, chain_to_json, verify_chain
 from ctisim.mining import mine_campaigns, verify_derivation
-from ctisim.simulation import Engine
+from ctisim.simulation import Engine, MetricsRow, summary_json
 from tests.test_replay import replay_blocks
 
 TAGS = ["ICS-ISAC", "gov"]
@@ -41,6 +44,8 @@ REJECTION_NAMES = BLOCKERS | {
 }
 
 probabilities = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+# name suffixes that summary.json escapes and metrics.csv writes as they are
+name_suffixes = st.sampled_from(["", "-caf\u00e9", "-\\", "-\u65e5\u672c", "-\U0001f600"])
 
 
 @st.composite
@@ -53,7 +58,7 @@ def scenarios(draw):
         agents.append({"name": f"verifier-{i}", "roles": ["Verifier"], "strategy": {"kind": kind}})
     for i in range(draw(st.integers(1, 8))):
         agents.append({
-            "name": f"producer-{i}",
+            "name": f"producer-{i}" + draw(name_suffixes),
             "roles": ["Producer", "Consumer"],
             "attributes": draw(attributes),
             "endowment": draw(st.integers(0, 60)),
@@ -80,7 +85,7 @@ def scenarios(draw):
         })
     for i in range(draw(st.integers(0, 4))):
         agents.append({
-            "name": f"consumer-{i}",
+            "name": f"consumer-{i}" + draw(name_suffixes),
             "roles": ["Consumer"],
             "attributes": draw(attributes),
             "endowment": draw(st.integers(0, 60)),
@@ -97,7 +102,7 @@ def scenarios(draw):
     sale_mode = draw(st.sampled_from(["none", "fixed", "producer-set"]))
     return {
         "name": "property",
-        "rounds": draw(st.integers(1, 6)),
+        "rounds": draw(st.integers(0, 6)),
         "seed": draw(st.integers(0, 2**16)),
         "agents": agents,
         "economics": {
@@ -122,14 +127,14 @@ def scenarios(draw):
 
 
 def run(raw):
-    """The engine after its run, and its outputs' bytes."""
+    """The engine after its run, and its outputs' bytes, each checked
+    against what `json.dumps` and `str` write."""
     engine = Engine(parse_config(raw))
     result = engine.run()
-    outputs = (
-        chain_to_json(result.chain),
-        json.dumps(result.summary, indent=2) + "\n",
-        result.metrics.to_csv(),
-    )
+    outputs = (chain_to_json(result.chain), summary_json(result.summary), result.metrics.to_csv())
+    assert outputs[1] == json.dumps(result.summary, indent=2) + "\n"
+    rows = [MetricsRow._fields, *result.metrics.rows]
+    assert outputs[2] == "".join(",".join(map(str, row)) + "\n" for row in rows)
     return engine, result, outputs
 
 
@@ -157,6 +162,9 @@ def test_every_small_scenario_keeps_the_platform_invariants(raw):
     assert mine_campaigns(reread, mining.window_rounds, mining.min_support, mining.min_overlap) == result.campaigns
     assert all(verify_derivation(c, reread) for c in result.campaigns)
     event(f"mined a campaign: {bool(result.campaigns)}")
+    contracts = result.summary["contracts"]
+    event(f"a pending contract: {any(c['finalized_round'] is None for c in contracts)}")
+    event(f"a contract without votes: {any(not c['votes'] for c in contracts)}")
 
     for _, replayed in replay_blocks(reread, engine.cfg):
         assert replayed.market.conserved()
