@@ -13,11 +13,13 @@ given; the --parallel flag is still accepted but changes nothing. Each leg
 writes to `<param>=<value>` under --out, with path separators and colons
 mapped to `_`. Every leg's directory and config are settled before any leg
 runs, so values that map to the same directory, or a value the config
-refuses, exit 1 with nothing written. `sweep.csv` quotes a value holding a
-comma or a quote. The config file and --values are read by one YAML
-reader, `config.read_yaml`, which refuses nesting deeper than
-`config.MAX_YAML_DEPTH`, or more than `config.MAX_YAML_NODES` nodes with
-every alias expanded, with exit 1 before the YAML loader builds anything.
+refuses, exit 1 with nothing written; then every leg's directory is made,
+so a name the file system refuses exits 2 with no output file written.
+`sweep.csv` quotes a value holding a comma or a quote. The config file
+and --values are read by one YAML reader, `config.read_yaml`, which
+refuses nesting deeper than `config.MAX_YAML_DEPTH`, or more than
+`config.MAX_YAML_NODES` nodes with every alias expanded, with exit 1
+before the YAML loader builds anything.
 
 `summary.json` (`simulation.summary_json`), `chain.json` (`ledger.chain_to_json`)
 and `metrics.csv` are each written from one template per row, the JSON files
@@ -174,6 +176,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 1
         legs[name] = str(value)
     configs = [_config(raw, {args.param: value}) for value in values]
+    # a directory name the file system refuses exits 2 before any leg writes
+    for name in legs:
+        os.makedirs(os.path.join(args.out, name), exist_ok=True)
 
     rows = []
     for value, name, config in zip(values, legs, configs):

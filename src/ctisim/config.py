@@ -182,33 +182,30 @@ def _names(value: Any, name: str) -> list[str]:
     return [_text(v, name) for v in _list(value, name)]
 
 
+def _choice(table: dict[str, Any], what: str, spell: Callable[[str], str] = str) -> Check:
+    """A scalar named by its text as `spell` writes it: the value `table`
+    holds under that text, or a refusal naming it an unknown `what`."""
+
+    def check(value: Any, name: str) -> Any:
+        choice = table.get(spell(_text(value, name)))
+        if choice is None:
+            raise ConfigInvalid(name, f"unknown {what} {value!r}")
+        return choice
+
+    return check
+
+
+_role = _choice({role.value: role for role in Role}, "role")
+
+
 def _roles(value: Any, name: str) -> frozenset[Role]:
-    roles = set()
-    for role_name in _list(value, name):
-        try:
-            roles.add(Role(_text(role_name, name)))
-        except ValueError:
-            raise ConfigInvalid(name, f"unknown role {role_name!r}") from None
+    roles = {_role(role_name, name) for role_name in _list(value, name)}
     if not roles:
         raise ConfigInvalid(name, "at least one role required")
     if Role.Authority in roles and (Role.Producer in roles or Role.Verifier in roles):
         # reputation could revoke it, and the first authority seals every block
         raise ConfigInvalid(name, "an Authority may not also be a Producer or Verifier")
     return frozenset(roles)
-
-
-def _kind(value: Any, name: str) -> StrategyKind:
-    try:
-        return StrategyKind(_text(value, name))
-    except ValueError:
-        raise ConfigInvalid(name, f"unknown strategy {value!r}") from None
-
-
-def _tlp(value: Any, name: str) -> TlpChannel:
-    try:
-        return TlpChannel(_text(value, name).capitalize())
-    except ValueError:
-        raise ConfigInvalid(name, f"unknown channel {value!r}") from None
 
 
 def _policy(value: Any, name: str) -> Optional[AttributePolicy]:
@@ -221,19 +218,6 @@ def _policy(value: Any, name: str) -> Optional[AttributePolicy]:
         return parse_policy(value)
     except PolicyParseError as exc:
         raise ConfigInvalid(name, str(exc)) from None
-
-
-def _sale_mode(value: Any, name: str) -> str:
-    if _text(value, name) not in SALE_MODES:
-        raise ConfigInvalid(name, f"unknown mode {value!r}")
-    return value
-
-
-def _forfeiture(value: Any, name: str) -> ForfeiturePolicy:
-    key = _text(value, name).lower()
-    if key not in FORFEITURE:
-        raise ConfigInvalid(name, f"unknown policy {value!r}")
-    return FORFEITURE[key]
 
 
 def _strategy(value: Any, name: str) -> AgentStrategy:
@@ -311,7 +295,7 @@ _CHECKS: dict[str, Check] = {
     "attributes": lambda value, name: frozenset(_names(value, name)),
     "endowment": _int(lo=0),
     # access: AccessSpec
-    "tlp": _tlp,
+    "tlp": _choice({channel.value: channel for channel in TlpChannel}, "channel", str.capitalize),
     "designated": lambda value, name: tuple(_names(value, name)),
     "policy": _policy,
     # economics: EconomicsConfig
@@ -320,9 +304,9 @@ _CHECKS: dict[str, Check] = {
     "discount_per_hq": _int(lo=0),
     "deposit": _int(lo=0),
     "verification_fee": _int(lo=0),
-    "sale_mode": _sale_mode,
+    "sale_mode": _choice({mode: mode for mode in SALE_MODES}, "mode"),
     "fixed_price": _optional(_int(lo=0)),
-    "forfeiture": _forfeiture,
+    "forfeiture": _choice(FORFEITURE, "policy", str.lower),
     # verification: VerificationPolicy
     "alpha": _as_prob,
     "tau": _as_float,
@@ -341,7 +325,7 @@ _CHECKS: dict[str, Check] = {
     "consumption_benefit": _int(lo=0),
     "window": _int(lo=1),
     # agents[i].strategy: AgentStrategy
-    "kind": _kind,
+    "kind": _choice({kind.value: kind for kind in StrategyKind}, "strategy"),
     "share_rate": _as_prob,
     "fabrication_rate": _as_prob,
     "flood_multiplier": _int(lo=1),

@@ -2,8 +2,11 @@
 
 Registrations, each minting its stakeholder's endowment, happen at round
 0, in block 1, even in a run of zero rounds; every later round runs the
-same synchronous phases: submissions, votes, finalizations, purchases,
-renewals, then one sealed block. All state transitions materialize as
+same synchronous phases, each an `Engine` method called once per round:
+`_submit`, `_vote`, `_finalize`, `_consume` (purchases and free reads),
+`_renew`, `_record_metrics`, then `_seal` for one sealed block. An agent
+is lapsed, and may not act, while its paid subscription period ended
+before the round (`_can_act`). All state transitions materialize as
 ledger transactions, and a fixed config (its seed included) replays to a
 byte-identical chain. The operations return their results, not their
 transactions: each block holds what the registry signed that round
@@ -72,6 +75,10 @@ _HIGH, _LOW = Vote.HighQuality, Vote.LowQuality
 _VERIFIED, _REJECTED = ContractStatus.Verified, ContractStatus.Rejected
 _DOMAIN, _TECHNICAL = IocKind.Domain, CtiCategory.Technical
 
+# The shared indicator of each campaign a genuine record may join, `camp-1` to
+# `camp-3`: an opaque derivation of its label, which never reaches emitted bytes.
+_CAMPAIGN_INDICATORS = [f"shared-{sha256(b'campaign-indicator:camp-%d' % n)[:6].hex()}.example" for n in (1, 2, 3)]
+
 
 @dataclass
 class AgentStrategy:
@@ -136,7 +143,6 @@ class AgentState:
     share_rounds: list[int] = field(default_factory=list)
     est_income_events: list[tuple[int, int]] = field(default_factory=list)
     record_counter: int = 0
-    inactive: bool = False
     revoked_round: Optional[int] = None
 
 
@@ -201,35 +207,37 @@ class Engine:
         self.contracts = ContractSystem(self.registry, cfg.verification, cfg.economics)
         authority_spec = next(s for s in cfg.agents if Role.Authority in s.roles)
         ordered = [authority_spec] + [s for s in cfg.agents if s is not authority_spec]
-        sid_by_name: dict[str, Digest] = {}
+        credentials: dict[str, Credential] = {}
         for spec in ordered:
-            credential = self.contracts.register(spec.roles, spec.attributes, evidence_for(spec.name), spec.endowment)
-            sid_by_name[spec.name] = credential.stakeholder
-
+            credentials[spec.name] = self.contracts.register(
+                spec.roles, spec.attributes, evidence_for(spec.name), spec.endowment
+            )
         # agent action order follows the config, not registration order
         for spec in cfg.agents:
-            sid = sid_by_name[spec.name]
-            state = AgentState(
-                name=spec.name,
-                sid=sid,
-                credential=self.registry.credentials[sid],
-                strategy=spec.strategy,
-            )
+            credential = credentials[spec.name]
+            state = AgentState(spec.name, credential.stakeholder, credential, spec.strategy)
             self.agents.append(state)
-            self.by_id[sid] = state
-        # A producer's access spec and every agent's id are fixed from here
-        # on, and a label is immutable, so all of an agent's records share one.
-        self._access = {spec.name: self._resolve_access(spec) for spec in cfg.agents}
+            self.by_id[state.sid] = state
+        # A producer's access spec, its sale price and every agent's id are
+        # fixed from here on, and a label is immutable, so all of an agent's
+        # records share one label, policy and price.
+        self._terms = {spec.name: self._record_terms(spec) for spec in cfg.agents}
+        # roles and rates never change; an agent left out draws no random number in `_consume`
+        self._readers = [
+            a for a in self.agents if a.strategy.consume_rate > 0 and Role.Consumer in a.credential.roles
+        ]
 
-    def _resolve_access(self, spec: "AgentSpec") -> tuple[TlpLabel, Optional[AttributePolicy]]:
-        """TLP label and policy for records produced by this agent."""
+    def _record_terms(self, spec: "AgentSpec") -> tuple[TlpLabel, Optional[AttributePolicy], Optional[int]]:
+        """TLP label, policy and sale price of records produced by this agent."""
         access = spec.access if spec.access is not None else self.cfg.access
         designated = None
         if access.designated:
             designated = frozenset(a.sid for a in self.agents if a.name in access.designated)
-        return TlpLabel(access.tlp, designated), access.policy
+        economics = self.cfg.economics
+        price = {"fixed": economics.fixed_price, "producer-set": spec.strategy.sale_price}
+        return TlpLabel(access.tlp, designated), access.policy, price.get(economics.sale_mode)
 
-    # -- per-round behavior -------------------------------------------------
+    # -- per-agent behavior -------------------------------------------------
 
     def _worth_sharing(self, agent: AgentState, round_no: int) -> bool:
         """Whether the agent's income per share over the trailing window,
@@ -263,31 +271,19 @@ class Engine:
             return []
         return [False]
 
-    def _sale_price_for(self, agent: AgentState) -> Optional[int]:
-        mode = self.cfg.economics.sale_mode
-        if mode == "fixed":
-            return self.cfg.economics.fixed_price
-        if mode == "producer-set":
-            return agent.strategy.sale_price
-        return None
-
     def _make_record(self, agent: AgentState, fabricated: bool, round_no: int) -> CtiRecord:
         agent.record_counter += 1
         n = agent.record_counter
         if fabricated:
             iocs = (Ioc(_DOMAIN, f"bogus-{agent.name}-{n}.example", round_no),)
         elif self.rng.random() < 0.5:
-            label = f"camp-{self.rng.randint(1, 3)}"
-            # the shared value is an opaque derivation of the campaign's
-            # label, so the label itself never reaches emitted bytes
-            shared = sha256(b"campaign-indicator:" + label.encode())[:6].hex()
             iocs = (
-                Ioc(_DOMAIN, f"shared-{shared}.example", round_no),
+                Ioc(_DOMAIN, _CAMPAIGN_INDICATORS[self.rng.randint(1, 3) - 1], round_no),
                 Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),
             )
         else:
             iocs = (Ioc(_DOMAIN, f"{agent.name}-{n}.example", round_no),)
-        tlp, policy = self._access[agent.name]
+        tlp, policy, sale_price = self._terms[agent.name]
         return make_record(
             producer=agent.sid,
             category=_TECHNICAL,
@@ -295,14 +291,16 @@ class Engine:
             narrative_digest=ZERO_DIGEST,
             tlp=tlp,
             policy=policy,
-            sale_price=self._sale_price_for(agent),
+            sale_price=sale_price,
             created_round=round_no,
         )
 
-    def _can_act(self, agent: AgentState) -> Optional[str]:
+    def _can_act(self, agent: AgentState, round_no: int) -> Optional[str]:
+        """Why the agent may not act in round `round_no`: revoked, or lapsed
+        (its paid period ended before the round and `_renew` failed)."""
         if agent.credential.revoked:
             return "Revoked"
-        if agent.inactive:
+        if self.cfg.economics.base_fee > 0 and self.contracts.subscription.paid_through[agent.sid] < round_no:
             return "SubscriptionLapsed"
         return None
 
@@ -318,17 +316,9 @@ class Engine:
         for round_no in range(1, cfg.rounds + 1):
             self._run_round(chain, metrics, round_no)
 
-        verified = [
-            c.record
-            for c in self.contracts.contracts.values()
-            if c.status is _VERIFIED and c.record.category is _TECHNICAL
-        ]
-        campaigns = mine_campaigns(
-            verified,
-            window_rounds=cfg.mining.window_rounds,
-            min_support=cfg.mining.min_support,
-            min_overlap=cfg.mining.min_overlap,
-        )
+        contracts, mining = self.contracts.contracts.values(), cfg.mining
+        verified = [c.record for c in contracts if c.status is _VERIFIED and c.record.category is _TECHNICAL]
+        campaigns = mine_campaigns(verified, mining.window_rounds, mining.min_support, mining.min_overlap)
         summary = self._build_summary(campaigns)
         return ScenarioResult(
             chain=chain,
@@ -341,16 +331,22 @@ class Engine:
         )
 
     def _run_round(self, chain: Chain, metrics: MetricsSeries, round_no: int) -> None:
-        cfg = self.cfg
-        for agent in self.agents:
-            agent.current = AgentRoundLog()
-        submitted: list[ReportContract] = []
+        submitted = self._submit(round_no)
+        self._vote(submitted, round_no)
+        verified = self._finalize(submitted, round_no)
+        self._consume(verified, round_no)
+        self._renew(round_no)
+        self._record_metrics(metrics, round_no)
+        self._seal(chain, round_no)
 
-        # submissions
+    # -- the round's phases, in order ----------------------------------------
+
+    def _submit(self, round_no: int) -> list[ReportContract]:
+        """Each agent's planned records under deposit; returns those accepted."""
+        submitted: list[ReportContract] = []
         for agent in self.agents:
-            plan = self._submission_plan(agent, round_no)
-            for fabricated in plan:
-                blocker = self._can_act(agent)
+            for fabricated in self._submission_plan(agent, round_no):
+                blocker = self._can_act(agent, round_no)
                 if blocker:
                     agent.events.append((round_no, blocker))
                     continue
@@ -366,8 +362,10 @@ class Engine:
                 if not fabricated:
                     agent.current.genuine_shares += 1
                 agent.share_rounds.append(round_no)
+        return submitted
 
-        # votes: the engine guarantees every assigned verifier votes this round
+    def _vote(self, submitted: list[ReportContract], round_no: int) -> None:
+        """The engine guarantees every assigned verifier votes this round."""
         for contract in submitted:
             truth = self.truth[contract.contract_id]
             for v_sid in contract.assigned_verifiers:
@@ -378,17 +376,16 @@ class Engine:
                 except CtiSimError as exc:
                     v_agent.events.append((round_no, type(exc).__name__))
 
-        # finalizations
+    def _finalize(self, submitted: list[ReportContract], round_no: int) -> list[ReportContract]:
+        """Settle each submission's deposit, fees and reputation; returns those verified."""
         newly_verified: list[ReportContract] = []
         for contract in submitted:
+            producer = self.by_id[contract.record.producer]
             try:
                 outcome = self.contracts.finalize_verification(contract.contract_id, round_no)
             except CtiSimError as exc:
-                self.by_id[contract.record.producer].events.append(
-                    (round_no, type(exc).__name__)
-                )
+                producer.events.append((round_no, type(exc).__name__))
                 continue
-            producer = self.by_id[contract.record.producer]
             if contract.status is _VERIFIED:
                 producer.current.verified += 1
                 newly_verified.append(contract)
@@ -401,21 +398,18 @@ class Engine:
                 self.by_id[sid].est_income_events.append((round_no, amount))
             for sid in outcome.revoked:
                 self.by_id[sid].revoked_round = round_no
+        return newly_verified
 
-        # purchases and free reads of this round's newly verified records;
-        # a record is sealed on its first free read and its envelope serves
-        # the round's later readers (no later round reads it)
+    def _consume(self, verified: list[ReportContract], round_no: int) -> None:
+        """Purchases and free reads of this round's newly verified records.
+        A record is sealed on its first free read and its envelope serves
+        the round's later readers (no later round reads it)."""
         group = self.registry.active_ids()
         envelopes = {}
-        for agent in self.agents:
-            rate = agent.strategy.consume_rate
-            if rate <= 0 or Role.Consumer not in agent.credential.roles:
+        for agent in self._readers:
+            if self.rng.random() >= agent.strategy.consume_rate or self._can_act(agent, round_no):
                 continue
-            if self.rng.random() >= rate:
-                continue
-            if self._can_act(agent):
-                continue
-            for contract in newly_verified:
+            for contract in verified:
                 if contract.record.producer == agent.sid:
                     continue
                 cid = contract.contract_id
@@ -440,34 +434,35 @@ class Engine:
                         continue
                     agent.current.consumes += 1
 
-        # subscription renewals at period boundaries
-        if cfg.economics.base_fee > 0:
-            for agent in self.agents:
-                if agent.credential.revoked:
-                    continue
-                sub = self.contracts.subscription
-                while sub.paid_through.get(agent.sid, 0) <= round_no:
-                    try:
-                        charge = self.contracts.renew_subscription(agent.sid, round_no)
-                    except CtiSimError as exc:
-                        agent.events.append((round_no, type(exc).__name__))
-                        agent.inactive = True
-                        break
-                    agent.current.income += cfg.economics.base_fee - charge
-                    agent.inactive = False
-
-        # metrics and the round's block
+    def _renew(self, round_no: int) -> None:
+        """Renew each unrevoked agent's subscription until it is paid past this
+        round; an agent whose renewal fails is lapsed until one succeeds."""
+        base_fee = self.cfg.economics.base_fee
+        if base_fee == 0:
+            return
+        paid_through = self.contracts.subscription.paid_through
         for agent in self.agents:
-            log = agent.current
-            utility = compute_utility(log, cfg.utility)
+            if agent.credential.revoked:
+                continue
+            while paid_through[agent.sid] <= round_no:
+                try:
+                    charge = self.contracts.renew_subscription(agent.sid, round_no)
+                except CtiSimError as exc:
+                    agent.events.append((round_no, type(exc).__name__))
+                    break
+                agent.current.income += base_fee - charge
+
+    def _record_metrics(self, metrics: MetricsSeries, round_no: int) -> None:
+        """Each agent's row for the round; its log starts afresh for the next."""
+        score_of, balance_of = self.contracts.reputation.score_of, self.contracts.market.balance_of
+        for agent in self.agents:
+            log, agent.current = agent.current, AgentRoundLog()
+            utility = compute_utility(log, self.cfg.utility)
             agent.total_utility += utility
             metrics.rows.append(MetricsRow(
-                round_no, agent.name, self.contracts.reputation.score_of(agent.sid),
-                self.contracts.market.balance_of(agent.sid), log.shares, log.verified,
-                log.rejected, log.consumes, log.forfeited, utility,
+                round_no, agent.name, score_of(agent.sid), balance_of(agent.sid), log.shares,
+                log.verified, log.rejected, log.consumes, log.forfeited, utility,
             ))
-
-        self._seal(chain, round_no)
 
     def _seal(self, chain: Chain, round_no: int) -> None:
         """Seal what the registry signed since the last block, in signing

@@ -388,6 +388,15 @@ def test_sweep_writes_nothing_when_a_later_value_does_not_parse(tmp_path, capsys
     assert not out.exists()
 
 
+def test_sweep_writes_no_output_file_when_a_leg_directory_cannot_be_made(tmp_path, capsys):
+    out = tmp_path / "o"
+    long_value = "x" * 300  # `name=` and 300 bytes pass the usual 255-byte name limit
+    argv = ["--param", "name", "--values", f"short,{long_value}", "--out", str(out)]
+    assert run_cli("sweep", "--config", DOI, *argv) == 2
+    assert "File name too long" in capsys.readouterr().err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_a_null_section_takes_overrides(tmp_path):
     raw = yaml.safe_load((SCENARIO_DIR / "doi-flood.yaml").read_text())
     raw["economics"] = None

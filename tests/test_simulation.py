@@ -333,12 +333,44 @@ def test_subscription_lapse_blocks_sharing_until_funded():
     )
     result = run_scenario(config)
     poor = next(a for a in result.agents if a.name == "poor")
-    assert poor.inactive
-    lapsed_events = [e for e in poor.events if e[1] in ("InsufficientBalance", "SubscriptionLapsed")]
-    assert lapsed_events
-    # no submissions after the lapse round
-    lapse_round = lapsed_events[0][0]
+    # the renewal due at the end of its first period fails, and from the
+    # next round on every planned share is refused as lapsed
+    lapse_round = next(r for r, name in poor.events if name == "InsufficientBalance")
+    lapsed = [r for r, name in poor.events if name == "SubscriptionLapsed"]
+    assert lapsed == list(range(lapse_round + 1, 26))
+    # no submissions after the lapse round, in its log or on the chain
     assert all(rr <= lapse_round for rr in poor.share_rounds)
+    assert query(result.chain, kind=TxKind.SubmitCti, author=poor.sid, round_range=(lapse_round + 1, 25)) == []
+
+
+def test_a_lapsed_producer_verifier_earns_its_renewal_and_shares_again():
+    # it cannot pay its fee from sharing, keeps voting while lapsed, and the
+    # verification fees it earns pay the renewal that lets it share again
+    crew = basic_crew() + [
+        agent("pv", [Role.Producer, Role.Verifier], StrategyKind.HonestProducer,
+              share_rate=1.0, p_acc=1.0, endowment=0),
+        agent("p0", [Role.Producer], StrategyKind.HonestProducer, share_rate=1.0, endowment=500),
+        agent("p1", [Role.Producer], StrategyKind.HonestProducer, share_rate=1.0, endowment=500),
+    ]
+    economics = EconomicsConfig(base_fee=6, period_rounds=5, deposit=3, verification_fee=3,
+                                sale_mode="fixed", fixed_price=0)
+    result = run_scenario(make_config(crew, rounds=20, seed=1, economics=economics))
+    pv = next(a for a in result.agents if a.name == "pv")
+
+    def rounds_of(kind):
+        return [b.timestamp for b in result.chain.blocks for tx in b.transactions
+                if tx.kind is kind and tx.author == pv.sid]
+
+    lapsed = [r for r, name in pv.events if name == "SubscriptionLapsed"]
+    first = lapsed[0]
+    balance = {row.round: row.balance for row in result.metrics.rows if row.agent == "pv"}
+    assert balance[first - 1] < economics.base_fee
+    renewed = min(r for r in rounds_of(TxKind.RenewSubscription) if r >= first)
+    assert any(first <= r <= renewed for r in rounds_of(TxKind.Vote))
+    assert renewed + 1 not in lapsed
+    assert not set(lapsed) & set(pv.share_rounds)
+    assert any(r > renewed for r in pv.share_rounds)
+    assert any(r > renewed for r in rounds_of(TxKind.SubmitCti))
 
 
 def test_purchases_flow_in_marketplace():
