@@ -49,7 +49,9 @@ examples)::
     verification:         # alpha, tau, trust_threshold, delta_valid,
                           # delta_invalid, delta_majority_vote,
                           # delta_minority_vote, initial_score
-    access:               # tlp, designated, policy (the scenario-wide default)
+    access:               # tlp, designated (one agent under red, one or
+                          # more under orange, none under green or white),
+                          # policy (the scenario-wide default)
     mining:               # window_rounds, min_support, min_overlap
     utility:              # sharing_risk_cost, consumption_benefit, window
 

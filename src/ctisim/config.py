@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 import yaml
 
-from .access_control import AttributePolicy, TlpChannel, parse_policy
+from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy
 from .contracts import EconomicsConfig, ForfeiturePolicy, VerificationPolicy
 from .errors import ConfigInvalid, PolicyParseError
 from .identity import Role
@@ -355,6 +355,10 @@ def _validate_cross(config: ScenarioConfig) -> None:
         for designated in spec.designated:
             if designated not in names:
                 raise ConfigInvalid(f"{where}.designated", f"unknown agent {designated!r}")
+        # the label the engine gives this section's records, by name, not id
+        problems = TlpLabel(spec.tlp, frozenset(spec.designated) or None).problems()
+        if problems:
+            raise ConfigInvalid(f"{where}.designated", problems[0])
 
 
 def load_config(path: str) -> ScenarioConfig:

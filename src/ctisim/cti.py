@@ -1,15 +1,15 @@
 """Data model for shared intelligence records and their indicators.
 
-A record's id is the digest of its canonical bytes (`record_bytes`); a
-decoded record's id is that of the canonical bytes of what was decoded,
-whatever spelling the input used. A record from `make_record` or
-`decode_record` keeps the exact bytes its id hashes (`encoded`), so
-`record_bytes` returns them without encoding again; a record built any
-other way, directly or by `dataclasses.replace`, keeps none and is encoded
-from its fields. Decoding raises EncodingError, and nothing else, for
-input that does not decode to a record. It parses each distinct policy
-text once (the last `POLICY_MEMO_SIZE` are kept), and re-encodes only
-non-canonical input. Every field but `record_id` and `encoded` is
+A record's id is the digest of its canonical bytes (`record_bytes`), and
+those are the only bytes `decode_record` reads: a record has one spelling,
+so a decoded record's id is the digest of the very bytes decoded. A
+record from `make_record` or `decode_record` keeps the exact bytes its id
+hashes (`encoded`), so `record_bytes` returns them without encoding again;
+a record built any other way, directly or by `dataclasses.replace`, keeps
+none and is encoded from its fields. Decoding raises EncodingError, and
+nothing else, for input that does not decode to a record or is not its
+canonical spelling. It parses each distinct policy text once (the last
+`POLICY_MEMO_SIZE` are kept). Every field but `record_id` and `encoded` is
 serialized, so a well-formed record decodes back equal to itself. What
 the simulation knows and the chain must not (whether a record is genuine)
 the engine keeps beside its records, not on them.
@@ -270,26 +270,28 @@ def _member(table: dict, name: str, field: str):
 
 
 @lru_cache(maxsize=POLICY_MEMO_SIZE)
-def _decoded_policy(text: str) -> tuple[AttributePolicy, bool]:
-    """A record's policy text parsed, and whether the text is its canonical
-    spelling. Memoised by text: records repeat a few policies, and a parsed
-    policy is immutable. A failed parse raises and so is not cached."""
+def _decoded_policy(text: str) -> AttributePolicy:
+    """A record's policy text parsed. Memoised by text: records repeat a few
+    policies, and a parsed policy is immutable. Text that does not parse,
+    or is not `policy_to_string` of its parse, raises and so is not cached."""
     try:
         policy = parse_policy(text)
     except PolicyParseError as exc:
         raise EncodingError(f"bad policy in record: {exc}") from None
-    return policy, policy_to_string(policy) == text
+    if policy_to_string(policy) != text:
+        raise EncodingError("policy in record not in its canonical spelling")
+    return policy
 
 
 def decode_record(data: bytes) -> CtiRecord:
-    """Inverse of record_bytes.
+    """Inverse of record_bytes: `data` is the record's canonical bytes, and
+    its id is `record_id_for(data)`.
 
     Raises EncodingError for any malformed input, including an unknown
     category, level, indicator kind or TLP channel name and an unparseable
-    policy. The id is the digest of the canonical bytes of what was
-    decoded: `data` itself when it is canonical, otherwise its re-encoding
-    (designated entries sorted and deduplicated, dropped under Green and
-    White, the policy in its normal spacing).
+    policy, and for every spelling `record_bytes` never writes: designated
+    entries that are not sorted and unique, designated entries under Green
+    or White, a policy not in `policy_to_string`'s spelling.
     """
     r = Reader(data)
     producer = r.take_bytes()
@@ -303,26 +305,17 @@ def decode_record(data: bytes) -> CtiRecord:
     channel = _member(_CHANNEL, r.take_str(), "TLP channel")
     entries = r.take_bytes_seq()
     designated = None
-    canonical = True
     if entries:
         if channel in (TlpChannel.Green, TlpChannel.White):
-            canonical = False
-        else:
-            designated = frozenset(entries)
-            canonical = len(designated) == len(entries) and entries == tuple(sorted(entries))
-    policy = None
-    if r.take_bool():
-        policy, spelled_canonically = _decoded_policy(r.take_str())
-        canonical = canonical and spelled_canonically
+            raise EncodingError(f"designated entries under {channel.value}")
+        if any(a >= b for a, b in zip(entries, entries[1:])):
+            raise EncodingError("designated entries not sorted and unique")
+        designated = frozenset(entries)
+    policy = _decoded_policy(r.take_str()) if r.take_bool() else None
     sale_price = r.take_uint() if r.take_bool() else None
     created_round = r.take_uint()
     r.expect_end()
-    tlp = TlpLabel(channel, designated)
-    if not canonical:
-        data = _canonical_bytes(
-            producer, category, level, indicators, narrative, tlp, policy, sale_price, created_round
-        )
     return _keeping(CtiRecord(
-        record_id_for(data), producer, category, level, indicators, narrative, tlp, policy, sale_price,
-        created_round,
+        record_id_for(data), producer, category, level, indicators, narrative, TlpLabel(channel, designated),
+        policy, sale_price, created_round,
     ), data)

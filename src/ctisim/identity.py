@@ -120,6 +120,8 @@ class Registry:
         reason. The first credential is the Authority's self-registration,
         and only an acting authority registers the others; every id and
         secret is the one derived from its evidence, so evidence backs one id.
+        A Register is accepted in the one spelling `register_body` writes:
+        its roles and its attributes each sorted and unique.
         """
         cred = self.credentials.get(author)
         if cred is not None and cred.revoked:
@@ -129,6 +131,9 @@ class Registry:
                 body = RegisterBody.decode(payload)
             except EncodingError:
                 raise EncodingError("malformed Register payload") from None
+            for name, values in (("roles", body.roles), ("attributes", body.attributes)):
+                if any(a >= b for a, b in zip(values, values[1:])):
+                    raise EncodingError(f"Register with {name} not sorted and unique")
             if cred is not None:
                 if author not in self.authorities:
                     raise NotAnAuthority("Register by an author without the Authority role")

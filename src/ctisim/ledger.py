@@ -217,40 +217,33 @@ def verify_chain(chain: Chain) -> VerificationReport:
     rules the platform signs by; an illegal transaction is reported by the
     reason apply refuses it with. Register payloads carry each credential's
     secret, so every signature (the first authority's self-registration
-    too) is recheckable from the dump alone. A block may be empty; every
-    block after genesis must be sealed by an authority not revoked in an
-    earlier block or in its own.
+    too) is recheckable from the dump alone. Block 0 must equal
+    `make_genesis()`, field for field. A block may be empty; every block
+    after genesis must be sealed by an authority not revoked in an earlier
+    block or in its own.
     """
     from .identity import Registry
 
     if not chain.blocks:
         return VerificationReport(False, 0, "missing genesis block")
+    if chain.blocks[0] != make_genesis():
+        return VerificationReport(False, 0, "genesis is not the fixed genesis block")
 
     registry = Registry()
     apply, credentials, authorities = registry.apply, registry.credentials, registry.authorities
     seen_ids: set[bytes] = set()
     prev_timestamp = 0
 
-    for i, block in enumerate(chain.blocks):
+    for i, block in enumerate(chain.blocks[1:], start=1):
         def bad(reason: str) -> VerificationReport:
             return VerificationReport(False, i, reason)
 
         if block.height != i:
             return bad("height mismatch")
-        if i == 0:
-            if block.prev_hash != ZERO_DIGEST:
-                return bad("genesis prev_hash not zero")
-            if block.sealer != ZERO_DIGEST:
-                return bad("genesis sealer not zero")
-            if block.transactions:
-                return bad("genesis carries transactions")
-            if block.timestamp != 0:
-                return bad("genesis timestamp not zero")
-        else:
-            if block.prev_hash != hash_header(chain.blocks[i - 1]):
-                return bad("broken prev_hash link")
-            if block.timestamp < prev_timestamp:
-                return bad("timestamp decreased")
+        if block.prev_hash != hash_header(chain.blocks[i - 1]):
+            return bad("broken prev_hash link")
+        if block.timestamp < prev_timestamp:
+            return bad("timestamp decreased")
         if block.merkle_root != merkle_root(block.transactions):
             return bad("merkle root mismatch")
         if block.nonce != 0:
@@ -274,11 +267,10 @@ def verify_chain(chain: Chain) -> VerificationReport:
             if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
                 return bad("bad Register signature" if kind is _REGISTER else "bad signature")
 
-        if i > 0:
-            if block.sealer not in authorities:
-                return bad("sealer lacks Authority role")
-            if credentials[block.sealer].revoked:
-                return bad("sealer revoked")
+        if block.sealer not in authorities:
+            return bad("sealer lacks Authority role")
+        if credentials[block.sealer].revoked:
+            return bad("sealer revoked")
         prev_timestamp = block.timestamp
 
     return VerificationReport(True)

@@ -234,6 +234,18 @@ def test_agent_name_with_a_comma_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+def test_an_access_label_no_record_can_carry_exits_one_and_writes_nothing(tmp_path, capsys):
+    raw = yaml.safe_load((SCENARIO_DIR / "tlp-demo.yaml").read_text())
+    for agent in raw["agents"]:
+        agent.pop("access", None)
+    raw["access"] = {"tlp": "green", "designated": ["consumer-a"]}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: access.designated: Green must not carry a designated set\n"
+    assert not (tmp_path / "o").exists()
+
+
 def aliased(key, levels, width):
     """A `key` of `levels` nested lists, each of `width` aliases of the
     last: a few hundred bytes of YAML that `str` reads as width**levels."""

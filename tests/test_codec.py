@@ -5,8 +5,10 @@ field with the reference `Writer`. Every body class in `ctisim.payloads`
 must have a strategy and a reference encoder here, so a new body cannot
 ship untested. The record codec is checked against reference copies of the
 encoder and decoder it replaced (a `Writer`-based `record_bytes`, a decoder
-over a slice-taking reader that re-encodes what it parsed to get the id),
-on canonical, non-canonical and mutated bytes.
+over a slice-taking reader that re-encodes what it parsed and refuses input
+that differs from that re-encoding), on canonical, non-canonical and
+mutated bytes. A reader accepts one spelling of a record: the one
+`record_bytes` writes.
 """
 
 import struct
@@ -129,7 +131,8 @@ class RefReader:
 
 
 def ref_decode_record(data):
-    """Parse, build, re-encode for the id; bad names and policies are EncodingError."""
+    """Parse, build, re-encode; bad names and policies, and input that is not
+    its own re-encoding, are EncodingError."""
     r = RefReader(data)
     try:
         producer = r.take_bytes()
@@ -153,7 +156,9 @@ def ref_decode_record(data):
     r.expect_end()
     rec = CtiRecord(ZERO_DIGEST, producer, category, level, tuple(indicators), narrative,
                     TlpLabel(channel, designated), policy, sale_price, created_round)
-    return replace(rec, record_id=record_id_for(ref_record_bytes(rec)))
+    if ref_record_bytes(rec) != data:
+        raise EncodingError("not the canonical spelling")
+    return replace(rec, record_id=record_id_for(data))
 
 
 def outcome(fn, *args):
@@ -513,7 +518,8 @@ def test_decode_matches_reference_on_mutated_bytes(data):
     ids=["unsorted-designated", "duplicate-designated", "green-designated", "spaced-policy"],
 )
 def test_non_canonical_record_gets_the_canonical_id(channel, entries, policy):
-    """The id is never the digest of non-canonical input bytes."""
+    """The id is never the digest of non-canonical input bytes: such input
+    is refused, and only its canonical spelling decodes, to the canonical id."""
     w = Writer().put_bytes(b"p").put_str("Technical").put_str("Data").put_count(0)
     w.put_bytes(ZERO_DIGEST).put_str(channel.value)
     w.put_count(len(entries))
@@ -524,11 +530,15 @@ def test_non_canonical_record_gets_the_canonical_id(channel, entries, policy):
         w.put_str(policy)
     data = w.put_bool(False).put_uint(1).getvalue()
 
-    rec = decode_record(data)
+    with pytest.raises(EncodingError):
+        decode_record(data)
+    designated = frozenset(entries) if channel in (TlpChannel.Red, TlpChannel.Orange) else None
+    rec = make_record(b"p", CtiCategory.Technical, (), ZERO_DIGEST, TlpLabel(channel, designated),
+                      policy and parse_policy(policy), None, 1, IntelLevel.Data)
     canonical = record_bytes(rec)
     assert canonical != data
-    assert rec.record_id == record_id_for(canonical) != record_id_for(data)
     assert decode_record(canonical) == rec
+    assert decode_record(canonical).record_id == record_id_for(canonical)
 
 
 # --- the policy memo ------------------------------------------------------------
@@ -541,14 +551,18 @@ def record_with_policy(text):
 
 
 def test_repeated_non_canonical_policy_gets_the_canonical_id_every_time():
+    """A spaced policy is refused on every repeat, before and after its
+    canonical spelling is memoised; the canonical spelling keeps its id."""
     cti._decoded_policy.cache_clear()
     canonical = record_with_policy("(and a (or b c))")
     spaced = record_with_policy("(and  a\t(or b c) )")
-    first, second = decode_record(spaced), decode_record(spaced)
-    assert first.record_id == second.record_id == record_id_for(canonical)
-    # the canonical spelling, decoded after the spaced one, is still canonical
-    assert decode_record(canonical) == first
-    assert decode_record(spaced) == first
+    for _ in range(2):
+        with pytest.raises(EncodingError, match="canonical spelling"):
+            decode_record(spaced)
+    assert decode_record(canonical).record_id == record_id_for(canonical)
+    with pytest.raises(EncodingError, match="canonical spelling"):
+        decode_record(spaced)
+    assert decode_record(canonical).record_id == record_id_for(canonical)
 
 
 def test_malformed_policy_raises_on_every_repeat():

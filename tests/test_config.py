@@ -198,6 +198,29 @@ def test_designated_names_must_exist():
     assert exc.value.field == "access.designated"
 
 
+@pytest.mark.parametrize(
+    "access, problem",
+    [
+        ({"tlp": "green", "designated": ["v1"]}, "Green must not carry a designated set"),
+        ({"tlp": "white", "designated": ["v1"]}, "White must not carry a designated set"),
+        ({"tlp": "red", "designated": ["v1", "v2"]}, "Red requires exactly one designated recipient"),
+        ({"tlp": "red"}, "Red requires exactly one designated recipient"),
+        ({"tlp": "orange"}, "Orange requires a non-empty designated group"),
+    ],
+    ids=["green-designated", "white-designated", "red-two", "red-none", "orange-none"],
+)
+@pytest.mark.parametrize("where", ["access", "agents[4].access"])
+def test_an_access_label_no_record_can_carry_is_refused(where, access, problem):
+    """Such a label would make every record its producer shares FormatInvalid."""
+    raw = yaml.safe_load(MINIMAL)
+    if where == "access":
+        raw["access"] = access
+    else:
+        raw["agents"][4]["access"] = access
+    err = invalid_field(raw)
+    assert (err.field, str(err)) == (f"{where}.designated", f"{where}.designated: {problem}")
+
+
 def test_bad_policy_string_rejected():
     raw = yaml.safe_load(MINIMAL)
     raw["access"] = {"policy": "(not a)"}

@@ -3,7 +3,9 @@ from dataclasses import replace
 import pytest
 
 from ctisim import identity
-from ctisim.errors import DuplicateRegistration, DuplicateTransaction, NotAnAuthority, UnknownStakeholder
+from ctisim.errors import (
+    DuplicateRegistration, DuplicateTransaction, EncodingError, NotAnAuthority, UnknownStakeholder,
+)
 from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
@@ -220,6 +222,19 @@ ILLEGAL_HISTORIES = {
     "unknown-role-name": (
         [BOOT, ("authority", TxKind.Register, registration("user", ["Admin"]))],
         NotAnAuthority, "Register with an unknown role",
+    ),
+    # register_body writes roles and attributes sorted and unique, and no other spelling is read
+    "unsorted-roles": (
+        [BOOT, ("authority", TxKind.Register, registration("user", ["Producer", "Consumer"]))],
+        EncodingError, "Register with roles not sorted and unique",
+    ),
+    "repeated-role": (
+        [BOOT, ("authority", TxKind.Register, registration("user", ["Producer", "Producer"]))],
+        EncodingError, "Register with roles not sorted and unique",
+    ),
+    "unsorted-attributes": (
+        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, attributes=("gov", "ICS-ISAC")))],
+        EncodingError, "Register with attributes not sorted and unique",
     ),
     "underived-id": (
         [BOOT, ("authority", TxKind.Register, replace(PRODUCER, stakeholder=sha256(b"any id")))],

@@ -742,6 +742,19 @@ def test_verify_rejects_empty_chain():
     assert not report.valid and report.first_bad_height == 0
 
 
+@pytest.mark.parametrize(
+    "field", ["height", "prev_hash", "merkle_root", "timestamp", "nonce", "sealer", "transactions"]
+)
+def test_verify_flags_a_genesis_that_differs_in_one_field(field):
+    chain, *_ = build_chain(1)
+    values = {"height": 1, "timestamp": 1, "nonce": 1, "transactions": chain.blocks[1].transactions[:1]}
+    chain.blocks[0] = replace(chain.blocks[0], **{field: values.get(field, b"\x01" * 32)})
+    report = verify_chain(chain)
+    assert (report.valid, report.first_bad_height, report.reason) == (
+        False, 0, "genesis is not the fixed genesis block"
+    )
+
+
 def test_merkle_empty_is_zero():
     assert merkle_root(()) == ZERO_DIGEST
 

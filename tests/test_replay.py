@@ -18,11 +18,14 @@ from dataclasses import replace
 import pytest
 
 from ctisim import contracts
+from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, ContractSystem, DepositState
-from ctisim.errors import NotForSale, QuorumNotMet
+from ctisim.cti import decode_record, record_bytes
+from ctisim.errors import EncodingError, NotForSale, QuorumNotMet
 from ctisim.identity import Registry
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, verify_chain
+from ctisim.mining import mine_campaigns, verified_technical_records
 from ctisim.payloads import (
     AccessGrantBody,
     FinalizeBody,
@@ -141,7 +144,7 @@ def test_the_fold_decodes_each_submission_once(monkeypatch):
 #
 # Every signing secret is on the chain (RegisterBody.secret), so a forger can
 # re-sign an altered transaction and re-link every later block. verify_chain
-# checks only the credentials and still accepts both tampers below; the fold
+# checks only the credentials and still accepts every tamper below; the fold
 # refuses them by the contract rules.
 
 def relinked(chain, swap):
@@ -206,3 +209,31 @@ def test_fold_refuses_a_resigned_purchase_at_price_zero():
     )
     reason = f"^Purchase at 0, listed at {purchase.price}$"
     assert refusal_height(chain, config, NotForSale, reason) == height
+
+
+def test_fold_refuses_a_resigned_respelled_record_and_mining_skips_it():
+    def respell(body):
+        # a designated entry under the record's White label: bytes no writer writes
+        rec = decode_record(body.record_bytes)
+        data = record_bytes(replace(rec, tlp=TlpLabel(rec.tlp.channel, frozenset({rec.producer}))))
+        return replace(body, record_bytes=data)
+
+    config, chain, submit = tampered_marketplace(TxKind.SubmitCti, respell)
+    assert decode_record(submit.record_bytes).tlp == TlpLabel(TlpChannel.White)
+    assert verify_chain(chain).valid
+    height = next(
+        block.height
+        for block in chain.blocks
+        for tx in block.transactions
+        if tx.kind is TxKind.SubmitCti and SubmitCtiBody.decode(tx.payload) == respell(submit)
+    )
+    assert refusal_height(chain, config, EncodingError, "^designated entries under White$") == height
+
+    # the records mine_campaigns mines: the untampered chain's, less the re-spelled one
+    original = verified_technical_records(run_scenario(config).chain)
+    assert submit.contract_id in {rec.record_id for rec in original}
+    kept = [rec for rec in original if rec.record_id != submit.contract_id]
+    assert verified_technical_records(chain) == kept
+    mining = config.mining
+    params = (mining.window_rounds, mining.min_support, mining.min_overlap)
+    assert mine_campaigns(chain, *params) == mine_campaigns(kept, *params)
