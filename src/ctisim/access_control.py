@@ -2,7 +2,8 @@
 
 Attribute policies are monotone AND/OR formulas over attribute tags,
 written in config files as s-expressions like
-``(and ICS-ISAC (or critical-infra gov))``. An envelope holds a record's
+``(and ICS-ISAC (or critical-infra gov))``; a label or policy that breaks
+its constructor's rule cannot be built. An envelope holds a record's
 content digest behind its label and policy, in the clear: opening one is
 the `authorize` decision, and nothing is encrypted.
 """
@@ -34,31 +35,50 @@ _RED, _ORANGE, _GREEN = TlpChannel.Red, TlpChannel.Orange, TlpChannel.Green
 
 @dataclass(frozen=True)
 class TlpLabel:
-    channel: TlpChannel
-    designated: Optional[frozenset[Digest]] = None
+    """A channel and the recipients it takes; any other pair raises ValueError."""
 
-    def problems(self) -> list[str]:
-        channel = self.channel
-        if channel is _RED:
-            if self.designated is None or len(self.designated) != 1:
-                return ["Red requires exactly one designated recipient"]
-        elif channel is _ORANGE:
-            if not self.designated:
-                return ["Orange requires a non-empty designated group"]
-        elif self.designated is not None:
-            return [f"{channel.value} must not carry a designated set"]
-        return []
+    channel: TlpChannel
+    designated: frozenset[Digest] = frozenset()
+
+    def __post_init__(self) -> None:
+        channel, n = self.channel, len(self.designated)
+        if channel is _RED and n != 1:
+            raise ValueError("Red requires exactly one designated recipient")
+        if channel is _ORANGE and not n:
+            raise ValueError("Orange requires a non-empty designated group")
+        if n and channel is not _RED and channel is not _ORANGE:
+            raise ValueError(f"{channel.value} must not carry a designated set")
 
 
 # --- attribute policies -----------------------------------------------------
 
 @dataclass(frozen=True)
 class AttributePolicy:
-    """Monotone boolean formula: op is "attr", "and" or "or"."""
+    """Monotone boolean formula: op is "attr", "and" or "or". Only a formula
+    some text spells can be built, so `parse_policy(policy_to_string(p))`
+    is `p`; any other raises PolicyParseError."""
 
     op: str
     tag: str = ""
     children: tuple["AttributePolicy", ...] = ()
+
+    def __post_init__(self) -> None:
+        op, tag, children = self.op, self.tag, self.children
+        if op == "attr":
+            if children or tag.split() != [tag] or "(" in tag or ")" in tag:
+                raise PolicyParseError(f"attribute {tag!r} is not one token without operands")
+        elif op not in ("and", "or"):
+            raise PolicyParseError(f"operator must be 'and' or 'or', got {op!r}")
+        elif tag or not children:
+            raise PolicyParseError(f"'{op}' needs at least one operand and no tag")
+        elif max(map(_operator_depth, children)) >= MAX_POLICY_DEPTH:
+            raise PolicyParseError(f"policy nested deeper than {MAX_POLICY_DEPTH}")
+
+
+def _operator_depth(policy: AttributePolicy) -> int:
+    if policy.op == "attr":
+        return 0
+    return 1 + max(map(_operator_depth, policy.children))
 
 
 def attr(tag: str) -> AttributePolicy:
@@ -74,12 +94,10 @@ def evaluate_policy(policy: AttributePolicy, attributes: AbstractSet[str]) -> bo
             if not evaluate_policy(child, attributes):
                 return False
         return True
-    if op == "or":
-        for child in policy.children:
-            if evaluate_policy(child, attributes):
-                return True
-        return False
-    raise PolicyParseError(f"unknown policy operator {op!r}")
+    for child in policy.children:  # "or"
+        if evaluate_policy(child, attributes):
+            return True
+    return False
 
 
 # Deepest operator nesting parse_policy accepts. A fixed bound, well under
@@ -123,8 +141,6 @@ def parse_policy(text: str) -> AttributePolicy:
         if pos >= len(tokens):
             raise PolicyParseError("unterminated '('")
         pos += 1  # consume ')'
-        if not children:
-            raise PolicyParseError(f"'{op}' needs at least one operand")
         return AttributePolicy(op=op, children=tuple(children))
 
     result = parse_expr(0)
@@ -154,7 +170,7 @@ def authorize(
     rid = requester.stakeholder
     channel = tlp.channel
     if channel is _RED or channel is _ORANGE:
-        tlp_ok = tlp.designated is not None and rid in tlp.designated
+        tlp_ok = rid in tlp.designated
     elif channel is _GREEN:
         tlp_ok = rid in group_members
     else:

@@ -22,7 +22,8 @@ from typing import Any, Callable, Optional
 import yaml
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy
-from .contracts import EconomicsConfig, ForfeiturePolicy, VerificationPolicy
+from .contracts import QUORUM, EconomicsConfig, ForfeiturePolicy, VerificationPolicy
+from .encoding import UINT_LIMIT
 from .errors import ConfigInvalid, PolicyParseError
 from .identity import Role
 from .mining import MiningParams
@@ -155,6 +156,11 @@ def _as_prob(value: Any, name: str) -> float:
 
 
 def _int(lo: Optional[int] = None, hi: Optional[int] = None) -> Check:
+    """An integer field. One with a lower bound is a count, an amount or a
+    round, which the chain writes as an unsigned field, so without an upper
+    bound of its own it stays below UINT_LIMIT."""
+    if lo is not None and hi is None:
+        hi = UINT_LIMIT - 1
     return lambda value, name: _as_int(value, name, lo, hi)
 
 
@@ -345,8 +351,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
 def _validate_cross(config: ScenarioConfig) -> None:
     has_producers = any(a.strategy.kind in SUBMITTING_KINDS for a in config.agents)
     verifier_capable = sum(1 for a in config.agents if Role.Verifier in a.roles)
-    if has_producers and verifier_capable < 3:
-        raise ConfigInvalid("agents", "need at least 3 Verifier-capable agents when producers are present")
+    if has_producers and verifier_capable < QUORUM:
+        raise ConfigInvalid("agents", f"need at least {QUORUM} Verifier-capable agents when producers are present")
     names = {a.name for a in config.agents}
     sections = [("access", config.access)] + [
         (f"agents[{i}].access", a.access) for i, a in enumerate(config.agents) if a.access is not None
@@ -355,10 +361,10 @@ def _validate_cross(config: ScenarioConfig) -> None:
         for designated in spec.designated:
             if designated not in names:
                 raise ConfigInvalid(f"{where}.designated", f"unknown agent {designated!r}")
-        # the label the engine gives this section's records, by name, not id
-        problems = TlpLabel(spec.tlp, frozenset(spec.designated) or None).problems()
-        if problems:
-            raise ConfigInvalid(f"{where}.designated", problems[0])
+        try:  # the label the engine gives this section's records, by name, not id
+            TlpLabel(spec.tlp, frozenset(spec.designated))
+        except ValueError as exc:
+            raise ConfigInvalid(f"{where}.designated", str(exc)) from None
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -91,6 +91,8 @@ class ForfeiturePolicy(Enum):
 
 # verifiers assigned to, and votes needed by, every submission
 QUORUM = 3
+# the reason of the one ReputationUpdate there is: a revocation at finalization
+REVOCATION_REASON = "reputation below trust threshold"
 
 # Members bound once. On CPython 3.11 a class lookup such as
 # `ContractStatus.Verified` goes through the Enum metaclass (~130 ns) and
@@ -432,8 +434,12 @@ class ContractSystem:
             score, threshold = self.reputation.score_of(body.stakeholder), self.policy.trust_threshold
             if body.score != score:
                 raise BelowTrustThreshold(f"ReputationUpdate score {body.score}, the ledger's is {score}")
-            if body.revoked and score >= threshold:
+            if not body.revoked:
+                raise EncodingError("ReputationUpdate that does not revoke")
+            if score >= threshold:
                 raise BelowTrustThreshold(f"ReputationUpdate revokes a stakeholder at {score}, not below {threshold}")
+            if body.reason != REVOCATION_REASON:
+                raise EncodingError(f"ReputationUpdate reason {body.reason!r}, not {REVOCATION_REASON!r}")
         elif kind is _ACCESS_GRANT:
             if (body.contract_id, body.consumer) not in self.market.sales:
                 raise NotForSale("AccessGrant of a record the consumer has not bought")
@@ -552,8 +558,7 @@ class ContractSystem:
         revoked: list[Digest] = []
         for sid in [contract.record.producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
-                reason = "reputation below trust threshold"
-                rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, reason)
+                rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, REVOCATION_REASON)
                 # signing applies it: the registry revokes the credential
                 self._commit(self.authority, _REPUTATION_UPDATE, rb, None)
                 revoked.append(sid)

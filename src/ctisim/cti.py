@@ -10,7 +10,8 @@ none and is encoded from its fields. Decoding raises EncodingError, and
 nothing else, for input that does not decode to a record or is not its
 canonical spelling. It parses each distinct policy text once (the last
 `POLICY_MEMO_SIZE` are kept). Every field but `record_id` and `encoded` is
-serialized, so a well-formed record decodes back equal to itself. What
+serialized, and no label or policy can be built illegal, so every record
+`make_record` returns decodes back equal to itself, with the same id. What
 the simulation knows and the chain must not (whether a record is genuine)
 the engine keeps beside its records, not on them.
 """
@@ -128,8 +129,6 @@ def validate_format(record: CtiRecord) -> list[FormatViolation]:
         out.append(FormatViolation("sale_price", "negative price"))
     if record.created_round < 0:
         out.append(FormatViolation("created_round", "negative round"))
-    for problem in record.tlp.problems():
-        out.append(FormatViolation("tlp.designated", problem))
     return out
 
 
@@ -190,8 +189,7 @@ def _canonical_bytes(
     ]
     for ioc in indicators:
         parts += (ioc.kind.tag, str_field(ioc.value), uint_field(ioc.observed_round))
-    parts += (bytes_field(narrative_digest), tlp.channel.tag)
-    parts.append(bytes_seq_field(sorted(tlp.designated) if tlp.designated else ()))
+    parts += (bytes_field(narrative_digest), tlp.channel.tag, bytes_seq_field(sorted(tlp.designated)))
     if policy is None:
         parts.append(b"\x00")
     else:
@@ -288,10 +286,10 @@ def decode_record(data: bytes) -> CtiRecord:
     its id is `record_id_for(data)`.
 
     Raises EncodingError for any malformed input, including an unknown
-    category, level, indicator kind or TLP channel name and an unparseable
-    policy, and for every spelling `record_bytes` never writes: designated
-    entries that are not sorted and unique, designated entries under Green
-    or White, a policy not in `policy_to_string`'s spelling.
+    category, level, indicator kind or TLP channel name, a label or policy
+    its constructor refuses (with the constructor's words), and for every
+    spelling `record_bytes` never writes: designated entries that are not
+    sorted and unique, a policy not in `policy_to_string`'s spelling.
     """
     r = Reader(data)
     producer = r.take_bytes()
@@ -304,18 +302,17 @@ def decode_record(data: bytes) -> CtiRecord:
     narrative = r.take_bytes()
     channel = _member(_CHANNEL, r.take_str(), "TLP channel")
     entries = r.take_bytes_seq()
-    designated = None
-    if entries:
-        if channel in (TlpChannel.Green, TlpChannel.White):
-            raise EncodingError(f"designated entries under {channel.value}")
-        if any(a >= b for a, b in zip(entries, entries[1:])):
-            raise EncodingError("designated entries not sorted and unique")
-        designated = frozenset(entries)
+    if any(a >= b for a, b in zip(entries, entries[1:])):
+        raise EncodingError("designated entries not sorted and unique")
+    try:
+        tlp = TlpLabel(channel, frozenset(entries))
+    except ValueError as exc:
+        raise EncodingError(str(exc)) from None
     policy = _decoded_policy(r.take_str()) if r.take_bool() else None
     sale_price = r.take_uint() if r.take_bool() else None
     created_round = r.take_uint()
     r.expect_end()
     return _keeping(CtiRecord(
-        record_id_for(data), producer, category, level, indicators, narrative, TlpLabel(channel, designated),
+        record_id_for(data), producer, category, level, indicators, narrative, tlp,
         policy, sale_price, created_round,
     ), data)

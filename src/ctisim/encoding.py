@@ -30,6 +30,7 @@ ZERO_DIGEST = b"\x00" * DIGEST_LEN
 Digest = bytes
 
 UINT = struct.Struct(">Q")
+UINT_LIMIT = 1 << 64  # an unsigned field holds an integer in [0, UINT_LIMIT)
 COUNT = struct.Struct(">I")
 
 _pack_uint = UINT.pack
@@ -37,10 +38,12 @@ _pack_count = COUNT.pack
 
 
 def uint_field(value: int) -> bytes:
-    """An unsigned integer field: 8 bytes, big-endian."""
-    if value < 0:
-        raise EncodingError(f"unsigned field got negative value {value}")
-    return _pack_uint(value)
+    """An unsigned integer field: 8 bytes, big-endian. A value outside
+    [0, UINT_LIMIT) raises EncodingError."""
+    try:
+        return _pack_uint(value)
+    except struct.error:
+        raise EncodingError(f"unsigned field got {value!r}, not an integer in [0, 2**64)") from None
 
 
 def bytes_field(value: bytes) -> bytes:

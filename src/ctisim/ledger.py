@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain as chain_items, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .encoding import COUNT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
+from .encoding import COUNT, UINT_LIMIT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
 from .errors import CtiSimError, EncodingError, InvalidSignature, UnauthorizedSealer
 
 _sha256 = hashlib.sha256
@@ -319,14 +319,10 @@ def chain_to_json(chain: Chain) -> str:
     return "".join(parts)
 
 
-# Header integers are unsigned 64-bit fields (see encoding.uint_field).
-_UINT_LIMIT = 1 << 64
-
-
 def _int(value) -> int:
     """A dump's integer field: a JSON integer in [0, 2**64), not a float,
     a boolean or a string."""
-    if type(value) is not int or not 0 <= value < _UINT_LIMIT:
+    if type(value) is not int or not 0 <= value < UINT_LIMIT:
         raise ValueError(f"expected an unsigned 64-bit integer, got {value!r}")
     return value
 

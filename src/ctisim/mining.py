@@ -9,7 +9,8 @@ chain (`verified_technical_records`) and re-runs the derivation. Both give
 the same campaigns, because mining reads only each record's id, indicator
 values and round, and the partition does not depend on the records' order.
 verify_derivation audits a claim that way and accepts it only if it is a
-whole component, as mining would report it.
+whole component, as mining would report it. Parameters mining cannot mine
+with cannot be built (`MiningParams`), so neither checks them.
 
 An audit mines a chain and then re-derives every claim from the same chain,
 yet decodes it once: `verified_technical_records` keeps the last chain's
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 from .cti import CtiCategory, CtiRecord, decode_record
 from .encoding import Digest, bytes_seq_field, uint_field
@@ -39,11 +39,16 @@ from .payloads import FinalizeBody, SubmitCtiBody
 
 @dataclass(frozen=True)
 class MiningParams:
-    """The `mining:` section, and the parameters a campaign was mined with."""
+    """The `mining:` section, and a campaign's parameters; any mining cannot mine with raises ValueError."""
 
     window_rounds: int = 10
     min_support: int = 3
     min_overlap: int = 1
+
+    def __post_init__(self) -> None:
+        for name, least in (("window_rounds", 1), ("min_support", 2), ("min_overlap", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -54,17 +59,6 @@ class Campaign:
     window: tuple[int, int]
     support: int
     params: MiningParams
-
-
-def _params_problem(params: MiningParams) -> Optional[str]:
-    """Why mining refuses to mine with `params`, or None if it mines."""
-    if params.window_rounds < 1:
-        return "window_rounds must be at least 1"
-    if params.min_support < 2:
-        return "min_support must be at least 2"
-    if params.min_overlap < 1:
-        return "min_overlap must be at least 1"
-    return None
 
 
 # The blocks `verified_technical_records` last decoded, and their records.
@@ -217,9 +211,6 @@ def mine_campaigns(
     does not depend on the records' order.
     """
     params = MiningParams(window_rounds, min_support, min_overlap)
-    problem = _params_problem(params)
-    if problem is not None:
-        raise ValueError(problem)
     records = verified_technical_records(source) if isinstance(source, Chain) else source
     campaigns = [
         _build_campaign(group, params)
@@ -237,12 +228,9 @@ def verify_derivation(campaign: Campaign, chain: Chain) -> bool:
     graph over every Verified Technical record on the chain, under the
     claim's parameters, with at least `min_support` records, and the claim
     is what mining builds from that component. A connected part of a
-    component is refused: mining would never report it, and so is a claim
-    under parameters mining refuses, before the chain is decoded.
+    component is refused: mining would never report it.
     """
     params = campaign.params
-    if _params_problem(params) is not None:
-        return False
     members = campaign.member_records
     for group in _components(verified_technical_records(chain), params):
         if any(rec.record_id in members for rec in group):

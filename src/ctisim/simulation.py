@@ -230,9 +230,7 @@ class Engine:
     def _record_terms(self, spec: "AgentSpec") -> tuple[TlpLabel, Optional[AttributePolicy], Optional[int]]:
         """TLP label, policy and sale price of records produced by this agent."""
         access = spec.access if spec.access is not None else self.cfg.access
-        designated = None
-        if access.designated:
-            designated = frozenset(a.sid for a in self.agents if a.name in access.designated)
+        designated = frozenset(a.sid for a in self.agents if a.name in access.designated)
         economics = self.cfg.economics
         price = {"fixed": economics.fixed_price, "producer-set": spec.strategy.sale_price}
         return TlpLabel(access.tlp, designated), access.policy, price.get(economics.sale_mode)

@@ -19,8 +19,8 @@ class Writer:
         self._parts = []
 
     def put_uint(self, value):
-        if value < 0:
-            raise EncodingError(f"unsigned field got negative value {value}")
+        if not 0 <= value < 2**64:
+            raise EncodingError(f"unsigned field got {value}, not in [0, 2**64)")
         self._parts.append(struct.pack(">Q", value))
         return self
 

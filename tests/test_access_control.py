@@ -1,4 +1,5 @@
 import itertools
+import re
 import random
 
 import pytest
@@ -141,10 +142,37 @@ def test_evaluate_policy_matches_the_generator_definition(seed, attrs):
     assert evaluate_policy(policy, attrs) == generator_evaluate_policy(policy, attrs)
 
 
-def test_evaluate_policy_on_empty_operands_matches_all_and_any():
-    for attrs in (frozenset(), frozenset({"a"})):
-        assert evaluate_policy(all_of(), attrs) is True
-        assert evaluate_policy(any_of(), attrs) is False
+def test_an_operator_without_operands_cannot_be_built():
+    """No text spells one, so evaluate_policy never meets one."""
+    for build in (all_of, any_of):
+        with pytest.raises(PolicyParseError, match="needs at least one operand"):
+            build()
+    for text in ("(and)", "(or)"):
+        with pytest.raises(PolicyParseError, match="needs at least one operand"):
+            parse_policy(text)
+
+
+def nested(depth):
+    """`depth` "or" operators around one attribute."""
+    policy = attr("gov")
+    for _ in range(depth):
+        policy = any_of(policy)
+    return policy
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda: attr(""), "attribute '' is not one token"),
+    (lambda: attr("a b"), "attribute 'a b' is not one token"),
+    (lambda: attr("(a"), "attribute '(a' is not one token"),
+    (lambda: AttributePolicy("attr", "a", (attr("b"),)), "attribute 'a' is not one token without operands"),
+    (lambda: AttributePolicy("xor", children=(attr("a"),)), "operator must be 'and' or 'or', got 'xor'"),
+    (lambda: AttributePolicy("and", "a", (attr("b"),)), "'and' needs at least one operand and no tag"),
+    (lambda: nested(MAX_POLICY_DEPTH + 1), f"policy nested deeper than {MAX_POLICY_DEPTH}"),
+], ids=["empty-tag", "spaced-tag", "parenthesised-tag", "leaf-with-operands", "unknown-operator",
+        "operator-with-tag", "too-deep"])
+def test_a_policy_no_text_spells_cannot_be_built(build, problem):
+    with pytest.raises(PolicyParseError, match=f"^{re.escape(problem)}"):
+        build()
 
 
 def test_monotonicity_adding_attributes_never_revokes():

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctisim.cli import main
-from ctisim.config import MAX_YAML_NODES, load_config
+from ctisim.config import MAX_YAML_NODES, apply_override, load_config, parse_config
 from ctisim.simulation import json_scalar, run_scenario, summary_json
 from tests.conftest import SCENARIO_DIR
-from tests.test_config import REVOCABLE_AUTHORITIES
+from tests.test_config import MINIMAL, REVOCABLE_AUTHORITIES, SAMPLES
 
 BASELINE = str(SCENARIO_DIR / "blocis-baseline.yaml")
 DOI = str(SCENARIO_DIR / "doi-flood.yaml")
@@ -244,6 +244,54 @@ def test_an_access_label_no_record_can_carry_exits_one_and_writes_nothing(tmp_pa
     assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == "error: access.designated: Green must not carry a designated set\n"
     assert not (tmp_path / "o").exists()
+
+
+# Every integer a config bounds below: the chain writes each as, or into, an
+# unsigned 64-bit field. The producer `p` is MINIMAL's agents[4].
+UINT_FIELDS = [
+    "rounds", "agents.p.endowment",
+    "economics.base_fee", "economics.period_rounds", "economics.discount_per_hq", "economics.deposit",
+    "economics.verification_fee", "economics.fixed_price",
+    "mining.window_rounds", "mining.min_support", "mining.min_overlap",
+    "utility.sharing_risk_cost", "utility.consumption_benefit", "utility.window",
+    "agents.p.strategy.flood_multiplier", "agents.p.strategy.sale_price",
+]
+
+
+@pytest.mark.parametrize("key", UINT_FIELDS)
+def test_an_integer_past_64_bits_exits_one_and_writes_nothing(tmp_path, capsys, key):
+    field = key.replace("agents.p", "agents[4]")
+    raw = yaml.safe_load(MINIMAL)
+    assert parse_config(apply_override(raw, key, 2**64 - 1))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(apply_override(raw, key, 2**64)))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {field}: must be <= {2**64 - 1}\n"
+    assert not (tmp_path / "o").exists()
+
+
+UNBOUNDED_FIELDS = [
+    "seed", "verification.delta_valid", "verification.delta_invalid",
+    "verification.delta_majority_vote", "verification.delta_minority_vote",
+]
+
+
+@pytest.mark.parametrize("key", UNBOUNDED_FIELDS)
+def test_seeds_and_deltas_stay_unbounded(key):
+    raw = yaml.safe_load(MINIMAL)
+    for value in (2**64, -(2**64)):
+        assert parse_config(apply_override(raw, key, value))
+
+
+def test_every_integer_field_is_a_uint_field_unbounded_or_a_score():
+    integer = {"rounds", "seed", "agents.p.endowment"} | {
+        f"{'agents.p.strategy' if section == 'strategy' else section}.{name}"
+        for section, samples in SAMPLES.items()
+        for name, (value, _, _) in samples.items()
+        if type(value) is int
+    }
+    scores = {"verification.trust_threshold", "verification.initial_score"}  # bounded by 100
+    assert integer == set(UINT_FIELDS) | set(UNBOUNDED_FIELDS) | scores
 
 
 def aliased(key, levels, width):

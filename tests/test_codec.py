@@ -11,6 +11,7 @@ mutated bytes. A reader accepts one spelling of a record: the one
 `record_bytes` writes.
 """
 
+import functools
 import struct
 from dataclasses import is_dataclass, replace
 from typing import get_type_hints
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from ctisim import cti, payloads
 from ctisim.access_control import (
+    MAX_POLICY_DEPTH,
     AttributePolicy,
     TlpChannel,
     TlpLabel,
@@ -69,7 +71,7 @@ def ref_record_bytes(record):
         w.put_uint(ioc.observed_round)
     w.put_bytes(record.narrative_digest)
     w.put_str(record.tlp.channel.value)
-    designated = sorted(record.tlp.designated) if record.tlp.designated else []
+    designated = sorted(record.tlp.designated)
     w.put_count(len(designated))
     for d in designated:
         w.put_bytes(d)
@@ -145,9 +147,7 @@ def ref_decode_record(data):
         narrative = r.take_bytes()
         channel = TlpChannel(r.take_str())
         n_designated = r.take_count()
-        designated = frozenset(r.take_bytes() for _ in range(n_designated)) or None
-        if channel in (TlpChannel.Green, TlpChannel.White):
-            designated = None
+        tlp = TlpLabel(channel, frozenset(r.take_bytes() for _ in range(n_designated)))
         policy = parse_policy(r.take_str()) if r.take_bool() else None
     except (ValueError, PolicyParseError) as exc:
         raise EncodingError(str(exc)) from exc
@@ -155,7 +155,7 @@ def ref_decode_record(data):
     created_round = r.take_uint()
     r.expect_end()
     rec = CtiRecord(ZERO_DIGEST, producer, category, level, tuple(indicators), narrative,
-                    TlpLabel(channel, designated), policy, sale_price, created_round)
+                    tlp, policy, sale_price, created_round)
     if ref_record_bytes(rec) != data:
         raise EncodingError("not the canonical spelling")
     return replace(rec, record_id=record_id_for(data))
@@ -190,14 +190,19 @@ policies = st.recursive(
 iocs = st.builds(Ioc, kind=st.sampled_from(IocKind), value=texts, observed_round=uints)
 
 
+# the fewest and most designated recipients drawn for each channel's label
+DESIGNATED_SIZES = {
+    TlpChannel.Red: (1, 1), TlpChannel.Orange: (1, 3), TlpChannel.Green: (0, 0), TlpChannel.White: (0, 0),
+}
+
+
 @st.composite
 def tlp_labels(draw):
-    """Labels that survive a round trip: a non-empty designated set or none."""
+    """Labels a record may carry: one recipient under Red, one to three
+    under Orange, none under Green or White."""
     channel = draw(st.sampled_from(TlpChannel))
-    designated = None
-    if channel in (TlpChannel.Red, TlpChannel.Orange):
-        designated = draw(st.none() | st.frozensets(digests, min_size=1, max_size=3))
-    return TlpLabel(channel, designated)
+    fewest, most = DESIGNATED_SIZES[channel]
+    return TlpLabel(channel, draw(st.frozensets(digests, min_size=fewest, max_size=most)))
 
 
 record_fields = dict(
@@ -212,8 +217,8 @@ record_fields = dict(
 )
 records = st.builds(make_record, level=st.none() | st.sampled_from(IntelLevel), **record_fields)
 
-# Any field values at all, including labels and uints the canonical form
-# rejects or normalizes.
+# Any field values a record can be built with, including uints the
+# canonical form rejects.
 loose_records = st.builds(
     CtiRecord,
     record_id=st.just(ZERO_DIGEST),
@@ -226,8 +231,7 @@ loose_records = st.builds(
         max_size=3,
     ).map(tuple),
     narrative_digest=blobs,
-    tlp=st.builds(TlpLabel, channel=st.sampled_from(TlpChannel),
-                  designated=st.none() | st.frozensets(blobs, max_size=3)),
+    tlp=tlp_labels(),
     policy=st.none() | policies,
     sale_price=st.none() | st.integers(min_value=-2, max_value=2**64 + 1),
     created_round=st.integers(min_value=-2, max_value=2**64 + 1),
@@ -412,6 +416,89 @@ def test_make_record_matches_reference(fields, level):
     assert make_record(**fields) == ref_make_record(**fields)
 
 
+# --- legal by construction ------------------------------------------------------
+#
+# A label or policy is drawn as plain values, legal or not, and built. An
+# illegal one must raise at construction; a legal one goes into a record,
+# which must decode back equal, with the same id. Legality is restated here
+# without the constructors: a label by the TLP rule, a policy by whether its
+# text parses back to the very tree drawn.
+
+def label_is_legal(channel, designated):
+    n = len(designated)
+    if channel is TlpChannel.Red:
+        return n == 1
+    return n >= 1 if channel is TlpChannel.Orange else n == 0
+
+
+raw_tags = st.sampled_from(["a", "gov", "ICS-ISAC", "and"] * 6 + ["", "a b", "(a", "b)", "\u00a0x"])
+raw_leaves = st.one_of(
+    *[st.tuples(st.just("attr"), raw_tags, st.just(()))] * 5,
+    st.tuples(st.sampled_from(["and", "or", "xor"]), st.just(""), st.just(())),
+)
+raw_policies = st.one_of(
+    st.recursive(
+        raw_leaves,
+        lambda children: st.tuples(
+            st.sampled_from(["and", "or"] * 4 + ["xor", "attr"]),
+            st.sampled_from([""] * 6 + ["t"]),
+            st.lists(children, min_size=1, max_size=3).map(tuple),
+        ),
+        max_leaves=6,
+    ),
+    # around the nesting bound: the text of 33 nested operators does not parse
+    st.integers(min_value=MAX_POLICY_DEPTH - 1, max_value=MAX_POLICY_DEPTH + 1).map(
+        lambda depth: functools.reduce(lambda inner, _: ("or", "", (inner,)), range(depth), ("attr", "a", ()))
+    ),
+)
+
+
+def render(raw):
+    op, tag, children = raw
+    return tag if op == "attr" else f"({op} {' '.join(map(render, children))})"
+
+
+def as_raw(policy):
+    return policy.op, policy.tag, tuple(map(as_raw, policy.children))
+
+
+def policy_is_legal(raw):
+    try:
+        return as_raw(parse_policy(render(raw))) == raw
+    except PolicyParseError:
+        return False
+
+
+def build(raw):
+    op, tag, children = raw
+    return AttributePolicy(op, tag, tuple(map(build, children)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel=st.sampled_from(TlpChannel), designated=st.frozensets(digests, max_size=3),
+       raw=st.none() | raw_policies, level=st.none() | st.sampled_from(IntelLevel),
+       fields=st.fixed_dictionaries({k: v for k, v in record_fields.items() if k not in ("tlp", "policy")}))
+def test_every_record_make_record_returns_decodes_back_equal(channel, designated, raw, level, fields):
+    try:
+        tlp = TlpLabel(channel, designated)
+    except ValueError:
+        tlp = None
+    assert (tlp is not None) == label_is_legal(channel, designated)
+    policy, built = None, True
+    if raw is not None:
+        try:
+            policy = build(raw)
+        except PolicyParseError:
+            built = False
+        assert built == policy_is_legal(raw)
+    if tlp is None or not built:
+        return
+    record = make_record(tlp=tlp, policy=policy, level=level, **fields)
+    decoded = decode_record(record_bytes(record))
+    assert decoded == record
+    assert decoded.record_id == record.record_id == record_id_for(record_bytes(record))
+
+
 # Raw record bytes built from names and lists as they might sit on a chain:
 # unknown names, unsorted or duplicate designated entries, a designated set
 # under Green or White, policies with odd spacing or none that parses.
@@ -532,7 +619,7 @@ def test_non_canonical_record_gets_the_canonical_id(channel, entries, policy):
 
     with pytest.raises(EncodingError):
         decode_record(data)
-    designated = frozenset(entries) if channel in (TlpChannel.Red, TlpChannel.Orange) else None
+    designated = frozenset(entries) if channel in (TlpChannel.Red, TlpChannel.Orange) else frozenset()
     rec = make_record(b"p", CtiCategory.Technical, (), ZERO_DIGEST, TlpLabel(channel, designated),
                       policy and parse_policy(policy), None, 1, IntelLevel.Data)
     canonical = record_bytes(rec)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctisim import cli, config as config_module
-from ctisim.access_control import TlpChannel
+from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.config import (
     AccessSpec,
     AgentSpec,
@@ -219,6 +221,27 @@ def test_an_access_label_no_record_can_carry_is_refused(where, access, problem):
         raw["agents"][4]["access"] = access
     err = invalid_field(raw)
     assert (err.field, str(err)) == (f"{where}.designated", f"{where}.designated: {problem}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(channel=st.sampled_from(TlpChannel), names=st.lists(st.sampled_from(["v1", "v2", "v3", "p"]), max_size=3),
+       where=st.sampled_from(["access", "agents[4].access"]))
+def test_config_accepts_exactly_the_labels_tlp_label_accepts(channel, names, where):
+    """The label rule has one owner, TlpLabel; config names the field and
+    passes its words on."""
+    raw = yaml.safe_load(MINIMAL)
+    access = {"tlp": channel.value.lower(), "designated": names}
+    if where == "access":
+        raw["access"] = access
+    else:
+        raw["agents"][4]["access"] = access
+    try:
+        TlpLabel(channel, frozenset(names))
+    except ValueError as exc:
+        err = invalid_field(raw)
+        assert (err.field, str(err)) == (f"{where}.designated", f"{where}.designated: {exc}")
+    else:
+        parse_config(raw)
 
 
 def test_bad_policy_string_rejected():

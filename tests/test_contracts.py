@@ -8,6 +8,7 @@ import pytest
 
 from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.contracts import (
+    REVOCATION_REASON,
     ContractStatus,
     ContractSystem,
     DepositState,
@@ -810,16 +811,35 @@ def _(p):
 
 @illegal("revocation-of-a-trusted-stakeholder")
 def _(p):
-    body = ReputationUpdateBody(p.producer, 50, True, "reputation below trust threshold")
+    body = ReputationUpdateBody(p.producer, 50, True, REVOCATION_REASON)
     return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, BelowTrustThreshold,
                    "ReputationUpdate revokes a stakeholder at 50, not below 30")
 
 
 @illegal("reputation-update-with-another-score")
 def _(p):
-    body = ReputationUpdateBody(p.producer, 20, True, "reputation below trust threshold")
+    body = ReputationUpdateBody(p.producer, 20, True, REVOCATION_REASON)
     return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, BelowTrustThreshold,
                    "ReputationUpdate score 20, the ledger's is 50")
+
+
+@illegal("reputation-update-that-does-not-revoke")
+def _(p):
+    body = ReputationUpdateBody(p.producer, 50, False, REVOCATION_REASON)
+    return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, EncodingError,
+                   "ReputationUpdate that does not revoke")
+
+
+@illegal("revocation-with-another-reason")
+def _(p):
+    # three rejections take the producer from 50 to 20, and finalization revokes it
+    for n in range(3):
+        p.run_contract([LQ, LQ, LQ], n=n)
+    p.seal(1)
+    assert p.registry.credentials[p.producer].revoked
+    body = ReputationUpdateBody(p.producer, 20, True, "flagged by hand")
+    return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, EncodingError,
+                   f"ReputationUpdate reason 'flagged by hand', not {REVOCATION_REASON!r}")
 
 
 def contract_state(system):

@@ -93,10 +93,16 @@ def test_split_finds_whitespace_exactly_where_isspace_does():
 
 
 def test_tlp_structure_checked():
-    red_no_designated = technical(
-        (Ioc(IocKind.Domain, "a.example", 1),), tlp=TlpLabel(TlpChannel.Red)
-    )
-    assert any(v.field == "tlp.designated" for v in validate_format(red_no_designated))
+    """A label no record may carry cannot be built, so no record carries one."""
+    for channel, names, problem in [
+        (TlpChannel.Red, [], "Red requires exactly one designated recipient"),
+        (TlpChannel.Red, ["a", "b"], "Red requires exactly one designated recipient"),
+        (TlpChannel.Orange, [], "Orange requires a non-empty designated group"),
+        (TlpChannel.Green, ["a"], "Green must not carry a designated set"),
+        (TlpChannel.White, ["a"], "White must not carry a designated set"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            TlpLabel(channel, frozenset(sha256(n.encode()) for n in names))
 
 
 def test_single_ioc_technical_record_is_data():

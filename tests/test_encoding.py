@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ctisim.encoding import COUNT, Layout, Reader, bytes_field, str_field, uint_field
+from ctisim.encoding import COUNT, UINT_LIMIT, Layout, Reader, bytes_field, str_field, uint_field
 from ctisim.errors import EncodingError
 
 
@@ -42,6 +42,13 @@ def test_bytes_are_length_prefixed():
 def test_negative_uint_rejected():
     with pytest.raises(EncodingError):
         uint_field(-1)
+
+
+def test_uint_at_or_past_the_limit_rejected():
+    assert uint_field(UINT_LIMIT - 1) == b"\xff" * 8
+    for value in (UINT_LIMIT, UINT_LIMIT + 1, 2**100):
+        with pytest.raises(EncodingError, match="not an integer in"):
+            uint_field(value)
 
 
 def test_truncated_data_raises():

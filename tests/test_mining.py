@@ -216,7 +216,7 @@ def ref_campaign_id(members, params):
 @settings(max_examples=100, deadline=None)
 @given(
     members=st.lists(st.binary(min_size=32, max_size=32), max_size=6),
-    params=st.builds(MiningParams, *[st.integers(min_value=0, max_value=2**64 - 1)] * 3),
+    params=st.builds(MiningParams, *[st.integers(min_value=least, max_value=2**64 - 1) for least in (1, 2, 1)]),
 )
 def test_campaign_id_matches_reference_encoding(members, params):
     assert _campaign_id(members, params) == ref_campaign_id(members, params)
@@ -258,31 +258,17 @@ def test_verify_derivation_rejects_dropped_member_below_support():
     assert not verify_derivation(dropped, chain)
 
 
-def test_verify_derivation_refuses_claims_under_parameters_mining_refuses(monkeypatch):
-    """On blocis-baseline's chain: one record alone under min_support=1, a
-    component of three or more under min_overlap=0, and a campaign mined
-    with window_rounds=10 under window_rounds=0. Each claim is what
-    `_build_campaign` makes of those records under its parameters, so only
-    the parameters are wrong, and they are refused before decoding."""
-    result = run_scenario(load_config(str(SCENARIO_DIR / "blocis-baseline.yaml")))
-    chain = result.chain
-    records = verified_technical_records(chain)
-    one = MiningParams(10, min_support=1, min_overlap=1)
-    single = next(g for g in _components(records, one) if len(g) == 1)
-    zero = MiningParams(10, min_support=3, min_overlap=0)
-    group = next(g for g in _components(records, zero) if len(g) >= 3)
-    no_window = MiningParams(0, min_support=3, min_overlap=1)
-    mined = [r for r in records if r.record_id in result.campaigns[0].member_records]
-    decode = mining.verified_technical_records
-    decodes = []
-    monkeypatch.setattr(mining, "verified_technical_records", lambda c: decodes.append(c) or decode(c))
-    for params, members in ((one, single), (zero, group), (no_window, mined)):
-        with pytest.raises(ValueError):
-            mine_campaigns(records, params.window_rounds, params.min_support, params.min_overlap)
-        assert not verify_derivation(_build_campaign(members, params), chain)
-    assert decodes == []
-    # a claim mining makes still costs one decode
-    assert verify_derivation(result.campaigns[0], chain) and len(decodes) == 1
+def test_parameters_mining_refuses_cannot_be_built():
+    """So no claim carries them, and mining refuses them with the same error."""
+    for params, problem in [
+        ((0, 3, 1), "window_rounds must be at least 1"),
+        ((10, 1, 1), "min_support must be at least 2"),
+        ((10, 3, 0), "min_overlap must be at least 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            MiningParams(*params)
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            mine_campaigns([], *params)
 
 
 def test_swapping_a_block_changes_the_next_records():

@@ -21,7 +21,7 @@ from ctisim import contracts
 from ctisim.access_control import TlpChannel, TlpLabel
 from ctisim.config import load_config
 from ctisim.contracts import ContractStatus, ContractSystem, DepositState
-from ctisim.cti import decode_record, record_bytes
+from ctisim.cti import decode_record
 from ctisim.errors import EncodingError, NotForSale, QuorumNotMet
 from ctisim.identity import Registry
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, verify_chain
@@ -38,6 +38,7 @@ from ctisim.payloads import (
 )
 from ctisim.simulation import run_scenario
 from tests.conftest import SCENARIO_DIR, mixed_scenario
+from tests.reference_writer import Writer
 
 BUNDLED = sorted(path.stem for path in SCENARIO_DIR.glob("*.yaml"))
 
@@ -213,10 +214,12 @@ def test_fold_refuses_a_resigned_purchase_at_price_zero():
 
 def test_fold_refuses_a_resigned_respelled_record_and_mining_skips_it():
     def respell(body):
-        # a designated entry under the record's White label: bytes no writer writes
-        rec = decode_record(body.record_bytes)
-        data = record_bytes(replace(rec, tlp=TlpLabel(rec.tlp.channel, frozenset({rec.producer}))))
-        return replace(body, record_bytes=data)
+        # a designated entry under the record's White label: bytes no writer
+        # writes, and no label can be built with
+        white = Writer().put_str("White").put_count(0).getvalue()
+        designated = Writer().put_str("White").put_count(1).put_bytes(decode_record(body.record_bytes).producer)
+        assert body.record_bytes.count(white) == 1
+        return replace(body, record_bytes=body.record_bytes.replace(white, designated.getvalue()))
 
     config, chain, submit = tampered_marketplace(TxKind.SubmitCti, respell)
     assert decode_record(submit.record_bytes).tlp == TlpLabel(TlpChannel.White)
@@ -227,7 +230,7 @@ def test_fold_refuses_a_resigned_respelled_record_and_mining_skips_it():
         for tx in block.transactions
         if tx.kind is TxKind.SubmitCti and SubmitCtiBody.decode(tx.payload) == respell(submit)
     )
-    assert refusal_height(chain, config, EncodingError, "^designated entries under White$") == height
+    assert refusal_height(chain, config, EncodingError, "^White must not carry a designated set$") == height
 
     # the records mine_campaigns mines: the untampered chain's, less the re-spelled one
     original = verified_technical_records(run_scenario(config).chain)
