@@ -601,7 +601,9 @@ class ContractSystem:
     # -- subscriptions ---------------------------------------------------
 
     def _renewal(self, user: Digest, round_no: int) -> tuple[int, int]:
-        """The charge, max(0, base_fee - accrued discount), and the new paid-through round."""
+        """The charge, max(0, base_fee - accrued discount), and the new
+        paid-through round: one period past the later of the old one and
+        this round, so a lapsed member renews from now and owes no back fees."""
         sub = self.subscription
         if user not in sub.paid_through:
             raise UnknownStakeholder(user.hex())
@@ -610,7 +612,7 @@ class ContractSystem:
         charge = max(0, self.economics.base_fee - sub.accrued_discount.get(user, 0))
         if self.market.balance_of(user) < charge:
             raise InsufficientBalance(f"renewal needs {charge}")
-        return charge, sub.paid_through[user] + self.economics.period_rounds
+        return charge, max(sub.paid_through[user], round_no) + self.economics.period_rounds
 
     def renew_subscription(self, user: Digest, round_no: int) -> int:
         """Renew `user`'s subscription for one period; returns the charge."""

@@ -1,7 +1,7 @@
 """Canonical byte serialization.
 
-Every hashed or signed structure is serialized as length-prefixed
-big-endian fields in declared order: unsigned integers are 8 bytes,
+Every hashed structure is serialized as length-prefixed big-endian
+fields in declared order: unsigned integers are 8 bytes,
 variable-length byte strings carry a 4-byte length prefix, collections a
 4-byte count prefix. This keeps digests bit-exact and replayable.
 The `*_field` functions encode one field each; the one-shot encoders in

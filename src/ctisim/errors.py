@@ -15,8 +15,11 @@ class EncodingError(CtiSimError):
 
 
 class InvalidSignature(CtiSimError):
+    """A transaction offered for sealing whose author is not registered or
+    whose id is not the one derived from its author, kind and payload."""
+
     def __init__(self, tx_id: bytes):
-        super().__init__(f"invalid signature on transaction {tx_id.hex()}")
+        super().__init__(f"transaction {tx_id.hex()} has an unregistered author or an id not derived from its fields")
         self.tx_id = tx_id
 
 

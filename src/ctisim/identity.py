@@ -1,11 +1,14 @@
 """Authority-mediated registration of pseudonymous stakeholders, and signing.
 
 Identity proofs are abstracted to an evidence digest; a registration needs
-a non-empty one. Stakeholder ids and signing secrets are derived
-deterministically from the evidence digest so that a scenario replays
-byte-identically. `register_body` builds a Register payload of claimed
-roles, attributes and evidence, with the endowment it mints; signed by
-`ContractSystem.register`, it grants the credential and opens the accounts.
+a non-empty one. A stakeholder id is derived deterministically from the
+evidence digest so that a scenario replays byte-identically. No
+transaction carries a signature: "signing" here means accepting a
+transaction under the credential rules and making it with
+`Transaction.create`, whose id anyone can recompute. `register_body`
+builds a Register payload of claimed roles, attributes and evidence, with
+the endowment it mints; signed by `ContractSystem.register`, it grants the
+credential and opens the accounts.
 
 The Registry holds the credentials, and `Registry.apply` is their one
 rulebook. The Registry is the one place that signs: `Registry.sign`
@@ -15,10 +18,10 @@ keep the same rules. `sign` also queues each transaction until a block
 seals it, and that queue, `unsealed()`, is the one record of what a round
 signed: the engine seals exactly it, in signing order. When sealing,
 `authenticate_committed` trusts exactly the queued objects and re-derives
-every other transaction (hand-built, copied or signed elsewhere) with
-`Transaction.create`; it takes nothing off the queue, so a refused seal
-leaves the queue as it was. `mark_sealed` takes a sealed block's
-transactions off it.
+every other transaction (hand-built, copied or made elsewhere) with
+`Transaction.create`, and requires its author to be registered; it takes
+nothing off the queue, so a refused seal leaves the queue as it was.
+`mark_sealed` takes a sealed block's transactions off it.
 """
 
 from __future__ import annotations
@@ -58,15 +61,10 @@ class Credential:
     roles: frozenset[Role]
     attributes: frozenset[str]
     revoked: bool
-    secret: bytes
 
 
 def stakeholder_id(evidence_digest: Digest) -> Digest:
     return sha256(b"stakeholder:" + evidence_digest)
-
-
-def derive_secret(evidence_digest: Digest) -> bytes:
-    return sha256(b"credential-secret:" + evidence_digest)
 
 
 def evidence_for(name: str) -> Digest:
@@ -83,7 +81,6 @@ def register_body(
         roles=tuple(sorted(r.value for r in roles)),
         attributes=tuple(sorted(attributes)),
         evidence_digest=evidence,
-        secret=derive_secret(evidence),
         endowment=endowment,
     )
 
@@ -111,17 +108,17 @@ class Registry:
         except KeyError:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
-    def apply(self, author: Digest, kind: TxKind, payload: bytes) -> bytes:
-        """Apply a transaction's effect on the credentials, in chain order,
-        and return the secret its signature must be keyed by.
+    def apply(self, author: Digest, kind: TxKind, payload: bytes) -> None:
+        """Apply a transaction's effect on the credentials, in chain order.
 
         The one rulebook for credentials: an illegal transaction changes
         nothing and raises a CtiSimError whose message is verify_chain's
         reason. The first credential is the Authority's self-registration,
-        and only an acting authority registers the others; every id and
-        secret is the one derived from its evidence, so evidence backs one id.
-        A Register is accepted in the one spelling `register_body` writes:
-        its roles and its attributes each sorted and unique.
+        and only an acting authority registers the others; every id is the
+        one derived from its evidence, so evidence backs one id. A Register
+        is accepted in the one spelling `register_body` writes: its roles
+        and its attributes each sorted and unique. A ReputationUpdate names
+        a registered stakeholder not yet revoked: revocation happens once.
         """
         cred = self.credentials.get(author)
         if cred is not None and cred.revoked:
@@ -149,8 +146,6 @@ class Registry:
                 raise NotAnAuthority("Register without identity evidence")
             if body.stakeholder != stakeholder_id(body.evidence_digest):
                 raise NotAnAuthority("Register with an id not derived from its evidence")
-            if body.secret != derive_secret(body.evidence_digest):
-                raise NotAnAuthority("Register with a secret not derived from its evidence")
             try:
                 roles = frozenset(map(Role, body.roles))
             except ValueError:
@@ -158,12 +153,12 @@ class Registry:
             sid = body.stakeholder
             if sid in self.credentials:
                 raise DuplicateRegistration("duplicate registration")
-            self.credentials[sid] = Credential(sid, roles, frozenset(body.attributes), False, body.secret)
+            self.credentials[sid] = Credential(sid, roles, frozenset(body.attributes), False)
             if "Authority" in body.roles:
                 self.authorities.add(sid)
             if "Verifier" in body.roles:
                 bisect.insort(self.verifier_ids, sid)
-            return body.secret if cred is None else cred.secret
+            return
         if cred is None:
             raise UnknownStakeholder("transaction by unregistered author")
         if kind in _AUTHORITY_KINDS and author not in self.authorities:
@@ -176,21 +171,23 @@ class Registry:
             subject = self.credentials.get(body.stakeholder)
             if subject is None:
                 raise UnknownStakeholder("ReputationUpdate for an unregistered stakeholder")
+            if subject.revoked:
+                raise NotAnAuthority("ReputationUpdate for a revoked stakeholder")
             if body.revoked:
                 subject.revoked = True
-        return cred.secret
 
     def sign(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
-        """A transaction signed with the author's credential secret, once
-        `apply` has accepted it and applied its effect.
+        """The author's transaction, made once `apply` has accepted it and
+        applied its effect.
 
         A transaction whose id this registry already signed raises
         DuplicateTransaction and is not queued: verify_chain refuses a
         repeated id. `apply` has run by then, which changes nothing for a
-        repeat: it refuses a repeated Register, and a repeated revocation
-        is idempotent.
+        repeat: it refuses a repeated Register and a revocation of a revoked
+        subject, and no other kind changes a credential.
         """
-        tx = Transaction.create(author, kind, payload, self.apply(author, kind, payload))
+        self.apply(author, kind, payload)
+        tx = Transaction.create(author, kind, payload)
         if tx.tx_id in self._signed:
             raise DuplicateTransaction(f"duplicate transaction id {tx.tx_id.hex()}")
         self._signed.add(tx.tx_id)
@@ -202,18 +199,17 @@ class Registry:
         return list(self._unsealed.values())
 
     def authenticate_committed(self, tx: Transaction) -> bool:
-        """Whether tx's id and signature are its author's, for sealing.
+        """Whether tx is its registered author's, with its id derived, for sealing.
 
         The very object `sign` returned, still queued, is trusted as
-        signed; any other transaction must equal the one `Transaction.create`
-        derives with its author's secret. Position-independent: `sign`
-        refuses a revoked author when the transaction is made, and
+        signed; any other transaction needs a registered author and must
+        equal the one `Transaction.create` derives. Position-independent:
+        `sign` refuses a revoked author when the transaction is made, and
         verify_chain replays the order.
         """
         if id(tx) in self._unsealed:
             return True
-        cred = self.credentials.get(tx.author)
-        return cred is not None and tx == Transaction.create(tx.author, tx.kind, tx.payload, cred.secret)
+        return tx.author in self.credentials and tx == Transaction.create(tx.author, tx.kind, tx.payload)
 
     def mark_sealed(self, block: Block) -> None:
         """Take a sealed block's transactions off the queue."""

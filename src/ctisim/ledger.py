@@ -1,31 +1,35 @@
 """Append-only hash-linked block store.
 
-One block is sealed per simulation round by the platform authority; block
-timestamps are round numbers, never wall clock, and the header nonce is
-always 0 (sealing is by authority, not by proof of work). Tamper evidence
-comes from three commitments: transaction ids (hash of author, kind and
-payload), per-block Merkle roots over transaction ids, and the
-previous-header hash carried by every block.
+One block is sealed per simulation round by the platform authority, so a
+block's round is its height minus one; sealing is by authority, not by
+proof of work, and a header holds only its height, the previous header's
+hash, its Merkle root and its sealer. Tamper evidence comes from three
+commitments: transaction ids (hash of author, kind and payload), per-block
+Merkle roots over transaction ids, and the previous-header hash carried by
+every block. Nothing is signed: any reader can recompute every commitment,
+so VALID means the links, ids, roots and credential rules hold, not that a
+key holder wrote the chain.
 
 A transaction is an immutable named tuple, built by one `tuple.__new__`
 with no per-field `__setattr__`; setting a field raises AttributeError,
 and its equality and hash are those of its field tuple. Blocks and the
 chain stay dataclasses: a run seals far fewer of them. `Transaction.create`
-defines both a transaction's digests; transactions are signed in one
-place, `identity.Registry.sign`. Sealing (`append_block`) asks an
-authenticator for each transaction's id and signature; the registry's
-authenticator trusts the unsealed objects it signed itself and re-derives
-every other transaction. verify_chain trusts
-nothing: it replays the whole chain, re-deriving every id, Merkle root
-and signature, and rebuilds the credentials by applying each transaction
-to a fresh registry through `identity.Registry.apply`, the rulebook the
-registry applies to every transaction it signs, so that a bare dump can
-be re-verified with no out-of-band state.
+defines a transaction's id; transactions are made in one place,
+`identity.Registry.sign`. Sealing (`append_block`) asks an authenticator
+whether each transaction is its registered author's; the registry's
+authenticator trusts the unsealed objects it made itself and re-derives
+every other transaction. verify_chain trusts nothing: it replays the whole
+chain, re-deriving every id and Merkle root, and rebuilds the credentials
+by applying each transaction to a fresh registry through
+`identity.Registry.apply`, the rulebook the registry applies to every
+transaction it signs, so that a bare dump can be re-verified with no
+out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
 (integer fields, hex-encoded byte fields, the transaction kind by name).
-chain_to_json emits those bytes directly. chain_from_json builds each
+chain_to_json emits those bytes directly, and chain_from_json refuses an
+object with any key the writer does not write. chain_from_json builds each
 transaction and block as json.loads parses its object, with no parsed copy
 of the dump in between, so a read needs little more memory than the chain
 it returns.
@@ -64,8 +68,6 @@ class TxKind(TaggedEnum):
 
 # each kind by its name, as chain.json spells it
 _KIND_BY_NAME = {kind.value: kind for kind in TxKind}
-# bound once: `TxKind.X` goes through the Enum metaclass
-_REGISTER = TxKind.Register
 
 
 class Transaction(NamedTuple):
@@ -73,22 +75,13 @@ class Transaction(NamedTuple):
     author: Digest
     kind: TxKind
     payload: bytes
-    signature: bytes
 
     @classmethod
-    def create(cls, author: Digest, kind: TxKind, payload: bytes, secret: bytes) -> "Transaction":
-        """The one definition of a transaction's two digests:
-
-        - id: sha256 of the canonical encoding of (author, kind name, payload);
-        - signature, simulated: sha256 of the canonical encoding of (secret,
-          payload), a digest keyed by the credential secret.
-
-        Both end with the payload's byte-string field, built once.
-        """
-        payload_field = _pack_count(len(payload)) + payload
-        tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
-        signature = _sha256(_pack_count(len(secret)) + secret + payload_field).digest()
-        return _tuple_new(cls, (tx_id, author, kind, payload, signature))
+    def create(cls, author: Digest, kind: TxKind, payload: bytes) -> "Transaction":
+        """The one definition of a transaction's id: sha256 of the canonical
+        encoding of (author, kind name, payload)."""
+        tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + _pack_count(len(payload)) + payload).digest()
+        return _tuple_new(cls, (tx_id, author, kind, payload))
 
 
 @dataclass(frozen=True)
@@ -96,8 +89,6 @@ class Block:
     height: int
     prev_hash: Digest
     merkle_root: Digest
-    timestamp: int
-    nonce: int
     sealer: Digest
     transactions: tuple[Transaction, ...]
 
@@ -121,8 +112,6 @@ def make_genesis() -> Block:
         height=0,
         prev_hash=ZERO_DIGEST,
         merkle_root=merkle_root(()),
-        timestamp=0,
-        nonce=0,
         sealer=ZERO_DIGEST,
         transactions=(),
     )
@@ -147,15 +136,13 @@ def hash_header(block: Block) -> Digest:
             uint_field(block.height),
             bytes_field(block.prev_hash),
             bytes_field(block.merkle_root),
-            uint_field(block.timestamp),
-            uint_field(block.nonce),
             bytes_field(block.sealer),
         ))
     )
 
 
-# Whether a transaction's id and signature are its author's (see
-# identity.Registry.authenticate_committed).
+# Whether a transaction is its registered author's, with its id derived
+# (see identity.Registry.authenticate_committed).
 Authenticator = Callable[[Transaction], bool]
 
 
@@ -165,17 +152,16 @@ def append_block(
     sealer: Digest,
     authenticator: Authenticator,
     is_authority: Callable[[Digest], bool],
-    timestamp: int,
 ) -> Block:
     """Seal a new block onto the chain; an empty one is a heartbeat.
 
     A sealer without authority is refused before any transaction is
-    authenticated. The authenticator answers for each transaction's id and
-    signature; any transaction it refuses raises InvalidSignature, and a
+    authenticated. The authenticator answers for each transaction's author
+    and id; any transaction it refuses raises InvalidSignature, and a
     refused seal changes nothing. The registry's authenticator takes the
-    objects it signed and still queues as they are and re-derives both
-    digests for any other transaction; the registry's queue drops a block's
-    transactions only once the block is sealed (`Registry.mark_sealed`). It is
+    objects it made and still queues as they are and re-derives any other
+    transaction; the registry's queue drops a block's transactions only
+    once the block is sealed (`Registry.mark_sealed`). It is
     position-independent on purpose: a round's block may contain
     transactions authored just before a same-round revocation. Revocation
     ordering is enforced by `identity.Registry.apply`, which refuses a
@@ -192,8 +178,6 @@ def append_block(
         height=len(chain.blocks),
         prev_hash=hash_header(chain.head),
         merkle_root=merkle_root(txs),
-        timestamp=timestamp,
-        nonce=0,
         sealer=sealer,
         transactions=tuple(txs),
     )
@@ -211,13 +195,11 @@ class VerificationReport:
 def verify_chain(chain: Chain) -> VerificationReport:
     """Replay the chain and report the earliest invariant violation.
 
-    Checks every header, Merkle root, transaction id and signature, that
-    no transaction id repeats, and replays each transaction in chain order
+    Checks every header, Merkle root and transaction id, that no
+    transaction id repeats, and replays each transaction in chain order
     through `Registry.apply` on a fresh `identity.Registry`, the credential
     rules the platform signs by; an illegal transaction is reported by the
-    reason apply refuses it with. Register payloads carry each credential's
-    secret, so every signature (the first authority's self-registration
-    too) is recheckable from the dump alone. Block 0 must equal
+    reason apply refuses it with. Block 0 must equal
     `make_genesis()`, field for field. A block may be empty; every block
     after genesis must be sealed by an authority not revoked in an earlier
     block or in its own.
@@ -232,7 +214,6 @@ def verify_chain(chain: Chain) -> VerificationReport:
     registry = Registry()
     apply, credentials, authorities = registry.apply, registry.credentials, registry.authorities
     seen_ids: set[bytes] = set()
-    prev_timestamp = 0
 
     for i, block in enumerate(chain.blocks[1:], start=1):
         def bad(reason: str) -> VerificationReport:
@@ -242,36 +223,26 @@ def verify_chain(chain: Chain) -> VerificationReport:
             return bad("height mismatch")
         if block.prev_hash != hash_header(chain.blocks[i - 1]):
             return bad("broken prev_hash link")
-        if block.timestamp < prev_timestamp:
-            return bad("timestamp decreased")
         if block.merkle_root != merkle_root(block.transactions):
             return bad("merkle root mismatch")
-        if block.nonce != 0:
-            return bad("nonzero nonce")
 
-        for tx in block.transactions:
-            author, kind, payload = tx.author, tx.kind, tx.payload
-            # Transaction.create's digests, inline: the id is checked before
-            # apply returns the secret that keys the signature.
-            payload_field = _pack_count(len(payload)) + payload
-            tx_id = _sha256(_pack_count(len(author)) + author + kind.tag + payload_field).digest()
-            if tx.tx_id != tx_id:
+        for tx_id, author, kind, payload in block.transactions:
+            # Transaction.create's id, inline
+            digest = _sha256(_pack_count(len(author)) + author + kind.tag + _pack_count(len(payload)) + payload)
+            if tx_id != digest.digest():
                 return bad("transaction id mismatch")
             if tx_id in seen_ids:
                 return bad("duplicate transaction id")
             seen_ids.add(tx_id)
             try:
-                secret = apply(author, kind, payload)
+                apply(author, kind, payload)
             except CtiSimError as exc:
                 return bad(str(exc))
-            if tx.signature != _sha256(_pack_count(len(secret)) + secret + payload_field).digest():
-                return bad("bad Register signature" if kind is _REGISTER else "bad signature")
 
         if block.sealer not in authorities:
             return bad("sealer lacks Authority role")
         if credentials[block.sealer].revoked:
             return bad("sealer revoked")
-        prev_timestamp = block.timestamp
 
     return VerificationReport(True)
 
@@ -284,8 +255,7 @@ def _tx_to_json(sep: str, t: Transaction) -> str:
         f'        "tx_id": "{t.tx_id.hex()}",\n'
         f'        "author": "{t.author.hex()}",\n'
         f'        "kind": "{t.kind._value_}",\n'
-        f'        "payload": "{t.payload.hex()}",\n'
-        f'        "signature": "{t.signature.hex()}"\n'
+        f'        "payload": "{t.payload.hex()}"\n'
         "      }"
     )
 
@@ -307,8 +277,6 @@ def chain_to_json(chain: Chain) -> str:
             f'    "height": {b.height},\n'
             f'    "prev_hash": "{b.prev_hash.hex()}",\n'
             f'    "merkle_root": "{b.merkle_root.hex()}",\n'
-            f'    "timestamp": {b.timestamp},\n'
-            f'    "nonce": {b.nonce},\n'
             f'    "sealer": "{b.sealer.hex()}",\n'
             '    "transactions": ['
         )
@@ -327,6 +295,17 @@ def _int(value) -> int:
     return value
 
 
+# the keys chain_to_json writes for each object kind, and no others
+_TX_KEYS = frozenset(Transaction._fields)
+_BLOCK_KEYS = frozenset(Block.__dataclass_fields__)
+
+
+def _refuse_unknown_key(obj: dict, keys: frozenset, what: str) -> None:
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"{what} with unknown key {min(unknown)!r}")
+
+
 class _HexIds(dict):
     """Stakeholder ids by their hex text, each decoded on first use."""
 
@@ -337,9 +316,10 @@ class _HexIds(dict):
 
 def chain_from_json(text: str) -> Chain:
     """Read a chain.json dump back; raises EncodingError, and nothing else,
-    for a malformed one (a value of the wrong JSON type, a missing key, an
-    unknown kind, an integer field that is not a JSON integer in [0, 2**64),
-    bad hex, an object where it does not belong).
+    for a malformed one (a value of the wrong JSON type, a missing key, a
+    key the writer does not write, which the error names, an unknown kind,
+    an integer field that is not a JSON integer in [0, 2**64), bad hex, an
+    object where it does not belong).
 
     Each JSON object becomes a Transaction, or a Block if it has a
     ``transactions`` key, as soon as json.loads has parsed it, so no parsed
@@ -352,10 +332,11 @@ def chain_from_json(text: str) -> Chain:
 
     def build(obj: dict):
         if "transactions" not in obj:
-            return Transaction(
-                unhex(obj["tx_id"]), ids[obj["author"]], kinds[obj["kind"]], unhex(obj["payload"]),
-                unhex(obj["signature"]),
-            )
+            if obj.keys() != _TX_KEYS:
+                _refuse_unknown_key(obj, _TX_KEYS, "transaction")
+            return Transaction(unhex(obj["tx_id"]), ids[obj["author"]], kinds[obj["kind"]], unhex(obj["payload"]))
+        if obj.keys() != _BLOCK_KEYS:
+            _refuse_unknown_key(obj, _BLOCK_KEYS, "block")
         txs = obj["transactions"]
         if type(txs) is not list:
             raise TypeError("transactions must be a list")
@@ -363,8 +344,7 @@ def chain_from_json(text: str) -> Chain:
             if type(tx) is not Transaction:
                 raise TypeError(f"expected a transaction, got {type(tx).__name__}")
         return Block(
-            _int(obj["height"]), unhex(obj["prev_hash"]), unhex(obj["merkle_root"]),
-            _int(obj["timestamp"]), _int(obj["nonce"]), ids[obj["sealer"]], tuple(txs),
+            _int(obj["height"]), unhex(obj["prev_hash"]), unhex(obj["merkle_root"]), ids[obj["sealer"]], tuple(txs),
         )
 
     try:

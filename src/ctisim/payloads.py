@@ -15,15 +15,14 @@ from .encoding import Digest, Layout
 
 @dataclass(frozen=True)
 class RegisterBody(Layout):
-    """Registration record. Carries the simulated signing secret so a chain
-    dump stays self-verifying (signatures are keyed digests, not real keys),
-    and the currency registration mints for the stakeholder."""
+    """Registration record: the claimed roles and attributes, the identity
+    evidence the stakeholder id is derived from, and the currency
+    registration mints for the stakeholder."""
 
     stakeholder: Digest
     roles: tuple[str, ...]
     attributes: tuple[str, ...]
     evidence_digest: Digest
-    secret: bytes
     endowment: int
 
 

@@ -309,7 +309,7 @@ class Engine:
         chain = Chain.new()
         metrics = MetricsSeries()
         self._register_all()
-        self._seal(chain, 0)
+        self._seal(chain)
 
         for round_no in range(1, cfg.rounds + 1):
             self._run_round(chain, metrics, round_no)
@@ -335,7 +335,7 @@ class Engine:
         self._consume(verified, round_no)
         self._renew(round_no)
         self._record_metrics(metrics, round_no)
-        self._seal(chain, round_no)
+        self._seal(chain)
 
     # -- the round's phases, in order ----------------------------------------
 
@@ -462,10 +462,11 @@ class Engine:
                 log.verified, log.rejected, log.consumes, log.forfeited, utility,
             ))
 
-    def _seal(self, chain: Chain, round_no: int) -> None:
+    def _seal(self, chain: Chain) -> None:
         """Seal what the registry signed since the last block, in signing
-        order, as round `round_no`'s block; an empty round seals an empty
-        block."""
+        order, as the next block; an empty round seals an empty block. The
+        registrations are round 0's block, so round r's block is at height
+        r + 1."""
         registry = self.registry
         registry.mark_sealed(append_block(
             chain,
@@ -473,7 +474,6 @@ class Engine:
             sealer=self.contracts.authority,
             authenticator=registry.authenticate_committed,
             is_authority=registry.is_authority,
-            timestamp=round_no,
         ))
 
     # -- summaries ------------------------------------------------------------

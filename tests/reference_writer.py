@@ -2,8 +2,8 @@
 
 The package encodes with one-shot field helpers (`ctisim.encoding`); tests
 build the bytes those helpers must match with this independent writer, and
-the two transaction digests `ctisim.ledger.Transaction.create` must match
-with `ref_id` and `ref_signature`.
+the transaction id `ctisim.ledger.Transaction.create` must match with
+`ref_id`.
 """
 
 import hashlib
@@ -49,8 +49,3 @@ class Writer:
 def ref_id(author, kind, payload):
     """A transaction id: sha256 of the encoding of (author, kind name, payload)."""
     return hashlib.sha256(Writer().put_bytes(author).put_str(kind.value).put_bytes(payload).getvalue()).digest()
-
-
-def ref_signature(secret, payload):
-    """A simulated signature: sha256 of the encoding of (secret, payload)."""
-    return hashlib.sha256(Writer().put_bytes(secret).put_bytes(payload).getvalue()).digest()

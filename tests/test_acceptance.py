@@ -17,9 +17,7 @@ from ctisim.cli import main as cli_main
 from ctisim.config import apply_override, load_config, load_raw, parse_config
 from ctisim.contracts import ContractStatus, DepositState
 from ctisim.ledger import (
-    Block,
     Chain,
-    Transaction,
     TxKind,
     chain_from_json,
     chain_to_json,
@@ -42,8 +40,8 @@ def report(n: int, text: str) -> None:
 # 1. Ledger tamper-evidence
 # -----------------------------------------------------------------------------
 
-MUTABLE_TX_FIELDS = ("payload", "signature", "tx_id", "author", "kind")
-MUTABLE_HEADER_FIELDS = ("height", "prev_hash", "merkle_root", "nonce", "sealer", "timestamp")
+MUTABLE_TX_FIELDS = ("payload", "tx_id", "author", "kind")
+MUTABLE_HEADER_FIELDS = ("height", "prev_hash", "merkle_root", "sealer")
 
 
 def _flip_byte(data: bytes, rng: random.Random) -> bytes:
@@ -58,39 +56,27 @@ def _flip_int(value: int, rng: random.Random) -> int:
 def _mutate_once(chain: Chain, rng: random.Random):
     """Flip one byte of one committed field; returns (mutant, expected heights).
 
-    The single exclusion is the final block's timestamp:
-    nothing references the final header, so changing it is indistinguishable
-    from validly re-sealing an empty suffix.
+    Every header field is checked at its own block, the final one's too:
+    the height against its place, the link against the previous header, the
+    root against the transactions, the sealer against the authorities.
     """
     i = rng.randrange(len(chain.blocks))
     block = chain.blocks[i]
-    final = i == len(chain.blocks) - 1
 
     choices = list(MUTABLE_HEADER_FIELDS)
-    if final or i == 0:
-        # genesis timestamp is pinned to zero, so it stays mutable even at 0
-        if final and i != 0:
-            choices.remove("timestamp")
     if block.transactions:
         choices += [f"tx:{f}" for f in MUTABLE_TX_FIELDS]
     target = rng.choice(choices)
 
-    expected = {i}
     if target.startswith("tx:"):
         field = target[3:]
         t_idx = rng.randrange(len(block.transactions))
         tx = block.transactions[t_idx]
         if field == "kind":
             others = [k for k in TxKind if k is not tx.kind]
-            tx = Transaction(tx.tx_id, tx.author, rng.choice(others), tx.payload, tx.signature)
+            tx = tx._replace(kind=rng.choice(others))
         else:
-            tx = Transaction(
-                tx_id=_flip_byte(tx.tx_id, rng) if field == "tx_id" else tx.tx_id,
-                author=_flip_byte(tx.author, rng) if field == "author" else tx.author,
-                kind=tx.kind,
-                payload=_flip_byte(tx.payload, rng) if field == "payload" else tx.payload,
-                signature=_flip_byte(tx.signature, rng) if field == "signature" else tx.signature,
-            )
+            tx = tx._replace(**{field: _flip_byte(getattr(tx, field), rng)})
         txs = list(block.transactions)
         txs[t_idx] = tx
         mutated = replace(block, transactions=tuple(txs))
@@ -100,19 +86,12 @@ def _mutate_once(chain: Chain, rng: random.Random):
         mutated = replace(block, prev_hash=_flip_byte(block.prev_hash, rng))
     elif target == "merkle_root":
         mutated = replace(block, merkle_root=_flip_byte(block.merkle_root, rng))
-    elif target == "nonce":
-        mutated = replace(block, nonce=_flip_int(block.nonce, rng))
-    elif target == "sealer":
+    else:  # sealer
         mutated = replace(block, sealer=_flip_byte(block.sealer, rng))
-    else:  # timestamp
-        mutated = replace(block, timestamp=_flip_int(block.timestamp, rng))
-        if i > 0:
-            # an increased non-final timestamp surfaces at the broken link
-            expected = {i, i + 1}
 
     mutant = Chain(blocks=list(chain.blocks))
     mutant.blocks[i] = mutated
-    return mutant, expected
+    return mutant, {i}
 
 
 def test_criterion_01_tamper_evidence():

@@ -31,7 +31,6 @@ def cred(name, attributes=(), revoked=False):
         roles=frozenset({Role.Consumer}),
         attributes=frozenset(attributes),
         revoked=revoked,
-        secret=b"s",
     )
 
 

@@ -401,7 +401,7 @@ def test_verify_chain_out_of_range_header_integer_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     run_cli("run", "--config", TLP, "--out", str(out))
     dump = json.loads((out / "chain.json").read_text())
-    dump[1]["timestamp"] = 2**64
+    dump[1]["height"] = 2**64
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dump, indent=2) + "\n")
     assert run_cli("verify-chain", "--chain", str(bad)) == 2

@@ -248,8 +248,7 @@ BODY_CLASSES = tuple(
 BODY_STRATEGIES = {
     RegisterBody: st.builds(
         RegisterBody, stakeholder=digests, roles=st.lists(texts, max_size=3).map(tuple),
-        attributes=st.lists(texts, max_size=3).map(tuple), evidence_digest=digests,
-        secret=blobs, endowment=uints),
+        attributes=st.lists(texts, max_size=3).map(tuple), evidence_digest=digests, endowment=uints),
     SubmitCtiBody: st.builds(
         SubmitCtiBody, contract_id=digests, record_bytes=blobs, deposit=uints,
         verification_fee=uints, verifiers=st.lists(digests, max_size=4).map(tuple)),
@@ -272,7 +271,7 @@ def ref_register(b):
     w.put_count(len(b.attributes))
     for attr in b.attributes:
         w.put_str(attr)
-    return w.put_bytes(b.evidence_digest).put_bytes(b.secret).put_uint(b.endowment).getvalue()
+    return w.put_bytes(b.evidence_digest).put_uint(b.endowment).getvalue()
 
 
 def ref_submit(b):

@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -156,14 +157,24 @@ class Platform:
         self.vote_all(contract, votes)
         return contract, self.finalize(contract, round_no)
 
-    def seal(self, round_no):
-        """Seal what the registry signed since the last seal, if anything, as
-        round `round_no`'s block."""
-        registry, txs = self.registry, self.registry.unsealed()
-        if txs:
-            registry.mark_sealed(append_block(
-                self.chain, txs, self.authority, registry.authenticate_committed, registry.is_authority, round_no
-            ))
+    def seal(self, round_no, forged=()):
+        """Seal what the registry signed since the last seal, then `forged`,
+        if anything, as round `round_no`'s block, at height `round_no` + 1.
+        Each round since the last sealed one gets an empty block; a round
+        whose block is the head is sealed again, its new transactions after
+        its old. A seal with `forged` transactions makes none of
+        append_block's checks, as a forger could."""
+        registry, chain = self.registry, self.chain
+        txs = registry.unsealed() + list(forged)
+        if not txs:
+            return
+        if len(chain.blocks) == round_no + 2:
+            txs = list(chain.blocks.pop().transactions) + txs
+        assert len(chain.blocks) <= round_no + 1, f"round {round_no}'s block is not the head"
+        authenticate = (lambda _: True) if forged else registry.authenticate_committed
+        while len(chain.blocks) <= round_no:
+            append_block(chain, [], self.authority, authenticate, registry.is_authority)
+        registry.mark_sealed(append_block(chain, txs, self.authority, authenticate, registry.is_authority))
 
     def kinds_signed(self, since):
         """Kinds of the registry's unsealed transactions from index `since`
@@ -181,8 +192,8 @@ def test_first_register_without_the_authority_role_is_refused_as_verify_chain_re
     claim = (frozenset({Role.Producer}), frozenset(), evidence_for("first"))
     body = register_body(*claim, 100)
     chain = Chain.new()
-    tx = Transaction.create(body.stakeholder, TxKind.Register, body.encode(), body.secret)
-    append_block(chain, [tx], body.stakeholder, lambda _: True, lambda _: True, 0)
+    tx = Transaction.create(body.stakeholder, TxKind.Register, body.encode())
+    append_block(chain, [tx], body.stakeholder, lambda _: True, lambda _: True)
     reason = verify_chain(chain).reason
     assert reason == "self-registration without the Authority role"
     with pytest.raises(NotAnAuthority, match=f"^{re.escape(reason)}$"):
@@ -439,8 +450,8 @@ def test_verify_chain_refuses_a_repeated_transaction_id():
     signed = registry.unsealed()
     # the writer never signs a repeat; seal one signed object twice instead
     chain = Chain.new()
-    append_block(chain, signed, p.authority, registry.authenticate_committed, registry.is_authority, 1)
-    append_block(chain, signed[-1:], p.authority, registry.authenticate_committed, registry.is_authority, 2)
+    append_block(chain, signed, p.authority, registry.authenticate_committed, registry.is_authority)
+    append_block(chain, signed[-1:], p.authority, registry.authenticate_committed, registry.is_authority)
     report = verify_chain(chain)
     assert (report.valid, report.first_bad_height, report.reason) == (False, 2, "duplicate transaction id")
 
@@ -832,11 +843,15 @@ def _(p):
 
 @illegal("revocation-with-another-reason")
 def _(p):
-    # three rejections take the producer from 50 to 20, and finalization revokes it
+    # three rejections take the producer from 50 to 20, and finalization
+    # revokes it; the forger's revocation takes the place of that one, since
+    # a second revocation is refused for the revoked subject
     for n in range(3):
         p.run_contract([LQ, LQ, LQ], n=n)
+    genuine = p.registry.unsealed()[-1]
+    assert genuine.kind is TxKind.ReputationUpdate and p.registry.credentials[p.producer].revoked
+    p.registry.mark_sealed(replace(p.chain.head, transactions=(genuine,)))  # off the queue, never sealed
     p.seal(1)
-    assert p.registry.credentials[p.producer].revoked
     body = ReputationUpdateBody(p.producer, 20, True, "flagged by hand")
     return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, EncodingError,
                    f"ReputationUpdate reason 'flagged by hand', not {REVOCATION_REASON!r}")
@@ -867,10 +882,6 @@ def test_writer_refuses_illegal_action(platform, build):
 def test_fold_refuses_illegal_action(platform, build):
     p = Platform(**platform)
     row = build(p)
-    p.seal(row.round_no)
-    secret = p.registry.credentials[row.author].secret
-    tx = Transaction.create(row.author, row.kind, row.body.encode(), secret)
-    # linked with none of append_block's checks, as a forger could
-    append_block(p.chain, [tx], p.authority, lambda _: True, lambda _: True, row.round_no)
+    p.seal(row.round_no, forged=[Transaction.create(row.author, row.kind, row.body.encode())])
     config = SimpleNamespace(verification=p.system.policy, economics=p.system.economics)
     assert refusal_height(p.chain, config, row.error, f"^{re.escape(row.reason)}$") == len(p.chain.blocks) - 1

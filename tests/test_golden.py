@@ -31,27 +31,27 @@ from tests.test_ledger import query
 
 GOLDEN = {
     "blocis-baseline": {
-        "chain.json": "be660a5427d57676b2a4e1a6ba4419012a0af607f160fde9626f6874e54ce960",
+        "chain.json": "f0785d49e6b47c4398d63ff1adc0aa39352a5a6d9a3a14be23bba5126d4ddcd1",
         "summary.json": "590055af98241949e1f0a9fb0d264f4a15bb6e1ee9cd259f8ebb2bda41d2998b",
         "metrics.csv": "1619f1113aceb60ceb77b16b0fb17a857ad2bab959429bb8b4752385dfb6bc3b",
     },
     "doi-flood": {
-        "chain.json": "d4eb62cd0cb708b55e9771c242dd7471aac90b39d093b86759a4a202ed9b4bc6",
+        "chain.json": "87745ab043e99de4cbfa0d3d87d4fea26bebfcab375089a78223029f500a462b",
         "summary.json": "b3bf4356fd291c01ae808e5e81cccba4798b629867a15c9d7c9d8a6e0a300a6c",
         "metrics.csv": "00b12be8731ab756da066466de9f07f411d0ede90e86f97ee0fe3588ce76ef09",
     },
     "free-riding": {
-        "chain.json": "a11a8ca40098edd73f29dd2142c6d22dcf466b5abd9bc32db6f13c32f0522cc6",
+        "chain.json": "e855d6802628e0a911c1eb1c17a282f90da8ac0df9f5a1501ddf839b4e9bd5bc",
         "summary.json": "e9a330b95dc027310cfbbce557591e54a4687ce34d50e7477e7847fa904ad1a6",
         "metrics.csv": "9d1a197f4d609e602b28ec9fb7ffc1fb7a8104b1ed1f705c02f9b9975eb86089",
     },
     "marketplace": {
-        "chain.json": "6a06e0015e267e90e4aadf41f8811a9ad1c6b487de12a0399ceb20b263d11dac",
+        "chain.json": "3ff25b42fd6d411fb847054247eaec0acad8ae2709b90f464040ec6a1f5d3c8f",
         "summary.json": "222306e10bcf7d0954e5cb1420152a8447ce19846c404b46edd59d13795c76ab",
         "metrics.csv": "994053a892e2bee4fb0869130533fc414e2880315a7e4b7c9995072945c9de70",
     },
     "tlp-demo": {
-        "chain.json": "1bbe39d0671b08d98b4423284d50fab1ee7448dcff976a6564a11e9df2f80d03",
+        "chain.json": "a5614e7fc510ae9dd6c76791c3ae67e367584963b5dcf2049dc49a09a2d2a22a",
         "summary.json": "b12dfe935fc2741b269b6ac31b00602e15268bf628b85715f9b18127dd0d8091",
         "metrics.csv": "a5675d2d912e88308b82e5149964df2df97ad95eeff21662e9cae2c7983b642c",
     },

@@ -9,7 +9,7 @@ from ctisim.errors import (
 from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
-from tests.reference_writer import ref_id, ref_signature
+from tests.reference_writer import ref_id
 
 
 def proof(name, roles, attributes=()):
@@ -70,9 +70,9 @@ def test_registration_requires_roles_and_evidence(registry):
         register(reg, (frozenset({Role.Producer}), frozenset(), b""), auth.stakeholder)
 
 
-def signed_as(author, payload, signature):
-    """A hand-built transaction whose id is right, so only its signature can fail."""
-    return Transaction(ref_id(author, TxKind.Vote, payload), author, TxKind.Vote, payload, signature)
+def vote_by(author, payload, tx_id=None):
+    """A hand-built Vote, by default with the id derived from its fields."""
+    return Transaction(ref_id(author, TxKind.Vote, payload) if tx_id is None else tx_id, author, TxKind.Vote, payload)
 
 
 def test_sign_then_verify(registry):
@@ -80,20 +80,22 @@ def test_sign_then_verify(registry):
     cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
 
     payload = b"hello"
-    sig = ref_signature(cred.secret, payload)
-    assert reg.authenticate_committed(signed_as(cred.stakeholder, payload, sig))
-    assert not reg.authenticate_committed(signed_as(cred.stakeholder, payload + b"!", sig))
+    tx_id = ref_id(cred.stakeholder, TxKind.Vote, payload)
+    assert reg.authenticate_committed(vote_by(cred.stakeholder, payload))
+    assert reg.authenticate_committed(vote_by(auth.stakeholder, payload))
+    assert not reg.authenticate_committed(vote_by(cred.stakeholder, payload + b"!", tx_id))
     flipped = bytes([payload[0] ^ 1]) + payload[1:]
-    assert not reg.authenticate_committed(signed_as(cred.stakeholder, flipped, sig))
-    assert not reg.authenticate_committed(signed_as(auth.stakeholder, payload, sig))
-    assert not reg.authenticate_committed(signed_as(b"\x00" * 32, payload, sig))
+    assert not reg.authenticate_committed(vote_by(cred.stakeholder, flipped, tx_id))
+    assert not reg.authenticate_committed(vote_by(auth.stakeholder, payload, tx_id))
+    # an id derived for an author nobody registered
+    assert not reg.authenticate_committed(vote_by(b"\x00" * 32, payload))
 
 
-def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(registry, monkeypatch):
+def test_registry_trusts_only_the_object_it_signed(registry, monkeypatch):
     reg, auth = registry
     cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
-    assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello", cred.secret)
+    assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello")
     fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
     rederived, create = [], Transaction.create
     monkeypatch.setattr(Transaction, "create", lambda *a: rederived.append(a) or create(*a))
@@ -102,11 +104,11 @@ def test_registry_signs_with_the_authors_secret_and_trusts_only_that_object(regi
     # trusting an object leaves it queued; once sealed, it is re-derived like any other
     assert reg.unsealed()[-1] is fresh
     reg.mark_sealed(append_block(
-        Chain.new(), [fresh], auth.stakeholder, reg.authenticate_committed, reg.is_authority, 0
+        Chain.new(), [fresh], auth.stakeholder, reg.authenticate_committed, reg.is_authority
     ))
     assert rederived == [] and fresh not in reg.unsealed()
     assert reg.authenticate_committed(fresh) and len(rederived) == 1
-    assert not reg.authenticate_committed(tx._replace(signature=b"\x00" * 32))
+    assert not reg.authenticate_committed(tx._replace(payload=b"forged"))
     # the forgery shared tx's id but is another object, so tx is still trusted
     assert reg.authenticate_committed(tx) and len(rederived) == 2
     assert reg.authenticate_committed(tx._replace()) and len(rederived) == 3
@@ -122,12 +124,13 @@ def test_signing_the_same_transaction_twice_is_refused(registry):
     assert reg.unsealed()[-1] is first and reg.unsealed().count(first) == 1
 
 
-def test_revoke_is_idempotent(registry):
+def test_revocation_happens_once(registry):
     reg, auth = registry
     cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
     revoke = ReputationUpdateBody(cred.stakeholder, 20, True, "threshold").encode()
     reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
-    reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
+    with pytest.raises(NotAnAuthority, match="^ReputationUpdate for a revoked stakeholder$"):
+        reg.apply(auth.stakeholder, TxKind.ReputationUpdate, revoke)
     assert cred.revoked
     assert reg.active_ids() == {auth.stakeholder}
 
@@ -142,7 +145,6 @@ def test_ids_are_deterministic():
     ca = register(Registry(), proof("authority", {Role.Authority}))
     cb = register(Registry(), proof("authority", {Role.Authority}))
     assert ca.stakeholder == cb.stakeholder
-    assert ca.secret == cb.secret
 
 
 def test_attributes_preserved(registry):
@@ -165,9 +167,7 @@ def sid(name):
 
 def registration(name, roles, evidence=None):
     evidence = evidence_for(name) if evidence is None else evidence
-    return RegisterBody(
-        identity.stakeholder_id(evidence), tuple(roles), (), evidence, identity.derive_secret(evidence), 50
-    )
+    return RegisterBody(identity.stakeholder_id(evidence), tuple(roles), (), evidence, 50)
 
 
 def revocation(name):
@@ -240,10 +240,6 @@ ILLEGAL_HISTORIES = {
         [BOOT, ("authority", TxKind.Register, replace(PRODUCER, stakeholder=sha256(b"any id")))],
         NotAnAuthority, "Register with an id not derived from its evidence",
     ),
-    "underived-secret": (
-        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, secret=b"any secret"))],
-        NotAnAuthority, "Register with a secret not derived from its evidence",
-    ),
     # the evidence can only back the id derived from it, and that id is taken
     "second-id-from-the-same-evidence": (
         [BOOT, USER, ("authority", TxKind.Register, registration("user", ["Verifier"]))],
@@ -273,12 +269,21 @@ ILLEGAL_HISTORIES = {
         [BOOT, ("authority", TxKind.ReputationUpdate, revocation("stranger"))],
         UnknownStakeholder, "ReputationUpdate for an unregistered stakeholder",
     ),
+    # finalization revokes a stakeholder once; a second revocation, even at
+    # another score and so under another id, is no history a writer writes
+    "revocation-of-a-revoked-stakeholder": (
+        [
+            BOOT, USER, ("authority", TxKind.ReputationUpdate, revocation("user")),
+            ("authority", TxKind.ReputationUpdate, replace(revocation("user"), score=19)),
+        ],
+        NotAnAuthority, "ReputationUpdate for a revoked stakeholder",
+    ),
 }
 
 
 def registry_state(reg):
     return (
-        {s: (c.roles, c.attributes, c.revoked, c.secret) for s, c in reg.credentials.items()},
+        {s: (c.roles, c.attributes, c.revoked) for s, c in reg.credentials.items()},
         set(reg.authorities),
         list(reg.verifier_ids),
         reg.unsealed(),
@@ -301,10 +306,10 @@ def test_registry_refuses_illegal_history(history, error, reason):
 def test_verify_chain_refuses_illegal_history(history, error, reason):
     chain = Chain.new()
     for height, (author, kind, body) in enumerate(history, start=1):
-        tx = Transaction.create(sid(author), kind, body.encode(), identity.derive_secret(evidence_for(author)))
+        tx = Transaction.create(sid(author), kind, body.encode())
         if height == len(history):
             assert verify_chain(chain).valid
         # linked with none of append_block's checks, as a forger could
-        append_block(chain, [tx], sid("authority"), lambda _: True, lambda _: True, height)
+        append_block(chain, [tx], sid("authority"), lambda _: True, lambda _: True)
     report = verify_chain(chain)
     assert (report.valid, report.first_bad_height, report.reason) == (False, len(history), reason)

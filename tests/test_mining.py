@@ -87,11 +87,11 @@ def verified_chain(specs, rng):
 
     chain = Chain.new()
 
-    def seal(round_no):
+    def seal():
         registry.mark_sealed(append_block(chain, registry.unsealed(), auth.stakeholder,
-                                          registry.authenticate_committed, registry.is_authority, round_no))
+                                          registry.authenticate_committed, registry.is_authority))
 
-    seal(0)
+    seal()
 
     record_ids = []
     for n, (round_no, iocs) in enumerate(specs):
@@ -110,7 +110,7 @@ def verified_chain(specs, rng):
         for v in contract.assigned_verifiers:
             system.cast_vote(v, contract.contract_id, HQ)
         system.finalize_verification(contract.contract_id, round_no)
-        seal(round_no)
+        seal()
         record_ids.append(record.record_id)
     return chain, record_ids
 

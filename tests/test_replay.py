@@ -58,7 +58,8 @@ BODIES = {
 def replay_blocks(chain, config):
     """Apply `chain` to a fresh Registry and ContractSystem, yielding each
     block after genesis and the system once that block is applied; a
-    transaction either rulebook refuses raises its CtiSimError."""
+    transaction either rulebook refuses raises its CtiSimError. A block's
+    round is its height minus one."""
     registry = Registry()
     system = ContractSystem(registry, config.verification, config.economics)
     for block in chain.blocks[1:]:
@@ -66,8 +67,8 @@ def replay_blocks(chain, config):
             registry.apply(tx.author, tx.kind, tx.payload)
             if tx.kind in BODIES:
                 body = BODIES[tx.kind].decode(tx.payload)
-                record = system.check(tx.author, tx.kind, body, block.timestamp)
-                system.apply(tx.author, tx.kind, body, block.timestamp, record)
+                record = system.check(tx.author, tx.kind, body, block.height - 1)
+                system.apply(tx.author, tx.kind, body, block.height - 1, record)
         yield block, system
 
 
@@ -77,7 +78,7 @@ def replay(chain, config):
     for block, system in replay_blocks(chain, config):
         for tx in block.transactions:
             if tx.kind is TxKind.Purchase:
-                per_round[(block.timestamp, tx.author)]["consumes"] += 1
+                per_round[(block.height - 1, tx.author)]["consumes"] += 1
     for c in system.contracts.values():
         producer = c.record.producer
         per_round[(c.created_round, producer)]["shares"] += 1
@@ -143,10 +144,10 @@ def test_the_fold_decodes_each_submission_once(monkeypatch):
 
 # --- tampers a forger can re-sign ---------------------------------------------
 #
-# Every signing secret is on the chain (RegisterBody.secret), so a forger can
-# re-sign an altered transaction and re-link every later block. verify_chain
-# checks only the credentials and still accepts every tamper below; the fold
-# refuses them by the contract rules.
+# Nothing on the chain is signed, so a forger can re-make an altered
+# transaction with Transaction.create and re-link every later block.
+# verify_chain checks only the links, ids, roots and credentials and still
+# accepts every tamper below; the fold refuses them by the contract rules.
 
 def relinked(chain, swap):
     """`chain` with every transaction passed through `swap`, each block
@@ -154,23 +155,22 @@ def relinked(chain, swap):
     out = Chain.new()
     for block in chain.blocks[1:]:
         txs = [swap(tx) for tx in block.transactions]
-        append_block(out, txs, block.sealer, lambda _: True, lambda _: True, block.timestamp)
+        append_block(out, txs, block.sealer, lambda _: True, lambda _: True)
     return out
 
 
 def tampered_marketplace(kind, edit):
     """The marketplace chain with its first `kind` transaction's body edited
-    by `edit` and re-signed; returns the config, the chain and that body."""
+    by `edit` and re-made; returns the config, the chain and that body."""
     config = load_config(str(SCENARIO_DIR / "marketplace.yaml"))
     result = run_scenario(config)
-    secrets = {agent.sid: agent.credential.secret for agent in result.agents}
     first = next(tx for block in result.chain.blocks for tx in block.transactions if tx.kind is kind)
     body = BODIES[kind].decode(first.payload)
 
     def swap(tx):
         if tx is not first:
             return tx
-        return Transaction.create(tx.author, kind, edit(body).encode(), secrets[tx.author])
+        return Transaction.create(tx.author, kind, edit(body).encode())
 
     return config, relinked(result.chain, swap), body
 

@@ -13,7 +13,7 @@ from ctisim.contracts import ContractStatus, EconomicsConfig, VerificationPolicy
 from ctisim.cti import decode_record, record_bytes
 from ctisim.identity import Role
 from ctisim.ledger import TxKind, chain_to_json, verify_chain
-from ctisim.payloads import FinalizeBody, SubmitCtiBody
+from ctisim.payloads import FinalizeBody, RenewBody, SubmitCtiBody
 from ctisim.simulation import (
     AgentRoundLog,
     Engine,
@@ -126,7 +126,7 @@ def test_zero_rounds_registers_everyone_and_summarizes_like_one_round():
     config = make_config(basic_crew(), rounds=0)
     result = run_scenario(config)
     _, registrations = result.chain.blocks
-    assert registrations.timestamp == 0
+    assert registrations.height == 1
     assert [tx.kind for tx in registrations.transactions] == [TxKind.Register] * len(config.agents)
     assert verify_chain(result.chain).valid
     assert result.metrics.rows == []
@@ -358,7 +358,8 @@ def test_a_lapsed_producer_verifier_earns_its_renewal_and_shares_again():
     pv = next(a for a in result.agents if a.name == "pv")
 
     def rounds_of(kind):
-        return [b.timestamp for b in result.chain.blocks for tx in b.transactions
+        # a block's round is its height minus one
+        return [b.height - 1 for b in result.chain.blocks for tx in b.transactions
                 if tx.kind is kind and tx.author == pv.sid]
 
     lapsed = [r for r, name in pv.events if name == "SubscriptionLapsed"]
@@ -371,6 +372,31 @@ def test_a_lapsed_producer_verifier_earns_its_renewal_and_shares_again():
     assert not set(lapsed) & set(pv.share_rounds)
     assert any(r > renewed for r in pv.share_rounds)
     assert any(r > renewed for r in rounds_of(TxKind.SubmitCti))
+
+
+def test_a_returning_member_owes_no_back_fees():
+    # lapsed from round 3 for want of the fee, it renews from the round it
+    # pays in, not from the period it last paid for, and may act at once
+    crew = basic_crew() + [
+        agent("pv", [Role.Producer, Role.Verifier], StrategyKind.HonestProducer,
+              share_rate=1.0, p_acc=1.0, endowment=0),
+        agent("p0", [Role.Producer], StrategyKind.HonestProducer, share_rate=1.0, endowment=500),
+    ]
+    economics = EconomicsConfig(base_fee=12, period_rounds=2, deposit=3, verification_fee=3,
+                                sale_mode="fixed", fixed_price=0)
+    result = run_scenario(make_config(crew, rounds=30, seed=1, economics=economics))
+    pv = next(a for a in result.agents if a.name == "pv")
+    lapsed = {r for r, name in pv.events if name == "SubscriptionLapsed"}
+    # a block's round is its height minus one
+    returns = [
+        (b.height - 1, RenewBody.decode(tx.payload))
+        for b in result.chain.blocks for tx in b.transactions
+        if tx.kind is TxKind.RenewSubscription and tx.author == pv.sid and b.height - 2 in lapsed
+    ]
+    assert len(returns) >= 2
+    for round_no, body in returns:
+        assert body.paid_through == round_no + economics.period_rounds
+        assert not lapsed & set(range(round_no + 1, body.paid_through + 1))
 
 
 def test_purchases_flow_in_marketplace():
