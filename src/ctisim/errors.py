@@ -14,7 +14,7 @@ class EncodingError(CtiSimError):
     """Malformed canonical bytes or an unparseable chain dump."""
 
 
-class InvalidSignature(CtiSimError):
+class UnauthenticatedTransaction(CtiSimError):
     """A transaction offered for sealing whose author is not registered or
     whose id is not the one derived from its author, kind and payload."""
 

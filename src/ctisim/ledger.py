@@ -29,22 +29,26 @@ The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
 (integer fields, hex-encoded byte fields, the transaction kind by name).
 chain_to_json emits those bytes directly, and chain_from_json refuses an
-object with any key the writer does not write. chain_from_json builds each
-transaction and block as json.loads parses its object, with no parsed copy
-of the dump in between, so a read needs little more memory than the chain
-it returns.
+object with any key the writer does not write. Hex fields are decoded
+strictly (binascii.unhexlify), so whitespace inside one is refused; what
+the JSON parser itself accepts still reads, as does uppercase hex: JSON
+whitespace between tokens, keys in any order, and a duplicated key (its
+last value wins). chain_from_json builds each transaction and block as
+json.loads parses its object, with no parsed copy of the dump in between,
+so a read needs little more memory than the chain it returns.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import chain as chain_items, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .encoding import COUNT, UINT_LIMIT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, str_field, uint_field
-from .errors import CtiSimError, EncodingError, InvalidSignature, UnauthorizedSealer
+from .encoding import COUNT, UINT_LIMIT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, uint_field
+from .errors import CtiSimError, EncodingError, UnauthenticatedTransaction, UnauthorizedSealer
 
 _sha256 = hashlib.sha256
 _pack_count = COUNT.pack
@@ -157,8 +161,8 @@ def append_block(
 
     A sealer without authority is refused before any transaction is
     authenticated. The authenticator answers for each transaction's author
-    and id; any transaction it refuses raises InvalidSignature, and a
-    refused seal changes nothing. The registry's authenticator takes the
+    and id; any transaction it refuses raises UnauthenticatedTransaction,
+    and a refused seal changes nothing. The registry's authenticator takes the
     objects it made and still queues as they are and re-derives any other
     transaction; the registry's queue drops a block's transactions only
     once the block is sealed (`Registry.mark_sealed`). It is
@@ -172,7 +176,7 @@ def append_block(
         raise UnauthorizedSealer(f"sealer {sealer.hex()[:12]} lacks authority")
     for tx in txs:
         if not authenticator(tx):
-            raise InvalidSignature(tx.tx_id)
+            raise UnauthenticatedTransaction(tx.tx_id)
 
     block = Block(
         height=len(chain.blocks),
@@ -310,16 +314,19 @@ class _HexIds(dict):
     """Stakeholder ids by their hex text, each decoded on first use."""
 
     def __missing__(self, hex_id: str) -> Digest:
-        digest = self[hex_id] = bytes.fromhex(hex_id)
+        digest = self[hex_id] = binascii.unhexlify(hex_id)
         return digest
 
 
 def chain_from_json(text: str) -> Chain:
     """Read a chain.json dump back; raises EncodingError, and nothing else,
     for a malformed one (a value of the wrong JSON type, a missing key, a
-    key the writer does not write, which the error names, an unknown kind,
-    an integer field that is not a JSON integer in [0, 2**64), bad hex, an
-    object where it does not belong).
+    key the writer does not write or an unknown kind, each named by the
+    error, an integer field that is not a JSON integer in [0, 2**64), bad
+    hex, an object where it does not belong). Hex is decoded strictly:
+    whitespace inside a hex field is bad hex, though uppercase digits read,
+    and so do JSON whitespace, key order and duplicate keys, which
+    json.loads settles (the last value wins).
 
     Each JSON object becomes a Transaction, or a Block if it has a
     ``transactions`` key, as soon as json.loads has parsed it, so no parsed
@@ -327,16 +334,27 @@ def chain_from_json(text: str) -> Chain:
     once and shared by every object that names it.
     """
     kinds = _KIND_BY_NAME
-    unhex = bytes.fromhex
+    unhex = binascii.unhexlify
     ids = _HexIds()
 
     def build(obj: dict):
+        # The common case first: four keys of which all four subscripts
+        # succeed are exactly a transaction's, so it is built positionally,
+        # as Transaction.create builds it. A KeyError falls through to the
+        # checks below, which name the unknown key, missing key or kind.
+        if len(obj) == 4:
+            try:
+                return _tuple_new(
+                    Transaction, (unhex(obj["tx_id"]), ids[obj["author"]], kinds[obj["kind"]], unhex(obj["payload"]))
+                )
+            except KeyError:
+                pass
         if "transactions" not in obj:
-            if obj.keys() != _TX_KEYS:
-                _refuse_unknown_key(obj, _TX_KEYS, "transaction")
+            _refuse_unknown_key(obj, _TX_KEYS, "transaction")
+            # with no unknown key, this raises the KeyError of a missing
+            # key or an unknown kind
             return Transaction(unhex(obj["tx_id"]), ids[obj["author"]], kinds[obj["kind"]], unhex(obj["payload"]))
-        if obj.keys() != _BLOCK_KEYS:
-            _refuse_unknown_key(obj, _BLOCK_KEYS, "block")
+        _refuse_unknown_key(obj, _BLOCK_KEYS, "block")
         txs = obj["transactions"]
         if type(txs) is not list:
             raise TypeError("transactions must be a list")

@@ -5,24 +5,15 @@ lines alongside the pytest verdicts.
 """
 
 import itertools
-import json
 import random
 import time
 from dataclasses import replace
-
-import pytest
 
 from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy
 from ctisim.cli import main as cli_main
 from ctisim.config import apply_override, load_config, load_raw, parse_config
 from ctisim.contracts import ContractStatus, DepositState
-from ctisim.ledger import (
-    Chain,
-    TxKind,
-    chain_from_json,
-    chain_to_json,
-    verify_chain,
-)
+from ctisim.ledger import Chain, TxKind, verify_chain
 from ctisim.mining import mine_campaigns, verify_derivation
 from ctisim.simulation import GroundTruth, run_scenario
 from tests.conftest import SCENARIO_DIR, mixed_scenario

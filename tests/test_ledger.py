@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctisim.config import load_config
 from ctisim.encoding import ZERO_DIGEST
-from ctisim.errors import EncodingError, InvalidSignature, UnauthorizedSealer
+from ctisim.errors import EncodingError, UnauthenticatedTransaction, UnauthorizedSealer
 from ctisim.identity import Registry, Role, evidence_for
 from ctisim.ledger import (
     Block,
@@ -204,14 +204,14 @@ def test_append_links_to_previous_header():
 def test_append_rejects_wrong_tx_id():
     reg, auth, user, _ = fresh_registry()
     bad = tx_by(user)._replace(tx_id=sha256(b"another id"))
-    with pytest.raises(InvalidSignature):
+    with pytest.raises(UnauthenticatedTransaction):
         append_block(Chain.new(), [bad], auth.stakeholder, reg.authenticate_committed, reg.is_authority)
 
 
 def test_append_rejects_an_unregistered_author_with_a_derived_id():
     reg, auth, _, _ = fresh_registry()
     stranger = Transaction.create(sha256(b"stranger"), TxKind.Vote, tx_by(auth).payload)
-    with pytest.raises(InvalidSignature, match="has an unregistered author"):
+    with pytest.raises(UnauthenticatedTransaction, match="has an unregistered author"):
         append_block(Chain.new(), [stranger], auth.stakeholder, reg.authenticate_committed, reg.is_authority)
 
 
@@ -221,7 +221,7 @@ def test_append_rejects_an_unregistered_author_with_a_derived_id():
 def test_append_rejects_altered_copy_of_registry_signed_tx(change):
     reg, auth, user, _ = fresh_registry()
     signed = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
-    with pytest.raises(InvalidSignature):
+    with pytest.raises(UnauthenticatedTransaction):
         append_block(
             Chain.new(), [signed._replace(**change)], auth.stakeholder,
             reg.authenticate_committed, reg.is_authority,
@@ -257,7 +257,7 @@ def test_a_forgery_anywhere_in_the_list_leaves_the_queue_as_it_was(forged_at):
     txs = queued[-3:]
     txs[forged_at] = txs[forged_at]._replace(tx_id=b"\x00" * 32)
     chain = Chain.new()
-    with pytest.raises(InvalidSignature):
+    with pytest.raises(UnauthenticatedTransaction):
         append_block(chain, txs, auth.stakeholder, reg.authenticate_committed, reg.is_authority)
     assert reg.unsealed() == queued and len(chain.blocks) == 1
     reg.mark_sealed(
@@ -493,13 +493,16 @@ def test_setting_any_field_of_a_signed_transaction_raises():
     assert tuple(tx) == before
 
 
+def _parent(root, path):
+    for key in path[:-1]:
+        root = root[key]
+    return root
+
+
 def _set(path, value):
     """A change to a dump's parsed object: set the value at `path`."""
     def change(root):
-        obj = root
-        for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = value
+        _parent(root, path)[path[-1]] = value
         return root
     return change
 
@@ -507,13 +510,26 @@ def _set(path, value):
 def _drop(path):
     """A change to a dump's parsed object: delete the key at `path`."""
     def change(root):
-        obj = root
-        for key in path[:-1]:
-            obj = obj[key]
-        del obj[path[-1]]
+        del _parent(root, path)[path[-1]]
         return root
     return change
 
+
+def _split(path, space):
+    """A change to a dump's parsed object: put whitespace between the first
+    two bytes of the hex string at `path` (bytes.fromhex would skip it)."""
+    def change(root):
+        obj = _parent(root, path)
+        obj[path[-1]] = obj[path[-1]][:2] + space + obj[path[-1]][2:]
+        return root
+    return change
+
+
+# every hex field of a dump: block 1's and its first transaction's
+_HEX_PATHS = [
+    *((1, "transactions", 0, key) for key in ("tx_id", "author", "payload")),
+    *((1, key) for key in ("prev_hash", "merkle_root", "sealer")),
+]
 
 MALFORMED_DUMPS = {
     "unknown-kind": _set((1, "transactions", 0, "kind"), "Mint"),
@@ -523,6 +539,9 @@ MALFORMED_DUMPS = {
     "missing-tx-key": _drop((1, "transactions", 0, "payload")),
     "odd-length-hex": _set((1, "transactions", 0, "payload"), "abc"),
     "non-hex-bytes": _set((1, "prev_hash"), "zz" * 32),
+    # hex is decoded strictly: no whitespace between byte pairs
+    **{f"space-in-{path[-1]}": _split(path, " ") for path in _HEX_PATHS},
+    "newline-in-payload": _split((1, "transactions", 0, "payload"), "\n"),
     "bytes-not-a-string": _set((1, "transactions", 0, "author"), 7),
     "string-height": _set((1, "height"), "1"),
     "float-height": _set((1, "height"), 1.5),
@@ -569,6 +588,23 @@ def test_chain_from_json_names_a_key_the_writer_does_not_write(path):
     text = json.dumps(_set(path, 0)(json.loads(chain_to_json(chain))), indent=2) + "\n"
     with pytest.raises(EncodingError, match=f"unknown key '{path[-1]}'"):
         chain_from_json(text)
+
+
+@pytest.mark.parametrize("kind", ["Mint", "vote"])
+def test_chain_from_json_names_an_unknown_kind(kind):
+    chain, *_ = build_chain(1)
+    text = json.dumps(_set((1, "transactions", 0, "kind"), kind)(json.loads(chain_to_json(chain))), indent=2) + "\n"
+    with pytest.raises(EncodingError, match=f"'{kind}'"):
+        chain_from_json(text)
+
+
+def test_chain_from_json_reads_uppercase_hex_as_the_same_chain():
+    """Only whitespace is refused: hex of either case decodes."""
+    chain, *_ = build_chain(1)
+    obj = json.loads(chain_to_json(chain))
+    for path in _HEX_PATHS:
+        _parent(obj, path)[path[-1]] = _parent(obj, path)[path[-1]].upper()
+    assert chain_from_json(json.dumps(obj, indent=2) + "\n") == chain
 
 
 def test_chain_from_json_raises_encoding_error_on_invalid_json():
