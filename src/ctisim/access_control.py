@@ -11,7 +11,7 @@ the `authorize` decision, and nothing is encrypted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Optional
+from typing import TYPE_CHECKING, AbstractSet, NamedTuple, Optional
 
 from .encoding import Digest, TaggedEnum
 from .errors import AccessDenied, PolicyParseError
@@ -184,8 +184,7 @@ def authorize(
 
 # --- envelopes --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     record_id: Digest
     content: Digest
     tlp: TlpLabel

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .access_control import authorize
 from .cti import CtiRecord, decode_record, record_bytes, validate_format
@@ -147,8 +147,7 @@ class EconomicsConfig:
     forfeiture: ForfeiturePolicy = ForfeiturePolicy.Split
 
 
-@dataclass(frozen=True)
-class PiResult:
+class PiResult(NamedTuple):
     valid: bool
     score: float
 
@@ -268,8 +267,7 @@ class MarketContract:
         return self.total_supply() + self.burned == self.minted
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     verifier_payouts: dict[Digest, int]
     discounts: dict[Digest, int]
     revoked: tuple[Digest, ...]
@@ -533,7 +531,7 @@ class ContractSystem:
 
     def cast_vote(self, verifier: Digest, contract_id: Digest, vote: Vote) -> None:
         self._ballot(verifier, contract_id)
-        self._commit(verifier, _VOTE, VoteBody(contract_id=contract_id, vote=vote._value_), None)
+        self._commit(verifier, _VOTE, VoteBody(contract_id, vote._value_), None)
 
     # -- finalization ----------------------------------------------------
 
@@ -617,5 +615,5 @@ class ContractSystem:
     def renew_subscription(self, user: Digest, round_no: int) -> int:
         """Renew `user`'s subscription for one period; returns the charge."""
         charge, paid_through = self._renewal(user, round_no)
-        self._commit(user, _RENEW, RenewBody(charge=charge, paid_through=paid_through), round_no)
+        self._commit(user, _RENEW, RenewBody(charge, paid_through), round_no)
         return charge

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .access_control import AttributePolicy, TlpChannel, TlpLabel, parse_policy, policy_to_string
 from .encoding import (
@@ -59,15 +59,13 @@ _DATA, _INFORMATION, _INTELLIGENCE = IntelLevel.Data, IntelLevel.Information, In
 _IP_ADDRESS, _DOMAIN, _FILE_HASH, _URL = IocKind.IpAddress, IocKind.Domain, IocKind.FileHash, IocKind.Url
 
 
-@dataclass(frozen=True)
-class Ioc:
+class Ioc(NamedTuple):
     kind: IocKind
     value: str
     observed_round: int
 
 
-@dataclass(frozen=True)
-class FormatViolation:
+class FormatViolation(NamedTuple):
     field: str
     message: str
 

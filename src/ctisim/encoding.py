@@ -6,10 +6,15 @@ variable-length byte strings carry a 4-byte length prefix, collections a
 4-byte count prefix. This keeps digests bit-exact and replayable.
 The `*_field` functions encode one field each; the one-shot encoders in
 `cti` and `ledger` join them. `FIELD_CODECS` maps each field annotation to
-its encoder and `Reader` method, and a `Layout` subclass takes its wire
-layout from its annotated fields through that table. Each subclass gets
-one generated encoder, compiled once when the class is defined, that
-writes its fields in order without a per-field lookup.
+its encoder and `Reader` method, and the `layout` class decorator gives a
+`typing.NamedTuple` the wire layout of its annotated fields through that
+table. Each such class gets one generated encoder, compiled once when the
+class is defined, that writes its fields in order without a per-field
+lookup, and a decoder that builds the tuple with one `tuple.__new__`. A
+named tuple, not a dataclass, because a dataclass generates and compiles
+its `__init__`, `__repr__`, `__eq__`, `__setattr__`, `__delattr__` and
+`__hash__` at every import, and builds each instance with one
+`__setattr__` per field.
 
 Reading raises EncodingError, and nothing else, for malformed input:
 truncation, trailing bytes, a boolean byte other than 0 or 1, and invalid
@@ -153,7 +158,7 @@ class Reader:
             raise EncodingError("trailing bytes after canonical data")
 
 
-# The wire format of every field a Layout declares: its annotation's
+# The wire format of every field a layout declares: its annotation's
 # encoder and the Reader method that reads it back.
 FIELD_CODECS: dict[object, tuple[Callable, Callable]] = {
     bytes: (bytes_field, Reader.take_bytes),
@@ -165,59 +170,54 @@ FIELD_CODECS: dict[object, tuple[Callable, Callable]] = {
 }
 
 
-_L = TypeVar("_L", bound="Layout")
+_T = TypeVar("_T", bound=type)
+_tuple_new = tuple.__new__
 
 
-class Layout:
-    """Base of a dataclass whose fields, in declared order, are its bytes.
+def layout(cls: _T) -> _T:
+    """Make a named tuple's fields, in declared order, its bytes.
 
-    Defining a subclass looks each field's annotation up in FIELD_CODECS
-    once, so an annotation with no codec raises TypeError at import, and
-    generates the subclass's encoder from that table, the way `dataclasses`
-    generates `__init__`: one function that reads each field once, writes a
-    `bytes` field's length prefix and bytes inline and hands every other
-    field to its codec (so a negative uint still raises EncodingError).
-    `encode` calls that function; `decode` reads the fields back with no
-    bytes left over and builds the instance from them.
+    Looks each field's annotation up in FIELD_CODECS once, so an annotation
+    with no codec raises TypeError when the class is defined, and generates
+    the class's `encode` from that table: one function that unpacks the
+    tuple once, writes a `bytes` field's length prefix and bytes inline and
+    hands every other field to its codec (so a negative uint still raises
+    EncodingError). `decode` reads the fields back with no bytes left over
+    and builds the instance from them with one `tuple.__new__`.
     """
+    hints = get_type_hints(cls)
+    for name, hint in hints.items():
+        if hint not in FIELD_CODECS:
+            raise TypeError(f"{cls.__name__}.{name}: no wire codec for {hint!r}")
+    cls.encode = _generated_encoder(cls.__name__, hints)
+    cls._readers = tuple(FIELD_CODECS[hint][1] for hint in hints.values())
+    cls.decode = classmethod(_decode)
+    return cls
 
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        hints = get_type_hints(cls)
-        for name, hint in hints.items():
-            if hint not in FIELD_CODECS:
-                raise TypeError(f"{cls.__name__}.{name}: no wire codec for {hint!r}")
-        cls._encode_fields = _generated_encoder(cls.__name__, hints)
-        cls._readers = tuple(FIELD_CODECS[hint][1] for hint in hints.values())
 
-    def encode(self) -> bytes:
-        return self._encode_fields()
-
-    @classmethod
-    def decode(cls: type[_L], data: bytes) -> _L:
-        r = Reader(data)
-        values = [read(r) for read in cls._readers]
-        r.expect_end()
-        return cls(*values)
+def _decode(cls, data: bytes):
+    r = Reader(data)
+    values = [read(r) for read in cls._readers]
+    r.expect_end()
+    return _tuple_new(cls, values)
 
 
 def _generated_encoder(class_name: str, hints: dict[str, object]) -> Callable:
-    """Compile `_encode_fields(self)` for a Layout with these field hints."""
-    namespace: dict[str, object] = {"_pack_count": _pack_count}
-    reads, parts = [], []
+    """Compile `encode(self)` for a layout with these field hints."""
+    namespace: dict[str, object] = {"__name__": __name__, "_pack_count": _pack_count}
+    parts = []
     for name, hint in hints.items():
-        reads.append(f"    {name} = self.{name}\n")
         if hint is bytes:
             parts.append(f"_pack_count(len({name})), {name}")
         else:
             namespace[f"_encode_{name}"] = FIELD_CODECS[hint][0]
             parts.append(f"_encode_{name}({name})")
     source = (
-        "def _encode_fields(self):\n"
-        + "".join(reads)
-        + f"    return b''.join(({''.join(part + ', ' for part in parts)}))\n"
+        "def encode(self):\n"
+        f"    {''.join(name + ', ' for name in hints)}= self\n"
+        f"    return b''.join(({''.join(part + ', ' for part in parts)}))\n"
     )
     exec(source, namespace)
-    fn = namespace["_encode_fields"]
-    fn.__qualname__ = f"{class_name}._encode_fields"
+    fn = namespace["encode"]
+    fn.__qualname__ = f"{class_name}.encode"
     return fn

@@ -12,8 +12,10 @@ key holder wrote the chain.
 
 A transaction is an immutable named tuple, built by one `tuple.__new__`
 with no per-field `__setattr__`; setting a field raises AttributeError,
-and its equality and hash are those of its field tuple. Blocks and the
-chain stay dataclasses: a run seals far fewer of them. `Transaction.create`
+and its equality and hash are those of its field tuple. Blocks are named
+tuples too, and the chain stays a dataclass: a frozen dataclass generates
+and compiles six methods at every import, which costs more start-up time
+than a run spends building its blocks. `Transaction.create`
 defines a transaction's id; transactions are made in one place,
 `identity.Registry.sign`. Sealing (`append_block`) asks an authenticator
 whether each transaction is its registered author's; the registry's
@@ -35,7 +37,9 @@ the JSON parser itself accepts still reads, as does uppercase hex: JSON
 whitespace between tokens, keys in any order, and a duplicated key (its
 last value wins). chain_from_json builds each transaction and block as
 json.loads parses its object, with no parsed copy of the dump in between,
-so a read needs little more memory than the chain it returns.
+so a read needs little more memory than the chain it returns. A refusal of
+bad hex names the field and the block or transaction that holds it; only a
+failed read pays for finding them, by parsing the dump a second time.
 """
 
 from __future__ import annotations
@@ -88,8 +92,7 @@ class Transaction(NamedTuple):
         return _tuple_new(cls, (tx_id, author, kind, payload))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     height: int
     prev_hash: Digest
     merkle_root: Digest
@@ -189,8 +192,7 @@ def append_block(
     return block
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     first_bad_height: Optional[int] = None
     reason: Optional[str] = None
@@ -301,13 +303,68 @@ def _int(value) -> int:
 
 # the keys chain_to_json writes for each object kind, and no others
 _TX_KEYS = frozenset(Transaction._fields)
-_BLOCK_KEYS = frozenset(Block.__dataclass_fields__)
+_BLOCK_KEYS = frozenset(Block._fields)
 
 
 def _refuse_unknown_key(obj: dict, keys: frozenset, what: str) -> None:
     unknown = obj.keys() - keys
     if unknown:
         raise ValueError(f"{what} with unknown key {min(unknown)!r}")
+
+
+# the hex fields of each object kind, in the order the reader decodes them
+_TX_HEX_KEYS = ("tx_id", "author", "payload")
+_BLOCK_HEX_KEYS = ("prev_hash", "merkle_root", "sealer")
+
+
+class _Located(Exception):
+    """Stops a second parse at the bad hex field it names."""
+
+
+def _bad_hex_field(text: str, build: Callable[[dict], object], error: ValueError) -> Optional[str]:
+    """Where in the dump the hex field sits whose decoding raised `error`,
+    such as "'payload' of transaction 0 in block 1", or None if `error` was
+    not bad hex.
+
+    Only a failed read calls this: it parses the dump again through
+    `build`, counting the blocks and transactions built, and at the first
+    object `build` refuses names the first of its hex fields that fails to
+    decode with `error`'s own type and text. Blocks and a block's
+    transactions are counted from 0, so block N is the block of height N in
+    a well-formed chain.
+    """
+    blocks = txs = 0
+
+    def counted(obj: dict):
+        nonlocal blocks, txs
+        try:
+            value = build(obj)
+        except ValueError:
+            is_block = "transactions" in obj
+            for key in _BLOCK_HEX_KEYS if is_block else _TX_HEX_KEYS:
+                hex_text = obj.get(key)
+                if type(hex_text) is not str:
+                    continue
+                try:
+                    binascii.unhexlify(hex_text)
+                except ValueError as exc:
+                    if type(exc) is type(error) and str(exc) == str(error):
+                        where = f"block {blocks}" if is_block else f"transaction {txs} in block {blocks}"
+                        raise _Located(f"{key!r} of {where}") from None
+            raise
+        if type(value) is Block:
+            blocks, txs = blocks + 1, 0
+        else:
+            txs += 1
+        return value
+
+    try:
+        json.loads(text, object_hook=counted)
+    except _Located as located:
+        return located.args[0]
+    except ValueError:  # `error` again, from no hex field
+        pass
+    return None
 
 
 class _HexIds(dict):
@@ -323,7 +380,8 @@ def chain_from_json(text: str) -> Chain:
     for a malformed one (a value of the wrong JSON type, a missing key, a
     key the writer does not write or an unknown kind, each named by the
     error, an integer field that is not a JSON integer in [0, 2**64), bad
-    hex, an object where it does not belong). Hex is decoded strictly:
+    hex, named by its field and the block or transaction that holds it, an
+    object where it does not belong). Hex is decoded strictly:
     whitespace inside a hex field is bad hex, though uppercase digits read,
     and so do JSON whitespace, key order and duplicate keys, which
     json.loads settles (the last value wins).
@@ -376,6 +434,10 @@ def chain_from_json(text: str) -> Chain:
         raise EncodingError(f"unparseable chain dump: {exc}") from exc
     except RecursionError:
         raise EncodingError("unparseable chain dump: nested too deeply") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
+        where = _bad_hex_field(text, build, exc)
+        detail = f"bad hex in {where}: {exc}" if where else repr(exc)
+        raise EncodingError(f"malformed chain dump: {detail}") from exc
+    except (KeyError, TypeError) as exc:
         raise EncodingError(f"malformed chain dump: {exc!r}") from exc
     return Chain(blocks)

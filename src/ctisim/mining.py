@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cti import CtiCategory, CtiRecord, decode_record
 from .encoding import Digest, bytes_seq_field, uint_field
@@ -51,8 +52,7 @@ class MiningParams:
                 raise ValueError(f"{name} must be at least {least}")
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(NamedTuple):
     campaign_id: Digest
     member_records: frozenset[Digest]
     shared_indicators: frozenset[str]

@@ -1,20 +1,23 @@
 """Kind-specific transaction payload bodies, declared as field layouts.
 
-Each body's fields, in declared order, are its wire layout: every field is
-encoded by the codec `encoding.FIELD_CODECS` gives its annotation, and
-`encode`/`decode` come from `encoding.Layout`. Field order is wire order,
-so reordering, adding or retyping a field changes the chain bytes.
+Each body is a `typing.NamedTuple` whose fields, in declared order, are its
+wire layout: every field is encoded by the codec `encoding.FIELD_CODECS`
+gives its annotation, and `encode`/`decode` are attached by the
+`encoding.layout` decorator. Field order is wire order, so reordering,
+adding or retyping a field changes the chain bytes. Like a transaction, a
+body is immutable, compares and hashes as its field tuple, and builds no
+per-class code at import beyond its `__new__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .encoding import Digest, Layout
+from .encoding import Digest, layout
 
 
-@dataclass(frozen=True)
-class RegisterBody(Layout):
+@layout
+class RegisterBody(NamedTuple):
     """Registration record: the claimed roles and attributes, the identity
     evidence the stakeholder id is derived from, and the currency
     registration mints for the stakeholder."""
@@ -26,8 +29,8 @@ class RegisterBody(Layout):
     endowment: int
 
 
-@dataclass(frozen=True)
-class SubmitCtiBody(Layout):
+@layout
+class SubmitCtiBody(NamedTuple):
     contract_id: Digest
     record_bytes: bytes
     deposit: int
@@ -35,41 +38,41 @@ class SubmitCtiBody(Layout):
     verifiers: tuple[Digest, ...]
 
 
-@dataclass(frozen=True)
-class VoteBody(Layout):
+@layout
+class VoteBody(NamedTuple):
     contract_id: Digest
     vote: str
 
 
-@dataclass(frozen=True)
-class FinalizeBody(Layout):
+@layout
+class FinalizeBody(NamedTuple):
     contract_id: Digest
     status: str
     score_micro: int
     deposit_state: str
 
 
-@dataclass(frozen=True)
-class PurchaseBody(Layout):
+@layout
+class PurchaseBody(NamedTuple):
     contract_id: Digest
     price: int
 
 
-@dataclass(frozen=True)
-class RenewBody(Layout):
+@layout
+class RenewBody(NamedTuple):
     charge: int
     paid_through: int
 
 
-@dataclass(frozen=True)
-class ReputationUpdateBody(Layout):
+@layout
+class ReputationUpdateBody(NamedTuple):
     stakeholder: Digest
     score: int
     revoked: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class AccessGrantBody(Layout):
+@layout
+class AccessGrantBody(NamedTuple):
     contract_id: Digest
     consumer: Digest

@@ -175,8 +175,7 @@ class MetricsSeries:
         return ",".join(MetricsRow._fields) + "\n" + "".join([_CSV_ROW % r for r in self.rows])
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     chain: Chain
     metrics: MetricsSeries
     contracts: dict[Digest, ReportContract]

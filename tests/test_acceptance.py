@@ -70,15 +70,15 @@ def _mutate_once(chain: Chain, rng: random.Random):
             tx = tx._replace(**{field: _flip_byte(getattr(tx, field), rng)})
         txs = list(block.transactions)
         txs[t_idx] = tx
-        mutated = replace(block, transactions=tuple(txs))
+        mutated = block._replace(transactions=tuple(txs))
     elif target == "height":
-        mutated = replace(block, height=_flip_int(block.height, rng))
+        mutated = block._replace(height=_flip_int(block.height, rng))
     elif target == "prev_hash":
-        mutated = replace(block, prev_hash=_flip_byte(block.prev_hash, rng))
+        mutated = block._replace(prev_hash=_flip_byte(block.prev_hash, rng))
     elif target == "merkle_root":
-        mutated = replace(block, merkle_root=_flip_byte(block.merkle_root, rng))
+        mutated = block._replace(merkle_root=_flip_byte(block.merkle_root, rng))
     else:  # sealer
-        mutated = replace(block, sealer=_flip_byte(block.sealer, rng))
+        mutated = block._replace(sealer=_flip_byte(block.sealer, rng))
 
     mutant = Chain(blocks=list(chain.blocks))
     mutant.blocks[i] = mutated

@@ -13,14 +13,14 @@ mutated bytes. A reader accepts one spelling of a record: the one
 
 import functools
 import struct
-from dataclasses import is_dataclass, replace
+from dataclasses import replace
 from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctisim import cti, payloads
+from ctisim import cti, encoding, payloads
 from ctisim.access_control import (
     MAX_POLICY_DEPTH,
     AttributePolicy,
@@ -239,11 +239,11 @@ loose_records = st.builds(
 
 # --- payload bodies -----------------------------------------------------------
 
-BODY_CLASSES = tuple(
-    obj
-    for obj in vars(payloads).values()
-    if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == payloads.__name__
+PAYLOADS_CLASSES = tuple(
+    obj for obj in vars(payloads).values() if isinstance(obj, type) and obj.__module__ == payloads.__name__
 )
+# the bodies are the classes `encoding.layout` gave a codec
+BODY_CLASSES = tuple(cls for cls in PAYLOADS_CLASSES if "decode" in vars(cls))
 
 BODY_STRATEGIES = {
     RegisterBody: st.builds(
@@ -316,14 +316,20 @@ def test_every_payload_body_has_a_strategy_and_reference_encoder():
 
 
 def test_no_payload_body_defines_its_own_codec():
+    """Every class in `payloads` is a layout named tuple whose encode and
+    decode are the ones `encoding.layout` made."""
+    assert BODY_CLASSES == PAYLOADS_CLASSES
     for cls in BODY_CLASSES:
-        assert "encode" not in vars(cls) and "decode" not in vars(cls), cls.__name__
+        assert issubclass(cls, tuple) and cls._fields == tuple(get_type_hints(cls)), cls.__name__
+        assert cls.encode.__module__ == cls.decode.__module__ == encoding.__name__, cls.__name__
 
 
 @settings(max_examples=300, deadline=None)
 @given(body=payload_bodies)
 def test_payload_body_round_trips(body):
-    assert type(body).decode(body.encode()) == body
+    # a body equals any tuple of its values, so the class is checked too
+    decoded = type(body).decode(body.encode())
+    assert type(decoded) is type(body) and decoded == body
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,7 +359,7 @@ UINT_BODIES = [cls for cls in BODY_CLASSES if int in get_type_hints(cls).values(
        data=st.data())
 def test_payload_body_negative_uint_is_encoding_error(body, value, data):
     uint_fields = [name for name, hint in get_type_hints(type(body)).items() if hint is int]
-    body = replace(body, **{data.draw(st.sampled_from(uint_fields)): value})
+    body = body._replace(**{data.draw(st.sampled_from(uint_fields)): value})
     with pytest.raises(EncodingError):
         body.encode()
 

@@ -1,7 +1,6 @@
 import copy
 import random
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -850,7 +849,7 @@ def _(p):
         p.run_contract([LQ, LQ, LQ], n=n)
     genuine = p.registry.unsealed()[-1]
     assert genuine.kind is TxKind.ReputationUpdate and p.registry.credentials[p.producer].revoked
-    p.registry.mark_sealed(replace(p.chain.head, transactions=(genuine,)))  # off the queue, never sealed
+    p.registry.mark_sealed(p.chain.head._replace(transactions=(genuine,)))  # off the queue, never sealed
     p.seal(1)
     body = ReputationUpdateBody(p.producer, 20, True, "flagged by hand")
     return Illegal(p.authority, TxKind.ReputationUpdate, body, 1, EncodingError,

@@ -1,8 +1,8 @@
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
-from ctisim.encoding import COUNT, UINT_LIMIT, Layout, Reader, bytes_field, str_field, uint_field
+from ctisim.encoding import COUNT, UINT_LIMIT, Reader, layout, bytes_field, str_field, uint_field
 from ctisim.errors import EncodingError
 
 
@@ -78,8 +78,8 @@ def test_invalid_utf8_rejected():
 def test_layout_field_without_a_codec_fails_at_class_definition():
     with pytest.raises(TypeError, match="Quote.price"):
 
-        @dataclass(frozen=True)
-        class Quote(Layout):
+        @layout
+        class Quote(NamedTuple):
             contract_id: bytes
             price: float
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -208,7 +207,7 @@ ILLEGAL_HISTORIES = {
     # the same stakeholder again in another transaction; repeating the very
     # transaction is refused earlier, as a duplicate transaction id
     "duplicate-registration": (
-        [BOOT, USER, ("authority", TxKind.Register, replace(USER[2], endowment=0))],
+        [BOOT, USER, ("authority", TxKind.Register, USER[2]._replace(endowment=0))],
         DuplicateRegistration, "duplicate registration",
     ),
     "no-roles": (
@@ -233,11 +232,11 @@ ILLEGAL_HISTORIES = {
         EncodingError, "Register with roles not sorted and unique",
     ),
     "unsorted-attributes": (
-        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, attributes=("gov", "ICS-ISAC")))],
+        [BOOT, ("authority", TxKind.Register, PRODUCER._replace(attributes=("gov", "ICS-ISAC")))],
         EncodingError, "Register with attributes not sorted and unique",
     ),
     "underived-id": (
-        [BOOT, ("authority", TxKind.Register, replace(PRODUCER, stakeholder=sha256(b"any id")))],
+        [BOOT, ("authority", TxKind.Register, PRODUCER._replace(stakeholder=sha256(b"any id")))],
         NotAnAuthority, "Register with an id not derived from its evidence",
     ),
     # the evidence can only back the id derived from it, and that id is taken
@@ -274,7 +273,7 @@ ILLEGAL_HISTORIES = {
     "revocation-of-a-revoked-stakeholder": (
         [
             BOOT, USER, ("authority", TxKind.ReputationUpdate, revocation("user")),
-            ("authority", TxKind.ReputationUpdate, replace(revocation("user"), score=19)),
+            ("authority", TxKind.ReputationUpdate, revocation("user")._replace(score=19)),
         ],
         NotAnAuthority, "ReputationUpdate for a revoked stakeholder",
     ),

@@ -1,8 +1,8 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -285,7 +285,7 @@ def test_verify_flags_mutated_payload():
     block = chain.blocks[1]
     victim = block.transactions[0]
     mutated = victim._replace(payload=victim.payload + b"x")
-    chain.blocks[1] = replace(block, transactions=(mutated,) + block.transactions[1:])
+    chain.blocks[1] = block._replace(transactions=(mutated,) + block.transactions[1:])
     report = verify_chain(chain)
     assert not report.valid
     assert report.first_bad_height == 1
@@ -531,17 +531,32 @@ _HEX_PATHS = [
     *((1, key) for key in ("prev_hash", "merkle_root", "sealer")),
 ]
 
+
+def _where(path):
+    """How a read refusing bad hex at `path` names the field and its place."""
+    if len(path) == 2:
+        return f"{path[1]!r} of block {path[0]}"
+    return f"{path[3]!r} of transaction {path[2]} in block {path[0]}"
+
+
+# each bad-hex dump, and where its refusal says the bad field is
+BAD_HEX_DUMPS = {
+    "odd-length-hex": (_set((1, "transactions", 0, "payload"), "abc"), (1, "transactions", 0, "payload")),
+    "non-hex-bytes": (_set((1, "prev_hash"), "zz" * 32), (1, "prev_hash")),
+    # hex is decoded strictly: no whitespace between byte pairs
+    **{f"space-in-{path[-1]}": (_split(path, " "), path) for path in _HEX_PATHS},
+    "newline-in-payload": (_split((1, "transactions", 0, "payload"), "\n"), (1, "transactions", 0, "payload")),
+    "non-ascii-author-later": (_set((2, "transactions", 1, "author"), "\u00e9" * 64), (2, "transactions", 1, "author")),
+    "odd-length-sealer-later": (_set((2, "sealer"), "0"), (2, "sealer")),
+}
+
 MALFORMED_DUMPS = {
     "unknown-kind": _set((1, "transactions", 0, "kind"), "Mint"),
     "kind-not-a-string": _set((1, "transactions", 0, "kind"), ["Vote"]),
     "missing-block-key": _drop((1, "sealer")),
     "missing-transactions": _drop((1, "transactions")),
     "missing-tx-key": _drop((1, "transactions", 0, "payload")),
-    "odd-length-hex": _set((1, "transactions", 0, "payload"), "abc"),
-    "non-hex-bytes": _set((1, "prev_hash"), "zz" * 32),
-    # hex is decoded strictly: no whitespace between byte pairs
-    **{f"space-in-{path[-1]}": _split(path, " ") for path in _HEX_PATHS},
-    "newline-in-payload": _split((1, "transactions", 0, "payload"), "\n"),
+    **{name: change for name, (change, _) in BAD_HEX_DUMPS.items()},
     "bytes-not-a-string": _set((1, "transactions", 0, "author"), 7),
     "string-height": _set((1, "height"), "1"),
     "float-height": _set((1, "height"), 1.5),
@@ -575,6 +590,14 @@ def test_chain_from_json_raises_encoding_error_on_malformed_dump(change):
     chain, *_ = build_chain(1)
     text = json.dumps(change(json.loads(chain_to_json(chain))), indent=2) + "\n"
     with pytest.raises(EncodingError):
+        chain_from_json(text)
+
+
+@pytest.mark.parametrize("change, path", BAD_HEX_DUMPS.values(), ids=BAD_HEX_DUMPS.keys())
+def test_chain_from_json_names_a_bad_hex_field_and_where_it_is(change, path):
+    chain, *_ = build_chain(1)
+    text = json.dumps(change(json.loads(chain_to_json(chain))), indent=2) + "\n"
+    with pytest.raises(EncodingError, match=f"^malformed chain dump: bad hex in {re.escape(_where(path))}: "):
         chain_from_json(text)
 
 
@@ -656,12 +679,9 @@ def test_read_chain_is_frozen_and_shares_stakeholder_ids():
     ids = [b.sealer for b in loaded.blocks] + [t.author for b in loaded.blocks for t in b.transactions]
     assert len({id(i) for i in ids}) == len(set(ids))
     block = loaded.blocks[1]
-    # a transaction is a named tuple, a block a frozen dataclass;
-    # FrozenInstanceError is an AttributeError
-    for obj, name, error in (
-        (block.transactions[0], "payload", AttributeError), (block, "height", FrozenInstanceError)
-    ):
-        with pytest.raises(error):
+    # a transaction and a block are named tuples
+    for obj, name in ((block.transactions[0], "payload"), (block, "height")):
+        with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
 
 
@@ -753,7 +773,7 @@ def test_verify_rejects_empty_chain():
 def test_verify_flags_a_genesis_that_differs_in_one_field(field):
     chain, *_ = build_chain(1)
     values = {"height": 1, "transactions": chain.blocks[1].transactions[:1]}
-    chain.blocks[0] = replace(chain.blocks[0], **{field: values.get(field, b"\x01" * 32)})
+    chain.blocks[0] = chain.blocks[0]._replace(**{field: values.get(field, b"\x01" * 32)})
     report = verify_chain(chain)
     assert (report.valid, report.first_bad_height, report.reason) == (
         False, 0, "genesis is not the fixed genesis block"

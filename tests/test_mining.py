@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -132,7 +131,7 @@ def test_two_records_below_min_support_no_campaign():
 def without_finalizations(block, prev):
     """`block` with its FinalizeVerification transactions stripped, linked to `prev`."""
     txs = tuple(t for t in block.transactions if t.kind is not TxKind.FinalizeVerification)
-    return replace(block, prev_hash=hash_header(prev), merkle_root=merkle_root(txs), transactions=txs)
+    return block._replace(prev_hash=hash_header(prev), merkle_root=merkle_root(txs), transactions=txs)
 
 
 def test_only_verified_records_contribute():

@@ -13,7 +13,6 @@ aggregates the contracts decide.
 """
 
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 
@@ -186,7 +185,7 @@ def refusal_height(chain, config, error, reason):
 
 def test_fold_refuses_a_resigned_flipped_vote_at_its_finalization():
     flip = {"HighQuality": "LowQuality", "LowQuality": "HighQuality"}
-    config, chain, vote = tampered_marketplace(TxKind.Vote, lambda b: replace(b, vote=flip[b.vote]))
+    config, chain, vote = tampered_marketplace(TxKind.Vote, lambda b: b._replace(vote=flip[b.vote]))
     assert verify_chain(chain).valid
     finalization = next(
         block.height
@@ -199,14 +198,14 @@ def test_fold_refuses_a_resigned_flipped_vote_at_its_finalization():
 
 
 def test_fold_refuses_a_resigned_purchase_at_price_zero():
-    config, chain, purchase = tampered_marketplace(TxKind.Purchase, lambda b: replace(b, price=0))
+    config, chain, purchase = tampered_marketplace(TxKind.Purchase, lambda b: b._replace(price=0))
     assert purchase.price > 0
     assert verify_chain(chain).valid
     height = next(
         block.height
         for block in chain.blocks
         for tx in block.transactions
-        if tx.kind is TxKind.Purchase and PurchaseBody.decode(tx.payload) == replace(purchase, price=0)
+        if tx.kind is TxKind.Purchase and PurchaseBody.decode(tx.payload) == purchase._replace(price=0)
     )
     reason = f"^Purchase at 0, listed at {purchase.price}$"
     assert refusal_height(chain, config, NotForSale, reason) == height
@@ -219,7 +218,7 @@ def test_fold_refuses_a_resigned_respelled_record_and_mining_skips_it():
         white = Writer().put_str("White").put_count(0).getvalue()
         designated = Writer().put_str("White").put_count(1).put_bytes(decode_record(body.record_bytes).producer)
         assert body.record_bytes.count(white) == 1
-        return replace(body, record_bytes=body.record_bytes.replace(white, designated.getvalue()))
+        return body._replace(record_bytes=body.record_bytes.replace(white, designated.getvalue()))
 
     config, chain, submit = tampered_marketplace(TxKind.SubmitCti, respell)
     assert decode_record(submit.record_bytes).tlp == TlpLabel(TlpChannel.White)
