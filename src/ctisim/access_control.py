@@ -115,38 +115,40 @@ def parse_policy(text: str) -> AttributePolicy:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise PolicyParseError("empty policy")
-    pos = 0
-
-    def parse_expr(depth: int) -> AttributePolicy:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise PolicyParseError("unexpected end of policy")
-        tok = tokens[pos]
-        pos += 1
-        if tok == ")":
-            raise PolicyParseError("unexpected ')'")
-        if tok != "(":
-            return attr(tok)
-        if pos >= len(tokens):
-            raise PolicyParseError("unterminated '('")
-        op = tokens[pos]
-        pos += 1
-        if op not in ("and", "or"):
-            raise PolicyParseError(f"operator must be 'and' or 'or', got {op!r}")
-        if depth == MAX_POLICY_DEPTH:
-            raise PolicyParseError(f"policy nested deeper than {MAX_POLICY_DEPTH}")
-        children: list[AttributePolicy] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse_expr(depth + 1))
-        if pos >= len(tokens):
-            raise PolicyParseError("unterminated '('")
-        pos += 1  # consume ')'
-        return AttributePolicy(op=op, children=tuple(children))
-
-    result = parse_expr(0)
+    result, pos = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise PolicyParseError("trailing tokens after policy")
     return result
+
+
+def _parse_expr(tokens: list[str], pos: int, depth: int) -> tuple[AttributePolicy, int]:
+    """The policy starting at `tokens[pos]`, `depth` operators deep, and the
+    position after it. A module-level function, not a closure over the
+    position: a recursive closure holds its own cell, a reference cycle
+    left for the cyclic collector on every parse."""
+    if pos >= len(tokens):
+        raise PolicyParseError("unexpected end of policy")
+    tok = tokens[pos]
+    pos += 1
+    if tok == ")":
+        raise PolicyParseError("unexpected ')'")
+    if tok != "(":
+        return attr(tok), pos
+    if pos >= len(tokens):
+        raise PolicyParseError("unterminated '('")
+    op = tokens[pos]
+    pos += 1
+    if op not in ("and", "or"):
+        raise PolicyParseError(f"operator must be 'and' or 'or', got {op!r}")
+    if depth == MAX_POLICY_DEPTH:
+        raise PolicyParseError(f"policy nested deeper than {MAX_POLICY_DEPTH}")
+    children: list[AttributePolicy] = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        child, pos = _parse_expr(tokens, pos, depth + 1)
+        children.append(child)
+    if pos >= len(tokens):
+        raise PolicyParseError("unterminated '('")
+    return AttributePolicy(op=op, children=tuple(children)), pos + 1  # past ')'
 
 
 def policy_to_string(policy: AttributePolicy) -> str:

@@ -156,7 +156,7 @@ def evaluate_pi(policy: VerificationPolicy, votes: list[Vote], producer_score: i
     """score = alpha * (high-quality fraction) + (1 - alpha) * (reputation / 100)."""
     if len(votes) != QUORUM:
         raise QuorumNotMet(f"need {QUORUM} votes, have {len(votes)}")
-    hq = sum(1 for v in votes if v is _HIGH)
+    hq = votes.count(_HIGH)  # Vote defines no __eq__, so this counts by identity
     score = policy.alpha * (hq / QUORUM) + (1.0 - policy.alpha) * (producer_score / 100.0)
     return PiResult(valid=score >= policy.tau, score=score)
 
@@ -169,8 +169,13 @@ class ReputationLedger:
     policy: VerificationPolicy
     scores: dict[Digest, int] = field(default_factory=dict)
 
+    # `apply` and `is_trusted` run once per vote and per trust check, so
+    # each reads `scores` itself rather than through `score_of`, and `apply`
+    # clamps to [1, 100] inline.
+
     def add(self, stakeholder: Digest) -> None:
-        self.scores[stakeholder] = self._clamp(self.policy.initial_score)
+        score = self.policy.initial_score
+        self.scores[stakeholder] = 1 if score < 1 else 100 if score > 100 else score
 
     def score_of(self, stakeholder: Digest) -> int:
         try:
@@ -179,14 +184,18 @@ class ReputationLedger:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
     def apply(self, stakeholder: Digest, delta: int) -> None:
-        self.scores[stakeholder] = self._clamp(self.score_of(stakeholder) + delta)
+        scores = self.scores
+        try:
+            score = scores[stakeholder] + delta
+        except KeyError:
+            raise UnknownStakeholder(stakeholder.hex()) from None
+        scores[stakeholder] = 1 if score < 1 else 100 if score > 100 else score
 
     def is_trusted(self, stakeholder: Digest) -> bool:
-        return self.score_of(stakeholder) >= self.policy.trust_threshold
-
-    @staticmethod
-    def _clamp(score: int) -> int:
-        return max(1, min(100, score))
+        try:
+            return self.scores[stakeholder] >= self.policy.trust_threshold
+        except KeyError:
+            raise UnknownStakeholder(stakeholder.hex()) from None
 
 
 @dataclass
@@ -475,14 +484,14 @@ class ContractSystem:
     def verifier_pool(self, producer: Digest) -> list[Digest]:
         """Trusted verifiers eligible for assignment, in stable id order."""
         credentials = self.registry.credentials
-        scores = self.reputation.scores
+        scores, threshold = self.reputation.scores, self.policy.trust_threshold
         return [
             sid
             for sid in self.registry.verifier_ids
             if sid != producer
             and not credentials[sid].revoked
             and sid in scores
-            and self.reputation.is_trusted(sid)
+            and scores[sid] >= threshold
         ]
 
     def _admission(self, producer: Digest, record: CtiRecord) -> tuple[int, int, list[Digest]]:

@@ -10,8 +10,10 @@ its encoder and `Reader` method, and the `layout` class decorator gives a
 `typing.NamedTuple` the wire layout of its annotated fields through that
 table. Each such class gets one generated encoder, compiled once when the
 class is defined, that writes its fields in order without a per-field
-lookup, and a decoder that builds the tuple with one `tuple.__new__`. A
-named tuple, not a dataclass, because a dataclass generates and compiles
+lookup: its bytes, str, int and bool fields inline, in one `b"".join`,
+exactly as their codecs in the table write them, and only a collection
+through its codec. It also gets a decoder that builds the tuple with one
+`tuple.__new__`. A named tuple, not a dataclass, because a dataclass generates and compiles
 its `__init__`, `__repr__`, `__eq__`, `__setattr__`, `__delattr__` and
 `__hash__` at every import, and builds each instance with one
 `__setattr__` per field.
@@ -180,9 +182,9 @@ def layout(cls: _T) -> _T:
     Looks each field's annotation up in FIELD_CODECS once, so an annotation
     with no codec raises TypeError when the class is defined, and generates
     the class's `encode` from that table: one function that unpacks the
-    tuple once, writes a `bytes` field's length prefix and bytes inline and
-    hands every other field to its codec (so a negative uint still raises
-    EncodingError). `decode` reads the fields back with no bytes left over
+    tuple once and writes a bytes, str, int or bool field inline, and a
+    collection through its codec (an int that does not fit raises
+    `uint_field`'s EncodingError). `decode` reads the fields back with no bytes left over
     and builds the instance from them with one `tuple.__new__`.
     """
     hints = get_type_hints(cls)
@@ -203,21 +205,46 @@ def _decode(cls, data: bytes):
 
 
 def _generated_encoder(class_name: str, hints: dict[str, object]) -> Callable:
-    """Compile `encode(self)` for a layout with these field hints."""
-    namespace: dict[str, object] = {"__name__": __name__, "_pack_count": _pack_count}
+    """Compile `encode(self)` for a layout with these field hints.
+
+    A bytes, str, int or bool field is written inline, as its codec in
+    FIELD_CODECS writes it; a collection calls its codec. A struct.error
+    from an int field re-raises through `uint_field`, field by field in
+    order, so the first bad value raises uint_field's EncodingError.
+    """
+    # a named tuple's field names cannot start with "_", so no field's
+    # local shadows these
+    namespace: dict[str, object] = {
+        "__name__": __name__,
+        "_pack_count": _pack_count,
+        "_pack_uint": _pack_uint,
+        "_struct_error": struct.error,
+        "_uint_field": uint_field,
+    }
     parts = []
     for name, hint in hints.items():
         if hint is bytes:
             parts.append(f"_pack_count(len({name})), {name}")
+        elif hint is str:
+            # assigned inside the join, so fields still encode in order
+            parts.append(f"_pack_count(len(_utf8_{name} := {name}.encode('utf-8'))), _utf8_{name}")
+        elif hint is int:
+            parts.append(f"_pack_uint({name})")
+        elif hint is bool:
+            parts.append(f"(b'\\x01' if {name} else b'\\x00')")
         else:
             namespace[f"_encode_{name}"] = FIELD_CODECS[hint][0]
             parts.append(f"_encode_{name}({name})")
-    source = (
-        "def encode(self):\n"
-        f"    {''.join(name + ', ' for name in hints)}= self\n"
-        f"    return b''.join(({''.join(part + ', ' for part in parts)}))\n"
-    )
-    exec(source, namespace)
+    join = f"b''.join(({''.join(part + ', ' for part in parts)}))"
+    uints = [name for name, hint in hints.items() if hint is int]
+    lines = ["def encode(self):", f"    {''.join(name + ', ' for name in hints)}= self"]
+    if uints:
+        lines += ["    try:", f"        return {join}", "    except _struct_error:"]
+        lines += [f"        _uint_field({name})" for name in uints]
+        lines.append("        raise")
+    else:
+        lines.append(f"    return {join}")
+    exec("\n".join(lines) + "\n", namespace)
     fn = namespace["encode"]
     fn.__qualname__ = f"{class_name}.encode"
     return fn

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctisim import cli
 from ctisim.cli import main
 from ctisim.config import MAX_YAML_NODES, apply_override, load_config, parse_config
 from ctisim.simulation import json_scalar, run_scenario, summary_json
@@ -364,6 +366,65 @@ def test_every_metrics_csv_row_is_as_wide_as_its_header(tmp_path, path):
 
 def test_unreadable_config_exits_two(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["bogus"], ["run", "--config", "x", "--seed", "x"]],
+    ids=["run-without-config", "unknown-command", "seed-not-an-integer"],
+)
+def test_a_usage_error_exits_one_with_its_usage_message(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ctisim") and "error: " in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, capsys, monkeypatch, enabled):
+    paused = []
+
+    def spy(config):
+        paused.append(not gc.isenabled())
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    out, bad = tmp_path / "out", tmp_path / "bad.yaml"
+    bad.write_text("name: x\n")
+    caller = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    codes, states = [], []
+    try:
+        codes.append(main(["run", "--config", DOI, "--out", str(out)]))
+        states.append(gc.isenabled())
+        dump = json.loads((out / "chain.json").read_text())
+        payload = dump[1]["transactions"][0]["payload"]
+        dump[1]["transactions"][0]["payload"] = ("0" if payload[0] != "0" else "1") + payload[1:]
+        (tmp_path / "tampered.json").write_text(json.dumps(dump))
+        for argv in (
+            ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+            ["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o")],
+            ["verify-chain", "--chain", str(tmp_path / "tampered.json")],
+        ):
+            codes.append(main(argv))
+            states.append(gc.isenabled())
+        with pytest.raises(SystemExit) as usage:
+            main(["run"])
+        codes.append(usage.value.code)
+        states.append(gc.isenabled())
+    finally:
+        gc.enable() if caller else gc.disable()
+    assert codes == [0, 1, 2, 3, 1]
+    assert states == [enabled] * len(codes)
+    assert paused == [True]
 
 
 def test_verify_chain_accepts_fresh_dump(tmp_path, capsys):

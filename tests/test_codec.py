@@ -669,3 +669,20 @@ def test_policy_memo_stays_within_its_bound():
     for i in range(POLICY_MEMO_SIZE + 10):
         assert decode_record(record_with_policy(f"(or tag-{i} shared)")).policy is not None
     assert cti._decoded_policy.cache_info().currsize == POLICY_MEMO_SIZE
+
+
+UINT_FIELDS = [
+    (cls, name) for cls in UINT_BODIES for name, hint in get_type_hints(cls).items() if hint is int
+]
+
+
+@pytest.mark.parametrize("cls, name", UINT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in UINT_FIELDS])
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    value=st.one_of(st.integers(min_value=encoding.UINT_LIMIT), st.floats(), st.text(), st.none(), st.binary()),
+)
+def test_payload_body_uint_past_the_limit_or_not_an_integer_is_encoding_error(cls, name, data, value):
+    body = data.draw(body_strategy(cls))._replace(**{name: value})
+    with pytest.raises(EncodingError, match="not an integer in"):
+        body.encode()
