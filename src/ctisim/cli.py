@@ -16,8 +16,10 @@ everything they drop by reference counting as they go, so nothing piles
 up while the collector is off (`tests/test_acyclic.py` pins this on every
 bundled scenario and on a priced, policy-gated market; `tests/test_cli.py`
 pins the pause and the restore). With the collector on, its passes over
-the growing chain cost about 5% of a run and freed nothing. A run's outputs depend on its config alone, and the
-seed is one of its keys: `run --seed N` overrides the config's `seed` key
+the growing chain cost about 5% of a run and freed nothing.
+
+A run's outputs depend on its config alone, and the seed is one of its
+keys: `run --seed N` overrides the config's `seed` key
 exactly as `sweep --param seed --values N` does for its leg, so the two
 write the same bytes. `run` and each sweep leg take the same two steps:
 build the config (raw YAML, overrides, `parse_config`), then run it and

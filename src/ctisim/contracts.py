@@ -164,14 +164,12 @@ def evaluate_pi(policy: VerificationPolicy, votes: list[Vote], producer_score: i
 @dataclass
 class ReputationLedger:
     """Per-stakeholder score in [1, 100]; the policy gives the starting
-    score and the participation threshold."""
+    score and the participation threshold. `apply` runs once per vote and
+    `is_trusted` once per trust check, so each reads `scores` itself, not
+    through `score_of`, and `apply` clamps inline."""
 
     policy: VerificationPolicy
     scores: dict[Digest, int] = field(default_factory=dict)
-
-    # `apply` and `is_trusted` run once per vote and per trust check, so
-    # each reads `scores` itself rather than through `score_of`, and `apply`
-    # clamps to [1, 100] inline.
 
     def add(self, stakeholder: Digest) -> None:
         score = self.policy.initial_score

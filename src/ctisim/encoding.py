@@ -13,10 +13,10 @@ class is defined, that writes its fields in order without a per-field
 lookup: its bytes, str, int and bool fields inline, in one `b"".join`,
 exactly as their codecs in the table write them, and only a collection
 through its codec. It also gets a decoder that builds the tuple with one
-`tuple.__new__`. A named tuple, not a dataclass, because a dataclass generates and compiles
-its `__init__`, `__repr__`, `__eq__`, `__setattr__`, `__delattr__` and
-`__hash__` at every import, and builds each instance with one
-`__setattr__` per field.
+`tuple.__new__`. A named tuple, not a dataclass, because a dataclass
+generates and compiles its `__init__`, `__repr__`, `__eq__`,
+`__setattr__`, `__delattr__` and `__hash__` at every import, and builds
+each instance with one `__setattr__` per field.
 
 Reading raises EncodingError, and nothing else, for malformed input:
 truncation, trailing bytes, a boolean byte other than 0 or 1, and invalid
@@ -184,8 +184,9 @@ def layout(cls: _T) -> _T:
     the class's `encode` from that table: one function that unpacks the
     tuple once and writes a bytes, str, int or bool field inline, and a
     collection through its codec (an int that does not fit raises
-    `uint_field`'s EncodingError). `decode` reads the fields back with no bytes left over
-    and builds the instance from them with one `tuple.__new__`.
+    `uint_field`'s EncodingError). `decode` reads the fields back with no
+    bytes left over and builds the instance from them with one
+    `tuple.__new__`.
     """
     hints = get_type_hints(cls)
     for name, hint in hints.items():

@@ -10,6 +10,7 @@ import gc
 import pytest
 
 from ctisim import cti
+from ctisim.cli import build_parser, main
 from ctisim.config import load_config
 from ctisim.ledger import TxKind, chain_from_json, chain_to_json, verify_chain
 from ctisim.mining import mine_campaigns, verify_derivation
@@ -82,6 +83,23 @@ def test_every_step_of_a_command_leaves_no_cyclic_garbage(scenario, tmp_path):
         campaigns = acyclic(mine_campaigns, chain, mining.window_rounds, mining.min_support, mining.min_overlap)
         for campaign in campaigns:
             assert acyclic(verify_derivation, campaign, chain)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_whole_command_leaves_only_its_argument_parser(command, tmp_path, capsys):
+    """Overrides, `--values` and the sweep's legs included: a command leaves
+    only the cycle argparse's parser makes, which `main` builds before it
+    pauses the collector."""
+    config, out = str(SCENARIO_DIR / "tlp-demo.yaml"), str(tmp_path / "out")
+    if command == "run":
+        argv = ["run", "--config", config, "--seed", "4", "--out", out]
+    else:
+        argv = ["sweep", "--config", config, "--param", "access.policy", "--values", "'(or gov x)',gov", "--out", out]
+    with collector_paused():
+        build_parser().parse_args(argv)
+        parser_objects = gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == parser_objects
 
 
 def test_the_market_config_buys_and_refuses_through_its_policy(tmp_path):
