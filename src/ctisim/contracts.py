@@ -172,8 +172,7 @@ class ReputationLedger:
     scores: dict[Digest, int] = field(default_factory=dict)
 
     def add(self, stakeholder: Digest) -> None:
-        score = self.policy.initial_score
-        self.scores[stakeholder] = 1 if score < 1 else 100 if score > 100 else score
+        self.scores[stakeholder] = max(1, min(100, self.policy.initial_score))
 
     def score_of(self, stakeholder: Digest) -> int:
         try:
