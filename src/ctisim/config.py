@@ -4,20 +4,21 @@ Top-level keys: name, rounds, seed, agents, economics, verification,
 access, mining, utility. Validation is strict: unknown keys and
 out-of-range values raise ConfigInvalid naming the offending field.
 
-Every mapping in a scenario file is read by `_section` into a dataclass
+Every mapping in a scenario file is read by `_section` into a named tuple
 whose field names are its keys: the top level into `ScenarioConfig`, each
 agent into `AgentSpec`, and the sections into the objects the engine,
 contracts and miner read (`EconomicsConfig`, `VerificationPolicy`,
 `MiningParams`, `UtilityModel`, `AgentStrategy`, `AccessSpec`). An absent
-key takes the field's default, declared once on the dataclass; a present
-value goes through the check `_CHECKS` holds for its field name.
+key takes the field's default, declared once on the named tuple; a present
+value goes through the check `_CHECKS` holds for its field name. The
+sections are immutable, so a default section is one shared instance, and
+a config for another seed or length is `config._replace(seed=...)`.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import yaml
 
@@ -38,13 +39,11 @@ FORFEITURE = {
 }
 
 
-def passive_strategy() -> AgentStrategy:
-    """An agent without a strategy (e.g. the authority) never submits or consumes."""
-    return AgentStrategy(kind=StrategyKind.LazyConsumer, consume_rate=0.0)
+# An agent without a strategy (e.g. the authority) never submits or consumes.
+PASSIVE_STRATEGY = AgentStrategy(kind=StrategyKind.LazyConsumer, consume_rate=0.0)
 
 
-@dataclass(frozen=True)
-class AccessSpec:
+class AccessSpec(NamedTuple):
     """An `access:` section: TLP channel, designated recipients by agent
     name, and attribute policy of the records an agent produces."""
 
@@ -53,27 +52,25 @@ class AccessSpec:
     policy: Optional[AttributePolicy] = None
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     name: str
     roles: frozenset[Role]
-    strategy: AgentStrategy = field(default_factory=passive_strategy)
+    strategy: AgentStrategy = PASSIVE_STRATEGY
     # the agent's own access section; None falls back to the scenario-wide one
     access: Optional[AccessSpec] = None
     attributes: frozenset[str] = frozenset()
     endowment: int = 100
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     rounds: int
     seed: int
     agents: list[AgentSpec]
-    economics: EconomicsConfig = field(default_factory=EconomicsConfig)
-    verification: VerificationPolicy = field(default_factory=VerificationPolicy)
-    mining: MiningParams = field(default_factory=MiningParams)
-    utility: UtilityModel = field(default_factory=UtilityModel)
-    access: AccessSpec = field(default_factory=AccessSpec)
+    economics: EconomicsConfig = EconomicsConfig()
+    verification: VerificationPolicy = VerificationPolicy()
+    mining: MiningParams = MiningParams()
+    utility: UtilityModel = UtilityModel()
+    access: AccessSpec = AccessSpec()
     name: str = "scenario"
 
 
@@ -81,27 +78,27 @@ Check = Callable[[Any, str], Any]
 
 
 def _section(cls: type, raw: Any, path: str, **overrides: Check) -> Any:
-    """Read the mapping `raw` at `path` into dataclass `cls`.
+    """Read the mapping `raw` at `path` into the named tuple `cls`.
 
-    The allowed keys are the field names. Unknown keys are reported first,
-    then each field in declaration order: a present value goes through its
-    check (from `overrides`, else `_CHECKS`), an absent one keeps the
-    field's default or, for a field without one, is reported missing.
+    The allowed keys are the field names (`cls._fields`). Unknown keys are
+    reported first, then each field in declaration order: a present value
+    goes through its check (from `overrides`, else `_CHECKS`), an absent
+    one keeps the field's default (`cls._field_defaults`) or, for a field
+    without one, is reported missing.
     """
     raw = _mapping(raw, path or "config")
     prefix = f"{path}." if path else ""
-    declared = fields(cls)
-    names = {f.name for f in declared}
+    names = cls._fields
     for key in raw:
         if key not in names:
             raise ConfigInvalid(f"{prefix}{key}", "unknown field")
     values = {}
-    for f in declared:
-        if f.name in raw:
-            check = overrides.get(f.name) or _CHECKS[f.name]
-            values[f.name] = check(raw[f.name], prefix + f.name)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigInvalid(prefix + f.name, "required field is missing")
+    for name in names:
+        if name in raw:
+            check = overrides.get(name) or _CHECKS[name]
+            values[name] = check(raw[name], prefix + name)
+        elif name not in cls._field_defaults:
+            raise ConfigInvalid(prefix + name, "required field is missing")
     return cls(**values)
 
 
@@ -229,10 +226,10 @@ def _policy(value: Any, name: str) -> Optional[AttributePolicy]:
 def _strategy(value: Any, name: str) -> AgentStrategy:
     raw = _mapping(value, name)
     if not raw:
-        return passive_strategy()
+        return PASSIVE_STRATEGY
     strategy = _section(AgentStrategy, raw, name)
     if "p_acc" not in raw and strategy.kind in DEFAULT_P_ACC:
-        strategy.p_acc = DEFAULT_P_ACC[strategy.kind]
+        strategy = strategy._replace(p_acc=DEFAULT_P_ACC[strategy.kind])
     return strategy
 
 

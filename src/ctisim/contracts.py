@@ -27,13 +27,12 @@ from that state here, so the writer and a replay derive them one way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .access_control import authorize
 from .cti import CtiRecord, decode_record, record_bytes, validate_format
-from .encoding import Digest
+from .encoding import ComparedByFields, Digest
 from .errors import (
     AccessDenied,
     AlreadyFinalized,
@@ -115,8 +114,7 @@ _VOTE_BY_NAME = {vote.value: vote for vote in Vote}
 _PRODUCER, _CONSUMER = Role.Producer, Role.Consumer
 
 
-@dataclass(frozen=True)
-class VerificationPolicy:
+class VerificationPolicy(NamedTuple):
     """The `verification:` section: the validity score's weight on the vote
     fraction and its acceptance threshold, and the reputation ledger's
     participation threshold, score deltas and starting score."""
@@ -131,8 +129,7 @@ class VerificationPolicy:
     initial_score: int = 50
 
 
-@dataclass(frozen=True)
-class EconomicsConfig:
+class EconomicsConfig(NamedTuple):
     """The `economics:` section: subscription fee, period and per-vote
     discount, submission deposit and verification fee, how records are
     priced, and where forfeited deposits go."""
@@ -161,15 +158,17 @@ def evaluate_pi(policy: VerificationPolicy, votes: list[Vote], producer_score: i
     return PiResult(valid=score >= policy.tau, score=score)
 
 
-@dataclass
-class ReputationLedger:
+class ReputationLedger(ComparedByFields):
     """Per-stakeholder score in [1, 100]; the policy gives the starting
     score and the participation threshold. `apply` runs once per vote and
     `is_trusted` once per trust check, so each reads `scores` itself, not
     through `score_of`, and `apply` clamps inline."""
 
-    policy: VerificationPolicy
-    scores: dict[Digest, int] = field(default_factory=dict)
+    __slots__ = ("policy", "scores")
+
+    def __init__(self, policy: VerificationPolicy):
+        self.policy = policy
+        self.scores: dict[Digest, int] = {}
 
     def add(self, stakeholder: Digest) -> None:
         self.scores[stakeholder] = max(1, min(100, self.policy.initial_score))
@@ -195,42 +194,64 @@ class ReputationLedger:
             raise UnknownStakeholder(stakeholder.hex()) from None
 
 
-@dataclass
-class ReportContract:
-    contract_id: Digest
-    record: CtiRecord
-    status: ContractStatus
-    assigned_verifiers: tuple[Digest, ...]
-    votes: dict[Digest, Vote]
-    deposit: int
-    deposit_state: DepositState
-    verification_fee: int
-    created_round: int
-    finalized_round: Optional[int] = None
-    score_micro: Optional[int] = None  # the validity score in millionths
+class ReportContract(ComparedByFields):
+    __slots__ = (
+        "contract_id", "record", "status", "assigned_verifiers", "votes", "deposit",
+        "deposit_state", "verification_fee", "created_round", "finalized_round", "score_micro",
+    )
+
+    def __init__(
+        self,
+        contract_id: Digest,
+        record: CtiRecord,
+        status: ContractStatus,
+        assigned_verifiers: tuple[Digest, ...],
+        votes: dict[Digest, Vote],
+        deposit: int,
+        deposit_state: DepositState,
+        verification_fee: int,
+        created_round: int,
+        finalized_round: Optional[int] = None,
+        score_micro: Optional[int] = None,
+    ):
+        self.contract_id = contract_id
+        self.record = record
+        self.status = status
+        self.assigned_verifiers = assigned_verifiers
+        self.votes = votes
+        self.deposit = deposit
+        self.deposit_state = deposit_state
+        self.verification_fee = verification_fee
+        self.created_round = created_round
+        self.finalized_round = finalized_round
+        self.score_micro = score_micro  # the validity score in millionths
 
 
-@dataclass
-class SubscriptionContract:
+class SubscriptionContract(ComparedByFields):
     """Each stakeholder's accrued renewal discount and the round its paid
     period ends."""
 
-    accrued_discount: dict[Digest, int] = field(default_factory=dict)
-    paid_through: dict[Digest, int] = field(default_factory=dict)
+    __slots__ = ("accrued_discount", "paid_through")
+
+    def __init__(self):
+        self.accrued_discount: dict[Digest, int] = {}
+        self.paid_through: dict[Digest, int] = {}
 
 
-@dataclass
-class MarketContract:
+class MarketContract(ComparedByFields):
     """Balances, escrow, the forfeit/burn pools and each (contract, buyer)
     sale; conservation is minted == sum(balances) + escrow + held + burned
     at all times."""
 
-    balances: dict[Digest, int] = field(default_factory=dict)
-    escrow: int = 0
-    held: int = 0
-    burned: int = 0
-    minted: int = 0
-    sales: set[tuple[Digest, Digest]] = field(default_factory=set)
+    __slots__ = ("balances", "escrow", "held", "burned", "minted", "sales")
+
+    def __init__(self):
+        self.balances: dict[Digest, int] = {}
+        self.escrow = 0
+        self.held = 0
+        self.burned = 0
+        self.minted = 0
+        self.sales: set[tuple[Digest, Digest]] = set()
 
     def mint(self, stakeholder: Digest, amount: int) -> None:
         self.balances[stakeholder] = self.balances.get(stakeholder, 0) + amount

@@ -16,7 +16,9 @@ through its codec. It also gets a decoder that builds the tuple with one
 `tuple.__new__`. A named tuple, not a dataclass, because a dataclass
 generates and compiles its `__init__`, `__repr__`, `__eq__`,
 `__setattr__`, `__delattr__` and `__hash__` at every import, and builds
-each instance with one `__setattr__` per field.
+each instance with one `__setattr__` per field. For the same reason the
+mutable state classes are slotted classes, and the six that tests
+compare share one `__eq__` and `__repr__` through `ComparedByFields`.
 
 Reading raises EncodingError, and nothing else, for malformed input:
 truncation, trailing bytes, a boolean byte other than 0 or 1, and invalid
@@ -69,6 +71,26 @@ class TaggedEnum(Enum):
 
     def __init__(self, value: str):
         self.tag = str_field(value)
+
+
+class ComparedByFields:
+    """Equality and repr for a mutable slotted class, read from its
+    `__slots__` in order, as a dataclass generates them: equal to an
+    instance of the same class whose fields are equal, unhashable, and
+    printed as `Name(field=value, ...)`. Written once here, not generated
+    per class at import."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def bool_field(value: bool) -> bytes:

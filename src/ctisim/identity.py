@@ -27,10 +27,9 @@ nothing off the queue, so a refused seal leaves the queue as it was.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 
-from .encoding import Digest
+from .encoding import ComparedByFields, Digest
 from .errors import (
     DuplicateRegistration,
     DuplicateTransaction,
@@ -55,12 +54,14 @@ _REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
 _AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
 
 
-@dataclass
-class Credential:
-    stakeholder: Digest
-    roles: frozenset[Role]
-    attributes: frozenset[str]
-    revoked: bool
+class Credential(ComparedByFields):
+    __slots__ = ("stakeholder", "roles", "attributes", "revoked")
+
+    def __init__(self, stakeholder: Digest, roles: frozenset[Role], attributes: frozenset[str], revoked: bool):
+        self.stakeholder = stakeholder
+        self.roles = roles
+        self.attributes = attributes
+        self.revoked = revoked
 
 
 def stakeholder_id(evidence_digest: Digest) -> Digest:

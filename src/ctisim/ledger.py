@@ -13,11 +13,11 @@ key holder wrote the chain.
 A transaction is an immutable named tuple, built by one `tuple.__new__`
 with no per-field `__setattr__`; setting a field raises AttributeError,
 and its equality and hash are those of its field tuple. Blocks are named
-tuples too, and the chain stays a dataclass: a frozen dataclass generates
-and compiles six methods at every import, which costs more start-up time
-than a run spends building its blocks. `Transaction.create`
-defines a transaction's id; transactions are made in one place,
-`identity.Registry.sign`. Sealing (`append_block`) asks an authenticator
+tuples too, and the chain is a slotted class, compared and printed through
+`encoding.ComparedByFields`: a dataclass generates and compiles its
+methods at every import, which costs more start-up time than a run
+spends building its blocks. `Transaction.create` defines a transaction's
+id; transactions are made in one place, `identity.Registry.sign`. Sealing (`append_block`) asks an authenticator
 whether each transaction is its registered author's; the registry's
 authenticator trusts the unsealed objects it made itself and re-derives
 every other transaction. verify_chain trusts nothing: it replays the whole
@@ -47,11 +47,19 @@ from __future__ import annotations
 import binascii
 import hashlib
 import json
-from dataclasses import dataclass, field
 from itertools import chain as chain_items, repeat
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .encoding import COUNT, UINT_LIMIT, ZERO_DIGEST, Digest, TaggedEnum, bytes_field, uint_field
+from .encoding import (
+    COUNT,
+    UINT_LIMIT,
+    ZERO_DIGEST,
+    ComparedByFields,
+    Digest,
+    TaggedEnum,
+    bytes_field,
+    uint_field,
+)
 from .errors import CtiSimError, EncodingError, UnauthenticatedTransaction, UnauthorizedSealer
 
 _sha256 = hashlib.sha256
@@ -100,9 +108,11 @@ class Block(NamedTuple):
     transactions: tuple[Transaction, ...]
 
 
-@dataclass
-class Chain:
-    blocks: list[Block] = field(default_factory=list)
+class Chain(ComparedByFields):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[Block]):
+        self.blocks = blocks
 
     @classmethod
     def new(cls) -> "Chain":

@@ -28,7 +28,6 @@ are linked, which is near-linear in the number of indicators.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cti import CtiCategory, CtiRecord, decode_record
@@ -38,18 +37,30 @@ from .ledger import Block, Chain, TxKind, sha256
 from .payloads import FinalizeBody, SubmitCtiBody
 
 
-@dataclass(frozen=True)
-class MiningParams:
-    """The `mining:` section, and a campaign's parameters; any mining cannot mine with raises ValueError."""
-
+class _MiningFields(NamedTuple):
     window_rounds: int = 10
     min_support: int = 3
     min_overlap: int = 1
 
-    def __post_init__(self) -> None:
+
+class MiningParams(_MiningFields):
+    """The `mining:` section, and a campaign's parameters; any mining cannot
+    mine with raises ValueError. The check is in `__new__`, and `_make`
+    builds through it, so `_replace` checks too: a named tuple's own
+    `_make` calls `tuple.__new__` and would skip it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: int, **kwargs: int) -> "MiningParams":
+        params = super().__new__(cls, *args, **kwargs)
         for name, least in (("window_rounds", 1), ("min_support", 2), ("min_overlap", 1)):
-            if getattr(self, name) < least:
+            if getattr(params, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        return params
+
+    @classmethod
+    def _make(cls, iterable) -> "MiningParams":
+        return cls(*iterable)
 
 
 class Campaign(NamedTuple):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _enc
 from math import isfinite
@@ -80,8 +79,7 @@ _DOMAIN, _TECHNICAL = IocKind.Domain, CtiCategory.Technical
 _CAMPAIGN_INDICATORS = [f"shared-{sha256(b'campaign-indicator:camp-%d' % n)[:6].hex()}.example" for n in (1, 2, 3)]
 
 
-@dataclass
-class AgentStrategy:
+class AgentStrategy(NamedTuple):
     kind: StrategyKind
     share_rate: float = 1.0
     fabrication_rate: float = 0.0
@@ -92,8 +90,7 @@ class AgentStrategy:
     sale_price: Optional[int] = None
 
 
-@dataclass
-class UtilityModel:
+class UtilityModel(NamedTuple):
     """Per-agent economics: what a genuine share risks, what consuming is
     worth, and the trailing window used to estimate incentive income."""
 
@@ -110,15 +107,26 @@ def verifier_vote_model(truth: GroundTruth, p_acc: float, rng: random.Random) ->
     return _LOW if genuine else _HIGH
 
 
-@dataclass
 class AgentRoundLog:
-    shares: int = 0
-    genuine_shares: int = 0
-    verified: int = 0
-    rejected: int = 0
-    consumes: int = 0
-    forfeited: int = 0
-    income: int = 0  # realized: renewal discounts, sale revenue, verifier payouts
+    __slots__ = ("shares", "genuine_shares", "verified", "rejected", "consumes", "forfeited", "income")
+
+    def __init__(
+        self,
+        shares: int = 0,
+        genuine_shares: int = 0,
+        verified: int = 0,
+        rejected: int = 0,
+        consumes: int = 0,
+        forfeited: int = 0,
+        income: int = 0,
+    ):
+        self.shares = shares
+        self.genuine_shares = genuine_shares
+        self.verified = verified
+        self.rejected = rejected
+        self.consumes = consumes
+        self.forfeited = forfeited
+        self.income = income  # realized: renewal discounts, sale revenue, verifier payouts
 
 
 def compute_utility(log: AgentRoundLog, model: UtilityModel) -> int:
@@ -130,20 +138,25 @@ def compute_utility(log: AgentRoundLog, model: UtilityModel) -> int:
     )
 
 
-@dataclass
 class AgentState:
-    name: str
-    sid: Digest
-    credential: Credential
-    strategy: AgentStrategy
-    # this round's log, and the sum of compute_utility over finished rounds
-    current: AgentRoundLog = field(default_factory=AgentRoundLog)
-    total_utility: int = 0
-    events: list[tuple[int, str]] = field(default_factory=list)
-    share_rounds: list[int] = field(default_factory=list)
-    est_income_events: list[tuple[int, int]] = field(default_factory=list)
-    record_counter: int = 0
-    revoked_round: Optional[int] = None
+    __slots__ = (
+        "name", "sid", "credential", "strategy", "current", "total_utility", "events",
+        "share_rounds", "est_income_events", "record_counter", "revoked_round",
+    )
+
+    def __init__(self, name: str, sid: Digest, credential: Credential, strategy: AgentStrategy):
+        self.name = name
+        self.sid = sid
+        self.credential = credential
+        self.strategy = strategy
+        # this round's log, and the sum of compute_utility over finished rounds
+        self.current = AgentRoundLog()
+        self.total_utility = 0
+        self.events: list[tuple[int, str]] = []
+        self.share_rounds: list[int] = []
+        self.est_income_events: list[tuple[int, int]] = []
+        self.record_counter = 0
+        self.revoked_round: Optional[int] = None
 
 
 class MetricsRow(NamedTuple):
@@ -167,9 +180,11 @@ class MetricsRow(NamedTuple):
 _CSV_ROW = ",".join(["%s"] * len(MetricsRow._fields)) + "\n"
 
 
-@dataclass
 class MetricsSeries:
-    rows: list[MetricsRow] = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[MetricsRow] = []
 
     def to_csv(self) -> str:
         return ",".join(MetricsRow._fields) + "\n" + "".join([_CSV_ROW % r for r in self.rows])
@@ -188,7 +203,7 @@ class ScenarioResult(NamedTuple):
 class Engine:
     """One scenario run; construct a fresh engine per run. Its one source
     of randomness is seeded from `config.seed`: to run another seed, pass a
-    config that holds it (`dataclasses.replace(config, seed=...)`)."""
+    config that holds it (`config._replace(seed=...)`)."""
 
     def __init__(self, config: "ScenarioConfig"):
         self.cfg = config

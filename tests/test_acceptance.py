@@ -7,7 +7,6 @@ lines alongside the pytest verdicts.
 import itertools
 import random
 import time
-from dataclasses import replace
 
 from ctisim.access_control import TlpChannel, TlpLabel, authorize, evaluate_policy
 from ctisim.cli import main as cli_main
@@ -228,8 +227,8 @@ def test_criterion_06_free_riding_counterfactual():
     assert on > off, f"expected strict increase, got on={on} off={off}"
     # same comparison holds across other seeds
     for seed in (1, 2, 3):
-        assert _genuine_verified(run_scenario(replace(on_cfg, seed=seed))) >= _genuine_verified(
-            run_scenario(replace(off_cfg, seed=seed))
+        assert _genuine_verified(run_scenario(on_cfg._replace(seed=seed))) >= _genuine_verified(
+            run_scenario(off_cfg._replace(seed=seed))
         )
     report(6, f"genuine Verified volume: incentives on {on} > off {off}, "
               f"and >= across extra seeds")

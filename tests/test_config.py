@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -584,7 +583,7 @@ def test_agent_strategy_and_access_must_be_mappings(key):
 # --- every section field: default when absent, checked when present ------------
 
 def names(cls):
-    return [f.name for f in fields(cls)]
+    return list(cls._fields)
 
 
 SECTIONS = {
@@ -632,8 +631,8 @@ SAMPLES = {
     },
 }
 
-FIELDS = [(section, f) for section, cls in SECTIONS.items() for f in fields(cls)]
-FIELD_IDS = [f"{section}.{f.name}" for section, f in FIELDS]
+FIELDS = [(section, name) for section, cls in SECTIONS.items() for name in cls._fields]
+FIELD_IDS = [f"{section}.{name}" for section, name in FIELDS]
 
 
 def raw_with_section(section, values):
@@ -656,28 +655,30 @@ def test_samples_cover_every_section_field():
     assert {s: list(v) for s, v in SAMPLES.items()} == {s: names(cls) for s, cls in SECTIONS.items()}
 
 
-@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
-def test_absent_key_reads_as_the_dataclass_default(section, f):
-    if f.default is MISSING:
+@pytest.mark.parametrize("section, name", FIELDS, ids=FIELD_IDS)
+def test_absent_key_reads_as_the_dataclass_default(section, name):
+    """An absent key reads as the default the section's named tuple declares."""
+    defaults = SECTIONS[section]._field_defaults
+    if name not in defaults:
         raw = yaml.safe_load(MINIMAL)
         raw["agents"][4]["strategy"] = {"share_rate": 0.5}
-        assert invalid_field(raw).field == f"agents[4].strategy.{f.name}"
+        assert invalid_field(raw).field == f"agents[4].strategy.{name}"
         return
     parsed = parse_section(section, {})
-    assert getattr(parsed, f.name) == f.default
+    assert getattr(parsed, name) == defaults[name]
 
 
-@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
-def test_present_key_is_accepted(section, f):
-    value, expected, _ = SAMPLES[section][f.name]
-    assert getattr(parse_section(section, {f.name: value}), f.name) == expected
+@pytest.mark.parametrize("section, name", FIELDS, ids=FIELD_IDS)
+def test_present_key_is_accepted(section, name):
+    value, expected, _ = SAMPLES[section][name]
+    assert getattr(parse_section(section, {name: value}), name) == expected
 
 
-@pytest.mark.parametrize("section, f", FIELDS, ids=FIELD_IDS)
-def test_invalid_value_is_rejected_naming_the_field(section, f):
-    bad = SAMPLES[section][f.name][2]
+@pytest.mark.parametrize("section, name", FIELDS, ids=FIELD_IDS)
+def test_invalid_value_is_rejected_naming_the_field(section, name):
+    bad = SAMPLES[section][name][2]
     where = "agents[4].strategy" if section == "strategy" else section
-    assert invalid_field(raw_with_section(section, {f.name: bad})).field == f"{where}.{f.name}"
+    assert invalid_field(raw_with_section(section, {name: bad})).field == f"{where}.{name}"
 
 
 @pytest.mark.parametrize("section, key", [("economics", "fixed_price"), ("strategy", "sale_price")])
@@ -696,7 +697,7 @@ def test_default_accuracy_by_kind_yields_to_explicit_p_acc():
     assert parse_config(raw).agents[1].strategy.p_acc == 0.3
 
 
-# --- the cli docstring's key lists match the dataclasses ------------------------
+# --- the cli docstring's key lists match the named tuples -----------------------
 
 def documented(text):
     """Names in a comma list, with parenthesised notes and "and" dropped."""

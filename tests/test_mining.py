@@ -267,6 +267,10 @@ def test_parameters_mining_refuses_cannot_be_built():
         with pytest.raises(ValueError, match=f"^{problem}$"):
             MiningParams(*params)
         with pytest.raises(ValueError, match=f"^{problem}$"):
+            MiningParams._make(params)
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            MiningParams()._replace(**dict(zip(MiningParams._fields, params)))
+        with pytest.raises(ValueError, match=f"^{problem}$"):
             mine_campaigns([], *params)
 
 

@@ -116,8 +116,7 @@ def assert_fold_matches(result, config, every_consume_is_a_purchase):
 
 
 def test_chain_fold_reproduces_engine_state():
-    config = mixed_scenario(seed=321)
-    config.rounds = 60
+    config = mixed_scenario(seed=321)._replace(rounds=60)
     # fixed sale mode: every consume is an on-chain purchase
     assert_fold_matches(run_scenario(config), config, every_consume_is_a_purchase=True)
 

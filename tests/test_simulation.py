@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -131,7 +130,7 @@ def test_zero_rounds_registers_everyone_and_summarizes_like_one_round():
     assert verify_chain(result.chain).valid
     assert result.metrics.rows == []
     assert result.metrics.to_csv().count("\n") == 1
-    one_round = run_scenario(replace(config, rounds=1))
+    one_round = run_scenario(config._replace(rounds=1))
     assert summary_keys(result.summary) == summary_keys(one_round.summary)
     aggregates = result.summary["aggregates"]
     endowments = sum(spec.endowment for spec in config.agents)
@@ -158,7 +157,7 @@ def test_different_seed_diverges():
     ]
     config = make_config(crew, rounds=20, seed=99)
     a = run_scenario(config)
-    b = run_scenario(replace(config, seed=100))
+    b = run_scenario(config._replace(seed=100))
     assert chain_to_json(a.chain) != chain_to_json(b.chain)
 
 
