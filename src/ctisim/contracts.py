@@ -1,4 +1,4 @@
-"""Deterministic contract state machines driven by the transactions they sign.
+"""Deterministic contract state machines driven by the transactions they commit.
 
 Covers the whole money and trust path of a submission: deposit escrow,
 three-verifier quality votes, the validity score combining vote fraction
@@ -11,11 +11,14 @@ sections, read straight into `VerificationPolicy` and `EconomicsConfig`.
 Each contract rule is one method that refuses an illegal action with a
 typed error or derives what its body must say. An operation calls its
 rule and commits the body built from that through one door, `_commit`:
-it signs through `Registry.sign` (which applies it to the credentials, so
-signing a ReputationUpdate revokes), then applies it through `apply`, the
-one place contract state changes; the registry keeps what it signed for
-the block. `register` signs as the authority, or as the new stakeholder
-itself while there is none, the first authority's self-registration.
+it commits through `Registry.commit` (which applies it to the credentials,
+so committing a ReputationUpdate revokes), then applies it through
+`apply`, the one place contract state changes; the registry keeps what it
+committed for the block. `register` commits as the authority, or as the
+new stakeholder itself while there is none, the first authority's
+self-registration. A sale is one transaction, the consumer's Purchase:
+its rule, `_sale`, states everything a reader needs to know of it, so
+the authority writes no copy of it.
 `check`, the reader's door, runs the same rules on a transaction read
 from a chain, so replaying a chain through `Registry.apply`, `check` and
 `apply` on fresh objects rebuilds the engine's state from the chain and
@@ -55,7 +58,6 @@ from .errors import (
 from .identity import Credential, Registry, Role, register_body
 from .ledger import TxKind
 from .payloads import (
-    AccessGrantBody,
     FinalizeBody,
     PurchaseBody,
     RenewBody,
@@ -103,7 +105,7 @@ REVOCATION_REASON = "reputation below trust threshold"
 # theirs the same way.
 _SUBMIT, _VOTE, _FINALIZE = TxKind.SubmitCti, TxKind.Vote, TxKind.FinalizeVerification
 _PURCHASE, _RENEW, _REGISTER = TxKind.Purchase, TxKind.RenewSubscription, TxKind.Register
-_ACCESS_GRANT, _REPUTATION_UPDATE = TxKind.AccessGrant, TxKind.ReputationUpdate
+_REPUTATION_UPDATE = TxKind.ReputationUpdate
 _PENDING, _VERIFIED, _REJECTED = (
     ContractStatus.PendingVerification, ContractStatus.Verified, ContractStatus.Rejected
 )
@@ -301,7 +303,7 @@ class VerificationOutcome(NamedTuple):
 
 
 class ContractSystem:
-    """Executes the contract operations, each signing through the registry."""
+    """Executes the contract operations, each committing through the registry."""
 
     def __init__(self, registry: Registry, policy: VerificationPolicy, economics: EconomicsConfig):
         self.registry = registry
@@ -410,9 +412,9 @@ class ContractSystem:
     def _commit(
         self, author: Digest, kind: TxKind, body, round_no: Optional[int], record: Optional[CtiRecord] = None
     ):
-        """Sign `body` as `author`'s transaction of `kind`, then apply it;
+        """Commit `body` as `author`'s transaction of `kind`, then apply it;
         returns what `apply` returns."""
-        self.registry.sign(author, kind, body.encode())
+        self.registry.commit(author, kind, body.encode())
         return self.apply(author, kind, body, round_no, record)
 
     def check(self, author: Digest, kind: TxKind, body, round_no: Optional[int]) -> Optional[CtiRecord]:
@@ -465,9 +467,6 @@ class ContractSystem:
                 raise BelowTrustThreshold(f"ReputationUpdate revokes a stakeholder at {score}, not below {threshold}")
             if body.reason != REVOCATION_REASON:
                 raise EncodingError(f"ReputationUpdate reason {body.reason!r}, not {REVOCATION_REASON!r}")
-        elif kind is _ACCESS_GRANT:
-            if (body.contract_id, body.consumer) not in self.market.sales:
-                raise NotForSale("AccessGrant of a record the consumer has not bought")
         return None
 
     def _split_escrow(self, amount: int, verifiers: tuple[Digest, ...], payouts: dict[Digest, int]) -> None:
@@ -492,7 +491,7 @@ class ContractSystem:
         self, roles: frozenset[Role], attributes: frozenset[str], evidence: Digest, endowment: int
     ) -> Credential:
         """The credential claiming `roles` and `attributes` on `evidence`, once its Register is
-        signed by the authority, or by its own stakeholder while there is no authority."""
+        committed by the authority, or by its own stakeholder while there is no authority."""
         body = register_body(roles, attributes, evidence, endowment)
         self._commit(self.authority or body.stakeholder, _REGISTER, body, None)
         return self.registry.credentials[body.stakeholder]
@@ -584,7 +583,7 @@ class ContractSystem:
         for sid in [contract.record.producer, *contract.assigned_verifiers]:
             if not self.reputation.is_trusted(sid) and not self.registry.get(sid).revoked:
                 rb = ReputationUpdateBody(sid, self.reputation.score_of(sid), True, REVOCATION_REASON)
-                # signing applies it: the registry revokes the credential
+                # committing applies it: the registry revokes the credential
                 self._commit(self.authority, _REPUTATION_UPDATE, rb, None)
                 revoked.append(sid)
         return VerificationOutcome(payouts, discounts, tuple(revoked))
@@ -620,7 +619,6 @@ class ContractSystem:
         """Buy access to a verified listed record; returns the price paid."""
         price = self._sale(consumer, contract_id)
         self._commit(consumer, _PURCHASE, PurchaseBody(contract_id, price), None)
-        self._commit(self.authority, _ACCESS_GRANT, AccessGrantBody(contract_id, consumer), None)
         return price
 
     # -- subscriptions ---------------------------------------------------

@@ -1,22 +1,22 @@
-"""Authority-mediated registration of pseudonymous stakeholders, and signing.
+"""Authority-mediated registration of pseudonymous stakeholders, and committing.
 
 Identity proofs are abstracted to an evidence digest; a registration needs
 a non-empty one. A stakeholder id is derived deterministically from the
 evidence digest so that a scenario replays byte-identically. No
-transaction carries a signature: "signing" here means accepting a
+transaction carries a signature: "committing" here means accepting a
 transaction under the credential rules and making it with
 `Transaction.create`, whose id anyone can recompute. `register_body`
 builds a Register payload of claimed roles, attributes and evidence, with
-the endowment it mints; signed by `ContractSystem.register`, it grants the
-credential and opens the accounts.
+the endowment it mints; committed by `ContractSystem.register`, it grants
+the credential and opens the accounts.
 
 The Registry holds the credentials, and `Registry.apply` is their one
-rulebook. The Registry is the one place that signs: `Registry.sign`
-applies every transaction it signs, and `ledger.verify_chain` replays a
+rulebook. The Registry is the one place that commits: `Registry.commit`
+applies every transaction it commits, and `ledger.verify_chain` replays a
 dump through `apply` on a fresh Registry, so the writer and the auditor
-keep the same rules. `sign` also queues each transaction until a block
+keep the same rules. `commit` also queues each transaction until a block
 seals it, and that queue, `unsealed()`, is the one record of what a round
-signed: the engine seals exactly it, in signing order. When sealing,
+committed: the engine seals exactly it, in commit order. When sealing,
 `authenticate_committed` trusts exactly the queued objects and re-derives
 every other transaction (hand-built, copied or made elsewhere) with
 `Transaction.create`, and requires its author to be registered; it takes
@@ -51,7 +51,7 @@ class Role(Enum):
 # Kinds bound once (`TxKind.X` goes through the Enum metaclass); the
 # authority's kinds are a tuple, scanned by identity, not Enum hashes.
 _REGISTER, _REPUTATION_UPDATE = TxKind.Register, TxKind.ReputationUpdate
-_AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate, TxKind.AccessGrant)
+_AUTHORITY_KINDS = (TxKind.FinalizeVerification, TxKind.ReputationUpdate)
 
 
 class Credential(ComparedByFields):
@@ -97,9 +97,9 @@ class Registry:
         self.verifier_ids: list[Digest] = []
         # Ids holding the Authority role, revoked or not.
         self.authorities: set[Digest] = set()
-        # The id of every transaction this registry signed, sealed or not.
-        self._signed: set[Digest] = set()
-        # Transactions this registry signed and no block has sealed yet, by
+        # The id of every transaction this registry committed, sealed or not.
+        self._committed: set[Digest] = set()
+        # Transactions this registry committed and no block has sealed yet, by
         # object identity.
         self._unsealed: dict[int, Transaction] = {}
 
@@ -118,8 +118,10 @@ class Registry:
         and only an acting authority registers the others; every id is the
         one derived from its evidence, so evidence backs one id. A Register
         is accepted in the one spelling `register_body` writes: its roles
-        and its attributes each sorted and unique. A ReputationUpdate names
-        a registered stakeholder not yet revoked: revocation happens once.
+        and its attributes each sorted and unique. Only an authority writes
+        a FinalizeVerification or a ReputationUpdate. A ReputationUpdate
+        names a registered stakeholder not yet revoked: revocation happens
+        once.
         """
         cred = self.credentials.get(author)
         if cred is not None and cred.revoked:
@@ -177,11 +179,11 @@ class Registry:
             if body.revoked:
                 subject.revoked = True
 
-    def sign(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
+    def commit(self, author: Digest, kind: TxKind, payload: bytes) -> Transaction:
         """The author's transaction, made once `apply` has accepted it and
         applied its effect.
 
-        A transaction whose id this registry already signed raises
+        A transaction whose id this registry already committed raises
         DuplicateTransaction and is not queued: verify_chain refuses a
         repeated id. `apply` has run by then, which changes nothing for a
         repeat: it refuses a repeated Register and a revocation of a revoked
@@ -189,23 +191,23 @@ class Registry:
         """
         self.apply(author, kind, payload)
         tx = Transaction.create(author, kind, payload)
-        if tx.tx_id in self._signed:
+        if tx.tx_id in self._committed:
             raise DuplicateTransaction(f"duplicate transaction id {tx.tx_id.hex()}")
-        self._signed.add(tx.tx_id)
+        self._committed.add(tx.tx_id)
         self._unsealed[id(tx)] = tx
         return tx
 
     def unsealed(self) -> list[Transaction]:
-        """What this registry signed and no block has sealed, in signing order."""
+        """What this registry committed and no block has sealed, in commit order."""
         return list(self._unsealed.values())
 
     def authenticate_committed(self, tx: Transaction) -> bool:
         """Whether tx is its registered author's, with its id derived, for sealing.
 
-        The very object `sign` returned, still queued, is trusted as
-        signed; any other transaction needs a registered author and must
+        The very object `commit` returned, still queued, is trusted as
+        committed; any other transaction needs a registered author and must
         equal the one `Transaction.create` derives. Position-independent:
-        `sign` refuses a revoked author when the transaction is made, and
+        `commit` refuses a revoked author when the transaction is made, and
         verify_chain replays the order.
         """
         if id(tx) in self._unsealed:

@@ -17,14 +17,15 @@ tuples too, and the chain is a slotted class, compared and printed through
 `encoding.ComparedByFields`: a dataclass generates and compiles its
 methods at every import, which costs more start-up time than a run
 spends building its blocks. `Transaction.create` defines a transaction's
-id; transactions are made in one place, `identity.Registry.sign`. Sealing (`append_block`) asks an authenticator
-whether each transaction is its registered author's; the registry's
-authenticator trusts the unsealed objects it made itself and re-derives
-every other transaction. verify_chain trusts nothing: it replays the whole
-chain, re-deriving every id and Merkle root, and rebuilds the credentials
-by applying each transaction to a fresh registry through
+id; transactions are made in one place, `identity.Registry.commit`.
+Sealing (`append_block`) asks an authenticator whether each transaction is
+its registered author's; the registry's authenticator trusts the unsealed
+objects it made itself and re-derives every other transaction.
+verify_chain trusts nothing: it replays the whole chain, re-deriving every
+id and Merkle root, and rebuilds the credentials by applying each
+transaction to a fresh registry through
 `identity.Registry.apply`, the rulebook the registry applies to every
-transaction it signs, so that a bare dump can be re-verified with no
+transaction it commits, so that a bare dump can be re-verified with no
 out-of-band state.
 
 The chain.json dump format is fixed: it is byte for byte what
@@ -79,7 +80,6 @@ class TxKind(TaggedEnum):
     Purchase = "Purchase"
     RenewSubscription = "RenewSubscription"
     ReputationUpdate = "ReputationUpdate"
-    AccessGrant = "AccessGrant"
 
 
 # each kind by its name, as chain.json spells it
@@ -182,7 +182,7 @@ def append_block(
     position-independent on purpose: a round's block may contain
     transactions authored just before a same-round revocation. Revocation
     ordering is enforced by `identity.Registry.apply`, which refuses a
-    revoked author both when `Registry.sign` makes a transaction and when
+    revoked author both when `Registry.commit` makes a transaction and when
     verify_chain replays the chain.
     """
     if not is_authority(sealer):
@@ -214,7 +214,7 @@ def verify_chain(chain: Chain) -> VerificationReport:
     Checks every header, Merkle root and transaction id, that no
     transaction id repeats, and replays each transaction in chain order
     through `Registry.apply` on a fresh `identity.Registry`, the credential
-    rules the platform signs by; an illegal transaction is reported by the
+    rules the platform commits by; an illegal transaction is reported by the
     reason apply refuses it with. Block 0 must equal
     `make_genesis()`, field for field. A block may be empty; every block
     after genesis must be sealed by an authority not revoked in an earlier
@@ -389,12 +389,13 @@ def chain_from_json(text: str) -> Chain:
     """Read a chain.json dump back; raises EncodingError, and nothing else,
     for a malformed one (a value of the wrong JSON type, a missing key, a
     key the writer does not write or an unknown kind, each named by the
-    error, an integer field that is not a JSON integer in [0, 2**64), bad
-    hex, named by its field and the block or transaction that holds it, an
-    object where it does not belong). Hex is decoded strictly:
-    whitespace inside a hex field is bad hex, though uppercase digits read,
-    and so do JSON whitespace, key order and duplicate keys, which
-    json.loads settles (the last value wins).
+    error, so a dump of an earlier format, with a transaction signature or
+    an `AccessGrant`, is refused by that name; an integer field that is not
+    a JSON integer in [0, 2**64); bad hex, named by its field and the block
+    or transaction that holds it; an object where it does not belong). Hex
+    is decoded strictly: whitespace inside a hex field is bad hex, though
+    uppercase digits read, and so do JSON whitespace, key order and
+    duplicate keys, which json.loads settles (the last value wins).
 
     Each JSON object becomes a Transaction, or a Block if it has a
     ``transactions`` key, as soon as json.loads has parsed it, so no parsed

@@ -71,8 +71,3 @@ class ReputationUpdateBody(NamedTuple):
     revoked: bool
     reason: str
 
-
-@layout
-class AccessGrantBody(NamedTuple):
-    contract_id: Digest
-    consumer: Digest

@@ -9,8 +9,8 @@ is lapsed, and may not act, while its paid subscription period ended
 before the round (`_can_act`). All state transitions materialize as
 ledger transactions, and a fixed config (its seed included) replays to a
 byte-identical chain. The operations return their results, not their
-transactions: each block holds what the registry signed that round
-(`Registry.unsealed`), in signing order, and a round that signed nothing
+transactions: each block holds what the registry committed that round
+(`Registry.unsealed`), in commit order, and a round that committed nothing
 seals an empty block. Contract errors raised by an agent's action are
 recorded as rejected-action events and never abort the run. After the
 last round the run mines campaigns from the records its contracts
@@ -477,7 +477,7 @@ class Engine:
             ))
 
     def _seal(self, chain: Chain) -> None:
-        """Seal what the registry signed since the last block, in signing
+        """Seal what the registry committed since the last block, in commit
         order, as the next block; an empty round seals an empty block. The
         registrations are round 0's block, so round r's block is at height
         r + 1."""

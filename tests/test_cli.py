@@ -469,6 +469,20 @@ def test_verify_chain_out_of_range_header_integer_exits_two(tmp_path, capsys):
     assert "cannot load chain" in capsys.readouterr().err
 
 
+def test_verify_chain_of_a_dump_with_an_access_grant_exits_two(tmp_path, capsys):
+    """A dump an earlier version wrote, with the authority's AccessGrant
+    after a Purchase, is refused by that kind's name, not verified."""
+    out = tmp_path / "out"
+    run_cli("run", "--config", DOI, "--out", str(out))
+    dump = json.loads((out / "chain.json").read_text())
+    dump[1]["transactions"][0]["kind"] = "AccessGrant"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dump, indent=2) + "\n")
+    assert run_cli("verify-chain", "--chain", str(old)) == 2
+    err = capsys.readouterr().err
+    assert "cannot load chain" in err and "'AccessGrant'" in err
+
+
 def test_verify_chain_non_utf8_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "chain.json"
     bad.write_bytes(b"\xff\xfe[]\n")

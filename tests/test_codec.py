@@ -45,7 +45,6 @@ from ctisim.cti import (
 from ctisim.encoding import ZERO_DIGEST
 from ctisim.errors import EncodingError, PolicyParseError
 from ctisim.payloads import (
-    AccessGrantBody,
     FinalizeBody,
     PurchaseBody,
     RegisterBody,
@@ -259,7 +258,6 @@ BODY_STRATEGIES = {
     RenewBody: st.builds(RenewBody, charge=uints, paid_through=uints),
     ReputationUpdateBody: st.builds(
         ReputationUpdateBody, stakeholder=digests, score=uints, revoked=st.booleans(), reason=texts),
-    AccessGrantBody: st.builds(AccessGrantBody, contract_id=digests, consumer=digests),
 }
 
 
@@ -297,7 +295,6 @@ REFERENCE_ENCODERS = {
         Writer().put_bytes(b.stakeholder).put_uint(b.score)
         .put_bool(b.revoked).put_str(b.reason).getvalue()
     ),
-    AccessGrantBody: lambda b: Writer().put_bytes(b.contract_id).put_bytes(b.consumer).getvalue(),
 }
 
 
@@ -310,7 +307,7 @@ payload_bodies = st.sampled_from(BODY_CLASSES).flatmap(body_strategy)
 
 
 def test_every_payload_body_has_a_strategy_and_reference_encoder():
-    assert len(BODY_CLASSES) >= 8
+    assert len(BODY_CLASSES) >= 7
     assert set(BODY_STRATEGIES) == set(BODY_CLASSES)
     assert set(REFERENCE_ENCODERS) == set(BODY_CLASSES)
 

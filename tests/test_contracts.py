@@ -45,7 +45,6 @@ from ctisim.cti import CtiCategory, Ioc, IocKind, make_record, record_bytes
 from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
 from ctisim.payloads import (
-    AccessGrantBody,
     FinalizeBody,
     PurchaseBody,
     RenewBody,
@@ -425,7 +424,7 @@ def test_purchase_transfers_exactly_the_sale_price():
     assert p.market.balance_of(p.consumer) == 95
     assert p.market.balance_of(p.producer) == 105
     assert price == 5
-    assert p.kinds_signed(signed) == [TxKind.Purchase, TxKind.AccessGrant]
+    assert p.kinds_signed(signed) == [TxKind.Purchase]
 
 
 def test_repeat_purchase_refused_without_charge_or_transactions():
@@ -745,13 +744,6 @@ def _(p):
     return Illegal(other, TxKind.Purchase, PurchaseBody(cid, 5), 1,
                    AccessDenied, "Purchase by a stakeholder without the Consumer role",
                    lambda: p.system.purchase(other, cid))
-
-
-@illegal("access-grant-without-a-purchase")
-def _(p):
-    cid = finalized(p, [HQ, HQ, HQ]).contract_id
-    return Illegal(p.authority, TxKind.AccessGrant, AccessGrantBody(cid, p.consumer), 1,
-                   NotForSale, "AccessGrant of a record the consumer has not bought")
 
 
 @illegal("overspend")

@@ -46,7 +46,7 @@ GOLDEN = {
         "metrics.csv": "9d1a197f4d609e602b28ec9fb7ffc1fb7a8104b1ed1f705c02f9b9975eb86089",
     },
     "marketplace": {
-        "chain.json": "3ff25b42fd6d411fb847054247eaec0acad8ae2709b90f464040ec6a1f5d3c8f",
+        "chain.json": "69e41b126cfe8141259c951b0b445f609ae560df6f73e2e4a2b0d8abef0dce06",
         "summary.json": "222306e10bcf7d0954e5cb1420152a8447ce19846c404b46edd59d13795c76ab",
         "metrics.csv": "994053a892e2bee4fb0869130533fc414e2880315a7e4b7c9995072945c9de70",
     },

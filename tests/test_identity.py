@@ -7,7 +7,7 @@ from ctisim.errors import (
 )
 from ctisim.identity import Registry, Role, evidence_for, register_body
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, sha256, verify_chain
-from ctisim.payloads import AccessGrantBody, FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
+from ctisim.payloads import FinalizeBody, RegisterBody, ReputationUpdateBody, VoteBody
 from tests.reference_writer import ref_id
 
 
@@ -20,7 +20,7 @@ def register(reg, proof, author=None):
     """Sign `proof`'s Register as `author`, by default as its own stakeholder
     (the first authority's self-registration); returns the credential."""
     body = register_body(*proof, 0)
-    reg.sign(body.stakeholder if author is None else author, TxKind.Register, body.encode())
+    reg.commit(body.stakeholder if author is None else author, TxKind.Register, body.encode())
     return reg.credentials[body.stakeholder]
 
 
@@ -93,9 +93,9 @@ def test_sign_then_verify(registry):
 def test_registry_trusts_only_the_object_it_signed(registry, monkeypatch):
     reg, auth = registry
     cred = register(reg, proof("prod", {Role.Producer}), auth.stakeholder)
-    tx = reg.sign(cred.stakeholder, TxKind.Vote, b"hello")
+    tx = reg.commit(cred.stakeholder, TxKind.Vote, b"hello")
     assert tx == Transaction.create(cred.stakeholder, TxKind.Vote, b"hello")
-    fresh = reg.sign(cred.stakeholder, TxKind.Vote, b"fresh")
+    fresh = reg.commit(cred.stakeholder, TxKind.Vote, b"fresh")
     rederived, create = [], Transaction.create
     monkeypatch.setattr(Transaction, "create", lambda *a: rederived.append(a) or create(*a))
 
@@ -112,14 +112,14 @@ def test_registry_trusts_only_the_object_it_signed(registry, monkeypatch):
     assert reg.authenticate_committed(tx) and len(rederived) == 2
     assert reg.authenticate_committed(tx._replace()) and len(rederived) == 3
     with pytest.raises(UnknownStakeholder):
-        reg.sign(b"\x00" * 32, TxKind.Vote, b"hello")
+        reg.commit(b"\x00" * 32, TxKind.Vote, b"hello")
 
 
 def test_signing_the_same_transaction_twice_is_refused(registry):
     reg, auth = registry
-    first = reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
+    first = reg.commit(auth.stakeholder, TxKind.Vote, b"hello")
     with pytest.raises(DuplicateTransaction, match="duplicate transaction id"):
-        reg.sign(auth.stakeholder, TxKind.Vote, b"hello")
+        reg.commit(auth.stakeholder, TxKind.Vote, b"hello")
     assert reg.unsealed()[-1] is first and reg.unsealed().count(first) == 1
 
 
@@ -157,7 +157,7 @@ def test_attributes_preserved(registry):
 # --- one rule table, two doors -------------------------------------------------
 #
 # Each history is a list of (author name, kind, body) steps whose last step is
-# illegal. The writer door signs every step through Registry.sign; the reader
+# illegal. The writer door commits every step through Registry.commit; the reader
 # door links the same transactions, each in its own block, and verifies.
 
 def sid(name):
@@ -253,7 +253,6 @@ ILLEGAL_HISTORIES = {
             (TxKind.FinalizeVerification, FinalizeBody(sha256(b"contract"), "Verified", 900_000, "Refunded")),
             # a Producer revoking the authority
             (TxKind.ReputationUpdate, revocation("authority")),
-            (TxKind.AccessGrant, AccessGrantBody(sha256(b"contract"), sid("user"))),
         )
     },
     "vote-by-a-revoked-author": (
@@ -294,10 +293,10 @@ def test_registry_refuses_illegal_history(history, error, reason):
     reg = Registry()
     *legal, (author, kind, body) = history
     for step_author, step_kind, step_body in legal:
-        reg.sign(sid(step_author), step_kind, step_body.encode())
+        reg.commit(sid(step_author), step_kind, step_body.encode())
     before = registry_state(reg)
     with pytest.raises(error, match=f"^{reason}$"):
-        reg.sign(sid(author), kind, body.encode())
+        reg.commit(sid(author), kind, body.encode())
     assert registry_state(reg) == before
 
 

@@ -26,7 +26,7 @@ from ctisim.ledger import (
     sha256,
     verify_chain,
 )
-from ctisim.payloads import AccessGrantBody, FinalizeBody, ReputationUpdateBody, VoteBody
+from ctisim.payloads import FinalizeBody, ReputationUpdateBody, VoteBody
 from ctisim.simulation import run_scenario
 from tests.conftest import SCENARIO_DIR
 from tests.reference_writer import Writer, ref_id
@@ -220,7 +220,7 @@ def test_append_rejects_an_unregistered_author_with_a_derived_id():
 )
 def test_append_rejects_altered_copy_of_registry_signed_tx(change):
     reg, auth, user, _ = fresh_registry()
-    signed = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
+    signed = reg.commit(user.stakeholder, TxKind.Vote, tx_by(user).payload)
     with pytest.raises(UnauthenticatedTransaction):
         append_block(
             Chain.new(), [signed._replace(**change)], auth.stakeholder,
@@ -252,7 +252,7 @@ def test_refused_sealer_leaves_the_round_to_seal():
 def test_a_forgery_anywhere_in_the_list_leaves_the_queue_as_it_was(forged_at):
     reg, auth, user, _ = fresh_registry()
     for n in range(3):
-        reg.sign(user.stakeholder, TxKind.Vote, VoteBody(sha256(b"contract:%d" % n), "HighQuality").encode())
+        reg.commit(user.stakeholder, TxKind.Vote, VoteBody(sha256(b"contract:%d" % n), "HighQuality").encode())
     queued = reg.unsealed()
     txs = queued[-3:]
     txs[forged_at] = txs[forged_at]._replace(tx_id=b"\x00" * 32)
@@ -383,7 +383,7 @@ def test_verify_flags_block_sealed_by_revoked_authority():
     )
     revoke = ReputationUpdateBody(second.stakeholder, 20, True, "threshold").encode()
     append_block(
-        chain, [reg.sign(auth.stakeholder, TxKind.ReputationUpdate, revoke)], auth.stakeholder,
+        chain, [reg.commit(auth.stakeholder, TxKind.ReputationUpdate, revoke)], auth.stakeholder,
         reg.authenticate_committed, reg.is_authority,
     )
     link(chain, [tx_by(auth)], second.stakeholder)
@@ -397,7 +397,6 @@ AUTHORITY_KIND_BODIES = {
     TxKind.FinalizeVerification: lambda sid: FinalizeBody(sha256(b"contract"), "Verified", 900_000, "Refunded"),
     # a Producer revoking the authority: sealing accepts it, verification must not
     TxKind.ReputationUpdate: lambda sid: ReputationUpdateBody(sid, 0, True, "coup"),
-    TxKind.AccessGrant: lambda sid: AccessGrantBody(sha256(b"contract"), sid),
 }
 
 
@@ -483,7 +482,7 @@ def test_bundled_chains_read_back_equal_the_engines_block_for_block(path):
 
 def test_setting_any_field_of_a_signed_transaction_raises():
     reg, _, user, _ = fresh_registry()
-    tx = reg.sign(user.stakeholder, TxKind.Vote, tx_by(user).payload)
+    tx = reg.commit(user.stakeholder, TxKind.Vote, tx_by(user).payload)
     before = tuple(tx)
     for name in Transaction._fields:
         with pytest.raises(AttributeError):
@@ -552,6 +551,9 @@ BAD_HEX_DUMPS = {
 
 MALFORMED_DUMPS = {
     "unknown-kind": _set((1, "transactions", 0, "kind"), "Mint"),
+    # the authority's copy of a sale, which earlier dumps wrote after every
+    # Purchase: a dump holding one is refused, not read without it
+    "retired-kind-AccessGrant": _set((1, "transactions", 0, "kind"), "AccessGrant"),
     "kind-not-a-string": _set((1, "transactions", 0, "kind"), ["Vote"]),
     "missing-block-key": _drop((1, "sealer")),
     "missing-transactions": _drop((1, "transactions")),
@@ -613,7 +615,7 @@ def test_chain_from_json_names_a_key_the_writer_does_not_write(path):
         chain_from_json(text)
 
 
-@pytest.mark.parametrize("kind", ["Mint", "vote"])
+@pytest.mark.parametrize("kind", ["Mint", "vote", "AccessGrant"])
 def test_chain_from_json_names_an_unknown_kind(kind):
     chain, *_ = build_chain(1)
     text = json.dumps(_set((1, "transactions", 0, "kind"), kind)(json.loads(chain_to_json(chain))), indent=2) + "\n"

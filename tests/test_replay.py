@@ -26,7 +26,6 @@ from ctisim.identity import Registry
 from ctisim.ledger import Chain, Transaction, TxKind, append_block, verify_chain
 from ctisim.mining import mine_campaigns, verified_technical_records
 from ctisim.payloads import (
-    AccessGrantBody,
     FinalizeBody,
     PurchaseBody,
     RegisterBody,
@@ -50,7 +49,6 @@ BODIES = {
     TxKind.Purchase: PurchaseBody,
     TxKind.RenewSubscription: RenewBody,
     TxKind.ReputationUpdate: ReputationUpdateBody,
-    TxKind.AccessGrant: AccessGrantBody,
 }
 
 

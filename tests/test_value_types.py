@@ -57,7 +57,6 @@ BODIES = [
     payloads.PurchaseBody,
     payloads.RenewBody,
     payloads.ReputationUpdateBody,
-    payloads.AccessGrantBody,
 ]
 
 CONFIG_SECTIONS = [
