@@ -157,8 +157,8 @@ def test_attributes_preserved(registry):
 # --- one rule table, two doors -------------------------------------------------
 #
 # Each history is a list of (author name, kind, body) steps whose last step is
-# illegal. The writer door commits every step through Registry.commit; the reader
-# door links the same transactions, each in its own block, and verifies.
+# illegal. The writer door commits every step through Registry.commit; the
+# reader door links the same transactions, each in its own block, and verifies.
 
 def sid(name):
     return identity.stakeholder_id(evidence_for(name))
