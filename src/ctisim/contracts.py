@@ -16,9 +16,8 @@ so committing a ReputationUpdate revokes), then applies it through
 `apply`, the one place contract state changes; the registry keeps what it
 committed for the block. `register` commits as the authority, or as the
 new stakeholder itself while there is none, the first authority's
-self-registration. A sale is one transaction, the consumer's Purchase:
-its rule, `_sale`, states everything a reader needs to know of it, so
-the authority writes no copy of it.
+self-registration. A sale is one transaction, the consumer's Purchase,
+whose rule, `_sale`, states everything a reader needs to know of it.
 `check`, the reader's door, runs the same rules on a transaction read
 from a chain, so replaying a chain through `Registry.apply`, `check` and
 `apply` on fresh objects rebuilds the engine's state from the chain and
