@@ -39,8 +39,10 @@ before the YAML loader builds anything.
 
 `summary.json` (`simulation.summary_json`), `chain.json` (`ledger.chain_to_json`)
 and `metrics.csv` are each written from one template per row, the JSON files
-byte-identical to `json.dumps(obj, indent=2)` plus a newline. Every summary,
-zero rounds included, holds every agent and aggregate the output reads.
+byte-identical to `json.dumps(obj, indent=2)` plus a newline. `chain.json` is
+written one block at a time, each block's text built and written before the
+next, so the whole dump is never held in memory. Every summary, zero rounds
+included, holds every agent and aggregate the output reads.
 
 Scenario files are YAML with nested sections (see scenarios/ for complete
 examples)::
@@ -116,8 +118,12 @@ SWEEP_AGGREGATE_KEYS = (
 
 def _write_outputs(result: ScenarioResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    chain = result.chain
     with open(os.path.join(out_dir, "chain.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(chain_to_json(result.chain))
+        # one block's text at a time, written as soon as it is built; an
+        # empty chain is one call, whose text is "[]\n"
+        for height in range(len(chain.blocks) or 1):
+            fh.write(chain_to_json(chain, height, height + 1))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(summary_json(result.summary))
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:

@@ -154,8 +154,8 @@ def _as_prob(value: Any, name: str) -> float:
 
 def _int(lo: Optional[int] = None, hi: Optional[int] = None) -> Check:
     """An integer field. One with a lower bound is a count, an amount or a
-    round, which the chain writes as an unsigned field, so without an upper
-    bound of its own it stays below UINT_LIMIT."""
+    round, which the chain writes as an unsigned field, or the seed; without
+    an upper bound of its own it stays below UINT_LIMIT."""
     if lo is not None and hi is None:
         hi = UINT_LIMIT - 1
     return lambda value, name: _as_int(value, name, lo, hi)
@@ -284,7 +284,9 @@ def _verification(value: Any, name: str) -> VerificationPolicy:
 _CHECKS: dict[str, Check] = {
     # top level: ScenarioConfig
     "rounds": _int(lo=0),
-    "seed": _int(),
+    # random.Random(-n) seeds the stream of Random(n), so a negative seed
+    # would repeat another run under a different label
+    "seed": _int(lo=0),
     "agents": _agents,
     "economics": _economics,
     "verification": _verification,

@@ -31,10 +31,12 @@ out-of-band state.
 The chain.json dump format is fixed: it is byte for byte what
 ``json.dumps(obj, indent=2) + "\n"`` wrote for a list of block objects
 (integer fields, hex-encoded byte fields, the transaction kind by name).
-chain_to_json emits those bytes directly, and chain_from_json refuses an
-object with any key the writer does not write. Hex fields are decoded
-strictly (binascii.unhexlify), so whitespace inside one is refused; what
-the JSON parser itself accepts still reads, as does uppercase hex: JSON
+chain_to_json emits those bytes directly, for the whole chain or for a
+range of its blocks, so a writer can emit the dump one block at a time and
+never hold all of it; chain_from_json refuses an object with any key the
+writer does not write. Hex fields are decoded strictly
+(binascii.unhexlify), so whitespace inside one is refused; what the JSON
+parser itself accepts still reads, as does uppercase hex: JSON
 whitespace between tokens, keys in any order, and a duplicated key (its
 last value wins). chain_from_json builds each transaction and block as
 json.loads parses its object, with no parsed copy of the dump in between,
@@ -276,18 +278,30 @@ def _tx_to_json(sep: str, t: Transaction) -> str:
     )
 
 
-def chain_to_json(chain: Chain) -> str:
-    """The chain.json dump: the bytes json.dumps(indent=2) wrote, plus "\\n".
+def chain_to_json(chain: Chain, start: int = 0, stop: Optional[int] = None) -> str:
+    """The text of blocks[start:stop] in the chain.json dump, the bytes
+    json.dumps(indent=2) wrote plus "\\n"; the whole-chain call is the dump.
+
+    Each block's text opens with its separator ("[\\n" before block 0,
+    ",\\n" before any other) and the last block's closes the array, so the
+    texts of consecutive ranges that cover the chain join to the dump, and
+    a range of no block is "". An empty chain's text is "[]\\n".
 
     Blocks and transactions are emitted field by field in the fixed order
     chain_from_json reads. Every value is an integer, a hex string or a
     TxKind name, so nothing needs JSON escaping. Each block head and each
     transaction is one text opening with its separator, all joined once.
+
+    `cli` writes chain.json with one call per block, so the whole dump is
+    never held at once. A generator of block texts would be simpler, and is
+    the design to move to once the benchmark's tracer, which times and sizes
+    the write by wrapping `cli.chain_to_json`, moves that patch.
     """
-    if not chain.blocks:
+    blocks = chain.blocks
+    if not blocks:
         return "[]\n"
-    parts, sep = [], "[\n"
-    for b in chain.blocks:
+    parts, sep = [], ",\n" if start else "[\n"
+    for b in blocks[start:stop]:
         parts.append(
             f"{sep}  {{\n"
             f'    "height": {b.height},\n'
@@ -299,7 +313,8 @@ def chain_to_json(chain: Chain) -> str:
         parts += map(_tx_to_json, chain_items(("\n",), repeat(",\n")), b.transactions)
         parts.append("\n    ]\n  }" if b.transactions else "]\n  }")
         sep = ",\n"
-    parts.append("\n]\n")
+    if start < len(blocks) and (stop is None or stop >= len(blocks)):
+        parts.append("\n]\n")
     return "".join(parts)
 
 

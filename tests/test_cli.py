@@ -3,6 +3,7 @@ import gc
 import json
 import shutil
 import subprocess
+import tracemalloc
 
 import pytest
 import yaml
@@ -41,6 +42,53 @@ def test_metrics_row_count_is_rounds_times_agents(tmp_path):
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == "round,agent,reputation,balance,shares,verified,rejected,consumes,forfeited,utility"
     assert len(lines) - 1 == 10 * 6  # rounds x agents
+
+
+def busy_market():
+    """`marketplace.yaml` with 30 more buyers, each buying every round: 32
+    blocks, and a chain.json (~825 kB) many times its summary and metrics."""
+    raw = yaml.safe_load((SCENARIO_DIR / "marketplace.yaml").read_text(encoding="utf-8"))
+    raw["agents"] += [
+        {"name": f"buyer-{i}", "roles": ["Consumer"], "endowment": 500,
+         "strategy": {"kind": "LazyConsumer", "consume_rate": 1.0}}
+        for i in range(3, 33)
+    ]
+    return run_scenario(parse_config(raw))
+
+
+def test_chain_json_is_written_with_one_chain_to_json_call_per_block(tmp_path, monkeypatch):
+    """The lengths of the texts `cli.chain_to_json` returns sum to the size
+    of chain.json: what a wrapper of that binding counts as the dump's size."""
+    result, write, sizes = busy_market(), cli.chain_to_json, []
+
+    def spy(*args):
+        text = write(*args)
+        sizes.append(len(text))
+        return text
+
+    monkeypatch.setattr(cli, "chain_to_json", spy)
+    cli._write_outputs(result, str(tmp_path))
+    data = (tmp_path / "chain.json").read_bytes()
+    assert len(sizes) == len(result.chain.blocks) > 30
+    assert sum(sizes) == len(data)
+    assert data == write(result.chain).encode("utf-8")
+
+
+def test_writing_the_outputs_peaks_below_half_the_chain_dump(tmp_path):
+    """No text of the whole dump is built: writing chain.json holds one
+    block's text at a time (building the dump and then encoding it would
+    alone peak above twice its size)."""
+    result = busy_market()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_outputs(result, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "chain.json").stat().st_size
+    assert peak < size / 2, (peak, size)
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -249,9 +297,10 @@ def test_an_access_label_no_record_can_carry_exits_one_and_writes_nothing(tmp_pa
 
 
 # Every integer a config bounds below: the chain writes each as, or into, an
-# unsigned 64-bit field. The producer `p` is MINIMAL's agents[4].
+# unsigned 64-bit field, except the seed, which is bounded below because
+# random.Random(-n) repeats Random(n). The producer `p` is MINIMAL's agents[4].
 UINT_FIELDS = [
-    "rounds", "agents.p.endowment",
+    "rounds", "seed", "agents.p.endowment",
     "economics.base_fee", "economics.period_rounds", "economics.discount_per_hq", "economics.deposit",
     "economics.verification_fee", "economics.fixed_price",
     "mining.window_rounds", "mining.min_support", "mining.min_overlap",
@@ -273,13 +322,15 @@ def test_an_integer_past_64_bits_exits_one_and_writes_nothing(tmp_path, capsys, 
 
 
 UNBOUNDED_FIELDS = [
-    "seed", "verification.delta_valid", "verification.delta_invalid",
+    "verification.delta_valid", "verification.delta_invalid",
     "verification.delta_majority_vote", "verification.delta_minority_vote",
 ]
 
 
 @pytest.mark.parametrize("key", UNBOUNDED_FIELDS)
 def test_seeds_and_deltas_stay_unbounded(key):
+    """The reputation deltas take any integer, of either sign and past 64
+    bits; the seed is one of the UINT_FIELDS."""
     raw = yaml.safe_load(MINIMAL)
     for value in (2**64, -(2**64)):
         assert parse_config(apply_override(raw, key, value))

@@ -286,6 +286,18 @@ def test_a_key_with_an_empty_part_is_refused_naming_param_and_key(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["run", "--seed", "-1"], ["sweep", "--param", "seed", "--values", "-1"]], ids=["run", "sweep"]
+)
+def test_a_negative_seed_is_refused_naming_seed(tmp_path, capsys, argv):
+    """random.Random(-n) seeds the stream of Random(n), so a negative seed
+    would write seed n's outputs under another label."""
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--config", str(SCENARIO_DIR / "tlp-demo.yaml"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed: must be >= 0\n"
+    assert not out.exists()
+
+
 def test_bundled_scenarios_all_parse(scenario_dir):
     for path in sorted(scenario_dir.glob("*.yaml")):
         config = load_config(str(path))

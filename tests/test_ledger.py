@@ -730,9 +730,17 @@ blocks = st.builds(
 chains = st.builds(Chain, blocks=st.lists(blocks, max_size=5))
 
 
-def test_chain_json_heartbeat_block_matches_json_dumps():
+def heartbeat_chain():
+    """A chain whose last two blocks are heartbeats, sealed with no
+    transactions."""
     chain, reg, auth, _ = build_chain(1)
-    append_block(chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority)
+    for _ in range(2):
+        append_block(chain, [], auth.stakeholder, reg.authenticate_committed, reg.is_authority)
+    return chain
+
+
+def test_chain_json_heartbeat_block_matches_json_dumps():
+    chain = heartbeat_chain()
     text = chain_to_json(chain)
     assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
     assert chain_from_json(text) == chain
@@ -751,6 +759,23 @@ def test_chain_json_matches_json_dumps_property(chain):
     text = chain_to_json(chain)
     assert text == json.dumps(ref_obj(chain), indent=2) + "\n"
     assert chain_from_json(text) == chain
+
+
+@settings(
+    max_examples=200, deadline=None, print_blob=True,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
+@given(chain=chains, cuts=st.lists(st.integers(min_value=0), max_size=6))
+@example(chain=Chain(blocks=[]), cuts=[])
+@example(chain=Chain.new(), cuts=[0, 1, 1])
+@example(chain=heartbeat_chain(), cuts=[1, 3, 4])
+def test_texts_of_consecutive_ranges_join_to_the_dump(chain, cuts):
+    """Cut anywhere, repeated cuts and empty ranges included: the ranges'
+    texts join to the whole-chain text, which is json.dumps's."""
+    n = len(chain.blocks)
+    bounds = [0, *sorted(cut % (n + 1) for cut in cuts), n] if n else [0, 0]
+    text = "".join(chain_to_json(chain, start, stop) for start, stop in zip(bounds, bounds[1:]))
+    assert text == chain_to_json(chain) == json.dumps(ref_obj(chain), indent=2) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
